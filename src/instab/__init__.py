@@ -16,8 +16,8 @@ from .cartan import (CartanVector, Cocharacter, SimpleSystem, Weight,
                      chi_decompose, chi_recombine, dominant_order,
                      form_inner, fundamental_weights)
 from .errors import (CertificateError, DimensionError, InstabError,
-                     ParseError, StableVectorError, TorusStableError,
-                     ZeroVectorError)
+                     NonFiniteError, ParseError, StableVectorError,
+                     TorusStableError, ZeroVectorError)
 from .instability import (CertifyOptions, DominanceCert, FlatShrinkData,
                           KempfData, MinNormCert, ShrinkGeodesicResult,
                           TorusKempfResult, Verdict, VerifyReport,
@@ -34,7 +34,7 @@ from .reps import (Dual, RepSpec, Representation, Standard, Sym, Tensor,
 from .symspace import (BusemannEstimate, GeodesicRay, ParabolicData,
                        busemann_formula, busemann_limit, cartan_decompose,
                        distance, exp_sym, geodesic, haar_so,
-                       iwasawa_decompose, log_spd, midpoint, modular_delta,
+                       iwasawa_decompose, midpoint, modular_delta,
                        parabolic_data, project, ray_from_cartan)
 
 __version__ = "0.1.0"

@@ -7,9 +7,10 @@ the exact certificate path.  All randomness is derived from a single seed,
 so runs are reproducible and certificate files byte-stable.
 
 Exit codes: classify 0 = certified unstable, 2 = likely stable,
-3 = numerically unstable, 4 = zero vector; certify 2 = stable input;
-verify 0 = all checks pass, 1 = margin/slope failures, 5 = malformed
-certificate; parse and dimension errors exit 1.
+3 = numerically unstable, 4 = zero vector; certify 1 = the embedded
+verification is not ok, 2 = stable input; verify 0 = all checks pass,
+1 = margin/slope failures, 5 = malformed certificate; parse and dimension
+errors and non-finite vector entries exit 1.
 """
 
 from __future__ import annotations
@@ -194,8 +195,12 @@ def cmd_certify(n, spec_text, vector, vector_file, out, seed, budget, samples,
         "kempf_tau": None if cert.kempf is None else list(cert.kempf.tau),
         "verification_failures": (None if cert.verification is None
                                   else cert.verification.failures),
+        "verification_ok": (None if cert.verification is None
+                            else cert.verification.ok),
     }
     _emit(summary)
+    if cert.verification is not None and not cert.verification.ok:
+        sys.exit(1)
 
 
 @main.command("verify")

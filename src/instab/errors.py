@@ -34,3 +34,7 @@ class TorusStableError(StableVectorError):
 
 class CertificateError(InstabError, ValueError):
     """A dominance certificate is malformed or inconsistent."""
+
+
+class NonFiniteError(InstabError, ValueError):
+    """An input vector has a NaN or infinite entry."""

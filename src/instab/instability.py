@@ -41,7 +41,8 @@ from .cartan import (CartanVector, Cocharacter, SimpleSystem, Weight,
 from .errors import (CertificateError, DimensionError, StableVectorError,
                      TorusStableError, ZeroVectorError)
 from .reps import (RepSpec, Representation, act, active_weights, build_rep,
-                   highest_weight_vector, log_rep_norm, parse_rep_spec)
+                   highest_weight_vector, log_rep_norm, parse_rep_spec,
+                   pow2_scaled)
 from .symspace import block_orthogonal, distance, exp_sym, haar_so
 
 NEG_INF = float("-inf")
@@ -530,7 +531,7 @@ def _adapted_frames(rep: Representation, v) -> list:
 
     frames = []
     n = rep.n
-    vec = np.asarray([float(x) for x in v], dtype=float)
+    vec, _ = pow2_scaled(np.asarray([float(x) for x in v], dtype=float))
     if rep.dim == n and np.linalg.norm(vec) > 0:
         frames.append(_rotation_to_first_axis(vec))
     if rep.dim == n * n:
@@ -564,8 +565,7 @@ def is_unstable(rep: Representation, v, budget: int = 64, seed: int = 0,
     best rate found wins.  Failing that, the geodesic search decides
     between a numerical instability verdict and "likely stable".
     """
-    vec = np.asarray([float(x) for x in v], dtype=float)
-    if not np.any(vec):
+    if log_rep_norm(rep, v) == NEG_INF:
         raise ZeroVectorError("zero vector")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n = rep.n

@@ -10,9 +10,15 @@ wedge monomials carry the determinant (Gram) convention, symmetric monomials
 the multinomial weights of their symmetrized tensors.  Weight spaces are
 orthogonal by construction.
 
-Group elements act functorially: duals by inverse transpose, exterior powers
-by compound matrices of minors, symmetric powers by the induced action on
-polynomials, tensors by Kronecker products.  Entries may be floats or exact
+Group elements act through that embedding, with one code path for every
+representation.  Each basis vector is a fixed tensor in (R^n)^{(x)k}: a
+symmetric monomial is the sum of its distinct words, a wedge monomial the
+alternating sum of its words, a tensor product the product of its factors'
+tensors, and a dual basis vector the child's tensor divided by its squared
+tensor norm, with its modes marked dual.  To act, embed the coordinates,
+apply g along every standard mode and g^{-T} along every dual mode, and
+read each coordinate back from one word of its basis vector (distinct basis
+vectors have disjoint word supports).  Entries may be floats or exact
 ``Fraction``s; the exact path is used whenever both the group element and
 the vector are rational.
 """
@@ -20,17 +26,18 @@ the vector are rational.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, product
+from functools import cached_property, lru_cache
+from itertools import combinations, combinations_with_replacement, permutations, product
 from typing import Tuple, Union
 
 import numpy as np
 
 from . import exactlin
 from .cartan import Cocharacter, SimpleSystem, Weight
-from .errors import DimensionError, ParseError, ZeroVectorError
+from .errors import DimensionError, NonFiniteError, ParseError, ZeroVectorError
 
 NEG_INF = float("-inf")
 
@@ -191,117 +198,133 @@ class Representation:
 def build_rep(spec: RepSpec, n: int) -> Representation:
     if n < 2:
         raise DimensionError("n must be at least 2")
-    weights, gram = _basis_data(spec, n)
-    return Representation(spec=spec, n=n, dim=len(weights), weights=weights, gram=gram)
+    basis = _basis_data(spec, n)
+    return Representation(spec=spec, n=n, dim=len(basis.weights),
+                          weights=basis.weights, gram=basis.gram)
+
+
+@dataclass(frozen=True)
+class _Basis:
+    """Monomial basis of one spec node and its tensor-power embedding.
+
+    Basis vector i is a monomial in the child basis vectors ``index[i]``.
+    It embeds into (R^n)^{(x)k}, k = len(dual), as ``words[i]``, a tuple of
+    (flat word, coefficient) pairs; g acts on mode m of a word, or g^{-T}
+    where ``dual[m]``.  Distinct basis vectors have disjoint word supports.
+    """
+
+    index: Tuple[Tuple[int, ...], ...]
+    weights: Tuple[Weight, ...]
+    gram: Tuple[Fraction, ...]
+    words: Tuple[Tuple[Tuple[int, Union[int, Fraction]], ...], ...]
+    dual: Tuple[bool, ...]
+
+    @cached_property
+    def scatter(self):
+        """Flat arrays of the embedding: every word, its basis vector, and
+        the head word of each basis vector (its first), from which that
+        coordinate is read back; then {exact: (coefficients of all words,
+        coefficients of the heads as a column)}."""
+        pairs = [(w, i, c) for i, ws in enumerate(self.words) for w, c in ws]
+        rows = np.array([w for w, _, _ in pairs], dtype=np.intp)
+        cols = np.array([i for _, i, _ in pairs], dtype=np.intp)
+        coef = np.array([Fraction(c) for _, _, c in pairs], dtype=object)
+        head = np.searchsorted(cols, np.arange(len(self.words)))
+        return rows, cols, rows[head], {
+            exact: (c[:, None], c[head, None])
+            for exact, c in ((True, coef), (False, coef.astype(float)))}
 
 
 @lru_cache(maxsize=None)
-def _basis_data(spec: RepSpec, n: int):
+def _basis_data(spec: RepSpec, n: int) -> _Basis:
     if isinstance(spec, Standard):
         weights = []
         for i in range(n):
             coords = [Fraction(-1, n)] * n
             coords[i] += 1
             weights.append(Weight(coords))
-        return tuple(weights), tuple(Fraction(1) for _ in range(n))
+        return _Basis(index=tuple((i,) for i in range(n)), weights=tuple(weights),
+                      gram=(Fraction(1),) * n,
+                      words=tuple(((i, 1),) for i in range(n)), dual=(False,))
     if isinstance(spec, Dual):
-        wts, grm = _basis_data(spec.base, n)
-        return tuple(w.negate() for w in wts), tuple(Fraction(1) / g for g in grm)
-    if isinstance(spec, Wedge):
-        wts, grm = _basis_data(spec.base, n)
-        d = len(wts)
-        if spec.k < 1:
-            raise DimensionError("wedge degree must be >= 1")
-        if spec.k > d:
-            raise DimensionError(f"wedge degree {spec.k} exceeds dimension {d}")
-        weights, gram = [], []
-        for idx in combinations(range(d), spec.k):
-            w = wts[idx[0]]
-            g = grm[idx[0]]
-            for i in idx[1:]:
-                w = w.add(wts[i])
-                g = g * grm[i]
-            weights.append(w)
-            gram.append(g)
-        return tuple(weights), tuple(gram)
-    if isinstance(spec, Sym):
-        wts, grm = _basis_data(spec.base, n)
-        d = len(wts)
-        if spec.k < 1:
-            raise DimensionError("sym degree must be >= 1")
-        weights, gram = [], []
-        for idx in combinations_with_replacement(range(d), spec.k):
-            w = wts[idx[0]]
-            g = grm[idx[0]]
-            for i in idx[1:]:
-                w = w.add(wts[i])
-                g = g * grm[i]
-            weights.append(w)
-            gram.append(g * _distinct_arrangements(idx))
-        return tuple(weights), tuple(gram)
+        # the dual basis vector of a child basis tensor t is t / <t, t>
+        b = _basis_data(spec.base, n)
+        return _Basis(index=tuple((i,) for i in range(len(b.weights))),
+                      weights=tuple(w.negate() for w in b.weights),
+                      gram=tuple(1 / g for g in b.gram),
+                      words=tuple(tuple((w, Fraction(c) / sum(x * x for _, x in ws))
+                                        for w, c in ws) for ws in b.words),
+                      dual=tuple(not d for d in b.dual))
     if isinstance(spec, Tensor):
-        lw, lg = _basis_data(spec.left, n)
-        rw, rg = _basis_data(spec.right, n)
-        weights, gram = [], []
-        for (wl, gl), (wr, gr) in product(zip(lw, lg), zip(rw, rg)):
-            weights.append(wl.add(wr))
-            gram.append(gl * gr)
-        return tuple(weights), tuple(gram)
-    raise TypeError(f"unknown spec node {spec!r}")
+        slots = (_basis_data(spec.left, n), _basis_data(spec.right, n))
+        index = product(*(range(len(s.weights)) for s in slots))
 
+        def arrangements(idx):
+            return [(1, idx)]
+    elif isinstance(spec, (Wedge, Sym)):
+        child = _basis_data(spec.base, n)
+        d = len(child.weights)
+        if spec.k < 1:
+            raise DimensionError(f"{'wedge' if isinstance(spec, Wedge) else 'sym'} "
+                                 "degree must be >= 1")
+        slots = (child,) * spec.k
+        if isinstance(spec, Wedge):
+            if spec.k > d:
+                raise DimensionError(f"wedge degree {spec.k} exceeds dimension {d}")
+            index = combinations(range(d), spec.k)
 
-def _distinct_arrangements(idx: Tuple[int, ...]) -> int:
-    """Number of distinct words spelled by a sorted multiset (multinomial)."""
-    counts = {}
-    for i in idx:
-        counts[i] = counts.get(i, 0) + 1
-    total = math.factorial(len(idx))
-    for c in counts.values():
-        total //= math.factorial(c)
-    return total
+            def arrangements(idx):  # signed words of the alternating sum
+                return [((-1) ** sum(a > b for a, b in combinations(p, 2)),
+                         tuple(idx[i] for i in p))
+                        for p in permutations(range(len(idx)))]
+        else:
+            index = combinations_with_replacement(range(d), spec.k)
 
-
-@lru_cache(maxsize=None)
-def _basis_index(spec: RepSpec, n: int):
-    """Monomial index tuples of the basis, in the enumeration order used
-    throughout (lexicographic in child indices)."""
-    if isinstance(spec, (Standard,)):
-        return tuple((i,) for i in range(n))
-    if isinstance(spec, Dual):
-        return tuple((i,) for i in range(len(_basis_data(spec.base, n)[0])))
-    if isinstance(spec, Wedge):
-        d = len(_basis_data(spec.base, n)[0])
-        return tuple(combinations(range(d), spec.k))
-    if isinstance(spec, Sym):
-        d = len(_basis_data(spec.base, n)[0])
-        return tuple(combinations_with_replacement(range(d), spec.k))
-    if isinstance(spec, Tensor):
-        dl = len(_basis_data(spec.left, n)[0])
-        dr = len(_basis_data(spec.right, n)[0])
-        return tuple(product(range(dl), range(dr)))
-    raise TypeError(f"unknown spec node {spec!r}")
+            def arrangements(idx):  # the distinct words
+                return [(1, w) for w in sorted(set(permutations(idx)))]
+    else:
+        raise TypeError(f"unknown spec node {spec!r}")
+    index = tuple(index)
+    weights, gram, words = [], [], []
+    for idx in index:
+        w, g = slots[0].weights[idx[0]], slots[0].gram[idx[0]]
+        for s, i in zip(slots[1:], idx[1:]):
+            w = w.add(s.weights[i])
+            g = g * s.gram[i]
+        arrs = arrangements(idx)
+        weights.append(w)
+        gram.append(g * len(arrs) if isinstance(spec, Sym) else g)
+        out = []
+        for sign, arr in arrs:
+            for choice in product(*(s.words[i] for s, i in zip(slots, arr))):
+                word, coef = 0, sign
+                for s, (sw, sc) in zip(slots, choice):
+                    word = word * n ** len(s.dual) + sw
+                    coef *= sc
+                out.append((word, coef))
+        words.append(tuple(out))
+    return _Basis(index=index, weights=tuple(weights), gram=tuple(gram),
+                  words=tuple(words), dual=sum((s.dual for s in slots), ()))
 
 
 def basis_labels(rep: Representation) -> Tuple[str, ...]:
     """Human-readable monomial labels, for tables and debugging."""
 
-    def label(spec, idx) -> str:
+    def label(spec, i) -> str:
+        idx = _basis_data(spec, rep.n).index[i]
         if isinstance(spec, Standard):
             return f"e{idx[0] + 1}"
         if isinstance(spec, Dual):
-            return f"{label_of(spec.base, idx[0])}^*"
+            return f"{label(spec.base, idx[0])}^*"
         if isinstance(spec, Wedge):
-            return "^".join(label_of(spec.base, i) for i in idx)
+            return "^".join(label(spec.base, j) for j in idx)
         if isinstance(spec, Sym):
-            return ".".join(label_of(spec.base, i) for i in idx)
+            return ".".join(label(spec.base, j) for j in idx)
         if isinstance(spec, Tensor):
-            return f"{label_of(spec.left, idx[0])}(x){label_of(spec.right, idx[1])}"
+            return f"{label(spec.left, idx[0])}(x){label(spec.right, idx[1])}"
         raise TypeError
 
-    def label_of(spec, flat_index) -> str:
-        return label(spec, _basis_index(spec, rep.n)[flat_index])
-
-    return tuple(label(rep.spec, idx) for idx in _basis_index(rep.spec, rep.n))
+    return tuple(label(rep.spec, i) for i in range(rep.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -330,20 +353,10 @@ def check_unimodular_float(mat: np.ndarray, det_tol: float = 1e-9) -> None:
 
 def _as_group_matrix(g, n: int, det_tol: float = 1e-9):
     """Validate shape and unimodularity; return (matrix, exact_flag)."""
-    if isinstance(g, np.ndarray) and g.dtype != object:
-        mat = np.asarray(g, dtype=float)
-        exact = False
-    else:
-        rows = [list(row) for row in g]
-        flat = [x for row in rows for x in row]
-        exact = exactlin.is_exact(flat)
-        if exact:
-            mat = np.empty((len(rows), len(rows[0])), dtype=object)
-            for i, row in enumerate(rows):
-                for j, x in enumerate(row):
-                    mat[i, j] = Fraction(x)
-        else:
-            mat = np.asarray(rows, dtype=float)
+    exact = (not isinstance(g, np.ndarray) or g.dtype == object) \
+        and all(exactlin.is_exact(row) for row in g)
+    mat = (np.array([[Fraction(x) for x in row] for row in g], dtype=object)
+           if exact else np.asarray(g, dtype=float))
     if mat.shape != (n, n):
         raise DimensionError(f"group element must be {n}x{n}, got {mat.shape}")
     if exact:
@@ -354,116 +367,47 @@ def _as_group_matrix(g, n: int, det_tol: float = 1e-9):
     return mat, exact
 
 
-def _compound(m, k: int, exact: bool):
-    d = m.shape[0]
-    idx = list(combinations(range(d), k))
-    sz = len(idx)
-    if exact:
-        out = np.empty((sz, sz), dtype=object)
-        rows = m.tolist()
-        for a, ia in enumerate(idx):
-            for b, jb in enumerate(idx):
-                out[a, b] = exactlin.det([[rows[r][c] for c in jb] for r in ia])
-        return out
-    minors = np.empty((sz, sz, k, k))
-    for a, ia in enumerate(idx):
-        block = m[np.ix_(ia, range(d))]
-        for b, jb in enumerate(idx):
-            minors[a, b] = block[:, jb]
-    return np.linalg.det(minors.reshape(sz * sz, k, k)).reshape(sz, sz)
+def _apply(rep: Representation, g: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Act with ``g`` on the columns of ``vecs`` through the tensor embedding.
 
-
-def _sym_power(m, k: int, exact: bool):
-    """Induced action on degree-k symmetric tensors in the monomial basis."""
-    d = m.shape[0]
-    monomials = list(combinations_with_replacement(range(d), k))
-    pos = {mono: i for i, mono in enumerate(monomials)}
-    sz = len(monomials)
-    zero = Fraction(0) if exact else 0.0
-    out = np.full((sz, sz), zero, dtype=object if exact else float)
-    cols = m.T.tolist()
-    for ci, mono in enumerate(monomials):
-        # image of the monomial basis vector: scale by (#distinct words)
-        # and fold column vectors of m in one at a time
-        start = Fraction(_distinct_arrangements(mono)) if exact \
-            else float(_distinct_arrangements(mono))
-        poly = {(): start}
-        for child in mono:
-            col = cols[child]
-            new = {}
-            t = None
-            for key, coeff in poly.items():
-                t = len(key)
-                for j in range(d):
-                    cj = col[j]
-                    if cj == 0:
-                        continue
-                    nkey = tuple(sorted(key + (j,)))
-                    mult = nkey.count(j)
-                    term = coeff * cj * mult
-                    if exact:
-                        term = term / (t + 1)
-                    else:
-                        term = term / (t + 1.0)
-                    if nkey in new:
-                        new[nkey] = new[nkey] + term
-                    else:
-                        new[nkey] = term
-            poly = new
-        for key, coeff in poly.items():
-            out[pos[key], ci] = coeff
-    return out
-
-
-def _kron(a, b, exact: bool):
-    if not exact:
-        return np.kron(a, b)
-    da, db = a.shape[0], b.shape[0]
-    out = np.empty((da * db, da * db), dtype=object)
-    for i1 in range(da):
-        for j1 in range(da):
-            for i2 in range(db):
-                for j2 in range(db):
-                    out[i1 * db + i2, j1 * db + j2] = a[i1, j1] * b[i2, j2]
-    return out
-
-
-def _matrix(spec: RepSpec, g, exact: bool):
-    if isinstance(spec, Standard):
-        return g
-    if isinstance(spec, Dual):
-        base = _matrix(spec.base, g, exact)
-        if exact:
-            invm = exactlin.inv(base.tolist())
-            out = np.empty(base.shape, dtype=object)
-            for i in range(base.shape[0]):
-                for j in range(base.shape[1]):
-                    out[i, j] = invm[j][i]
-            return out
-        return np.linalg.inv(base).T
-    if isinstance(spec, Wedge):
-        return _compound(_matrix(spec.base, g, exact), spec.k, exact)
-    if isinstance(spec, Sym):
-        return _sym_power(_matrix(spec.base, g, exact), spec.k, exact)
-    if isinstance(spec, Tensor):
-        return _kron(_matrix(spec.left, g, exact), _matrix(spec.right, g, exact), exact)
-    raise TypeError(f"unknown spec node {spec!r}")
+    Embed each column in (R^n)^{(x)k}, apply g along every standard mode and
+    g^{-T} along every dual mode, and read each coordinate back from the
+    head word of its basis vector.  ``g`` and ``vecs`` are both float
+    arrays or both object arrays of ``Fraction``s.
+    """
+    basis = _basis_data(rep.spec, rep.n)
+    rows, cols, heads, coefs = basis.scatter
+    exact = vecs.dtype == object
+    (coef, head_coef), n = coefs[exact], rep.n
+    if any(basis.dual):
+        g_inv_t = (np.array(exactlin.inv(g.tolist()), dtype=object) if exact
+                   else np.linalg.inv(g)).T
+    t = np.zeros((n ** len(basis.dual), vecs.shape[1]), dtype=vecs.dtype)
+    t[rows] = coef * vecs[cols]
+    for mode, dual in enumerate(basis.dual):
+        t = np.matmul(g_inv_t if dual else g, t.reshape(n ** mode, n, -1))
+    t = t.reshape(-1, vecs.shape[1])
+    return t[heads] / head_coef
 
 
 def rep_matrix(rep: Representation, g) -> np.ndarray:
-    """Matrix of ``g`` on the monomial basis of ``rep``."""
+    """Matrix of ``g`` on the monomial basis of ``rep``: the action on the
+    identity columns."""
     mat, exact = _as_group_matrix(g, rep.n)
-    return _matrix(rep.spec, mat, exact)
+    return _apply(rep, mat, np.eye(rep.dim, dtype=object if exact else float))
 
 
 def _vector_in(rep: Representation, v):
     coords = list(v)
     if len(coords) != rep.dim:
         raise DimensionError(f"vector length {len(coords)} != rep dim {rep.dim}")
-    exact = exactlin.is_exact(coords)
-    if exact:
+    if exactlin.is_exact(coords):
         return tuple(Fraction(c) for c in coords), True
-    return np.asarray([float(c) for c in coords]), False
+    vec = np.asarray([float(c) for c in coords])
+    if not np.isfinite(vec).all():
+        bad = np.flatnonzero(~np.isfinite(vec))[0]
+        raise NonFiniteError(f"vector entry {bad} is {vec[bad]}")
+    return vec, False
 
 
 def act(rep: Representation, g, v):
@@ -473,66 +417,76 @@ def act(rep: Representation, g, v):
     """
     mat, g_exact = _as_group_matrix(g, rep.n)
     vec, v_exact = _vector_in(rep, v)
-    if g_exact and v_exact:
-        m = _matrix(rep.spec, mat, True)
-        vv = np.empty(rep.dim, dtype=object)
-        for i, c in enumerate(vec):
-            vv[i] = c
-        out = np.dot(m, vv)
-        return tuple(out.tolist())
-    if g_exact:
-        mat = mat.astype(float)
-    if v_exact:
-        vec = np.asarray([float(c) for c in vec])
-    m = _matrix(rep.spec, mat, False)
-    return m @ vec
+    dtype = object if g_exact and v_exact else float
+    vecs = np.asarray(vec, dtype=dtype)[:, None]
+    out = _apply(rep, np.asarray(mat, dtype=dtype), vecs)[:, 0]
+    return tuple(out.tolist()) if dtype is object else out
 
 
 # ---------------------------------------------------------------------------
 # Norms, weight components, valuations
 
 
-def _log_sqrt_fraction(q: Fraction) -> float:
-    """log(sqrt(q)) for a positive rational, safe for huge numerators."""
-    return 0.5 * (_log_int(q.numerator) - _log_int(q.denominator))
+def pow2_scaled(vec: np.ndarray):
+    """``(vec / 2^e, e)`` with 2^e the power of two just above max|vec_i|.
+
+    Scaling by a power of two is exact, so squares of the scaled entries
+    neither overflow nor underflow, and results scaled back by 2^e are
+    bit-identical to unscaled arithmetic wherever that stays in range.
+    """
+    e = math.frexp(float(np.max(np.abs(vec), initial=0.0)))[1]
+    return np.ldexp(vec, -e), e
 
 
-def _log_int(k: int) -> float:
-    return math.log(k)
+def _log_ldexp(x: float, e: int) -> float:
+    """log(x * 2^e) for x > 0; the log of the product itself while that is
+    a normal float."""
+    try:
+        y = math.ldexp(x, e)
+    except OverflowError:
+        y = math.inf
+    if sys.float_info.min <= y < math.inf:
+        return math.log(y)
+    return math.log(x) + e * math.log(2.0)
+
+
+def _weighted_squares(rep: Representation, v):
+    """``(q, e)`` with q_i = gram_i v_i^2 / 4^e: exact ``Fraction``s and
+    e = 0 for rational vectors, floats of ``pow2_scaled(v)`` otherwise."""
+    vec, exact = _vector_in(rep, v)
+    if exact:
+        return np.array([g * c * c for g, c in zip(rep.gram, vec)], dtype=object), 0
+    scaled, e = pow2_scaled(vec)
+    return np.asarray([float(g) for g in rep.gram]) * scaled ** 2, e
+
+
+def _log_norm(q: np.ndarray, e: int) -> float:
+    """log(sqrt(sum q) * 2^e), -inf for zero."""
+    s = q.sum()
+    if not s:
+        return NEG_INF
+    if isinstance(s, Fraction):  # safe for huge numerators and denominators
+        return 0.5 * (math.log(s.numerator) - math.log(s.denominator))
+    return _log_ldexp(math.sqrt(s), e)
 
 
 def norm_sq(rep: Representation, v):
     """Gram-weighted squared norm; ``Fraction`` for exact vectors."""
-    vec, exact = _vector_in(rep, v)
-    if exact:
-        return sum(g * c * c for g, c in zip(rep.gram, vec))
-    gr = np.asarray([float(g) for g in rep.gram])
-    return float(np.dot(gr, vec * vec))
+    q, e = _weighted_squares(rep, v)
+    return q.sum() if q.dtype == object else math.ldexp(float(q.sum()), 2 * e)
 
 
 def rep_norm(rep: Representation, v) -> float:
     """SO(n)-invariant norm of ``v`` (weight spaces orthogonal)."""
-    ns = norm_sq(rep, v)
-    if isinstance(ns, Fraction):
-        if ns == 0:
-            return 0.0
-        return math.exp(_log_sqrt_fraction(ns))
-    return math.sqrt(ns)
+    q, e = _weighted_squares(rep, v)
+    if q.dtype == object:
+        return math.exp(_log_norm(q, e))
+    return math.ldexp(math.sqrt(q.sum()), e)
 
 
 def log_rep_norm(rep: Representation, v) -> float:
     """log of ``rep_norm``, computed in a scale-safe way (-inf for zero)."""
-    vec, exact = _vector_in(rep, v)
-    if exact:
-        ns = sum(g * c * c for g, c in zip(rep.gram, vec))
-        if ns == 0:
-            return NEG_INF
-        return _log_sqrt_fraction(ns)
-    w = np.sqrt(np.asarray([float(g) for g in rep.gram])) * vec
-    s = float(np.max(np.abs(w))) if len(w) else 0.0
-    if s == 0.0:
-        return NEG_INF
-    return math.log(s) + 0.5 * math.log(float(np.sum((w / s) ** 2)))
+    return _log_norm(*_weighted_squares(rep, v))
 
 
 def weight_components(rep: Representation, v, eps: float = 1e-10):
@@ -541,29 +495,21 @@ def weight_components(rep: Representation, v, eps: float = 1e-10):
     Returns ``[(weight, r)]`` over the weights of the basis, sorted by
     weight coordinates; ``r`` is the log of the gram-weighted component norm
     for components above ``eps * ||v||`` (exact nonzero test for rational
-    vectors), and ``-inf`` otherwise.
+    vectors), and ``-inf`` otherwise.  Float norms are taken on ``v`` scaled
+    by a power of two, so no scale underflows or overflows.
     """
-    vec, exact = _vector_in(rep, v)
+    q, e = _weighted_squares(rep, v)
+    total = q.sum()
+    if not total:
+        raise ZeroVectorError("zero vector has no weight components")
     groups: dict = {}
     for i, w in enumerate(rep.weights):
         groups.setdefault(w, []).append(i)
-    items = sorted(groups.items(), key=lambda kv: kv[0].coords)
     out = []
-    if exact:
-        if all(c == 0 for c in vec):
-            raise ZeroVectorError("zero vector has no weight components")
-        for w, idx in items:
-            ns = sum(rep.gram[i] * vec[i] * vec[i] for i in idx)
-            out.append((w, _log_sqrt_fraction(ns) if ns != 0 else NEG_INF))
-        return out
-    total = rep_norm(rep, v)
-    if total == 0.0:
-        raise ZeroVectorError("zero vector has no weight components")
-    gr = np.asarray([float(g) for g in rep.gram])
-    for w, idx in items:
-        ns = float(np.sum(gr[idx] * vec[idx] ** 2))
-        nrm = math.sqrt(ns)
-        out.append((w, math.log(nrm) if nrm > eps * total else NEG_INF))
+    for w, idx in sorted(groups.items(), key=lambda kv: kv[0].coords):
+        below = (q.dtype != object
+                 and not math.sqrt(q[idx].sum()) > eps * math.sqrt(total))
+        out.append((w, NEG_INF if below else _log_norm(q[idx], e)))
     return out
 
 
@@ -586,7 +532,7 @@ def highest_weight_vector(n: int, j: int, order: SimpleSystem | None = None):
         order = SimpleSystem.identity(n)
     rep = build_rep(Wedge(j, Standard()), n)
     target = tuple(sorted(order.perm[:j]))
-    index = _basis_index(rep.spec, n).index(target)
+    index = _basis_data(rep.spec, n).index.index(target)
     v = np.zeros(rep.dim)
     v[index] = 1.0
     return rep, v

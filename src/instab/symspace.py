@@ -67,11 +67,6 @@ def exp_sym(x: np.ndarray) -> np.ndarray:
     return (q * np.exp(w)) @ q.T
 
 
-def log_spd(p: np.ndarray) -> np.ndarray:
-    w, q = np.linalg.eigh(np.asarray(p, dtype=float))
-    return (q * np.log(w)) @ q.T
-
-
 def spd_power(p: np.ndarray, s: float) -> np.ndarray:
     w, q = np.linalg.eigh(np.asarray(p, dtype=float))
     return (q * w**s) @ q.T

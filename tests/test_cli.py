@@ -83,6 +83,14 @@ def test_classify_zero_vector(runner):
     assert res.exit_code == 4
 
 
+@pytest.mark.parametrize("entry", ["nan", "inf"])
+def test_classify_non_finite_vector(runner, entry):
+    res = runner.invoke(main, ["classify", "--n", "3", "--spec", "std",
+                               "--vector", f"{entry},1,0"])
+    assert res.exit_code == 1
+    assert "vector entry 0" in res.output
+
+
 def test_classify_dimension_mismatch(runner):
     res = runner.invoke(main, ["classify", "--n", "2", "--spec", "std",
                                "--vector", "1,0,0"])
@@ -107,10 +115,26 @@ def test_certify_writes_canonical_file(runner, tmp_path):
     data = json.loads(blob1)
     assert data["schema"] == "instab-cert/1"
     assert data["hw"] == [2]
+    assert last_json(res.output)["verification_ok"] is True
     # rerun: byte identical
     res = runner.invoke(main, certify_args(out))
     assert res.exit_code == 0
     assert open(out, "rb").read() == blob1
+
+
+def test_certify_exits_1_when_verification_not_ok(runner, tmp_path, monkeypatch):
+    # no failing sample, but the ray slopes disagree: the report is not ok
+    from instab import instability
+    slope_failure = instability.VerifyReport(
+        samples=10, failures=0, margin_min=0.1, margin_mean=0.2,
+        ray_slope_diff=0.9, ray_checked=True, box=5.0, tol=1e-6, seed=0)
+    monkeypatch.setattr(instability, "verify_dominance",
+                        lambda *args, **kwargs: slope_failure)
+    res = runner.invoke(main, certify_args(str(tmp_path / "cert.json")))
+    assert res.exit_code == 1
+    summary = last_json(res.output)
+    assert summary["verification_failures"] == 0
+    assert summary["verification_ok"] is False
 
 
 def test_certify_stable_input(runner, tmp_path):

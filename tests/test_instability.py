@@ -4,8 +4,9 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from instab import (CertifyOptions, StableVectorError,
+from instab import (CertifyOptions, NonFiniteError, StableVectorError,
                     TorusStableError, ZeroVectorError, act, build_rep,
                     cert_from_dict, cert_to_dict, dominance_certificate,
                     dumps_cert, fastest_shrinking_geodesic, flat_shrink_data,
@@ -258,6 +259,44 @@ def test_is_unstable_stable_control():
 def test_is_unstable_zero_vector():
     with pytest.raises(ZeroVectorError):
         is_unstable(std(2), [0.0, 0.0])
+
+
+@pytest.mark.parametrize("v", [[math.nan, 1.0, 0.0], [math.inf, 1.0, 0.0]])
+def test_is_unstable_rejects_non_finite_entries(v):
+    with pytest.raises(NonFiniteError, match="entry 0") as err:
+        is_unstable(std(3), v)
+    assert not isinstance(err.value, ZeroVectorError)
+
+
+def test_is_unstable_at_extreme_scales():
+    base = is_unstable(std(3), [1.0, 0.0, 0.0])
+    for v in ([1e-200, 0.0, 0.0], [1e200, 1e200, 0.0]):
+        with np.errstate(over="raise", invalid="raise"):
+            verdict = is_unstable(std(3), v)
+        assert verdict.kind == TORUS_CERTIFIED
+        assert verdict.flat.u == base.flat.u
+        assert verdict.rate == base.rate
+
+
+# frame-certified float inputs (std, wedge(2,std) and sym(2,std))
+SCALE_INPUTS = [("std", 3, [0.2, 0.7, -0.4]), ("std", 3, [1.5, 0.0, -0.25]),
+                ("wedge(2,std)", 3, [0.0, 1.25, -0.5]),
+                ("wedge(2,std)", 3, [0.75, 0.0, 0.0]),
+                ("sym(2,std)", 2, [0.0, 0.0, 0.7]),
+                ("sym(2,std)", 2, [0.3, 0.0, 0.0])]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(SCALE_INPUTS), st.integers(min_value=-900, max_value=900))
+def test_verdict_invariant_under_power_of_two_scaling(case, k):
+    text, n, v = case
+    rep = build_rep(parse_rep_spec(text), n)
+    base = is_unstable(rep, v, budget=8)
+    assert base.kind == TORUS_CERTIFIED
+    scaled = is_unstable(rep, [math.ldexp(x, k) for x in v], budget=8)
+    assert scaled.kind == base.kind
+    assert scaled.flat.u == base.flat.u
+    assert scaled.rate == base.rate
 
 
 def test_nilpotent_matrix_vector_certified():

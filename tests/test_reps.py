@@ -6,8 +6,8 @@ import pytest
 
 from instab import (Cocharacter, ParseError, ZeroVectorError, act,
                     active_weights, build_rep, fundamental_weights,
-                    highest_weight_vector, m_value, parse_rep_spec,
-                    rep_matrix, rep_norm, weight_components)
+                    highest_weight_vector, log_rep_norm, m_value,
+                    parse_rep_spec, rep_matrix, rep_norm, weight_components)
 from instab.cartan import SimpleSystem
 from instab.errors import DimensionError
 from instab.reps import Dual, Standard, Sym, Tensor, Wedge
@@ -144,10 +144,16 @@ def test_act_diagonal_eigenvector():
     np.testing.assert_allclose(out, [2.0, 0.0, 0.0])
 
 
+# nested and dual modes of the tensor-power embedding
+NESTED = [("dual(sym(2,std))", 3), ("wedge(2,wedge(2,std))", 4),
+          ("sym(2,sym(2,std))", 3), ("dual(wedge(2,std))*sym(2,dual(std))", 3),
+          ("sym(4,std)", 4)]
+
+
 @pytest.mark.parametrize("text,n", [
     ("std", 3), ("wedge(2,std)", 3), ("sym(2,std)", 2),
     ("std*dual(std)", 2), ("dual(sym(2,std))", 2), ("wedge(2,std)*std", 3),
-])
+] + NESTED)
 def test_act_is_a_homomorphism(text, n):
     rep = build_rep(parse_rep_spec(text), n)
     rng = np.random.default_rng(7)
@@ -204,6 +210,35 @@ def test_act_exact_path():
     g = [[F(1), F(1), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]]
     out = act(rep, g, [F(0), F(0), F(1)])  # e2 ^ e3; g e2 = e1 + e2
     assert out == (F(0), F(1), F(1))  # e1 ^ e3 + e2 ^ e3
+
+
+def elementary_unipotent_product(n, entries):
+    """Exact product of the matrices I + c E_ij for (i, j, c) in ``entries``."""
+    g = np.eye(n, dtype=object)
+    for i, j, c in entries:
+        e = np.eye(n, dtype=object)
+        e[i, j] = F(c)
+        g = g @ e
+    return g
+
+
+@pytest.mark.parametrize("text,n", NESTED)
+def test_exact_act_matches_float_act(text, n):
+    rep = build_rep(parse_rep_spec(text), n)
+    rng = np.random.default_rng(8)
+    g = elementary_unipotent_product(
+        n, [(0, 1, F(1, 2)), (1, 0, -2), (n - 1, 0, F(3, 4)), (1, n - 1, 1)])
+    v = [int(x) for x in rng.integers(-3, 4, size=rep.dim)]
+    exact = act(rep, g.tolist(), v)
+    assert all(isinstance(x, F) for x in exact)
+    floats = act(rep, g.astype(float), np.asarray(v, dtype=float))
+    scale = max(abs(float(x)) for x in exact)
+    np.testing.assert_allclose([float(x) for x in exact], floats, rtol=0,
+                               atol=1e-12 * scale)
+    # the exact inverse undoes the exact action
+    g_inv = elementary_unipotent_product(
+        n, [(1, n - 1, -1), (n - 1, 0, F(-3, 4)), (1, 0, 2), (0, 1, F(-1, 2))])
+    assert act(rep, g_inv.tolist(), exact) == tuple(F(x) for x in v)
 
 
 def test_act_rejects_non_unimodular():
@@ -268,6 +303,15 @@ def test_weight_components_zero_vector_raises():
     rep = build_rep(Standard(), 2)
     with pytest.raises(ZeroVectorError):
         weight_components(rep, [0.0, 0.0])
+
+
+def test_log_norms_beyond_the_float_range():
+    # a subnormal entry, and a norm larger than the largest float
+    (_, r), = active_weights(build_rep(Standard(), 3), [1e-310, 0.0, 0.0])
+    assert r == pytest.approx(math.log(1e-310), rel=1e-12)
+    rep = build_rep(Sym(2, Standard()), 2)
+    assert log_rep_norm(rep, [0.0, 1.5e308, 0.0]) == \
+        pytest.approx(math.log(1.5e308) + 0.5 * math.log(2.0), rel=1e-12)
 
 
 def test_exact_weight_components():
