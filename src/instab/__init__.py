@@ -31,11 +31,9 @@ from .reps import (Dual, RepSpec, Representation, Standard, Sym, Tensor,
                    Wedge, act, active_weights, basis_labels, build_rep,
                    highest_weight_vector, log_rep_norm, m_value, norm_sq,
                    parse_rep_spec, rep_matrix, rep_norm, weight_components)
-from .symspace import (BusemannEstimate, GeodesicRay, ParabolicData,
-                       busemann_formula, busemann_limit, cartan_decompose,
-                       distance, exp_sym, geodesic, haar_so,
-                       iwasawa_decompose, midpoint, modular_delta,
-                       parabolic_data, project, ray_from_cartan)
+from .symspace import (BusemannEstimate, GeodesicRay, busemann_formula,
+                       busemann_limit, distance, exp_sym, geodesic, haar_so,
+                       log_flag_norms, midpoint, project, ray_from_cartan)
 
 __version__ = "0.1.0"
 

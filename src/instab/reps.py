@@ -471,17 +471,27 @@ def _log_norm(q: np.ndarray, e: int) -> float:
 
 
 def norm_sq(rep: Representation, v):
-    """Gram-weighted squared norm; ``Fraction`` for exact vectors."""
+    """Gram-weighted squared norm; ``Fraction`` for exact vectors, inf for
+    a float square beyond the float range."""
     q, e = _weighted_squares(rep, v)
-    return q.sum() if q.dtype == object else math.ldexp(float(q.sum()), 2 * e)
+    if q.dtype == object:
+        return q.sum()
+    try:
+        return math.ldexp(float(q.sum()), 2 * e)
+    except OverflowError:
+        return math.inf
 
 
 def rep_norm(rep: Representation, v) -> float:
-    """SO(n)-invariant norm of ``v`` (weight spaces orthogonal)."""
+    """SO(n)-invariant norm of ``v`` (weight spaces orthogonal); inf beyond
+    the float range, where ``log_rep_norm`` stays finite."""
     q, e = _weighted_squares(rep, v)
-    if q.dtype == object:
-        return math.exp(_log_norm(q, e))
-    return math.ldexp(math.sqrt(q.sum()), e)
+    try:
+        if q.dtype == object:
+            return math.exp(_log_norm(q, e))
+        return math.ldexp(math.sqrt(q.sum()), e)
+    except OverflowError:
+        return math.inf
 
 
 def log_rep_norm(rep: Representation, v) -> float:

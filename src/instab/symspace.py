@@ -21,16 +21,14 @@ matrix exponential would overflow.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg as sla
 
-from .cartan import CartanVector, SimpleSystem, chi_decompose, dominant_order
+from .cartan import CartanVector, chi_decompose, dominant_order
 from .errors import DimensionError, ZeroVectorError
-from .reps import act, highest_weight_vector, log_rep_norm
 
 _SYM_TOL = 1e-10
 _DET_TOL = 1e-9
@@ -136,148 +134,6 @@ def geodesic(p, q, s: float) -> np.ndarray:
 
 def midpoint(p, q) -> np.ndarray:
     return geodesic(p, q, 0.5)
-
-
-def cartan_decompose(g) -> Tuple[np.ndarray, CartanVector, np.ndarray]:
-    """Write g = k1 exp(diag(a)) k2 with k1, k2 in SO(n), a non-increasing."""
-    g = check_group_element(g)
-    u, s, vh = np.linalg.svd(g)
-    if np.linalg.det(u) < 0:
-        u[:, -1] = -u[:, -1]
-        vh[-1, :] = -vh[-1, :]
-    a = np.log(s)
-    a = a - np.mean(a)
-    return u, CartanVector(tuple(float(x) for x in a)), vh
-
-
-# ---------------------------------------------------------------------------
-# Parabolic data and the generalized Iwasawa decomposition
-
-
-@dataclass(frozen=True)
-class ParabolicData:
-    """Block data of the parabolic subgroup attached to a flat direction.
-
-    ``order`` sorts the direction's coordinates non-increasingly and
-    ``blocks`` partitions the original indices 0..n-1 into groups of equal
-    coordinates, in sorted order.  The parabolic consists of the matrices
-    that are block upper triangular in the sorted basis; its unipotent
-    radical has identity diagonal blocks.
-    """
-
-    direction: CartanVector
-    order: SimpleSystem
-    blocks: Tuple[Tuple[int, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return self.direction.n
-
-    def block_sizes(self) -> Tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
-
-
-def parabolic_data(a: CartanVector, tol: float = 1e-9) -> ParabolicData:
-    """Block data for the direction ``a``; the zero direction yields the
-    improper parabolic (a single block, Iwasawa = polar decomposition)."""
-    order = dominant_order(a)
-    coords = [a.coords[i] for i in order.perm]
-    blocks = []
-    current = [order.perm[0]]
-    for i in range(1, a.n):
-        same = (coords[i] == coords[i - 1]) if a.is_exact \
-            else abs(float(coords[i]) - float(coords[i - 1])) <= tol
-        if same:
-            current.append(order.perm[i])
-        else:
-            blocks.append(tuple(current))
-            current = [order.perm[i]]
-    blocks.append(tuple(current))
-    return ParabolicData(direction=a, order=order, blocks=tuple(blocks))
-
-
-def _permutation_matrix(order: SimpleSystem) -> np.ndarray:
-    n = order.n
-    p = np.zeros((n, n))
-    for i, j in enumerate(order.perm):
-        p[i, j] = 1.0
-    return p
-
-
-def in_parabolic(pdata: ParabolicData, h, tol: float = 1e-9) -> bool:
-    """Whether h is block upper triangular for pdata (within tol)."""
-    h = np.asarray(h, dtype=float)
-    pm = _permutation_matrix(pdata.order)
-    hp = pm @ h @ pm.T
-    sizes = pdata.block_sizes()
-    scale = max(1.0, float(np.max(np.abs(h))))
-    row = 0
-    for b in sizes:
-        below = hp[row + b:, row:row + b]
-        if below.size and np.max(np.abs(below)) > tol * scale:
-            return False
-        row += b
-    return True
-
-
-def iwasawa_decompose(g, pdata: ParabolicData):
-    """Factor g = k * t * u with k in SO(n), t block-diagonal SPD (det 1)
-    and u block-unipotent upper triangular, blocks taken from ``pdata``.
-
-    Computed by QR in the sorted basis followed by per-block polar
-    corrections; the factorization is unique.
-    """
-    g = check_group_element(g)
-    if g.shape[0] != pdata.n:
-        raise DimensionError("group element size does not match parabolic data")
-    pm = _permutation_matrix(pdata.order)
-    g2 = pm @ g @ pm.T
-    q, r = np.linalg.qr(g2)
-    sizes = pdata.block_sizes()
-    n = pdata.n
-    o = np.zeros((n, n))
-    row = 0
-    for b in sizes:
-        blk = r[row:row + b, row:row + b]
-        ub, sb, vbh = np.linalg.svd(blk)
-        o[row:row + b, row:row + b] = ub @ vbh
-        row += b
-    k2 = q @ o
-    rt = o.T @ r
-    t2 = np.zeros((n, n))
-    row = 0
-    for b in sizes:
-        t2[row:row + b, row:row + b] = rt[row:row + b, row:row + b]
-        row += b
-    u2 = np.linalg.solve(t2, rt)
-    k = pm.T @ k2 @ pm
-    t = pm.T @ t2 @ pm
-    u = pm.T @ u2 @ pm
-    return k, t, u
-
-
-def modular_delta(pdata: ParabolicData, h, tol: float = 1e-9) -> float:
-    """|det| of the adjoint action of h on the nilradical of the parabolic.
-
-    For block diagonal determinants d_i (sorted blocks, sizes n_i) the value
-    is prod_{i<j} |d_i|^{n_j} |d_j|^{-n_i}; the unipotent part contributes 1.
-    """
-    h = np.asarray(h, dtype=float)
-    if not in_parabolic(pdata, h, tol):
-        raise ValueError("element is not in the parabolic subgroup")
-    pm = _permutation_matrix(pdata.order)
-    hp = pm @ h @ pm.T
-    sizes = pdata.block_sizes()
-    dets = []
-    row = 0
-    for b in sizes:
-        dets.append(abs(float(np.linalg.det(hp[row:row + b, row:row + b]))))
-        row += b
-    logdelta = 0.0
-    for i in range(len(sizes)):
-        for j in range(i + 1, len(sizes)):
-            logdelta += sizes[j] * math.log(dets[i]) - sizes[i] * math.log(dets[j])
-    return math.exp(logdelta)
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +268,19 @@ def busemann_limit(ray: GeodesicRay, x, t_grid: Sequence[float] | None = None,
                             nonincreasing=noninc, truncation=trunc)
 
 
+def log_flag_norms(m, perm: Sequence[int]) -> np.ndarray:
+    """log||m e_{perm[0]} ^ ... ^ m e_{perm[j-1]}|| for j = 1..n.
+
+    Entry j-1 is the log norm of the degree-j fundamental representation
+    of m applied to the highest weight vector of the simple system
+    ``perm``.  The wedge of the first j columns of m[:, perm] has the norm
+    |r_11 ... r_jj| of its QR factor, so one factorization gives every
+    degree without building any wedge representation.
+    """
+    r = np.linalg.qr(np.asarray(m, dtype=float)[:, list(perm)], mode="r")
+    return np.cumsum(np.log(np.abs(np.diag(r))))
+
+
 def busemann_formula(a: CartanVector, g) -> float:
     """Busemann function of the unit ray through direction ``a``, evaluated
     at the point pi(g), via fundamental representation norms.
@@ -423,12 +292,12 @@ def busemann_formula(a: CartanVector, g) -> float:
     right congruence action).  The ray of ``a`` therefore uses the ordering
     that makes ``-a`` dominant:
 
-        beta(pi(g)) = 2 ||a|| sum_j c_j (log||rho_j(g) v_j|| - log||v_j||),
+        beta(pi(g)) = 2 ||a|| sum_j c_j log||rho_j(g) v_j||,
 
     with c_j the fundamental-weight coefficients of <-a,.>/<a,a> for that
-    ordering and v_j its highest weight vectors.  The factor 2 converts
-    group coordinates into point coordinates (pi(exp(b)) = exp(2b)); the
-    normalization pins beta(pi(e)) = 0.
+    ordering and v_j its unit highest weight vectors (``log_flag_norms``).
+    The factor 2 converts group coordinates into point coordinates
+    (pi(exp(b)) = exp(2b)); beta(pi(e)) = 0.
     """
     if a.is_zero():
         raise ZeroVectorError("zero direction defines no Busemann function")
@@ -437,12 +306,6 @@ def busemann_formula(a: CartanVector, g) -> float:
         raise DimensionError("group element size does not match direction")
     neg = a.scale(-1)
     order = dominant_order(neg)
-    coeffs = chi_decompose(neg, order)
-    total = 0.0
-    for j in range(1, a.n):
-        cj = float(coeffs[j - 1])
-        if cj == 0.0:
-            continue
-        rep_j, v_j = highest_weight_vector(a.n, j, order)
-        total += cj * (log_rep_norm(rep_j, act(rep_j, g, v_j)) - log_rep_norm(rep_j, v_j))
+    coeffs = np.asarray([float(c) for c in chi_decompose(neg, order)])
+    total = float(coeffs @ log_flag_norms(g, order.perm)[:-1])
     return 2.0 * a.norm() * total

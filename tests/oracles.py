@@ -11,7 +11,7 @@ from itertools import combinations, permutations
 import numpy as np
 import scipy.optimize as sopt
 
-from instab import act
+from instab import act, highest_weight_vector, log_rep_norm
 
 
 def qp_min_norm(points):
@@ -166,10 +166,19 @@ def primitive_cocharacters(n, bound):
     return out
 
 
+def fundamental_log_norms(m, order):
+    """log||rho_j(m) v_j|| for j = 1..n-1, acting with the wedge
+    representations on the highest weight vectors v_j of ``order``."""
+    n = len(m)
+    out = []
+    for j in range(1, n):
+        rep_j, v_j = highest_weight_vector(n, j, order)
+        out.append(log_rep_norm(rep_j, act(rep_j, m, v_j)))
+    return np.asarray(out)
+
+
 def diagonal_flow_slope(rep, v, direction, t0=40.0, dt=1.0):
     """Decay slope of log||exp(t diag(direction)) v|| at large t."""
-    from instab import log_rep_norm
-
     def val(t):
         g = np.diag(np.exp(t * np.asarray(direction)))
         return log_rep_norm(rep, act(rep, g, v))

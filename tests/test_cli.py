@@ -191,6 +191,21 @@ def test_verify_malformed_file(runner, tmp_path):
     assert res.exit_code == 5
 
 
+@pytest.mark.parametrize("value", [math.nan, -math.inf])
+def test_verify_rejects_non_finite_constant(runner, tmp_path, value):
+    out = str(tmp_path / "cert.json")
+    assert runner.invoke(main, ["certify", "--n", "2", "--spec", "std",
+                                "--vector", "1,0", "--out", out,
+                                "--samples", "50"]).exit_code == 0
+    data = json.loads(open(out).read())
+    data["c"] = value
+    with open(out, "w") as fh:
+        json.dump(data, fh)
+    res = runner.invoke(main, ["verify", out, "--samples", "50"])
+    assert res.exit_code == 5, res.output
+    assert "non-finite" in res.output
+
+
 def test_certify_exact_vector_file(runner, tmp_path):
     vf = tmp_path / "vector.json"
     vf.write_text('[{"num": 1, "den": 1}, 0]')

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction as F
@@ -8,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from instab import (CertifyOptions, NonFiniteError, StableVectorError,
                     TorusStableError, ZeroVectorError, act, build_rep,
-                    cert_from_dict, cert_to_dict, dominance_certificate,
-                    dumps_cert, fastest_shrinking_geodesic, flat_shrink_data,
-                    is_unstable, loads_cert, log_rep_norm, parse_rep_spec,
-                    torus_kempf, verify_dominance)
+                    cartan_box_sample, cert_from_dict, cert_to_dict,
+                    dominance_certificate, dumps_cert,
+                    fastest_shrinking_geodesic, flat_shrink_data, is_unstable,
+                    loads_cert, log_rep_norm, parse_rep_spec, torus_kempf,
+                    verify_dominance)
 from instab.errors import CertificateError
 from instab.instability import (LIKELY_STABLE, NUMERIC_UNSTABLE,
                                 TORUS_CERTIFIED, flat_direction_matrix)
@@ -369,6 +371,33 @@ def test_corrupted_alphas_fail_verification():
     assert report.ray_slope_diff > 1e-3
 
 
+@pytest.mark.parametrize("text, n, v", [
+    ("std", 2, [1.0, 1.0]),                 # rotated frame
+    ("std*wedge(2,std)", 3, [1] + [0] * 8),  # two nonzero alphas
+    ("std", 4, [0.2, 0.7, -0.4, 0.1]),
+])
+def test_verify_margin_matches_fundamental_representations(text, n, v):
+    rep = build_rep(parse_rep_spec(text), n)
+    cert = dominance_certificate(rep, v, fast_opts(samples=0))
+    frame = cert.frame if cert.frame is not None else np.eye(n)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        g = cartan_box_sample(rng, n, 5.0)
+        rhs = oracles.fundamental_log_norms(g @ frame.T, cert.order)
+        expected = (log_rep_norm(rep, act(rep, g, [float(x) for x in v])) - cert.c
+                    - sum(float(a) * r for a, r in zip(cert.alphas, rhs)))
+        report = verify_dominance(cert, rep, v, samples=1, sampler=lambda _r: g)
+        assert report.margin_min == pytest.approx(expected, abs=1e-9)
+
+
+def test_verify_counts_nan_margins_as_failures():
+    cert = dominance_certificate(std(2), [1, 0], fast_opts(samples=0))
+    report = verify_dominance(replace(cert, c=math.nan), std(2), [1, 0],
+                              samples=50, seed=5)
+    assert report.failures == 50
+    assert not report.ok
+
+
 def test_verify_zero_samples_is_valid():
     cert = dominance_certificate(std(2), [1, 0], fast_opts(samples=0))
     report = verify_dominance(cert, std(2), [1, 0], samples=0)
@@ -410,6 +439,35 @@ def test_malformed_certificates_rejected():
     data = cert_to_dict(cert)
     del data["alphas"]
     with pytest.raises(CertificateError):
+        cert_from_dict(data)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("c", math.nan), ("c", -math.inf), ("rate", math.inf),
+    ("direction", [math.nan, 0.0]), ("alphas", [math.inf]),
+    ("frame", [[1.0, 0.0], [0.0, math.nan]]),
+])
+def test_non_finite_certificate_entries_rejected(field, value):
+    cert = dominance_certificate(std(2), [1, 0], fast_opts(samples=0))
+    data = cert_to_dict(cert)
+    data[field] = value
+    with pytest.raises(CertificateError, match=f"non-finite entry in '{field}'"):
+        cert_from_dict(data)
+    with pytest.raises(CertificateError, match=f"non-finite entry in '{field}'"):
+        loads_cert(json.dumps(data))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("alphas", [-0.5], "nonnegative"),
+    ("alphas", [0.5, 0.5], "do not fit"),
+    ("direction", [1.0], "do not fit"),
+    ("frame", np.eye(3).tolist(), "do not fit"),
+])
+def test_inconsistent_certificate_entries_rejected(field, value, message):
+    cert = dominance_certificate(std(2), [1, 0], fast_opts(samples=0))
+    data = cert_to_dict(cert)
+    data[field] = value
+    with pytest.raises(CertificateError, match=message):
         cert_from_dict(data)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from instab import (Cocharacter, ParseError, ZeroVectorError, act,
                     active_weights, build_rep, fundamental_weights,
-                    highest_weight_vector, log_rep_norm, m_value,
+                    highest_weight_vector, log_rep_norm, m_value, norm_sq,
                     parse_rep_spec, rep_matrix, rep_norm, weight_components)
 from instab.cartan import SimpleSystem
 from instab.errors import DimensionError
@@ -312,6 +312,15 @@ def test_log_norms_beyond_the_float_range():
     rep = build_rep(Sym(2, Standard()), 2)
     assert log_rep_norm(rep, [0.0, 1.5e308, 0.0]) == \
         pytest.approx(math.log(1.5e308) + 0.5 * math.log(2.0), rel=1e-12)
+
+
+def test_norms_beyond_the_float_range_are_inf():
+    rep = build_rep(Sym(2, Standard()), 2)
+    assert norm_sq(rep, [0.0, 1e200, 0.0]) == math.inf
+    assert rep_norm(rep, [0.0, 1.5e308, 0.0]) == math.inf
+    assert rep_norm(rep, [F(0), F(10) ** 400, F(0)]) == math.inf
+    assert log_rep_norm(rep, [0.0, 1.5e308, 0.0]) == pytest.approx(709.948, abs=1e-3)
+    assert norm_sq(rep, [0.0, 1e100, 0.0]) == pytest.approx(2e200)
 
 
 def test_exact_weight_components():

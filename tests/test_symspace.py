@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from instab import (CartanVector, GeodesicRay, ZeroVectorError, act,
+from instab import (CartanVector, GeodesicRay, SimpleSystem, ZeroVectorError,
                     busemann_formula, busemann_limit, cartan_box_sample,
-                    cartan_decompose, distance, exp_sym, geodesic, haar_so,
-                    highest_weight_vector, iwasawa_decompose, midpoint,
-                    modular_delta, parabolic_data, project, ray_from_cartan,
-                    rep_norm)
+                    distance, exp_sym, geodesic, haar_so, log_flag_norms,
+                    midpoint, project, ray_from_cartan)
 from instab.cartan import dominant_order
-from instab.symspace import _permutation_matrix, in_parabolic
+
+import oracles
 
 
 def rand_point(rng, n=3, box=1.0):
@@ -72,87 +71,29 @@ def test_distance_rejects_indefinite():
 
 
 # ---------------------------------------------------------------------------
-# Decompositions
+# Fundamental-representation norms by QR
 
 
-def test_cartan_decompose_orthogonal_input():
-    rng = np.random.default_rng(3)
-    k = haar_so(3, rng)
-    _, a, _ = cartan_decompose(k)
-    assert np.max(np.abs(a.as_floats())) < 1e-12
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_log_flag_norms_match_fundamental_representations(n):
+    rng = np.random.default_rng(20 + n)
+    for trial in range(12):
+        order = SimpleSystem(tuple(int(i) for i in rng.permutation(n)))
+        frame = np.eye(n) if trial % 2 == 0 else haar_so(n, rng)
+        g = cartan_box_sample(rng, n, 5.0)
+        m = g @ frame.T
+        got = log_flag_norms(m, order.perm)
+        assert got.shape == (n,)
+        np.testing.assert_allclose(got[:-1], oracles.fundamental_log_norms(m, order),
+                                   rtol=0, atol=1e-9)
+        assert got[-1] == pytest.approx(0.0, abs=1e-9)   # log |det m|
 
 
-def test_cartan_decompose_diagonal():
-    _, a, _ = cartan_decompose(np.diag([4.0, 0.25]))
-    np.testing.assert_allclose(a.as_floats(), [math.log(4), -math.log(4)])
-
-
-def test_cartan_decompose_roundtrip():
-    rng = np.random.default_rng(4)
-    for n in (2, 3, 4):
-        for _ in range(10):
-            g = cartan_box_sample(rng, n, 2.0)
-            k1, a, k2 = cartan_decompose(g)
-            rec = k1 @ np.diag(np.exp(a.as_floats())) @ k2
-            assert np.max(np.abs(rec - g)) < 1e-9
-            assert all(x >= y - 1e-12 for x, y in zip(a.coords, a.coords[1:]))
-
-
-def test_iwasawa_trivial_cases():
-    pd = parabolic_data(CartanVector([1.0, -1.0]))
-    g = np.array([[1.0, 3.0], [0.0, 1.0]])
-    k, t, u = iwasawa_decompose(g, pd)
-    np.testing.assert_allclose(k, np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(t, np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(u, g, atol=1e-12)
-    g = np.diag([2.0, 0.5])
-    k, t, u = iwasawa_decompose(g, pd)
-    np.testing.assert_allclose(t, g, atol=1e-12)
-    np.testing.assert_allclose(u, np.eye(2), atol=1e-12)
-
-
-@pytest.mark.parametrize("coords", [
-    (2.0, 0.5, -2.5),       # regular
-    (1.0, 1.0, -2.0),       # one repeated pair
-    (0.0, 0.0, 0.0),        # full block
-    (3.0, -1.0, -1.0, -1.0),
-])
-def test_iwasawa_roundtrip_and_structure(coords):
-    pd = parabolic_data(CartanVector(coords))
-    n = len(coords)
-    rng = np.random.default_rng(5)
-    pm = _permutation_matrix(pd.order)
-    for _ in range(10):
-        g = cartan_box_sample(rng, n, 1.5)
-        k, t, u = iwasawa_decompose(g, pd)
-        assert np.max(np.abs(k @ t @ u - g)) < 1e-9
-        assert np.max(np.abs(k.T @ k - np.eye(n))) < 1e-10
-        # t is block diagonal SPD, u is block unipotent
-        tp = pm @ t @ pm.T
-        up = pm @ u @ pm.T
-        row = 0
-        for b in pd.block_sizes():
-            blk = tp[row:row + b, row:row + b]
-            assert np.max(np.abs(blk - blk.T)) < 1e-9
-            assert np.min(np.linalg.eigvalsh(blk)) > 0
-            np.testing.assert_allclose(up[row:row + b, row:row + b],
-                                       np.eye(b), atol=1e-9)
-            tp[row:row + b, row:row + b] = 0.0
-            up[row:row + b, row:row + b] = 0.0
-            up[row:row + b, row + b:] = 0.0
-            row += b
-        assert np.max(np.abs(tp)) < 1e-9          # nothing off the blocks
-        assert np.max(np.abs(np.tril(up, -1))) < 1e-9
-
-
-def test_iwasawa_deterministic():
-    pd = parabolic_data(CartanVector([1.0, 0.0, -1.0]))
-    g = cartan_box_sample(np.random.default_rng(6), 3, 1.0)
-    k1, t1, u1 = iwasawa_decompose(g, pd)
-    k2, t2, u2 = iwasawa_decompose(g, pd)
-    np.testing.assert_array_equal(k1, k2)
-    np.testing.assert_array_equal(t1, t2)
-    np.testing.assert_array_equal(u1, u2)
+def test_log_flag_norms_of_diagonal_elements():
+    d = np.array([3.0, -0.5, 1.0, 1.5])
+    m = np.diag(np.exp(d))
+    np.testing.assert_allclose(log_flag_norms(m, (1, 3, 0, 2)),
+                               np.cumsum(d[[1, 3, 0, 2]]), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +175,7 @@ def test_busemann_formula_horosphere():
     rng = np.random.default_rng(9)
     a = CartanVector([1.0, 0.0, -1.0])
     rev = dominant_order(a.scale(-1))
-    pm = _permutation_matrix(rev)
+    pm = np.eye(3)[list(rev.perm)]
     for _ in range(10):
         b = rng.uniform(-1, 1, 3)
         b -= (b @ np.asarray(a.unit().as_floats())) * np.asarray(a.unit().as_floats())
@@ -255,108 +196,6 @@ def test_busemann_formula_is_1_lipschitz():
         d = distance(project(g1), project(g2))
         diff = abs(busemann_formula(a, g1) - busemann_formula(a, g2))
         assert diff <= d * (1 + 1e-9) + 1e-9
-
-
-# ---------------------------------------------------------------------------
-# Modular function
-
-
-def test_modular_delta_unipotent():
-    pd = parabolic_data(CartanVector([1.0, -1.0]))
-    assert modular_delta(pd, np.array([[1.0, 7.0], [0.0, 1.0]])) == \
-        pytest.approx(1.0)
-
-
-def test_modular_delta_diagonal_example():
-    pd = parabolic_data(CartanVector([1.0, -1.0]))
-    t = 3.0
-    h = np.diag([t, 1 / t])
-    assert modular_delta(pd, h) == pytest.approx(t**2)
-
-
-def _adjoint_determinant_on_nilradical(pd, h):
-    # direct conjugation oracle: matrix of X -> h X h^{-1} on the strictly
-    # upper block entries (in the sorted basis)
-    pm = _permutation_matrix(pd.order)
-    hp = pm @ h @ pm.T
-    n = pd.n
-    sizes = pd.block_sizes()
-    positions = []
-    row = 0
-    for bi, b in enumerate(sizes):
-        col = row + b
-        for bj in range(bi + 1, len(sizes)):
-            bsz = sizes[bj]
-            for i in range(row, row + b):
-                for j in range(col, col + bsz):
-                    positions.append((i, j))
-            col += bsz
-        row += b
-    hinv = np.linalg.inv(hp)
-    mat = np.zeros((len(positions), len(positions)))
-    for c, (i, j) in enumerate(positions):
-        x = np.zeros((n, n))
-        x[i, j] = 1.0
-        y = hp @ x @ hinv
-        for r, (a, b) in enumerate(positions):
-            mat[r, c] = y[a, b]
-    return abs(float(np.linalg.det(mat)))
-
-
-@pytest.mark.parametrize("coords", [(1.0, -1.0), (1.0, 0.0, -1.0),
-                                    (1.0, 1.0, -2.0)])
-def test_modular_delta_matches_adjoint_oracle(coords):
-    pd = parabolic_data(CartanVector(coords))
-    n = len(coords)
-    rng = np.random.default_rng(11)
-    pm = _permutation_matrix(pd.order)
-    for _ in range(5):
-        # random element of the parabolic: block diagonal times block upper
-        hp = np.triu(rng.standard_normal((n, n)))
-        row = 0
-        for b in pd.block_sizes():
-            hp[row:row + b, row:row + b] = rng.standard_normal((b, b))
-            row += b
-        hp += np.eye(n) * 2
-        det = np.linalg.det(hp)
-        hp /= np.sign(det) * abs(det) ** (1.0 / n)
-        h = pm.T @ hp @ pm
-        assert modular_delta(pd, h) == pytest.approx(
-            _adjoint_determinant_on_nilradical(pd, h), rel=1e-8)
-
-
-def test_modular_delta_orthogonal_in_parabolic():
-    pd = parabolic_data(CartanVector([1.0, 1.0, -2.0]))
-    rng = np.random.default_rng(12)
-    from instab.symspace import block_orthogonal
-    k = block_orthogonal(pd.blocks, 3, rng)
-    assert modular_delta(pd, k) == pytest.approx(1.0)
-
-
-def test_modular_delta_rejects_outside_parabolic():
-    pd = parabolic_data(CartanVector([1.0, -1.0]))
-    with pytest.raises(ValueError):
-        modular_delta(pd, np.array([[1.0, 0.0], [5.0, 1.0]]))
-
-
-def test_highest_weight_character_vs_modular_function():
-    # on the maximal parabolic fixing the degree-j flag line, the highest
-    # weight character chi satisfies |chi(h)|^n = delta(h)
-    n, j = 3, 1
-    pd = parabolic_data(CartanVector([2.0, -1.0, -1.0]))
-    rep, v = highest_weight_vector(n, j)
-    rng = np.random.default_rng(13)
-    for _ in range(5):
-        hp = np.triu(rng.standard_normal((n, n)))
-        row = 0
-        for b in pd.block_sizes():
-            hp[row:row + b, row:row + b] = rng.standard_normal((b, b))
-            row += b
-        hp += np.eye(n) * 2
-        det = np.linalg.det(hp)
-        hp /= np.sign(det) * abs(det) ** (1.0 / n)
-        scale = rep_norm(rep, act(rep, hp, v)) / rep_norm(rep, v)
-        assert scale**n == pytest.approx(modular_delta(pd, hp), rel=1e-8)
 
 
 # ---------------------------------------------------------------------------
