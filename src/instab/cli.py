@@ -6,6 +6,10 @@ JSON pairs stay exact rationals, decimals become floats and are barred from
 the exact certificate path.  All randomness is derived from a single seed,
 so runs are reproducible and certificate files byte-stable.
 
+classify tries the identity and the shape-adapted frames, then the geodesic
+search (random frames almost surely never certify, so none are tried);
+certify always runs the geodesic search too and anchors at the faster flat.
+
 Exit codes: classify 0 = certified unstable, 2 = likely stable,
 3 = numerically unstable, 4 = zero vector; certify 1 = the embedded
 verification is not ok, 2 = stable input; verify 0 = all checks pass,
@@ -119,17 +123,15 @@ _EXIT_BY_VERDICT = {TORUS_CERTIFIED: 0, LIKELY_STABLE: 2, NUMERIC_UNSTABLE: 3}
 @click.option("--vector", type=str, default=None)
 @click.option("--vector-file", type=click.Path(exists=True), default=None)
 @click.option("--seed", type=int, default=0)
-@click.option("--budget", type=int, default=64, help="random frames to try")
 @click.option("--eps", type=float, default=1e-10)
 @click.option("--adapted/--no-adapted", default=True,
               help="use shape-adapted frames in the search")
-def cmd_classify(n, spec_text, vector, vector_file, seed, budget, eps, adapted):
+def cmd_classify(n, spec_text, vector, vector_file, seed, eps, adapted):
     """Classify a vector: certified unstable / numerically unstable / likely stable."""
     try:
         rep = _build(n, spec_text)
         v = _parse_vector(vector, vector_file)
-        verdict = is_unstable(rep, v, budget=budget, seed=seed, eps=eps,
-                              adapted=adapted)
+        verdict = is_unstable(rep, v, seed=seed, eps=eps, adapted=adapted)
     except ZeroVectorError:
         _emit({"verdict": "zero_vector"})
         sys.exit(4)
@@ -156,7 +158,6 @@ def cmd_classify(n, spec_text, vector, vector_file, seed, budget, eps, adapted):
 @click.option("--vector-file", type=click.Path(exists=True), default=None)
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--seed", type=int, default=0)
-@click.option("--budget", type=int, default=64)
 @click.option("--samples", type=int, default=1000,
               help="embedded verification sample count")
 @click.option("--xi-frames", type=int, default=1000)
@@ -164,17 +165,15 @@ def cmd_classify(n, spec_text, vector, vector_file, seed, budget, eps, adapted):
 @click.option("--box", type=float, default=5.0)
 @click.option("--tol", type=float, default=1e-6)
 @click.option("--eps", type=float, default=1e-10)
-@click.option("--cross-check/--no-cross-check", default=True,
-              help="run the geodesic search and anchor at the faster frame")
-def cmd_certify(n, spec_text, vector, vector_file, out, seed, budget, samples,
-                xi_frames, safety_margin, box, tol, eps, cross_check):
+def cmd_certify(n, spec_text, vector, vector_file, out, seed, samples,
+                xi_frames, safety_margin, box, tol, eps):
     """Compute a dominance certificate and write it as canonical JSON."""
     try:
         rep = _build(n, spec_text)
         v = _parse_vector(vector, vector_file)
-        opts = CertifyOptions(seed=seed, budget=budget, samples=samples,
-                              xi_frames=xi_frames, safety_margin=safety_margin,
-                              box=box, tol=tol, eps=eps, cross_check=cross_check)
+        opts = CertifyOptions(seed=seed, samples=samples, xi_frames=xi_frames,
+                              safety_margin=safety_margin, box=box, tol=tol,
+                              eps=eps)
         cert = dominance_certificate(rep, v, opts)
     except ZeroVectorError:
         click.echo("error: zero vector", err=True)

@@ -340,12 +340,12 @@ def fastest_shrinking_geodesic(rep: Representation, v,
                                s_grid: Sequence[float] = (5.0, 10.0, 20.0, 40.0),
                                starts: int = 8, iters: int = 60,
                                tol: float = 1e-3, seed: int = 0,
-                               eps: float = 1e-10,
-                               budget: int = 16) -> ShrinkGeodesicResult:
+                               eps: float = 1e-10) -> ShrinkGeodesicResult:
     """Minimize log||rho(.)v|| over spheres of growing radius.
 
-    Candidate directions come from exact flat data at the identity and at
-    random frames, plus multi-start projected gradient descent with a
+    Candidate directions are the identity frame's flat direction, unless
+    that flat is bounded below, and ``starts`` random directions (no Haar
+    frames: see is_unstable), refined by projected gradient descent with a
     snap-to-flat polish; each radius s reports the best point x_s at
     distance s.  Raises StableVectorError when the minimum stops decreasing
     linearly (slope above -tol).
@@ -363,12 +363,9 @@ def fastest_shrinking_geodesic(rep: Representation, v,
         return f
 
     candidates = []
-    frames = [np.eye(n)] + [haar_so(n, rng) for _ in range(budget)]
-    for k in frames:
-        fd = flat_shrink_data(rep, vec, k, eps)
-        d = flat_direction_matrix(fd)
-        if d is not None:
-            candidates.append(_normalize_dir(d))
+    d = flat_direction_matrix(flat_shrink_data(rep, vec, None, eps))
+    if d is not None:
+        candidates.append(_normalize_dir(d))
     for _ in range(starts):
         z = rng.standard_normal((n, n))
         candidates.append(_normalize_dir(z + z.T))
@@ -478,16 +475,22 @@ class TorusKempfResult:
     flat: FlatShrinkData
 
 
+def _kempf(fd: FlatShrinkData) -> Tuple[Cocharacter, int, float]:
+    """``(tau, m, m/||tau||)`` of a flat not bounded below: tau primitive
+    integral along u, m its least pairing with the active weights."""
+    tau = Cocharacter(exactlin.primitive_integer_vector(fd.u.coords))
+    m = min(w.pair_int(tau) for w, _ in fd.active)
+    if m <= 0:
+        raise AssertionError("internal: optimal cocharacter has nonpositive pairing")
+    return tau, m, m / tau.norm()
+
+
 def torus_kempf(rep: Representation, v, eps: float = 1e-10) -> TorusKempfResult:
     fd = flat_shrink_data(rep, v, None, eps)
     if fd.bounded_below:
         raise TorusStableError(
             "0 lies in the hull of the active weights at the identity frame")
-    tau = Cocharacter(exactlin.primitive_integer_vector(fd.u.coords))
-    m = min(w.pair_int(tau) for w, _ in fd.active)
-    if m <= 0:
-        raise AssertionError("internal: optimal cocharacter has nonpositive pairing")
-    ratio = m / tau.norm()
+    tau, m, ratio = _kempf(fd)
     return TorusKempfResult(tau=tau, m=m, ratio=ratio, u=fd.u, flat=fd)
 
 
@@ -532,7 +535,11 @@ def _adapted_frames(rep: Representation, v) -> list:
     frames = []
     n = rep.n
     vec, _ = pow2_scaled(np.asarray([float(x) for x in v], dtype=float))
-    if rep.dim == n and np.linalg.norm(vec) > 0:
+    # the rotation fits std and dual(std), where basis vector i has weight
+    # +-(e_i - sum(e)/n) and k acts as on std (k^-T = k); wedge(n-1,std) differs
+    std = tuple(Weight([int(i == j) - Fraction(1, n) for j in range(n)])
+                for i in range(n))
+    if rep.weights in (std, tuple(w.negate() for w in std)) and np.linalg.norm(vec) > 0:
         frames.append(_rotation_to_first_axis(vec))
     if rep.dim == n * n:
         m = vec.reshape(n, n)
@@ -554,25 +561,33 @@ def _adapted_frames(rep: Representation, v) -> list:
     return frames
 
 
+# Why no Haar-random frame is tried.  For v != 0 let A be the weights whose
+# component does not vanish on all of rho(SO(n))v: the active set at almost
+# every frame, and a superset of it at every frame.  The signed permutations
+# in SO(n) realise the Weyl group W, so A is W-invariant; if some u had
+# <lambda, u> > 0 on all of A, summing <lambda, w.u> over W would give 0 > 0.
+# So 0 lies in the hull of a Haar frame's active weights almost surely: such
+# a frame never certifies, and its min-norm point 0 never matches a u != 0.
+
+
 def is_unstable(rep: Representation, v, budget: int = 64, seed: int = 0,
-                eps: float = 1e-10, adapted: bool = True,
-                fsg_tol: float = 1e-3) -> Verdict:
+                eps: float = 1e-10, adapted: bool = True) -> Verdict:
     """Search for an instability certificate for ``v``.
 
-    Frames are tried in order: identity, shape-adapted frames, ``budget``
-    Haar-random SO(n) frames.  A frame whose active weights have 0 outside
+    Frames are tried in order: identity, then (if ``adapted``) the
+    shape-adapted frames.  A frame whose active weights have 0 outside
     their hull certifies instability (exactly, over the rationals); the
-    best rate found wins.  Failing that, the geodesic search decides
-    between a numerical instability verdict and "likely stable".
+    best rate found wins.  Failing that, the geodesic search (seeded by
+    ``seed``) decides between a numerical instability verdict and "likely
+    stable".  ``budget`` has no effect: it counted Haar-random frames,
+    which almost surely never certify (see the comment above), and is only
+    accepted so that existing callers keep working.
     """
     if log_rep_norm(rep, v) == NEG_INF:
         raise ZeroVectorError("zero vector")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    n = rep.n
     frames = [None]
     if adapted:
         frames.extend(_adapted_frames(rep, v))
-    frames.extend(haar_so(n, rng) for _ in range(budget))
     best: Optional[FlatShrinkData] = None
     for k in frames:
         fd = flat_shrink_data(rep, v, k, eps)
@@ -582,7 +597,7 @@ def is_unstable(rep: Representation, v, budget: int = 64, seed: int = 0,
         return Verdict(kind=TORUS_CERTIFIED, frame=best.frame, flat=best,
                        rate=best.rate, fsg=None, frames_tried=len(frames))
     try:
-        fsg = fastest_shrinking_geodesic(rep, v, seed=seed, eps=eps, tol=fsg_tol)
+        fsg = fastest_shrinking_geodesic(rep, v, seed=seed, eps=eps)
     except StableVectorError:
         return Verdict(kind=LIKELY_STABLE, frame=None, flat=None, rate=0.0,
                        fsg=None, frames_tried=len(frames))
@@ -632,25 +647,15 @@ class VerifyReport:
 
 @dataclass(frozen=True)
 class CertifyOptions:
-    """Knobs for certificate construction.
-
-    ``cross_check`` runs the geodesic search even when a frame certificate
-    exists and re-anchors at the faster frame.  It defaults on: a
-    certificate anchored at a slower-than-optimal frame can fail outside
-    the sampled region (the bound's right-hand side then decays slower than
-    the vector along the true fastest ray).
-    """
+    """Knobs for certificate construction."""
 
     seed: int = 0
-    budget: int = 64
     eps: float = 1e-10
     xi_frames: int = 1000
     safety_margin: float = 0.1
     samples: int = 1000
     box: float = 5.0
     tol: float = 1e-6
-    cross_check: bool = True
-    adapted: bool = True
 
 
 @dataclass(frozen=True)
@@ -725,24 +730,24 @@ def _estimate_constant(rep: Representation, v, frame: np.ndarray,
                        opts: CertifyOptions) -> Tuple[float, XiInfo]:
     """Lower-bound constant via frames of flats through the shrink geodesic.
 
-    Samples orthogonal frames commuting with the shrink direction (plus a
-    few unrestricted ones), keeps those whose active weights have the same
+    Takes the identity and, when u has a repeated coordinate, ``xi_frames``
+    random rotations within the blocks of equal coordinates (the frames
+    commuting with the shrink direction; Haar frames would never match, see
+    is_unstable).  Keeps the frames whose active weights have the same
     min-norm point (exactly for rational u, within 1e-6 otherwise), and
     takes the minimum of the prefix-hull statistic; the safety margin is
     subtracted at the end.  ``cls_eps`` must be the threshold that
     classified the certificate's own active set, so the identity frame
     always passes the filter.
     """
-    rng = np.random.default_rng(np.random.SeedSequence((opts.seed, 0x7C)))
     n = rep.n
     w = act(rep, frame, v)
     blocks = _coordinate_blocks(u)
     frames = [np.eye(n)]
-    n_haar = max(1, opts.xi_frames // 10)
-    for _ in range(opts.xi_frames - n_haar):
-        frames.append(block_orthogonal(blocks, n, rng))
-    for _ in range(n_haar):
-        frames.append(haar_so(n, rng))
+    if len(blocks) < n:
+        rng = np.random.default_rng(np.random.SeedSequence((opts.seed, 0x7C)))
+        frames.extend(block_orthogonal(blocks, n, rng)
+                      for _ in range(opts.xi_frames))
     exact = u.is_exact
     u_float = np.asarray(u.as_floats())
     excluded = 0
@@ -779,39 +784,34 @@ def dominance_certificate(rep: Representation, v,
     shrinking direction is found at all.
     """
     vec_exact = exactlin.is_exact(list(v))
-    verdict = is_unstable(rep, v, budget=opts.budget, seed=opts.seed,
-                          eps=opts.eps, adapted=opts.adapted)
+    verdict = is_unstable(rep, v, seed=opts.seed, eps=opts.eps)
     if verdict.kind == LIKELY_STABLE:
         raise StableVectorError("no shrinking direction found; vector appears stable")
     flat = verdict.flat
     fsg = verdict.fsg
-    if opts.cross_check and fsg is None:
+    if fsg is None:
+        # an anchor slower than optimal can fail outside the sampled region
+        # (its right-hand side decays slower than v along the fastest ray),
+        # so the geodesic search always runs and the faster flat wins
         fsg = fastest_shrinking_geodesic(rep, v, seed=opts.seed, eps=opts.eps)
-    if fsg is not None:
-        if not fsg.flat.bounded_below and fsg.flat.rate > flat.rate + 1e-6:
-            flat = fsg.flat
-        elif fsg.flat.bounded_below and fsg.rate > flat.rate + 1e-3:
-            # the search decays strictly faster than any rationalized flat;
-            # a slower exact anchor would be unsound, so go numeric
-            flat = fsg.flat
+    if not fsg.flat.bounded_below and fsg.flat.rate > flat.rate + 1e-6:
+        flat = fsg.flat
+    elif fsg.flat.bounded_below and fsg.rate > flat.rate + 1e-3:
+        # the search decays strictly faster than any rationalized flat;
+        # a slower exact anchor would be unsound, so go numeric
+        flat = fsg.flat
 
     kempf: Optional[KempfData] = None
     if not flat.bounded_below:
         u = flat.u
         rate = u.norm()
-        tau = Cocharacter(exactlin.primitive_integer_vector(u.coords))
-        m = min(wt.pair_int(tau) for wt, _ in flat.active)
-        ratio = m / tau.norm()
-        kempf = KempfData(tau=tau.exps, m=m, norm_sq=tau.norm_sq(), ratio=ratio)
-        if fsg is not None and abs(fsg.rate - ratio) > 1e-3:
-            kempf = None
+        tau, m, ratio = _kempf(flat)
+        if abs(fsg.rate - ratio) <= 1e-3:
+            kempf = KempfData(tau=tau.exps, m=m, norm_sq=tau.norm_sq(), ratio=ratio)
         cert_frame = flat.frame
         cls_eps = flat.eps
     else:
         # numeric fallback: keep the observed direction and rate
-        if fsg is None:
-            raise CertificateError(
-                "internal: certified flat has rate 0 without a geodesic result")
         dvals = -np.diag(fsg.frame @ fsg.direction @ fsg.frame.T)
         dvals = dvals - dvals.mean()
         dvals = dvals / float(np.linalg.norm(dvals))

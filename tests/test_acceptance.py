@@ -280,7 +280,7 @@ def test_acceptance_8a_plane_vector_hull_on_every_frame():
     "kept as stated for the record"))
 def test_acceptance_8b_plane_vector_reported_stable():
     rep = build_rep(parse_rep_spec("std"), 2)
-    verdict = is_unstable(rep, [1.0, 1.0], budget=64, seed=0)
+    verdict = is_unstable(rep, [1.0, 1.0], seed=0)
     assert verdict.kind == LIKELY_STABLE
     rng = np.random.default_rng(14)
     smallest = min(rep_norm(rep, act(rep, cartan_box_sample(rng, 2, 5.0), [1.0, 1.0]))
@@ -296,7 +296,7 @@ def test_acceptance_8c_sound_stable_control():
     # grid confirms it and random search stays above 0.9 of it
     rep = build_rep(parse_rep_spec("sym(2,std)"), 2)
     v = [0.0, 1.0, 0.0]
-    verdict = is_unstable(rep, v, budget=64, seed=0)
+    verdict = is_unstable(rep, v, seed=0)
     assert verdict.kind == LIKELY_STABLE
 
     grid_best = math.inf

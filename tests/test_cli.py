@@ -63,14 +63,14 @@ def test_classify_certified(runner):
 
 def test_classify_stable(runner):
     res = runner.invoke(main, ["classify", "--n", "2", "--spec", "sym(2,std)",
-                               "--vector", "0,1,0", "--budget", "8"])
+                               "--vector", "0,1,0"])
     assert res.exit_code == 2
     assert last_json(res.output)["verdict"] == "likely_stable"
 
 
 def test_classify_numeric(runner):
     res = runner.invoke(main, ["classify", "--n", "2", "--spec", "std",
-                               "--vector", "1,1", "--budget", "0", "--no-adapted"])
+                               "--vector", "1,1", "--no-adapted"])
     assert res.exit_code == 3
     out = last_json(res.output)
     assert out["verdict"] == "numerically_unstable"
@@ -104,7 +104,7 @@ def test_classify_dimension_mismatch(runner):
 def certify_args(out, extra=()):
     return ["certify", "--n", "3", "--spec", "wedge(2,std)", "--vector",
             "1,0,0", "--out", out, "--samples", "300", "--xi-frames", "100",
-            "--budget", "8", *extra]
+            *extra]
 
 
 def test_certify_writes_canonical_file(runner, tmp_path):
@@ -137,11 +137,23 @@ def test_certify_exits_1_when_verification_not_ok(runner, tmp_path, monkeypatch)
     assert summary["verification_ok"] is False
 
 
+@pytest.mark.parametrize("args", [
+    ["classify", "--budget", "8"],
+    ["certify", "--budget", "8"],
+    ["certify", "--cross-check"],
+    ["certify", "--no-cross-check"]])
+def test_removed_options_are_rejected(runner, tmp_path, args):
+    out = ["--out", str(tmp_path / "cert.json")] if args[0] == "certify" else []
+    res = runner.invoke(main, [*args, *out, "--n", "2", "--spec", "std",
+                               "--vector", "1,0"])
+    assert res.exit_code == 2
+    assert "No such option" in res.output
+
+
 def test_certify_stable_input(runner, tmp_path):
     out = str(tmp_path / "cert.json")
     res = runner.invoke(main, ["certify", "--n", "2", "--spec", "sym(2,std)",
-                               "--vector", "0,1,0", "--out", out,
-                               "--budget", "8"])
+                               "--vector", "0,1,0", "--out", out])
     assert res.exit_code == 2
 
 

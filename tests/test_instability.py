@@ -17,7 +17,7 @@ from instab import (CertifyOptions, NonFiniteError, StableVectorError,
 from instab.errors import CertificateError
 from instab.instability import (LIKELY_STABLE, NUMERIC_UNSTABLE,
                                 TORUS_CERTIFIED, flat_direction_matrix)
-from instab.symspace import exp_sym
+from instab.symspace import exp_sym, haar_so
 
 import oracles
 
@@ -230,31 +230,31 @@ def test_fsg_rate_matches_torus_ratio():
 
 
 def test_is_unstable_certified_cases():
-    assert is_unstable(std(2), [1.0, 0.0], budget=4).kind == TORUS_CERTIFIED
+    assert is_unstable(std(2), [1.0, 0.0]).kind == TORUS_CERTIFIED
     rep = build_rep(parse_rep_spec("std*dual(std)"), 2)
-    verdict = is_unstable(rep, [0.0, 1.0, 0.0, 0.0], budget=4)
+    verdict = is_unstable(rep, [0.0, 1.0, 0.0, 0.0])
     assert verdict.kind == TORUS_CERTIFIED
     assert verdict.rate == pytest.approx(math.sqrt(2))
 
 
 def test_is_unstable_uses_adapted_frame():
     # e1 + e2 in the standard plane is unstable: rotate it onto an axis
-    verdict = is_unstable(std(2), [1.0, 1.0], budget=0)
+    verdict = is_unstable(std(2), [1.0, 1.0])
     assert verdict.kind == TORUS_CERTIFIED
     assert verdict.rate == pytest.approx(1 / math.sqrt(2))
 
 
 def test_is_unstable_numeric_path():
-    # with the adapted frames disabled and no random budget the torus search
-    # fails, but the geodesic search still finds the decay
-    verdict = is_unstable(std(2), [1.0, 1.0], budget=0, adapted=False)
+    # with the adapted frames disabled the torus search fails, but the
+    # geodesic search still finds the decay
+    verdict = is_unstable(std(2), [1.0, 1.0], adapted=False)
     assert verdict.kind == NUMERIC_UNSTABLE
     assert verdict.rate == pytest.approx(1 / math.sqrt(2), abs=1e-6)
 
 
 def test_is_unstable_stable_control():
     rep = build_rep(parse_rep_spec("sym(2,std)"), 2)
-    verdict = is_unstable(rep, [0.0, 1.0, 0.0], budget=8, seed=3)
+    verdict = is_unstable(rep, [0.0, 1.0, 0.0], seed=3)
     assert verdict.kind == LIKELY_STABLE
 
 
@@ -293,9 +293,9 @@ SCALE_INPUTS = [("std", 3, [0.2, 0.7, -0.4]), ("std", 3, [1.5, 0.0, -0.25]),
 def test_verdict_invariant_under_power_of_two_scaling(case, k):
     text, n, v = case
     rep = build_rep(parse_rep_spec(text), n)
-    base = is_unstable(rep, v, budget=8)
+    base = is_unstable(rep, v)
     assert base.kind == TORUS_CERTIFIED
-    scaled = is_unstable(rep, [math.ldexp(x, k) for x in v], budget=8)
+    scaled = is_unstable(rep, [math.ldexp(x, k) for x in v])
     assert scaled.kind == base.kind
     assert scaled.flat.u == base.flat.u
     assert scaled.rate == base.rate
@@ -304,8 +304,45 @@ def test_verdict_invariant_under_power_of_two_scaling(case, k):
 def test_nilpotent_matrix_vector_certified():
     rep = build_rep(parse_rep_spec("std*dual(std)"), 2)
     # strictly upper triangular matrix shrinks under the conjugation flow
-    verdict = is_unstable(rep, [0.0, 1.0, 0.0, 0.0], budget=0, adapted=True)
+    verdict = is_unstable(rep, [0.0, 1.0, 0.0, 0.0])
     assert verdict.kind == TORUS_CERTIFIED
+
+
+# specs for the lemma that Haar-random frames never certify
+LEMMA_SPECS = [("std", 2), ("std", 4), ("dual(std)", 3), ("wedge(2,std)", 3),
+               ("wedge(2,std)", 4), ("wedge(3,std)", 4), ("sym(2,std)", 2),
+               ("sym(2,std)", 3), ("sym(3,std)", 2), ("std*dual(std)", 2),
+               ("std*std", 3)]
+
+
+@pytest.mark.parametrize("text, n", LEMMA_SPECS)
+def test_haar_frames_never_certify(text, n):
+    # the weights active somewhere on the SO(n)-orbit form a Weyl-invariant
+    # set, so 0 is in their hull, and a random frame activates all of them
+    rep = build_rep(parse_rep_spec(text), n)
+    rng = np.random.default_rng(np.random.SeedSequence((n, rep.dim)))
+    for _ in range(2):
+        v = np.zeros(rep.dim)
+        while not v.any():
+            v = rng.integers(-3, 4, size=rep.dim).astype(float)
+        for _ in range(16):
+            fd = flat_shrink_data(rep, v, haar_so(n, rng))
+            assert fd.bounded_below
+            assert fd.u.is_exact and all(c == 0 for c in fd.u.coords)
+
+
+@pytest.mark.parametrize("text, v, kind, frames", [
+    # the rotation onto e1 fits std and dual(std), but not wedge(n-1,std)
+    ("wedge(3,std)", [3, -6, 2, 5], NUMERIC_UNSTABLE, 1),
+    ("dual(std)", [0.2, 0.7, -0.4, 0.1], TORUS_CERTIFIED, 2),
+    ("std", [0.2, 0.7, -0.4, 0.1], TORUS_CERTIFIED, 2),
+])
+def test_rotation_frame_only_for_std_and_dual(text, v, kind, frames):
+    # every nonzero vector of std n=4 or its dual has rate sqrt(3)/2
+    verdict = is_unstable(build_rep(parse_rep_spec(text), 4), v)
+    assert verdict.kind == kind
+    assert verdict.frames_tried == frames
+    assert verdict.rate == pytest.approx(math.sqrt(3) / 2, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +350,7 @@ def test_nilpotent_matrix_vector_certified():
 
 
 def fast_opts(**kw):
-    defaults = dict(samples=500, xi_frames=120, budget=16)
+    defaults = dict(samples=500, xi_frames=120)
     defaults.update(kw)
     return CertifyOptions(**defaults)
 
@@ -349,6 +386,19 @@ def test_certificate_scaling_shifts_constant():
     assert c2.c - c1.c == pytest.approx(math.log(2), abs=1e-9)
 
 
+def test_block_frames_lower_the_constant():
+    # u = (1/3, 1/3, -2/3) for the form xy: rotations in the (x, y) plane
+    # keep u but activate x^2 and y^2, and lower the constant well below
+    # the identity frame's
+    rep = build_rep(parse_rep_spec("sym(2,std)"), 3)
+    v = [0, 1, 0, 0, 0, 0]
+    identity = dominance_certificate(rep, v, CertifyOptions(samples=0, xi_frames=0))
+    cert = dominance_certificate(rep, v, CertifyOptions(samples=0))
+    assert cert.u.coords == (F(1, 3), F(1, 3), F(-2, 3))
+    assert (identity.xi.frames, cert.xi.frames, cert.xi.excluded) == (1, 1001, 0)
+    assert cert.xi.value < identity.xi.value - 0.5
+
+
 def test_certificate_rotated_frame():
     cert = dominance_certificate(std(2), [1.0, 1.0], fast_opts())
     assert cert.frame is not None
@@ -360,7 +410,7 @@ def test_certificate_rotated_frame():
 def test_certificate_rejects_stable():
     rep = build_rep(parse_rep_spec("sym(2,std)"), 2)
     with pytest.raises(StableVectorError):
-        dominance_certificate(rep, [0, 1, 0], fast_opts(budget=4))
+        dominance_certificate(rep, [0, 1, 0], fast_opts())
 
 
 def test_corrupted_alphas_fail_verification():
