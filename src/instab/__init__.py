@@ -29,8 +29,9 @@ from .instability import (CertifyOptions, DominanceCert, FlatShrinkData,
                           LIKELY_STABLE, NUMERIC_UNSTABLE, TORUS_CERTIFIED)
 from .reps import (Dual, RepSpec, Representation, Standard, Sym, Tensor,
                    Wedge, act, active_weights, basis_labels, build_rep,
-                   highest_weight_vector, log_rep_norm, m_value, norm_sq,
-                   parse_rep_spec, rep_matrix, rep_norm, weight_components)
+                   highest_weight_vector, log_rep_norm, m_value, moment_map,
+                   norm_sq, parse_rep_spec, rep_matrix, rep_norm,
+                   weight_components)
 from .symspace import (BusemannEstimate, GeodesicRay, busemann_formula,
                        busemann_limit, distance, exp_sym, geodesic, haar_so,
                        log_flag_norms, midpoint, project, ray_from_cartan)

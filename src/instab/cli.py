@@ -3,12 +3,13 @@
 Subcommands: rep-info, classify, certify, verify, busemann-check.  Vectors
 are given as comma separated entries; ``3``, ``-1/2`` and ``{num,den}``
 JSON pairs stay exact rationals, decimals become floats and are barred from
-the exact certificate path.  All randomness is derived from a single seed,
-so runs are reproducible and certificate files byte-stable.
+the exact certificate path.  classify is deterministic, and all sampling
+derives from a single seed, so runs are reproducible and certificate files
+byte-stable.
 
-classify tries the identity and the shape-adapted frames, then the geodesic
-search (random frames almost surely never certify, so none are tried);
-certify always runs the geodesic search too and anchors at the faster flat.
+classify tries the identity and the shape-adapted frames, then the
+moment-map descent (random frames almost surely never certify, so none are
+tried); certify always runs the descent too and anchors at the faster flat.
 
 Exit codes: classify 0 = certified unstable, 2 = likely stable,
 3 = numerically unstable, 4 = zero vector; certify 1 = the embedded
@@ -122,16 +123,15 @@ _EXIT_BY_VERDICT = {TORUS_CERTIFIED: 0, LIKELY_STABLE: 2, NUMERIC_UNSTABLE: 3}
 @click.option("--spec", "spec_text", type=str, required=True)
 @click.option("--vector", type=str, default=None)
 @click.option("--vector-file", type=click.Path(exists=True), default=None)
-@click.option("--seed", type=int, default=0)
 @click.option("--eps", type=float, default=1e-10)
 @click.option("--adapted/--no-adapted", default=True,
               help="use shape-adapted frames in the search")
-def cmd_classify(n, spec_text, vector, vector_file, seed, eps, adapted):
+def cmd_classify(n, spec_text, vector, vector_file, eps, adapted):
     """Classify a vector: certified unstable / numerically unstable / likely stable."""
     try:
         rep = _build(n, spec_text)
         v = _parse_vector(vector, vector_file)
-        verdict = is_unstable(rep, v, seed=seed, eps=eps, adapted=adapted)
+        verdict = is_unstable(rep, v, eps=eps, adapted=adapted)
     except ZeroVectorError:
         _emit({"verdict": "zero_vector"})
         sys.exit(4)

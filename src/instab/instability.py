@@ -5,10 +5,10 @@ rational weight lattice: the active weights of a vector (at some orthogonal
 frame) span a polytope, Wolfe's algorithm finds the exact min-norm point u
 in it, and u determines the optimal destabilizing one-parameter subgroup of
 that flat, its decay rate ||u||, and the nonnegative rational coefficients
-of the certificate.  The numeric layer searches the sphere of geodesic
-directions by projected gradient with multi-start, and "snaps" candidate
-directions onto the exact layer through the frame of eigenvectors, so the
-two paths cross-validate each other.
+of the certificate.  The numeric layer descends log||rho(g)v|| along the
+moment map mu, whose norm bounds every rate from above, and "snaps" the
+flag of -mu onto the exact layer through an orthogonal frame; it stops when
+an exact in-flat rate meets that upper bound.
 
 Rates are quoted per unit of the group parameter: along
 s -> pi(exp(s * diag(d))) with tr(d^2) = 1 the log norm of a shrinking
@@ -41,9 +41,8 @@ from .cartan import (CartanVector, Cocharacter, SimpleSystem, Weight,
 from .errors import (CertificateError, DimensionError, StableVectorError,
                      TorusStableError, ZeroVectorError)
 from .reps import (RepSpec, Representation, act, active_weights, build_rep,
-                   log_rep_norm, parse_rep_spec, pow2_scaled)
-from .symspace import (block_orthogonal, distance, exp_sym, haar_so,
-                       log_flag_norms)
+                   log_rep_norm, moment_map, parse_rep_spec, pow2_scaled)
+from .symspace import block_orthogonal, exp_sym, haar_so, log_flag_norms
 
 NEG_INF = float("-inf")
 
@@ -243,215 +242,111 @@ def flat_direction_matrix(fd: FlatShrinkData) -> Optional[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Fastest shrinking geodesic (ball minimization on the direction sphere)
+# Fastest shrinking geodesic (moment-map descent)
 
 
 @dataclass(frozen=True)
 class ShrinkGeodesicResult:
-    """Limit direction and rate of the ball minimizers of log||rho(.)v||.
+    """The fastest flat found by the moment-map descent.
 
-    ``trace`` records, per search radius s, the minimizer x_s (a point at
-    distance s from the base point) and the objective value there.  ``rate``
-    is the decay rate per unit group parameter (twice the slope per unit
-    distance, so it matches the cocharacter ratio m/||tau||): the exact
-    in-flat rate ||u|| of ``flat`` when that snapped flat is not bounded
-    below and matched the slope estimate within 1e-3, and otherwise the
-    steepest-interval slope estimate, which is also the value that decides
-    stable versus unstable.  ``cauchy`` lists distances between consecutive
-    unit-time points of the per-radius geodesics.  ``flat`` holds exact data
-    of the limiting flat.
+    ``rate`` is always the exact in-flat rate ||u|| of ``flat``, a flat
+    that is not bounded below, and ``direction`` its unit shrinking
+    direction.  ``upper`` is the least ||mu(rho(g)v)|| seen at a
+    well-conditioned g; by convexity no flat decays faster, so
+    ``upper - rate`` bounds how far ``rate`` is from optimal.
     """
 
     direction: np.ndarray
     rate: float
-    trace: Tuple[Tuple[float, np.ndarray, float], ...]
-    converged: bool
-    cauchy: Tuple[float, ...]
+    upper: float
     frame: np.ndarray
     flat: FlatShrinkData
 
 
-def _sym_basis(n: int) -> list:
-    basis = []
-    for i in range(n - 1):
-        d = np.zeros(n)
-        d[: i + 1] = 1.0
-        d[i + 1] = -(i + 1.0)
-        basis.append(np.diag(d / np.linalg.norm(d)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n))
-            m[i, j] = m[j, i] = 1.0 / math.sqrt(2.0)
-            basis.append(m)
-    return basis
+# Every positive rate is at least gamma(rho) > 0, the least nonzero norm of
+# the min-norm point of at most n distinct weights (Caratheodory), and the
+# rate never exceeds ||mu(rho(g)v)||.  So ||mu|| below gamma proves that v
+# is not unstable; the threshold sits below gamma of every representation
+# that test_stable_threshold_is_below_the_weight_margin enumerates.
+_STABLE_MU = 1e-3
+_GAP = 1e-6
+# rho(g)v carries a relative error of about 1e-16 times this bound on
+# ||rho(g)|| ||v|| / ||rho(g)v||, and so does mu
+_MAX_LOG_COND = math.log(1e8)
+_MAX_STEPS = 200
 
 
-def _normalize_dir(p: np.ndarray) -> np.ndarray:
-    p = 0.5 * (p + p.T)
-    p = p - np.trace(p) / p.shape[0] * np.eye(p.shape[0])
-    nrm = math.sqrt(float(np.sum(p * p)))
-    if nrm == 0:
-        raise ZeroVectorError("zero direction")
-    return p / nrm
+def _flag_frame(g: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Orthogonal frame adapted to the Kempf flag of v read off mu(rho(g)v).
 
-
-def _snap_to_flat(rep: Representation, v, p: np.ndarray, eps: float):
-    """Exact flat data for the maximal flat containing direction ``p``."""
-    w, q = np.linalg.eigh(p)
-    frame = q.T
-    if np.linalg.det(frame) < 0:
-        frame = frame.copy()
-        frame[0, :] = -frame[0, :]
-    fd = flat_shrink_data(rep, v, frame, eps)
-    return fd
-
-
-def _gradient_descent_sphere(objective, p, iters: int):
-    f = objective(p)
-    basis = _sym_basis(p.shape[0])
-    step = 0.25
-    h = 1e-6
-    for _ in range(iters):
-        grad = np.zeros_like(p)
-        for b in basis:
-            fp = objective(_normalize_dir(p + h * b))
-            fm = objective(_normalize_dir(p - h * b))
-            grad += (fp - fm) / (2 * h) * b
-        grad -= float(np.sum(grad * p)) * p
-        gn = math.sqrt(float(np.sum(grad * grad)))
-        if gn < 1e-12:
-            break
-        moved = False
-        while step > 1e-13:
-            cand = _normalize_dir(p - step * grad)
-            fc = objective(cand)
-            if fc < f - 1e-14:
-                p, f = cand, fc
-                step = min(step * 1.6, 1.0)
-                moved = True
-                break
-            step *= 0.5
-        if not moved:
-            break
-    return p, f
+    -mu points along the optimal direction at rho(g)v (Ness).  Carried
+    back to v, that cocharacter contracts the flag g^-1 q_1, g^-1 q_2, ...
+    for the eigenvectors q of -mu in ascending order, and the QR of g^-1 q
+    gives the orthogonal frame whose flat is asymptotic to it, with u in
+    descending order.
+    """
+    _, q = np.linalg.eigh(-mu)
+    k = np.linalg.qr(np.linalg.solve(g, q))[0].T
+    if np.linalg.det(k) < 0:
+        k[-1] = -k[-1]
+    return k
 
 
 def fastest_shrinking_geodesic(rep: Representation, v,
-                               s_grid: Sequence[float] = (5.0, 10.0, 20.0, 40.0),
-                               starts: int = 8, iters: int = 60,
-                               tol: float = 1e-3, seed: int = 0,
                                eps: float = 1e-10) -> ShrinkGeodesicResult:
-    """Minimize log||rho(.)v|| over spheres of growing radius.
+    """Descend log||rho(g)v|| along the moment map from g = identity.
 
-    Candidate directions are the identity frame's flat direction, unless
-    that flat is bounded below, and ``starts`` random directions (no Haar
-    frames: see is_unstable), refined by projected gradient descent with a
-    snap-to-flat polish; each radius s reports the best point x_s at
-    distance s.  Raises StableVectorError when the minimum stops decreasing
-    linearly (slope above -tol).
+    Each step moves g to exp(-eta mu) g, with Armijo backtracking on the
+    log norm (eta starts at 1 and only ever halves: longer steps zigzag
+    across the optimum), and keeps g upper triangular by QR (the norm is
+    SO(n)-invariant).  At every step the flag of -mu is snapped to a frame
+    and its exact flat data taken at the thresholds {eps, 1e-7, 1e-4}.  The
+    search stops once the fastest flat's ||u|| is within 1e-6 of the least
+    well-conditioned ||mu||, or once g is too ill-conditioned for ||mu|| to
+    bound anything, and returns that flat.  Raises
+    StableVectorError when ||mu|| falls below every positive rate, or when
+    the step cap passes without a flat that is not bounded below.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    n = rep.n
     vec = np.asarray([float(x) for x in v], dtype=float)
     if not np.any(vec):
         raise ZeroVectorError("zero vector")
-
-    def objective_at(s):
-        def f(p):
-            g = exp_sym(0.5 * s * p)
-            return log_rep_norm(rep, act(rep, g, vec))
-        return f
-
-    candidates = []
-    d = flat_direction_matrix(flat_shrink_data(rep, vec, None, eps))
-    if d is not None:
-        candidates.append(_normalize_dir(d))
-    for _ in range(starts):
-        z = rng.standard_normal((n, n))
-        candidates.append(_normalize_dir(z + z.T))
-
-    # snapping with progressively coarser active-set thresholds proposes
-    # exactly aligned flat directions; a proposal is only kept when the
-    # objective actually improves, so misclassification cannot hurt
+    n = rep.n
+    levels = np.asarray([w.as_cartan().as_floats() for w in rep.weights])
     eps_ladder = sorted({eps, 1e-7, 1e-4})
-
-    def snap_candidates(p):
-        out = []
-        for e in eps_ladder:
-            fd = _snap_to_flat(rep, vec, p, e)
-            d = flat_direction_matrix(fd)
-            if d is not None:
-                out.append(d)
-        return out
-
-    trace = []
-    best_dirs = []
-    for s in s_grid:
-        objective = objective_at(s)
-        scored = sorted(candidates, key=objective)
-        p, f = scored[0], objective(scored[0])
-        for _ in range(4):
-            p1, f1 = _gradient_descent_sphere(objective, p, iters)
-            for d in snap_candidates(p1):
-                fsnap = objective(d)
-                if fsnap < f1:
-                    p1, f1 = d, fsnap
-            if f1 >= f - 1e-12:
-                p, f = (p1, f1) if f1 < f else (p, f)
-                break
-            p, f = p1, f1
-        candidates.append(p)
-        best_dirs.append(p)
-        trace.append((float(s), exp_sym(s * p), float(f)))
-
-    values = [t[2] for t in trace]
-    ss = list(s_grid)
-    # Rate per unit group parameter (twice the per-distance slope).  The
-    # ball minimum is convex in the radius, so the true interval slopes
-    # only steepen with s, and the steepest interval slope is the estimate;
-    # the reported direction is the minimizer at that interval's right end.
-    # The estimate is not exact: at large radius exp_sym is ill-conditioned
-    # (condition number up to e^{s/sqrt 2} for a unit direction), and
-    # cancellation in rho(g)v can push a traced value *below* the true
-    # minimum, so the steepest slope can overshoot.  The estimate decides
-    # stable versus unstable, but whenever a snapped flat matches it, the
-    # flat's exact rate ||u|| is what gets reported.
-    if len(ss) > 1:
-        slopes = [(values[i + 1] - values[i]) / (ss[i + 1] - ss[i])
-                  for i in range(len(ss) - 1)]
-        k = int(np.argmin(slopes))
-        slope = slopes[k]
-        direction = best_dirs[k + 1]
-    else:
-        slope = values[-1] / ss[-1]
-        direction = best_dirs[-1]
-    rate = -2.0 * float(slope)
-    if rate < tol:
-        raise StableVectorError(
-            f"objective does not decrease linearly (rate {rate:.3e} < {tol})")
-    cauchy = tuple(distance(exp_sym(a), exp_sym(b))
-                   for a, b in zip(best_dirs, best_dirs[1:]))
-    # exact data of the limiting flat: strictest threshold whose in-flat
-    # rate reproduces the observed decay; a dense float vector may need the
-    # coarser classifications
-    flat = None
-    for e in eps_ladder:
-        cand = _snap_to_flat(rep, vec, direction, e)
-        if not cand.bounded_below and abs(cand.rate - rate) <= 1e-3:
-            flat = cand
-            rate = cand.rate
+    log_v = log_rep_norm(rep, vec)
+    g, f = np.eye(n), log_v
+    flats = [flat_shrink_data(rep, vec, None, eps)]
+    upper, eta = math.inf, 1.0
+    for _ in range(_MAX_STEPS):
+        mu = moment_map(rep, act(rep, g, vec))
+        mu_norm = float(np.linalg.norm(mu))
+        log_cond = float(np.max(levels @ np.log(np.linalg.svd(g, compute_uv=False))))
+        accurate = log_cond + log_v - f <= _MAX_LOG_COND
+        if accurate:
+            upper = min(upper, mu_norm)
+        if upper < _STABLE_MU:
+            raise StableVectorError(f"||mu|| = {upper:.3e} is below every positive rate")
+        k = _flag_frame(g, mu)
+        flats.extend(flat_shrink_data(rep, vec, k, e) for e in eps_ladder)
+        # a coarse threshold can misclassify; ||u|| above upper is impossible
+        found = [fd for fd in flats if not fd.bounded_below and fd.rate <= upper + _GAP]
+        # done when the fastest flat meets upper, or upper can improve no more
+        if found and (upper - max(fd.rate for fd in found) <= _GAP or not accurate):
             break
-    if flat is None:
-        flat = _snap_to_flat(rep, vec, direction, eps)
-    d = flat_direction_matrix(flat)
-    converged = bool(cauchy and min(cauchy) < 1e-6) or len(cauchy) == 0
-    if d is not None:
-        # report the exact in-flat direction when it matches the search
-        if float(np.sum((d - direction) ** 2)) < 1e-8:
-            direction = d
-    return ShrinkGeodesicResult(direction=direction, rate=rate, trace=tuple(trace),
-                                converged=converged, cauchy=cauchy,
-                                frame=flat.frame, flat=flat)
+        while True:
+            h = exp_sym(-eta * mu) @ g
+            fh = log_rep_norm(rep, act(rep, h, vec))
+            if fh <= f - 0.5 * eta * mu_norm ** 2 or eta < 1e-12:
+                break
+            eta *= 0.5
+        r = np.linalg.qr(h, mode="r")
+        r *= np.sign(np.diag(r))[:, None]
+        g, f = r / np.prod(np.diag(r)) ** (1.0 / n), fh
+    if not found:
+        raise StableVectorError(f"no shrinking flat in {_MAX_STEPS} moment-map steps")
+    flat = max(found, key=lambda fd: fd.rate)
+    return ShrinkGeodesicResult(direction=flat_direction_matrix(flat), rate=flat.rate,
+                                upper=upper, frame=flat.frame, flat=flat)
 
 
 # ---------------------------------------------------------------------------
@@ -577,11 +472,11 @@ def is_unstable(rep: Representation, v, budget: int = 64, seed: int = 0,
     Frames are tried in order: identity, then (if ``adapted``) the
     shape-adapted frames.  A frame whose active weights have 0 outside
     their hull certifies instability (exactly, over the rationals); the
-    best rate found wins.  Failing that, the geodesic search (seeded by
-    ``seed``) decides between a numerical instability verdict and "likely
-    stable".  ``budget`` has no effect: it counted Haar-random frames,
-    which almost surely never certify (see the comment above), and is only
-    accepted so that existing callers keep working.
+    best rate found wins.  Failing that, the moment-map descent decides
+    between a numerical instability verdict and "likely stable".
+    ``budget`` and ``seed`` have no effect and are only accepted so that
+    existing callers keep working: Haar-random frames almost surely never
+    certify (see the comment above), and the descent is deterministic.
     """
     if log_rep_norm(rep, v) == NEG_INF:
         raise ZeroVectorError("zero vector")
@@ -597,7 +492,7 @@ def is_unstable(rep: Representation, v, budget: int = 64, seed: int = 0,
         return Verdict(kind=TORUS_CERTIFIED, frame=best.frame, flat=best,
                        rate=best.rate, fsg=None, frames_tried=len(frames))
     try:
-        fsg = fastest_shrinking_geodesic(rep, v, seed=seed, eps=eps)
+        fsg = fastest_shrinking_geodesic(rep, v, eps=eps)
     except StableVectorError:
         return Verdict(kind=LIKELY_STABLE, frame=None, flat=None, rate=0.0,
                        fsg=None, frames_tried=len(frames))
@@ -680,7 +575,7 @@ class DominanceCert:
     u: CartanVector
     direction: Tuple[float, ...]
     rate: float
-    alphas: Tuple  # nonnegative Fractions; floats on the numeric fallback
+    alphas: Tuple  # nonnegative Fractions; read back as floats if so written
     c: float
     kempf: Optional[KempfData]
     xi: XiInfo
@@ -702,23 +597,20 @@ def _xi_prefix(active: Sequence[Tuple[Weight, float]], u: CartanVector) -> float
     prefix of the weights sorted by decreasing log norm; the answer is the
     log norm of the last weight added when u first enters the hull.
     """
-    tol = 0.0 if u.is_exact else 1e-8
     ordered = sorted(active, key=lambda wr: -wr[1])
     for t in range(1, len(ordered) + 1):
         prefix = [w.as_cartan() for w, _ in ordered[:t]]
-        if hull_contains(prefix, u, tol=tol):
+        if hull_contains(prefix, u):
             return ordered[t - 1][1]
     raise AssertionError("internal: u not in the hull of its active weights")
 
 
-def _coordinate_blocks(u: CartanVector, tol: float = 1e-9):
-    """Indices grouped by (nearly) equal coordinates of ``u``."""
+def _coordinate_blocks(u: CartanVector):
+    """Indices grouped by equal coordinates of the exact ``u``."""
     order = sorted(range(u.n), key=lambda i: u.coords[i], reverse=True)
     blocks = [[order[0]]]
     for prev, cur in zip(order, order[1:]):
-        same = (u.coords[prev] == u.coords[cur]) if u.is_exact else \
-            abs(float(u.coords[prev]) - float(u.coords[cur])) <= tol
-        if same:
+        if u.coords[prev] == u.coords[cur]:
             blocks[-1].append(cur)
         else:
             blocks.append([cur])
@@ -734,7 +626,7 @@ def _estimate_constant(rep: Representation, v, frame: np.ndarray,
     random rotations within the blocks of equal coordinates (the frames
     commuting with the shrink direction; Haar frames would never match, see
     is_unstable).  Keeps the frames whose active weights have the same
-    min-norm point (exactly for rational u, within 1e-6 otherwise), and
+    exact min-norm point, and
     takes the minimum of the prefix-hull statistic; the safety margin is
     subtracted at the end.  ``cls_eps`` must be the threshold that
     classified the certificate's own active set, so the identity frame
@@ -748,8 +640,6 @@ def _estimate_constant(rep: Representation, v, frame: np.ndarray,
         rng = np.random.default_rng(np.random.SeedSequence((opts.seed, 0x7C)))
         frames.extend(block_orthogonal(blocks, n, rng)
                       for _ in range(opts.xi_frames))
-    exact = u.is_exact
-    u_float = np.asarray(u.as_floats())
     excluded = 0
     xi_min = math.inf
     cache: dict = {}
@@ -759,12 +649,7 @@ def _estimate_constant(rep: Representation, v, frame: np.ndarray,
         if key not in cache:
             cert = min_norm_point([wt.as_cartan() for wt, _ in comps], mode="exact")
             cache[key] = cert.point
-        if exact:
-            matches = cache[key].coords == u.coords
-        else:
-            matches = float(np.linalg.norm(
-                np.asarray(cache[key].as_floats()) - u_float)) <= 1e-6
-        if not matches:
+        if cache[key].coords != u.coords:
             excluded += 1
             continue
         xi_min = min(xi_min, _xi_prefix(comps, u))
@@ -777,14 +662,12 @@ def dominance_certificate(rep: Representation, v,
                           opts: CertifyOptions = CertifyOptions()) -> DominanceCert:
     """Compute a dominance certificate for an unstable vector.
 
-    Prefers exact rational data from the certifying flat; when the numeric
-    geodesic search certifies decay but no rational in-flat optimum matches
-    its rate, the certificate falls back to the numeric direction (float
-    coefficients, no cocharacter).  Raises StableVectorError when no
-    shrinking direction is found at all.
+    Anchors at the faster of the classifying flat and the moment-map
+    descent's flat; both carry exact rational data.  Raises
+    StableVectorError when no shrinking direction is found at all.
     """
     vec_exact = exactlin.is_exact(list(v))
-    verdict = is_unstable(rep, v, seed=opts.seed, eps=opts.eps)
+    verdict = is_unstable(rep, v, eps=opts.eps)
     if verdict.kind == LIKELY_STABLE:
         raise StableVectorError("no shrinking direction found; vector appears stable")
     flat = verdict.flat
@@ -792,53 +675,28 @@ def dominance_certificate(rep: Representation, v,
     if fsg is None:
         # an anchor slower than optimal can fail outside the sampled region
         # (its right-hand side decays slower than v along the fastest ray),
-        # so the geodesic search always runs and the faster flat wins
-        fsg = fastest_shrinking_geodesic(rep, v, seed=opts.seed, eps=opts.eps)
-    if not fsg.flat.bounded_below and fsg.flat.rate > flat.rate + 1e-6:
-        flat = fsg.flat
-    elif fsg.flat.bounded_below and fsg.rate > flat.rate + 1e-3:
-        # the search decays strictly faster than any rationalized flat;
-        # a slower exact anchor would be unsound, so go numeric
+        # so the descent always runs and the faster flat wins
+        fsg = fastest_shrinking_geodesic(rep, v, eps=opts.eps)
+    if fsg.rate > flat.rate + 1e-6:
         flat = fsg.flat
 
+    u = flat.u
+    rate = u.norm()
+    tau, m, ratio = _kempf(flat)
     kempf: Optional[KempfData] = None
-    if not flat.bounded_below:
-        u = flat.u
-        rate = u.norm()
-        tau, m, ratio = _kempf(flat)
-        if abs(fsg.rate - ratio) <= 1e-3:
-            kempf = KempfData(tau=tau.exps, m=m, norm_sq=tau.norm_sq(), ratio=ratio)
-        cert_frame = flat.frame
-        cls_eps = flat.eps
-    else:
-        # numeric fallback: keep the observed direction and rate
-        dvals = -np.diag(fsg.frame @ fsg.direction @ fsg.frame.T)
-        dvals = dvals - dvals.mean()
-        dvals = dvals / float(np.linalg.norm(dvals))
-        u = CartanVector(tuple(float(x) for x in fsg.rate * dvals))
-        rate = fsg.rate
-        cert_frame = fsg.frame
-        cls_eps = flat.eps
-
+    if abs(fsg.rate - ratio) <= 1e-3:
+        kempf = KempfData(tau=tau.exps, m=m, norm_sq=tau.norm_sq(), ratio=ratio)
     order = dominant_order(u)
     perm = order.perm
-    if u.is_exact:
-        alphas = tuple(Fraction(u.coords[perm[j]]) - Fraction(u.coords[perm[j + 1]])
-                       for j in range(rep.n - 1))
-        if any(a < 0 for a in alphas):
-            raise AssertionError("internal: direction not dominant for its own order")
-    else:
-        raw = [float(u.coords[perm[j]]) - float(u.coords[perm[j + 1]])
-               for j in range(rep.n - 1)]
-        if any(a < -1e-9 for a in raw):
-            raise AssertionError("internal: direction not dominant for its own order")
-        alphas = tuple(max(0.0, a) for a in raw)
+    alphas = tuple(u.coords[perm[j]] - u.coords[perm[j + 1]] for j in range(rep.n - 1))
+    if any(a < 0 for a in alphas):
+        raise AssertionError("internal: direction not dominant for its own order")
 
-    c, xi_info = _estimate_constant(rep, v, cert_frame, u, cls_eps, opts)
+    c, xi_info = _estimate_constant(rep, v, flat.frame, u, flat.eps, opts)
 
-    identity_frame = bool(np.allclose(cert_frame, np.eye(rep.n), atol=1e-14))
-    frame = None if identity_frame else cert_frame
-    mode = "exact" if (vec_exact and identity_frame and u.is_exact) else "float"
+    identity_frame = bool(np.allclose(flat.frame, np.eye(rep.n), atol=1e-14))
+    frame = None if identity_frame else flat.frame
+    mode = "exact" if (vec_exact and identity_frame) else "float"
     vector = tuple(Fraction(x) for x in v) if vec_exact \
         else tuple(float(x) for x in v)
 

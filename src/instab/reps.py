@@ -523,6 +523,33 @@ def weight_components(rep: Representation, v, eps: float = 1e-10):
     return out
 
 
+def moment_map(rep: Representation, w) -> np.ndarray:
+    """The traceless symmetric mu(w) with <mu(w), X> = d/dt log||rho(exp(tX))w||
+    at t = 0 for every traceless symmetric X.
+
+    For the tensor T of w, g acts on standard modes and g^{-T} on dual
+    ones, so mu is the traceless part of sum_m +-T_(m) T_(m)^T / ||T||^2
+    over the mode unfoldings T_(m) (minus on dual modes).  The rep norm is
+    a constant multiple of ||T||, and mu does not depend on the scale of w.
+    """
+    basis = _basis_data(rep.spec, rep.n)
+    rows, cols, _, coefs = basis.scatter
+    n, k = rep.n, len(basis.dual)
+    vec, _ = pow2_scaled(np.asarray(_vector_in(rep, w)[0], dtype=float))
+    t = np.zeros(n ** k)
+    t[rows] = coefs[False][0][:, 0] * vec[cols]
+    total = float(t @ t)
+    if not total:
+        raise ZeroVectorError("zero vector has no moment map")
+    t = t.reshape((n,) * k)
+    mu = np.zeros((n, n))
+    for mode, dual in enumerate(basis.dual):
+        m = np.moveaxis(t, mode, 0).reshape(n, -1)
+        mu += (-1.0 if dual else 1.0) * (m @ m.T)
+    mu /= total
+    return mu - np.trace(mu) / n * np.eye(n)
+
+
 def active_weights(rep: Representation, v, eps: float = 1e-10):
     """The weights whose component of ``v`` is nonzero, with log norms."""
     return [(w, r) for w, r in weight_components(rep, v, eps) if r != NEG_INF]

@@ -215,7 +215,7 @@ def test_acceptance_6_two_path_consistency():
             tk = torus_kempf(rep, v)
         except Exception:
             continue
-        res = fastest_shrinking_geodesic(rep, [float(x) for x in v], seed=0)
+        res = fastest_shrinking_geodesic(rep, [float(x) for x in v])
         worst = max(worst, abs(res.rate - tk.ratio))
         assert abs(res.rate - tk.ratio) <= 1e-4
     report(6, f"max |geodesic rate - cocharacter ratio| = {worst:.2e}")
@@ -240,14 +240,14 @@ def test_acceptance_7_shift_scale_equivariance():
         rep_n = build_rep(parse_rep_spec("std"), n)
         v = [0.0] * n
         v[0] = 1.0
-        base = fastest_shrinking_geodesic(rep_n, v, seed=0)
+        base = fastest_shrinking_geodesic(rep_n, v)
         theta = 0.6
         q = np.eye(n)
         i, j = (0, 1) if theta_axis is None else theta_axis
         q[i, i] = q[j, j] = math.cos(theta)
         q[i, j] = -math.sin(theta)
         q[j, i] = math.sin(theta)
-        rotated = fastest_shrinking_geodesic(rep_n, act(rep_n, q, v), seed=0)
+        rotated = fastest_shrinking_geodesic(rep_n, act(rep_n, q, v))
         expected = q @ base.direction @ q.T
         worst = max(worst, float(np.max(np.abs(rotated.direction - expected))))
         assert worst <= 1e-4

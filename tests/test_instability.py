@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -12,8 +14,8 @@ from instab import (CertifyOptions, NonFiniteError, StableVectorError,
                     cartan_box_sample, cert_from_dict, cert_to_dict,
                     dominance_certificate, dumps_cert,
                     fastest_shrinking_geodesic, flat_shrink_data, is_unstable,
-                    loads_cert, log_rep_norm, parse_rep_spec, torus_kempf,
-                    verify_dominance)
+                    loads_cert, log_rep_norm, min_norm_point, parse_rep_spec,
+                    torus_kempf, verify_dominance)
 from instab.errors import CertificateError
 from instab.instability import (LIKELY_STABLE, NUMERIC_UNSTABLE,
                                 TORUS_CERTIFIED, flat_direction_matrix)
@@ -110,11 +112,11 @@ def test_flat_data_zero_vector():
 
 
 def test_fsg_single_weight_direction_and_rate():
-    res = fastest_shrinking_geodesic(std(2), [1.0, 0.0], seed=0)
+    res = fastest_shrinking_geodesic(std(2), [1.0, 0.0])
     expected = np.diag([-1.0, 1.0]) / math.sqrt(2)
     assert np.max(np.abs(res.direction - expected)) < 1e-8
     assert res.rate == pytest.approx(1 / math.sqrt(2), abs=1e-8)
-    assert res.converged
+    assert res.upper - res.rate <= 1e-6
     # exhaustive sphere oracle at fixed radius
     s = 20.0
     vals = []
@@ -123,13 +125,13 @@ def test_fsg_single_weight_direction_and_rate():
             + math.sin(theta) * np.array([[0.0, 1.0], [1.0, 0.0]]) / math.sqrt(2)
         g = exp_sym(0.5 * s * p)
         vals.append(log_rep_norm(std(2), act(std(2), g, [1.0, 0.0])))
-    traced = dict((round(t[0], 6), t[2]) for t in res.trace)
-    assert traced[20.0] <= min(vals) + 1e-9
+    g = exp_sym(0.5 * s * res.direction)
+    assert log_rep_norm(std(2), act(std(2), g, [1.0, 0.0])) <= min(vals) + 1e-9
 
 
 def test_fsg_scale_invariance():
-    r1 = fastest_shrinking_geodesic(std(2), [1.0, 0.0], seed=0)
-    r2 = fastest_shrinking_geodesic(std(2), [2.0, 0.0], seed=0)
+    r1 = fastest_shrinking_geodesic(std(2), [1.0, 0.0])
+    r2 = fastest_shrinking_geodesic(std(2), [2.0, 0.0])
     assert np.max(np.abs(r1.direction - r2.direction)) < 1e-10
     assert r1.rate == pytest.approx(r2.rate, abs=1e-10)
 
@@ -139,35 +141,25 @@ def test_fsg_rotation_equivariance():
     q = np.array([[math.cos(theta), -math.sin(theta)],
                   [math.sin(theta), math.cos(theta)]])
     rep = std(2)
-    base = fastest_shrinking_geodesic(rep, [1.0, 0.0], seed=0)
-    rotated = fastest_shrinking_geodesic(rep, act(rep, q, [1.0, 0.0]), seed=0)
+    base = fastest_shrinking_geodesic(rep, [1.0, 0.0])
+    rotated = fastest_shrinking_geodesic(rep, act(rep, q, [1.0, 0.0]))
     expected = q @ base.direction @ q.T
     assert np.max(np.abs(rotated.direction - expected)) < 1e-4
 
 
-def test_fsg_multistart_consistency():
-    r1 = fastest_shrinking_geodesic(wedge2(3), [1.0, 0.0, 0.0], seed=0)
-    r2 = fastest_shrinking_geodesic(wedge2(3), [1.0, 0.0, 0.0], seed=123)
-    from instab import distance
-    d = distance(exp_sym(r1.direction), exp_sym(r2.direction))
-    assert d < 1e-4
-    assert abs(r1.rate - r2.rate) < 1e-6
-
-
 def test_fsg_restriction_to_its_flat():
-    res = fastest_shrinking_geodesic(wedge2(3), [1.0, 0.0, 0.0], seed=0)
+    res = fastest_shrinking_geodesic(wedge2(3), [1.0, 0.0, 0.0])
     fd = flat_shrink_data(wedge2(3), [1.0, 0.0, 0.0], res.frame)
     assert abs(res.rate - fd.rate) < 1e-6
     assert np.max(np.abs(flat_direction_matrix(fd) - res.direction)) < 1e-6
 
 
 def test_fsg_reports_exact_in_flat_rate():
-    # the steepest-interval slope overshoots at large radius (cancellation
-    # in the ill-conditioned exp_sym); a matching flat supplies the exact ||u||
+    # the rate is the found flat's exact ||u||, never a slope estimate
     cases = [(std(2), [1.0, 1.0], 1 / math.sqrt(2)),
              (wedge2(3), [0.3, 0.5, -0.2], math.sqrt(2 / 3))]
     for rep, v, exact in cases:
-        res = fastest_shrinking_geodesic(rep, v, seed=0)
+        res = fastest_shrinking_geodesic(rep, v)
         assert not res.flat.bounded_below
         assert res.rate == res.flat.rate
         assert res.rate == pytest.approx(exact, abs=1e-12)
@@ -176,7 +168,28 @@ def test_fsg_reports_exact_in_flat_rate():
 def test_fsg_stable_vector_raises():
     rep = build_rep(parse_rep_spec("sym(2,std)"), 2)
     with pytest.raises(StableVectorError):
-        fastest_shrinking_geodesic(rep, [0.0, 1.0, 0.0], seed=0)
+        fastest_shrinking_geodesic(rep, [0.0, 1.0, 0.0])
+
+
+def test_stable_ternary_form_is_settled_by_the_moment_map():
+    # a definite ternary form: ||mu|| drops below every positive rate in a
+    # few steps
+    rep = build_rep(parse_rep_spec("sym(2,std)"), 3)
+    v = [1.0, 0.3, 0.1, 2.0, -0.2, 1.5]
+    assert is_unstable(rep, v).kind == LIKELY_STABLE
+    with pytest.raises(StableVectorError, match=r"\|\|mu\|\| = ") as err:
+        fastest_shrinking_geodesic(rep, v)
+    assert float(re.search(r"= (\S+) ", str(err.value)).group(1)) < 1e-3
+
+
+def test_rotated_triple_root_is_unstable():
+    # -2x^4 + 2x^3y = 2x^3(y - x) has a triple root: rate ||(1, -1)|| =
+    # sqrt 2, reached only after the descent leaves the identity
+    rep = build_rep(parse_rep_spec("sym(4,std)"), 2)
+    k = haar_so(2, np.random.default_rng(5))
+    res = fastest_shrinking_geodesic(rep, act(rep, k, [-2.0, 2.0, 0.0, 0.0, 0.0]))
+    assert res.rate == pytest.approx(math.sqrt(2), abs=1e-12)
+    assert res.rate - 1e-6 <= res.upper <= res.rate + 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +234,7 @@ def test_torus_kempf_brute_force_maximality(text, n, v):
 def test_fsg_rate_matches_torus_ratio():
     for rep, v in [(std(2), [1.0, 0.0]), (wedge2(3), [1.0, 0.0, 0.0])]:
         tk = torus_kempf(rep, v)
-        res = fastest_shrinking_geodesic(rep, v, seed=0)
+        res = fastest_shrinking_geodesic(rep, v)
         assert abs(res.rate - tk.ratio) < 1e-4
 
 
@@ -345,6 +358,40 @@ def test_rotation_frame_only_for_std_and_dual(text, v, kind, frames):
     assert verdict.rate == pytest.approx(math.sqrt(3) / 2, abs=1e-6)
 
 
+def _weight_margin_sq(rep):
+    """gamma(rho)^2: the least nonzero squared norm of the min-norm point of
+    at most n distinct weights.  By Weyl symmetry one weight of the set can
+    be taken dominant."""
+    weights = sorted({w.as_cartan().coords for w in rep.weights})
+    best = None
+    for d in (w for w in weights if list(w) == sorted(w, reverse=True)):
+        rest = [w for w in weights if w != d]
+        for size in range(rep.n):
+            for subset in itertools.combinations(rest, size):
+                u = min_norm_point([d, *subset], mode="exact").point
+                norm_sq = sum(c * c for c in u.coords)
+                if norm_sq and (best is None or norm_sq < best):
+                    best = norm_sq
+    return best
+
+
+# every (spec, n) on which the tests or the numeric benchmark workload reach
+# the descent; sym(3,std) n=6 (C(55, 5) sets) is left out, and its one input
+# is unstable with its rate asserted directly
+SEARCHED_SPECS = LEMMA_SPECS + [
+    ("std", 3), ("dual(std)", 4), ("wedge(2,std)*std", 3),
+    ("std*wedge(2,std)", 3), ("sym(4,std)", 2), ("dual(sym(2,std))", 2)]
+
+
+@pytest.mark.parametrize("text, n", SEARCHED_SPECS)
+def test_stable_threshold_is_below_the_weight_margin(text, n):
+    # every positive rate is the norm of such a min-norm point, and ||mu||
+    # bounds the rate from above, so ||mu|| < 1e-3 < gamma proves that v is
+    # not unstable
+    gamma_sq = _weight_margin_sq(build_rep(parse_rep_spec(text), n))
+    assert gamma_sq > F(1, 10**6)
+
+
 # ---------------------------------------------------------------------------
 # Dominance certificates
 
@@ -397,6 +444,21 @@ def test_block_frames_lower_the_constant():
     assert cert.u.coords == (F(1, 3), F(1, 3), F(-2, 3))
     assert (identity.xi.frames, cert.xi.frames, cert.xi.excluded) == (1, 1001, 0)
     assert cert.xi.value < identity.xi.value - 0.5
+
+
+def test_certificate_anchors_at_the_fastest_flat():
+    # v = rho(h) x1^3 with h unipotent lies in the orbit of x1^3: rate
+    # ||weight of x1^3|| = sqrt 7.5.  A slower flat (classify stops at one
+    # of rate sqrt 1.5) must not anchor the certificate.
+    rep = build_rep(parse_rep_spec("sym(3,std)"), 6)
+    x = [F(0)] * rep.dim
+    x[0] = F(1)
+    h = [[F(int(i == j)) for j in range(6)] for i in range(6)]
+    h[1][0], h[2][0], h[3][1] = F(1), F(-1, 2), F(2)
+    cert = dominance_certificate(rep, act(rep, h, x),
+                                 CertifyOptions(samples=200, xi_frames=50))
+    assert cert.rate == pytest.approx(math.sqrt(7.5), abs=1e-9)
+    assert cert.verification.ok
 
 
 def test_certificate_rotated_frame():

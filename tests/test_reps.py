@@ -6,12 +6,13 @@ import pytest
 
 from instab import (Cocharacter, ParseError, ZeroVectorError, act,
                     active_weights, build_rep, fundamental_weights,
-                    highest_weight_vector, log_rep_norm, m_value, norm_sq,
-                    parse_rep_spec, rep_matrix, rep_norm, weight_components)
+                    highest_weight_vector, log_rep_norm, m_value, moment_map,
+                    norm_sq, parse_rep_spec, rep_matrix, rep_norm,
+                    weight_components)
 from instab.cartan import SimpleSystem
 from instab.errors import DimensionError
 from instab.reps import Dual, Standard, Sym, Tensor, Wedge
-from instab.symspace import haar_so
+from instab.symspace import exp_sym, haar_so
 
 import oracles
 
@@ -148,12 +149,12 @@ def test_act_diagonal_eigenvector():
 NESTED = [("dual(sym(2,std))", 3), ("wedge(2,wedge(2,std))", 4),
           ("sym(2,sym(2,std))", 3), ("dual(wedge(2,std))*sym(2,dual(std))", 3),
           ("sym(4,std)", 4)]
+ACTION_SPECS = [("std", 3), ("wedge(2,std)", 3), ("sym(2,std)", 2),
+                ("std*dual(std)", 2), ("dual(sym(2,std))", 2),
+                ("wedge(2,std)*std", 3)] + NESTED
 
 
-@pytest.mark.parametrize("text,n", [
-    ("std", 3), ("wedge(2,std)", 3), ("sym(2,std)", 2),
-    ("std*dual(std)", 2), ("dual(sym(2,std))", 2), ("wedge(2,std)*std", 3),
-] + NESTED)
+@pytest.mark.parametrize("text,n", ACTION_SPECS)
 def test_act_is_a_homomorphism(text, n):
     rep = build_rep(parse_rep_spec(text), n)
     rng = np.random.default_rng(7)
@@ -164,6 +165,27 @@ def test_act_is_a_homomorphism(text, n):
         lhs = act(rep, a @ b, v)
         rhs = act(rep, a, act(rep, b, v))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-8, atol=1e-10)
+
+
+@pytest.mark.parametrize("text,n", ACTION_SPECS)
+def test_moment_map_is_the_log_norm_derivative(text, n):
+    rep = build_rep(parse_rep_spec(text), n)
+    rng = np.random.default_rng(8)
+    h = 1e-5
+    for _ in range(5):
+        w = rng.standard_normal(rep.dim)
+        mu = moment_map(rep, w)
+        x = rng.standard_normal((n, n))
+        x = x + x.T - 2 * np.trace(x) / n * np.eye(n)
+        diff = (log_rep_norm(rep, act(rep, exp_sym(h * x), w))
+                - log_rep_norm(rep, act(rep, exp_sym(-h * x), w))) / (2 * h)
+        assert abs(diff - float(np.sum(mu * x))) <= 1e-7
+        assert abs(np.trace(mu)) <= 1e-14
+        k = haar_so(n, rng)
+        np.testing.assert_allclose(moment_map(rep, act(rep, k, w)), k @ mu @ k.T,
+                                   atol=1e-12)
+        for e in (600, -600):
+            np.testing.assert_array_equal(moment_map(rep, np.ldexp(w, e)), mu)
 
 
 def oracles_random_sl(rng, n, spread=0.7):
