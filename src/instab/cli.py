@@ -7,9 +7,10 @@ the exact certificate path.  classify is deterministic, and all sampling
 derives from a single seed, so runs are reproducible and certificate files
 byte-stable.
 
-classify tries the identity and the shape-adapted frames, then the
-moment-map descent (random frames almost surely never certify, so none are
-tried); certify always runs the descent too and anchors at the faster flat.
+classify and certify run one deterministic search: the identity flat when
+its balanced face proves it optimal, else the moment-map descent.
+classify reports torus-certified when the identity flat wins; certify
+anchors at the flat the search returns.
 
 Exit codes: classify 0 = certified unstable, 2 = likely stable,
 3 = numerically unstable, 4 = zero vector; certify 1 = the embedded
@@ -124,14 +125,12 @@ _EXIT_BY_VERDICT = {TORUS_CERTIFIED: 0, LIKELY_STABLE: 2, NUMERIC_UNSTABLE: 3}
 @click.option("--vector", type=str, default=None)
 @click.option("--vector-file", type=click.Path(exists=True), default=None)
 @click.option("--eps", type=float, default=1e-10)
-@click.option("--adapted/--no-adapted", default=True,
-              help="use shape-adapted frames in the search")
-def cmd_classify(n, spec_text, vector, vector_file, eps, adapted):
+def cmd_classify(n, spec_text, vector, vector_file, eps):
     """Classify a vector: certified unstable / numerically unstable / likely stable."""
     try:
         rep = _build(n, spec_text)
         v = _parse_vector(vector, vector_file)
-        verdict = is_unstable(rep, v, eps=eps, adapted=adapted)
+        verdict = is_unstable(rep, v, eps=eps)
     except ZeroVectorError:
         _emit({"verdict": "zero_vector"})
         sys.exit(4)
@@ -145,8 +144,7 @@ def cmd_classify(n, spec_text, vector, vector_file, eps, adapted):
     }
     if verdict.flat is not None:
         payload["u"] = [str(c) for c in verdict.flat.u.coords]
-        payload["frame_is_identity"] = bool(
-            np.allclose(verdict.flat.frame, np.eye(n)))
+        payload["frame_is_identity"] = verdict.kind == TORUS_CERTIFIED
     _emit(payload)
     sys.exit(_EXIT_BY_VERDICT[verdict.kind])
 

@@ -5,10 +5,11 @@ rational weight lattice: the active weights of a vector (at some orthogonal
 frame) span a polytope, Wolfe's algorithm finds the exact min-norm point u
 in it, and u determines the optimal destabilizing one-parameter subgroup of
 that flat, its decay rate ||u||, and the nonnegative rational coefficients
-of the certificate.  The numeric layer descends log||rho(g)v|| along the
-moment map mu, whose norm bounds every rate from above, and "snaps" the
-flag of -mu onto the exact layer through an orthogonal frame; it stops when
-an exact in-flat rate meets that upper bound.
+of the certificate.  The numeric layer uses the moment map mu, whose norm
+bounds every rate from above: it keeps the identity flat when its balanced
+face proves it optimal (Ness), and otherwise descends log||rho(g)v|| along
+mu, "snapping" the flag of -mu onto the exact layer through an orthogonal
+frame until an exact in-flat rate meets that bound.
 
 Rates are quoted per unit of the group parameter: along
 s -> pi(exp(s * diag(d))) with tr(d^2) = 1 the log norm of a shrinking
@@ -41,7 +42,7 @@ from .cartan import (CartanVector, Cocharacter, SimpleSystem, Weight,
 from .errors import (CertificateError, DimensionError, StableVectorError,
                      TorusStableError, ZeroVectorError)
 from .reps import (RepSpec, Representation, act, active_weights, build_rep,
-                   log_rep_norm, moment_map, parse_rep_spec, pow2_scaled)
+                   log_rep_norm, moment_map, parse_rep_spec, weight_part)
 from .symspace import block_orthogonal, exp_sym, haar_so, log_flag_norms
 
 NEG_INF = float("-inf")
@@ -247,13 +248,14 @@ def flat_direction_matrix(fd: FlatShrinkData) -> Optional[np.ndarray]:
 
 @dataclass(frozen=True)
 class ShrinkGeodesicResult:
-    """The fastest flat found by the moment-map descent.
+    """The fastest flat the search found.
 
     ``rate`` is always the exact in-flat rate ||u|| of ``flat``, a flat
     that is not bounded below, and ``direction`` its unit shrinking
-    direction.  ``upper`` is the least ||mu(rho(g)v)|| seen at a
-    well-conditioned g; by convexity no flat decays faster, so
-    ``upper - rate`` bounds how far ``rate`` is from optimal.
+    direction.  ``upper`` bounds every rate from above: ``rate`` itself
+    when the identity flat's balanced face proves it optimal, else the
+    least ||mu(rho(g)v)|| the descent saw at a well-conditioned g.
+    ``frames_tried`` counts the identity and the descent's snapped frames.
     """
 
     direction: np.ndarray
@@ -261,6 +263,7 @@ class ShrinkGeodesicResult:
     upper: float
     frame: np.ndarray
     flat: FlatShrinkData
+    frames_tried: int
 
 
 # Every positive rate is at least gamma(rho) > 0, the least nonzero norm of
@@ -292,9 +295,14 @@ def _flag_frame(g: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return k
 
 
+def _identity_frame(frame: np.ndarray) -> bool:
+    return bool(np.allclose(frame, np.eye(len(frame)), atol=1e-14))
+
+
 def fastest_shrinking_geodesic(rep: Representation, v,
                                eps: float = 1e-10) -> ShrinkGeodesicResult:
-    """Descend log||rho(g)v|| along the moment map from g = identity.
+    """The identity flat when its balanced face proves it optimal, else
+    the fastest flat of a moment-map descent of log||rho(g)v|| from g = I.
 
     Each step moves g to exp(-eta mu) g, with Armijo backtracking on the
     log norm (eta starts at 1 and only ever halves: longer steps zigzag
@@ -303,19 +311,30 @@ def fastest_shrinking_geodesic(rep: Representation, v,
     and its exact flat data taken at the thresholds {eps, 1e-7, 1e-4}.  The
     search stops once the fastest flat's ||u|| is within 1e-6 of the least
     well-conditioned ||mu||, or once g is too ill-conditioned for ||mu|| to
-    bound anything, and returns that flat.  Raises
-    StableVectorError when ||mu|| falls below every positive rate, or when
+    bound anything, and returns that flat.  Raises StableVectorError (with
+    ``frames_tried``) when ||mu|| falls below every positive rate, or when
     the step cap passes without a flat that is not bounded below.
     """
+    flat = flat_shrink_data(rep, v, None, eps)
+    # Along the identity flat's own ray, rho(exp(-s u))v / ||.|| tends to
+    # v_F, the part of v whose weights are active and pair with u to
+    # ||u||^2.  The rate is at most ||mu(rho(g)v)|| for every g, and mu is
+    # scale-invariant and continuous, so ||mu(v_F)|| bounds every rate from
+    # above, while the flat's own ||u|| bounds it from below: a balanced
+    # face, ||mu(v_F)|| = ||u||, proves the flat optimal (Ness 1984).
+    if not flat.bounded_below:
+        face = {w for w, _ in flat.active if w.pair(flat.u) == flat.u.norm_sq()}
+        if np.linalg.norm(moment_map(rep, weight_part(rep, v, face))) <= flat.rate + _GAP:
+            return ShrinkGeodesicResult(direction=flat_direction_matrix(flat),
+                                        rate=flat.rate, upper=flat.rate,
+                                        frame=flat.frame, flat=flat, frames_tried=1)
     vec = np.asarray([float(x) for x in v], dtype=float)
-    if not np.any(vec):
-        raise ZeroVectorError("zero vector")
     n = rep.n
     levels = np.asarray([w.as_cartan().as_floats() for w in rep.weights])
     eps_ladder = sorted({eps, 1e-7, 1e-4})
     log_v = log_rep_norm(rep, vec)
     g, f = np.eye(n), log_v
-    flats = [flat_shrink_data(rep, vec, None, eps)]
+    flats, frames = [flat], 1
     upper, eta = math.inf, 1.0
     for _ in range(_MAX_STEPS):
         mu = moment_map(rep, act(rep, g, vec))
@@ -325,9 +344,10 @@ def fastest_shrinking_geodesic(rep: Representation, v,
         if accurate:
             upper = min(upper, mu_norm)
         if upper < _STABLE_MU:
-            raise StableVectorError(f"||mu|| = {upper:.3e} is below every positive rate")
+            raise _stable(f"||mu|| = {upper:.3e} is below every positive rate", frames)
         k = _flag_frame(g, mu)
         flats.extend(flat_shrink_data(rep, vec, k, e) for e in eps_ladder)
+        frames += 1
         # a coarse threshold can misclassify; ||u|| above upper is impossible
         found = [fd for fd in flats if not fd.bounded_below and fd.rate <= upper + _GAP]
         # done when the fastest flat meets upper, or upper can improve no more
@@ -343,10 +363,17 @@ def fastest_shrinking_geodesic(rep: Representation, v,
         r *= np.sign(np.diag(r))[:, None]
         g, f = r / np.prod(np.diag(r)) ** (1.0 / n), fh
     if not found:
-        raise StableVectorError(f"no shrinking flat in {_MAX_STEPS} moment-map steps")
+        raise _stable(f"no shrinking flat in {_MAX_STEPS} moment-map steps", frames)
     flat = max(found, key=lambda fd: fd.rate)
     return ShrinkGeodesicResult(direction=flat_direction_matrix(flat), rate=flat.rate,
-                                upper=upper, frame=flat.frame, flat=flat)
+                                upper=upper, frame=flat.frame, flat=flat,
+                                frames_tried=frames)
+
+
+def _stable(message: str, frames_tried: int) -> StableVectorError:
+    err = StableVectorError(message)
+    err.frames_tried = frames_tried
+    return err
 
 
 # ---------------------------------------------------------------------------
@@ -401,103 +428,29 @@ LIKELY_STABLE = "likely_stable"
 @dataclass(frozen=True)
 class Verdict:
     kind: str
-    frame: Optional[np.ndarray]
     flat: Optional[FlatShrinkData]
     rate: float
-    fsg: Optional[ShrinkGeodesicResult]
     frames_tried: int
-
-
-def _rotation_to_first_axis(vec: np.ndarray) -> np.ndarray:
-    """k in SO(n) with k (vec/|vec|) = e1."""
-    n = len(vec)
-    u = vec / np.linalg.norm(vec)
-    cols = [u] + [np.eye(n)[:, i] for i in range(n)]
-    q, _ = np.linalg.qr(np.column_stack(cols)[:, :n])
-    k = q.T
-    if (k @ u)[0] < 0:
-        k[0, :] = -k[0, :]
-    if np.linalg.det(k) < 0:
-        k[-1, :] = -k[-1, :]
-    return k
-
-
-def _adapted_frames(rep: Representation, v) -> list:
-    """Frames suggested by the shape of the vector (rotations aligning it,
-    Schur/eigen frames of its matrix form)."""
-    import scipy.linalg as sla
-
-    frames = []
-    n = rep.n
-    vec, _ = pow2_scaled(np.asarray([float(x) for x in v], dtype=float))
-    # the rotation fits std and dual(std), where basis vector i has weight
-    # +-(e_i - sum(e)/n) and k acts as on std (k^-T = k); wedge(n-1,std) differs
-    std = tuple(Weight([int(i == j) - Fraction(1, n) for j in range(n)])
-                for i in range(n))
-    if rep.weights in (std, tuple(w.negate() for w in std)) and np.linalg.norm(vec) > 0:
-        frames.append(_rotation_to_first_axis(vec))
-    if rep.dim == n * n:
-        m = vec.reshape(n, n)
-        if np.linalg.norm(m) > 0:
-            try:
-                _, z = sla.schur(m, output="real")
-                k = z.T
-                if np.linalg.det(k) < 0:
-                    k[-1, :] = -k[-1, :]
-                frames.append(k)
-            except Exception:
-                pass
-            sym = 0.5 * (m + m.T)
-            _, q = np.linalg.eigh(sym)
-            k = q.T
-            if np.linalg.det(k) < 0:
-                k[-1, :] = -k[-1, :]
-            frames.append(k)
-    return frames
-
-
-# Why no Haar-random frame is tried.  For v != 0 let A be the weights whose
-# component does not vanish on all of rho(SO(n))v: the active set at almost
-# every frame, and a superset of it at every frame.  The signed permutations
-# in SO(n) realise the Weyl group W, so A is W-invariant; if some u had
-# <lambda, u> > 0 on all of A, summing <lambda, w.u> over W would give 0 > 0.
-# So 0 lies in the hull of a Haar frame's active weights almost surely: such
-# a frame never certifies, and its min-norm point 0 never matches a u != 0.
 
 
 def is_unstable(rep: Representation, v, budget: int = 64, seed: int = 0,
                 eps: float = 1e-10, adapted: bool = True) -> Verdict:
-    """Search for an instability certificate for ``v``.
+    """Classify ``v`` by the flat of ``fastest_shrinking_geodesic``.
 
-    Frames are tried in order: identity, then (if ``adapted``) the
-    shape-adapted frames.  A frame whose active weights have 0 outside
-    their hull certifies instability (exactly, over the rationals); the
-    best rate found wins.  Failing that, the moment-map descent decides
-    between a numerical instability verdict and "likely stable".
-    ``budget`` and ``seed`` have no effect and are only accepted so that
-    existing callers keep working: Haar-random frames almost surely never
-    certify (see the comment above), and the descent is deterministic.
+    Torus-certified (exactly, over the rationals) when the winning flat is
+    the identity flat, numerically unstable for any other flat, and likely
+    stable when the search raises StableVectorError.  ``budget``, ``seed``
+    and ``adapted`` have no effect; they are accepted so that existing
+    callers keep working.
     """
-    if log_rep_norm(rep, v) == NEG_INF:
-        raise ZeroVectorError("zero vector")
-    frames = [None]
-    if adapted:
-        frames.extend(_adapted_frames(rep, v))
-    best: Optional[FlatShrinkData] = None
-    for k in frames:
-        fd = flat_shrink_data(rep, v, k, eps)
-        if not fd.bounded_below and (best is None or fd.rate > best.rate):
-            best = fd
-    if best is not None:
-        return Verdict(kind=TORUS_CERTIFIED, frame=best.frame, flat=best,
-                       rate=best.rate, fsg=None, frames_tried=len(frames))
     try:
         fsg = fastest_shrinking_geodesic(rep, v, eps=eps)
-    except StableVectorError:
-        return Verdict(kind=LIKELY_STABLE, frame=None, flat=None, rate=0.0,
-                       fsg=None, frames_tried=len(frames))
-    return Verdict(kind=NUMERIC_UNSTABLE, frame=fsg.frame, flat=fsg.flat,
-                   rate=fsg.rate, fsg=fsg, frames_tried=len(frames))
+    except StableVectorError as exc:
+        return Verdict(kind=LIKELY_STABLE, flat=None, rate=0.0,
+                       frames_tried=exc.frames_tried)
+    kind = TORUS_CERTIFIED if _identity_frame(fsg.frame) else NUMERIC_UNSTABLE
+    return Verdict(kind=kind, flat=fsg.flat, rate=fsg.rate,
+                   frames_tried=fsg.frames_tried)
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +570,15 @@ def _coordinate_blocks(u: CartanVector):
     return [tuple(b) for b in blocks]
 
 
+# Why no Haar-random frame is tried.  For v != 0 let A be the weights whose
+# component does not vanish on all of rho(SO(n))v: the active set at almost
+# every frame, and a superset of it at every frame.  The signed permutations
+# in SO(n) realise the Weyl group W, so A is W-invariant; if some u had
+# <lambda, u> > 0 on all of A, summing <lambda, w.u> over W would give 0 > 0.
+# So 0 lies in the hull of a Haar frame's active weights almost surely: such
+# a frame never certifies, and its min-norm point 0 never matches a u != 0.
+
+
 def _estimate_constant(rep: Representation, v, frame: np.ndarray,
                        u: CartanVector, cls_eps: float,
                        opts: CertifyOptions) -> Tuple[float, XiInfo]:
@@ -625,7 +587,7 @@ def _estimate_constant(rep: Representation, v, frame: np.ndarray,
     Takes the identity and, when u has a repeated coordinate, ``xi_frames``
     random rotations within the blocks of equal coordinates (the frames
     commuting with the shrink direction; Haar frames would never match, see
-    is_unstable).  Keeps the frames whose active weights have the same
+    the comment above).  Keeps the frames whose active weights have the same
     exact min-norm point, and
     takes the minimum of the prefix-hull statistic; the safety margin is
     subtracted at the end.  ``cls_eps`` must be the threshold that
@@ -662,30 +624,16 @@ def dominance_certificate(rep: Representation, v,
                           opts: CertifyOptions = CertifyOptions()) -> DominanceCert:
     """Compute a dominance certificate for an unstable vector.
 
-    Anchors at the faster of the classifying flat and the moment-map
-    descent's flat; both carry exact rational data.  Raises
-    StableVectorError when no shrinking direction is found at all.
+    Anchors at the flat of ``fastest_shrinking_geodesic``, which carries
+    exact rational data.  Raises StableVectorError when the search finds
+    no shrinking flat.
     """
     vec_exact = exactlin.is_exact(list(v))
-    verdict = is_unstable(rep, v, eps=opts.eps)
-    if verdict.kind == LIKELY_STABLE:
-        raise StableVectorError("no shrinking direction found; vector appears stable")
-    flat = verdict.flat
-    fsg = verdict.fsg
-    if fsg is None:
-        # an anchor slower than optimal can fail outside the sampled region
-        # (its right-hand side decays slower than v along the fastest ray),
-        # so the descent always runs and the faster flat wins
-        fsg = fastest_shrinking_geodesic(rep, v, eps=opts.eps)
-    if fsg.rate > flat.rate + 1e-6:
-        flat = fsg.flat
-
+    flat = fastest_shrinking_geodesic(rep, v, eps=opts.eps).flat
     u = flat.u
     rate = u.norm()
     tau, m, ratio = _kempf(flat)
-    kempf: Optional[KempfData] = None
-    if abs(fsg.rate - ratio) <= 1e-3:
-        kempf = KempfData(tau=tau.exps, m=m, norm_sq=tau.norm_sq(), ratio=ratio)
+    kempf = KempfData(tau=tau.exps, m=m, norm_sq=tau.norm_sq(), ratio=ratio)
     order = dominant_order(u)
     perm = order.perm
     alphas = tuple(u.coords[perm[j]] - u.coords[perm[j + 1]] for j in range(rep.n - 1))
@@ -694,7 +642,7 @@ def dominance_certificate(rep: Representation, v,
 
     c, xi_info = _estimate_constant(rep, v, flat.frame, u, flat.eps, opts)
 
-    identity_frame = bool(np.allclose(flat.frame, np.eye(rep.n), atol=1e-14))
+    identity_frame = _identity_frame(flat.frame)
     frame = None if identity_frame else flat.frame
     mode = "exact" if (vec_exact and identity_frame) else "float"
     vector = tuple(Fraction(x) for x in v) if vec_exact \

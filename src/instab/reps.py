@@ -234,6 +234,16 @@ class _Basis:
             exact: (c[:, None], c[head, None])
             for exact, c in ((True, coef), (False, coef.astype(float)))}
 
+    @cached_property
+    def weight_groups(self):
+        """Basis indices grouped by weight: ``(weight, indices)`` pairs in
+        the order of the weight coordinates."""
+        groups: dict = {}
+        for i, w in enumerate(self.weights):
+            groups.setdefault(w, []).append(i)
+        return tuple((w, np.asarray(idx, dtype=np.intp))
+                     for w, idx in sorted(groups.items(), key=lambda kv: kv[0].coords))
+
 
 @lru_cache(maxsize=None)
 def _basis_data(spec: RepSpec, n: int) -> _Basis:
@@ -512,15 +522,21 @@ def weight_components(rep: Representation, v, eps: float = 1e-10):
     total = q.sum()
     if not total:
         raise ZeroVectorError("zero vector has no weight components")
-    groups: dict = {}
-    for i, w in enumerate(rep.weights):
-        groups.setdefault(w, []).append(i)
     out = []
-    for w, idx in sorted(groups.items(), key=lambda kv: kv[0].coords):
+    for w, idx in _basis_data(rep.spec, rep.n).weight_groups:
         below = (q.dtype != object
                  and not math.sqrt(q[idx].sum()) > eps * math.sqrt(total))
         out.append((w, NEG_INF if below else _log_norm(q[idx], e)))
     return out
+
+
+def weight_part(rep: Representation, v, weights) -> np.ndarray:
+    """The float coordinates of ``v`` on the basis vectors whose weight is
+    in the set ``weights``, and 0 elsewhere."""
+    keep = np.zeros(rep.dim, dtype=bool)
+    for w, idx in _basis_data(rep.spec, rep.n).weight_groups:
+        keep[idx] = w in weights
+    return np.where(keep, np.asarray([float(x) for x in v]), 0.0)
 
 
 def moment_map(rep: Representation, w) -> np.ndarray:

@@ -70,7 +70,7 @@ def test_classify_stable(runner):
 
 def test_classify_numeric(runner):
     res = runner.invoke(main, ["classify", "--n", "2", "--spec", "std",
-                               "--vector", "1,1", "--no-adapted"])
+                               "--vector", "1,1"])
     assert res.exit_code == 3
     out = last_json(res.output)
     assert out["verdict"] == "numerically_unstable"
@@ -140,6 +140,8 @@ def test_certify_exits_1_when_verification_not_ok(runner, tmp_path, monkeypatch)
 @pytest.mark.parametrize("args", [
     ["classify", "--budget", "8"],
     ["classify", "--seed", "0"],
+    ["classify", "--adapted"],
+    ["classify", "--no-adapted"],
     ["certify", "--budget", "8"],
     ["certify", "--cross-check"],
     ["certify", "--no-cross-check"]])

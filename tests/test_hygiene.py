@@ -1,6 +1,7 @@
 """Source hygiene checks that need nothing beyond the standard library."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,24 @@ def unused_imports(source: str):
     return sorted((line, name) for name, line in bound.items() if name not in used)
 
 
+def _referenced_names(node):
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def unreferenced_private_definitions(sources: dict):
+    """Module-level ``_``-prefixed functions and classes that no module of
+    ``sources`` ({file name: text}) references outside their own definition,
+    as (file name, line, name)."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    total = sum((_referenced_names(tree) for tree in trees.values()), Counter())
+    return sorted((name, node.lineno, node.name) for name, tree in trees.items()
+                  for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name.startswith("_") and not node.name.startswith("__")
+                  and total[node.name] == _referenced_names(node)[node.name])
+
+
 def test_modules_are_found():
     assert len(MODULES) >= 6
 
@@ -40,3 +59,19 @@ def test_unused_import_detector():
     src = ("import math\nimport numpy as np\nfrom os import path, sep\n"
            "def f(x: np.ndarray):\n    from sys import argv\n    return path\n")
     assert unused_imports(src) == [(1, "math"), (3, "sep")]
+
+
+def test_private_definitions_are_referenced():
+    unused = unreferenced_private_definitions(
+        {path.name: path.read_text() for path in SRC.glob("*.py")})
+    assert not unused, "never referenced: " + ", ".join(
+        f"{name} ({path}:{line})" for path, line, name in unused)
+
+
+def test_unreferenced_private_detector():
+    sources = {"a.py": ("def _used():\n    pass\n\n"
+                        "def _dead(x):\n    return _dead(x - 1)\n\n"
+                        "class _Gone:\n    pass\n"),
+               "b.py": "from a import _used\n\n_used()\n"}
+    assert unreferenced_private_definitions(sources) == [
+        ("a.py", 4, "_dead"), ("a.py", 7, "_Gone")]

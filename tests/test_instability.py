@@ -14,14 +14,15 @@ from instab import (CertifyOptions, NonFiniteError, StableVectorError,
                     cartan_box_sample, cert_from_dict, cert_to_dict,
                     dominance_certificate, dumps_cert,
                     fastest_shrinking_geodesic, flat_shrink_data, is_unstable,
-                    loads_cert, log_rep_norm, min_norm_point, parse_rep_spec,
-                    torus_kempf, verify_dominance)
+                    loads_cert, log_rep_norm, min_norm_point, moment_map,
+                    parse_rep_spec, torus_kempf, verify_dominance)
 from instab.errors import CertificateError
 from instab.instability import (LIKELY_STABLE, NUMERIC_UNSTABLE,
                                 TORUS_CERTIFIED, flat_direction_matrix)
 from instab.symspace import exp_sym, haar_so
 
 import oracles
+from test_acceptance import END_TO_END
 
 
 def std(n):
@@ -250,17 +251,10 @@ def test_is_unstable_certified_cases():
     assert verdict.rate == pytest.approx(math.sqrt(2))
 
 
-def test_is_unstable_uses_adapted_frame():
-    # e1 + e2 in the standard plane is unstable: rotate it onto an axis
-    verdict = is_unstable(std(2), [1.0, 1.0])
-    assert verdict.kind == TORUS_CERTIFIED
-    assert verdict.rate == pytest.approx(1 / math.sqrt(2))
-
-
 def test_is_unstable_numeric_path():
-    # with the adapted frames disabled the torus search fails, but the
-    # geodesic search still finds the decay
-    verdict = is_unstable(std(2), [1.0, 1.0], adapted=False)
+    # 0 lies in the hull of the identity flat's weights, but the descent
+    # still finds the decay
+    verdict = is_unstable(std(2), [1.0, 1.0])
     assert verdict.kind == NUMERIC_UNSTABLE
     assert verdict.rate == pytest.approx(1 / math.sqrt(2), abs=1e-6)
 
@@ -285,29 +279,33 @@ def test_is_unstable_rejects_non_finite_entries(v):
 
 def test_is_unstable_at_extreme_scales():
     base = is_unstable(std(3), [1.0, 0.0, 0.0])
-    for v in ([1e-200, 0.0, 0.0], [1e200, 1e200, 0.0]):
+    for v, kind in (([1e-200, 0.0, 0.0], TORUS_CERTIFIED),
+                    ([1e200, 1e200, 0.0], NUMERIC_UNSTABLE)):
         with np.errstate(over="raise", invalid="raise"):
             verdict = is_unstable(std(3), v)
-        assert verdict.kind == TORUS_CERTIFIED
+        assert verdict.kind == kind
         assert verdict.flat.u == base.flat.u
         assert verdict.rate == base.rate
 
 
-# frame-certified float inputs (std, wedge(2,std) and sym(2,std))
-SCALE_INPUTS = [("std", 3, [0.2, 0.7, -0.4]), ("std", 3, [1.5, 0.0, -0.25]),
-                ("wedge(2,std)", 3, [0.0, 1.25, -0.5]),
-                ("wedge(2,std)", 3, [0.75, 0.0, 0.0]),
-                ("sym(2,std)", 2, [0.0, 0.0, 0.7]),
-                ("sym(2,std)", 2, [0.3, 0.0, 0.0])]
+# float inputs of std, wedge(2,std) and sym(2,std), with their verdict kinds:
+# the identity flat decides those with one active weight, the descent the
+# others
+SCALE_INPUTS = [("std", 3, [0.2, 0.7, -0.4], NUMERIC_UNSTABLE),
+                ("std", 3, [1.5, 0.0, -0.25], NUMERIC_UNSTABLE),
+                ("wedge(2,std)", 3, [0.0, 1.25, -0.5], NUMERIC_UNSTABLE),
+                ("wedge(2,std)", 3, [0.75, 0.0, 0.0], TORUS_CERTIFIED),
+                ("sym(2,std)", 2, [0.0, 0.0, 0.7], TORUS_CERTIFIED),
+                ("sym(2,std)", 2, [0.3, 0.0, 0.0], TORUS_CERTIFIED)]
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(SCALE_INPUTS), st.integers(min_value=-900, max_value=900))
 def test_verdict_invariant_under_power_of_two_scaling(case, k):
-    text, n, v = case
+    text, n, v, kind = case
     rep = build_rep(parse_rep_spec(text), n)
     base = is_unstable(rep, v)
-    assert base.kind == TORUS_CERTIFIED
+    assert base.kind == kind
     scaled = is_unstable(rep, [math.ldexp(x, k) for x in v])
     assert scaled.kind == base.kind
     assert scaled.flat.u == base.flat.u
@@ -344,18 +342,119 @@ def test_haar_frames_never_certify(text, n):
             assert fd.u.is_exact and all(c == 0 for c in fd.u.coords)
 
 
-@pytest.mark.parametrize("text, v, kind, frames", [
-    # the rotation onto e1 fits std and dual(std), but not wedge(n-1,std)
-    ("wedge(3,std)", [3, -6, 2, 5], NUMERIC_UNSTABLE, 1),
-    ("dual(std)", [0.2, 0.7, -0.4, 0.1], TORUS_CERTIFIED, 2),
-    ("std", [0.2, 0.7, -0.4, 0.1], TORUS_CERTIFIED, 2),
-])
-def test_rotation_frame_only_for_std_and_dual(text, v, kind, frames):
-    # every nonzero vector of std n=4 or its dual has rate sqrt(3)/2
-    verdict = is_unstable(build_rep(parse_rep_spec(text), 4), v)
-    assert verdict.kind == kind
-    assert verdict.frames_tried == frames
-    assert verdict.rate == pytest.approx(math.sqrt(3) / 2, abs=1e-6)
+def sym3_orbit_vector():
+    """rho(h) x1^3 in sym(3,std) n=6 for a unipotent h: in the orbit of
+    x1^3, so its rate is ||weight of x1^3|| = sqrt 7.5."""
+    rep = build_rep(parse_rep_spec("sym(3,std)"), 6)
+    x = [F(0)] * rep.dim
+    x[0] = F(1)
+    h = [[F(int(i == j)) for j in range(6)] for i in range(6)]
+    h[1][0], h[2][0], h[3][1] = F(1), F(-1, 2), F(2)
+    return rep, list(act(rep, h, x))
+
+
+# vectors beyond the seeded ones: the identity flat of each has a face
+# slower than the optimum
+NAMED_VECTORS = {("std", 3): [[1.5, 0.0, -0.25], [1e200, 1e200, 0.0]],
+                 ("wedge(2,std)", 3): [[0.0, 1.25, -0.5]],
+                 ("wedge(3,std)", 4): [[3, -6, 2, 5]]}
+
+
+@pytest.mark.parametrize("text, n", [(text, n) for n in (3, 4) for text in
+                                     ("std", "dual(std)", f"wedge({n - 1},std)")])
+def test_classify_reports_the_optimal_rate(text, n):
+    # SL(n) is transitive on the nonzero vectors of std and its dual, so
+    # every one has the rate of e1: sqrt((n-1)/n).  Only a single active
+    # weight leaves the identity flat optimal.
+    rep = build_rep(parse_rep_spec(text), n)
+    rng = np.random.default_rng(n)
+    vectors = [[float(i == n - 1) for i in range(n)], [0.2, 0.7, -0.4, 0.1][:n],
+               *(rng.integers(-3, 4, size=n) for _ in range(3)),
+               rng.normal(size=n), *NAMED_VECTORS.get((text, n), [])]
+    for v in vectors:
+        if not np.any(v):
+            continue
+        verdict = is_unstable(rep, v)
+        one_weight = np.count_nonzero(v) == 1
+        assert verdict.kind == (TORUS_CERTIFIED if one_weight else NUMERIC_UNSTABLE), v
+        assert verdict.rate == pytest.approx(math.sqrt((n - 1) / n), abs=1e-12), v
+
+
+def test_classify_reports_the_optimal_rate_in_the_orbit_of_a_weight_vector():
+    rep, v = sym3_orbit_vector()
+    verdict = is_unstable(rep, v)
+    assert verdict.kind == NUMERIC_UNSTABLE
+    assert verdict.rate == pytest.approx(math.sqrt(7.5), abs=1e-9)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+LARGE_REPS = [("sym(4,std)", 4), ("wedge(2,std)*wedge(2,std)*std", 4)]
+
+
+@pytest.mark.parametrize("text, n, v", [
+    *((text, n, list(v)) for text, n, v in END_TO_END),
+    *((text, n, [F(3, 7)] + [F(0)] * (build_rep(parse_rep_spec(text), n).dim - 1))
+      for text, n in LARGE_REPS)])
+def test_balanced_identity_face_takes_no_step(monkeypatch, text, n, v):
+    # a weight vector, or one whose face is balanced, is settled at the
+    # identity flat: ||mu(v_F)|| = ||u||
+    from instab import instability
+    steps = _count_calls(monkeypatch, instability, "exp_sym")
+    rep = build_rep(parse_rep_spec(text), n)
+    res = fastest_shrinking_geodesic(rep, v)
+    assert res.frames_tried == 1
+    assert res.upper == res.rate
+    assert np.array_equal(res.frame, np.eye(n))
+    assert res.flat.u == torus_kempf(rep, v).u
+    verdict = is_unstable(rep, v)
+    assert (verdict.kind, verdict.frames_tried) == (TORUS_CERTIFIED, 1)
+    assert steps == []
+
+
+def _face_moment_norm(rep, v):
+    """||mu(v_F)|| for the identity flat, v_F found from rep.weights alone."""
+    fd = flat_shrink_data(rep, v)
+    face = {w for w, _ in fd.active if w.pair(fd.u) == fd.u.norm_sq()}
+    v_face = [float(x) if w in face else 0.0 for x, w in zip(v, rep.weights)]
+    return fd, float(np.linalg.norm(moment_map(rep, v_face)))
+
+
+@pytest.mark.parametrize("case", ["std n=3", "sym(3,std) n=6"])
+def test_unbalanced_identity_face_runs_the_descent(case):
+    # the identity flat is slower than the face's ||mu(v_F)||: the descent
+    # snaps at least one frame
+    rep, v = (std(3), [1.0, 1.0, 0.0]) if case == "std n=3" else sym3_orbit_vector()
+    fd, face_norm = _face_moment_norm(rep, v)
+    assert not fd.bounded_below
+    assert face_norm > fd.rate + 1e-3
+    cert = dominance_certificate(rep, v, CertifyOptions(samples=0, xi_frames=50))
+    assert cert.rate > fd.rate + 1e-3
+    assert face_norm >= cert.rate - 1e-12
+    res = fastest_shrinking_geodesic(rep, v)
+    assert res.frames_tried > 1
+    assert res.rate == cert.rate
+    assert res.upper - res.rate <= 1e-6
+
+
+def test_certify_runs_one_search(monkeypatch):
+    from instab import instability
+    for rep, v in [(std(2), [1, 0]), (wedge2(3), [0.3, 0.5, -0.2])]:
+        searches = _count_calls(monkeypatch, instability, "fastest_shrinking_geodesic")
+        classifies = _count_calls(monkeypatch, instability, "is_unstable")
+        dominance_certificate(rep, v, CertifyOptions(samples=0))
+        assert (len(searches), len(classifies)) == (1, 0)
+        monkeypatch.undo()
 
 
 def _weight_margin_sq(rep):
@@ -447,16 +546,9 @@ def test_block_frames_lower_the_constant():
 
 
 def test_certificate_anchors_at_the_fastest_flat():
-    # v = rho(h) x1^3 with h unipotent lies in the orbit of x1^3: rate
-    # ||weight of x1^3|| = sqrt 7.5.  A slower flat (classify stops at one
-    # of rate sqrt 1.5) must not anchor the certificate.
-    rep = build_rep(parse_rep_spec("sym(3,std)"), 6)
-    x = [F(0)] * rep.dim
-    x[0] = F(1)
-    h = [[F(int(i == j)) for j in range(6)] for i in range(6)]
-    h[1][0], h[2][0], h[3][1] = F(1), F(-1, 2), F(2)
-    cert = dominance_certificate(rep, act(rep, h, x),
-                                 CertifyOptions(samples=200, xi_frames=50))
+    # the identity flat of rate sqrt 1.5 must not anchor the certificate
+    rep, v = sym3_orbit_vector()
+    cert = dominance_certificate(rep, v, CertifyOptions(samples=200, xi_frames=50))
     assert cert.rate == pytest.approx(math.sqrt(7.5), abs=1e-9)
     assert cert.verification.ok
 
