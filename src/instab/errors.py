@@ -27,8 +27,6 @@ class ParseError(InstabError, ValueError):
 class StableVectorError(InstabError):
     """The vector admits no shrinking certificate (it appears stable)."""
 
-    frames_tried = 0  # frames whose flats the search took before giving up
-
 
 class TorusStableError(StableVectorError):
     """0 lies in the hull of the active weights at the identity frame."""

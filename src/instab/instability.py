@@ -42,7 +42,7 @@ from .cartan import (CartanVector, Cocharacter, SimpleSystem, Weight,
 from .errors import (CertificateError, DimensionError, StableVectorError,
                      TorusStableError, ZeroVectorError)
 from .reps import (RepSpec, Representation, act, active_weights, build_rep,
-                   log_rep_norm, moment_map, parse_rep_spec, weight_part)
+                   log_rep_norm, moment_map, parse_rep_spec, scaled_floats, weight_part)
 from .symspace import block_orthogonal, exp_sym, haar_so, log_flag_norms
 
 NEG_INF = float("-inf")
@@ -255,14 +255,16 @@ class ShrinkGeodesicResult:
     direction.  ``upper`` bounds every rate from above: ``rate`` itself
     when the identity flat's balanced face proves it optimal, else the
     least ||mu(rho(g)v)|| the descent saw at a well-conditioned g.
+    ``identity``: ``flat`` is the identity flat of v itself at ``eps``
+    (exact for rational v), not one the descent took on a float copy.
     ``frames_tried`` counts the identity and the descent's snapped frames.
     """
 
     direction: np.ndarray
     rate: float
     upper: float
-    frame: np.ndarray
     flat: FlatShrinkData
+    identity: bool
     frames_tried: int
 
 
@@ -295,10 +297,6 @@ def _flag_frame(g: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return k
 
 
-def _identity_frame(frame: np.ndarray) -> bool:
-    return bool(np.allclose(frame, np.eye(len(frame)), atol=1e-14))
-
-
 def fastest_shrinking_geodesic(rep: Representation, v,
                                eps: float = 1e-10) -> ShrinkGeodesicResult:
     """The identity flat when its balanced face proves it optimal, else
@@ -311,9 +309,9 @@ def fastest_shrinking_geodesic(rep: Representation, v,
     and its exact flat data taken at the thresholds {eps, 1e-7, 1e-4}.  The
     search stops once the fastest flat's ||u|| is within 1e-6 of the least
     well-conditioned ||mu||, or once g is too ill-conditioned for ||mu|| to
-    bound anything, and returns that flat.  Raises StableVectorError (with
-    ``frames_tried``) when ||mu|| falls below every positive rate, or when
-    the step cap passes without a flat that is not bounded below.
+    bound anything, and returns that flat.  Raises StableVectorError when
+    ||mu|| falls below every positive rate, or when the step cap passes
+    without a flat that is not bounded below.
     """
     flat = flat_shrink_data(rep, v, None, eps)
     # Along the identity flat's own ray, rho(exp(-s u))v / ||.|| tends to
@@ -326,9 +324,9 @@ def fastest_shrinking_geodesic(rep: Representation, v,
         face = {w for w, _ in flat.active if w.pair(flat.u) == flat.u.norm_sq()}
         if np.linalg.norm(moment_map(rep, weight_part(rep, v, face))) <= flat.rate + _GAP:
             return ShrinkGeodesicResult(direction=flat_direction_matrix(flat),
-                                        rate=flat.rate, upper=flat.rate,
-                                        frame=flat.frame, flat=flat, frames_tried=1)
-    vec = np.asarray([float(x) for x in v], dtype=float)
+                                        rate=flat.rate, upper=flat.rate, flat=flat,
+                                        identity=True, frames_tried=1)
+    vec = scaled_floats(rep, v)
     n = rep.n
     levels = np.asarray([w.as_cartan().as_floats() for w in rep.weights])
     eps_ladder = sorted({eps, 1e-7, 1e-4})
@@ -344,7 +342,7 @@ def fastest_shrinking_geodesic(rep: Representation, v,
         if accurate:
             upper = min(upper, mu_norm)
         if upper < _STABLE_MU:
-            raise _stable(f"||mu|| = {upper:.3e} is below every positive rate", frames)
+            raise StableVectorError(f"||mu|| = {upper:.3e} is below every positive rate")
         k = _flag_frame(g, mu)
         flats.extend(flat_shrink_data(rep, vec, k, e) for e in eps_ladder)
         frames += 1
@@ -363,17 +361,11 @@ def fastest_shrinking_geodesic(rep: Representation, v,
         r *= np.sign(np.diag(r))[:, None]
         g, f = r / np.prod(np.diag(r)) ** (1.0 / n), fh
     if not found:
-        raise _stable(f"no shrinking flat in {_MAX_STEPS} moment-map steps", frames)
-    flat = max(found, key=lambda fd: fd.rate)
-    return ShrinkGeodesicResult(direction=flat_direction_matrix(flat), rate=flat.rate,
-                                upper=upper, frame=flat.frame, flat=flat,
+        raise StableVectorError(f"no shrinking flat in {_MAX_STEPS} moment-map steps")
+    best = max(found, key=lambda fd: fd.rate)
+    return ShrinkGeodesicResult(direction=flat_direction_matrix(best), rate=best.rate,
+                                upper=upper, flat=best, identity=best is flat,
                                 frames_tried=frames)
-
-
-def _stable(message: str, frames_tried: int) -> StableVectorError:
-    err = StableVectorError(message)
-    err.frames_tried = frames_tried
-    return err
 
 
 # ---------------------------------------------------------------------------
@@ -438,17 +430,15 @@ def is_unstable(rep: Representation, v, budget: int = 64, seed: int = 0,
     """Classify ``v`` by the flat of ``fastest_shrinking_geodesic``.
 
     Torus-certified (exactly, over the rationals) when the winning flat is
-    the identity flat, numerically unstable for any other flat, and likely
-    stable when the search raises StableVectorError.  ``budget``, ``seed``
-    and ``adapted`` have no effect; they are accepted so that existing
-    callers keep working.
+    the identity flat of v itself, numerically unstable for any other flat,
+    and likely stable (``frames_tried`` 0) on StableVectorError.  ``budget``,
+    ``seed`` and ``adapted`` have no effect; existing callers pass them.
     """
     try:
         fsg = fastest_shrinking_geodesic(rep, v, eps=eps)
-    except StableVectorError as exc:
-        return Verdict(kind=LIKELY_STABLE, flat=None, rate=0.0,
-                       frames_tried=exc.frames_tried)
-    kind = TORUS_CERTIFIED if _identity_frame(fsg.frame) else NUMERIC_UNSTABLE
+    except StableVectorError:
+        return Verdict(kind=LIKELY_STABLE, flat=None, rate=0.0, frames_tried=0)
+    kind = TORUS_CERTIFIED if fsg.identity else NUMERIC_UNSTABLE
     return Verdict(kind=kind, flat=fsg.flat, rate=fsg.rate,
                    frames_tried=fsg.frames_tried)
 
@@ -629,7 +619,8 @@ def dominance_certificate(rep: Representation, v,
     no shrinking flat.
     """
     vec_exact = exactlin.is_exact(list(v))
-    flat = fastest_shrinking_geodesic(rep, v, eps=opts.eps).flat
+    fsg = fastest_shrinking_geodesic(rep, v, eps=opts.eps)
+    flat = fsg.flat
     u = flat.u
     rate = u.norm()
     tau, m, ratio = _kempf(flat)
@@ -642,9 +633,8 @@ def dominance_certificate(rep: Representation, v,
 
     c, xi_info = _estimate_constant(rep, v, flat.frame, u, flat.eps, opts)
 
-    identity_frame = _identity_frame(flat.frame)
-    frame = None if identity_frame else flat.frame
-    mode = "exact" if (vec_exact and identity_frame) else "float"
+    frame = None if fsg.identity else flat.frame
+    mode = "exact" if (vec_exact and fsg.identity) else "float"
     vector = tuple(Fraction(x) for x in v) if vec_exact \
         else tuple(float(x) for x in v)
 

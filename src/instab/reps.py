@@ -448,6 +448,17 @@ def pow2_scaled(vec: np.ndarray):
     return np.ldexp(vec, -e), e
 
 
+def scaled_floats(rep: Representation, v) -> np.ndarray:
+    """The floats of ``pow2_scaled(v)``; a rational v is divided by a power
+    of two near max|v_i| before rounding, so no scale of it over- or underflows."""
+    vec, exact = _vector_in(rep, v)
+    if exact:
+        top = max(map(abs, vec))
+        scale = Fraction(2) ** (top.denominator.bit_length() - top.numerator.bit_length())
+        vec = np.asarray([float(x * scale) for x in vec])
+    return pow2_scaled(vec)[0]
+
+
 def _log_ldexp(x: float, e: int) -> float:
     """log(x * 2^e) for x > 0; the log of the product itself while that is
     a normal float."""
@@ -530,13 +541,12 @@ def weight_components(rep: Representation, v, eps: float = 1e-10):
     return out
 
 
-def weight_part(rep: Representation, v, weights) -> np.ndarray:
-    """The float coordinates of ``v`` on the basis vectors whose weight is
-    in the set ``weights``, and 0 elsewhere."""
+def weight_part(rep: Representation, v, weights) -> list:
+    """``v`` with 0 on the basis vectors whose weight is not in ``weights``."""
     keep = np.zeros(rep.dim, dtype=bool)
     for w, idx in _basis_data(rep.spec, rep.n).weight_groups:
         keep[idx] = w in weights
-    return np.where(keep, np.asarray([float(x) for x in v]), 0.0)
+    return [x if k else 0 for x, k in zip(v, keep)]
 
 
 def moment_map(rep: Representation, w) -> np.ndarray:
@@ -551,7 +561,7 @@ def moment_map(rep: Representation, w) -> np.ndarray:
     basis = _basis_data(rep.spec, rep.n)
     rows, cols, _, coefs = basis.scatter
     n, k = rep.n, len(basis.dual)
-    vec, _ = pow2_scaled(np.asarray(_vector_in(rep, w)[0], dtype=float))
+    vec = scaled_floats(rep, w)
     t = np.zeros(n ** k)
     t[rows] = coefs[False][0][:, 0] * vec[cols]
     total = float(t @ t)

@@ -77,6 +77,18 @@ def test_classify_numeric(runner):
     assert out["rate"] == pytest.approx(1 / math.sqrt(2), abs=1e-6)
 
 
+@pytest.mark.parametrize("entry", ["1/1" + "0" * 400, "1" + "0" * 400],
+                         ids=["1/10^400", "10^400"])
+def test_classify_rational_beyond_the_float_range(runner, entry):
+    res = runner.invoke(main, ["classify", "--n", "3", "--spec", "std",
+                               "--vector", f"{entry},0,0"])
+    assert res.exit_code == 0
+    out = last_json(res.output)
+    assert out["verdict"] == "torus_certified_unstable"
+    assert out["u"] == ["2/3", "-1/3", "-1/3"]
+    assert out["rate"] == pytest.approx(math.sqrt(2 / 3), abs=1e-12)
+
+
 def test_classify_zero_vector(runner):
     res = runner.invoke(main, ["classify", "--n", "2", "--spec", "std",
                                "--vector", "0,0"])

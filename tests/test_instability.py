@@ -150,7 +150,7 @@ def test_fsg_rotation_equivariance():
 
 def test_fsg_restriction_to_its_flat():
     res = fastest_shrinking_geodesic(wedge2(3), [1.0, 0.0, 0.0])
-    fd = flat_shrink_data(wedge2(3), [1.0, 0.0, 0.0], res.frame)
+    fd = flat_shrink_data(wedge2(3), [1.0, 0.0, 0.0], res.flat.frame)
     assert abs(res.rate - fd.rate) < 1e-6
     assert np.max(np.abs(flat_direction_matrix(fd) - res.direction)) < 1e-6
 
@@ -279,13 +279,30 @@ def test_is_unstable_rejects_non_finite_entries(v):
 
 def test_is_unstable_at_extreme_scales():
     base = is_unstable(std(3), [1.0, 0.0, 0.0])
+    # rationals beyond the float range are scaled exactly before rounding
     for v, kind in (([1e-200, 0.0, 0.0], TORUS_CERTIFIED),
-                    ([1e200, 1e200, 0.0], NUMERIC_UNSTABLE)):
+                    ([1e200, 1e200, 0.0], NUMERIC_UNSTABLE),
+                    ([F(1, 10**400), 0, 0], TORUS_CERTIFIED),
+                    ([10**400, 0, 0], TORUS_CERTIFIED),
+                    ([10**400, 10**400, 0], NUMERIC_UNSTABLE)):
         with np.errstate(over="raise", invalid="raise"):
             verdict = is_unstable(std(3), v)
         assert verdict.kind == kind
         assert verdict.flat.u == base.flat.u
         assert verdict.rate == base.rate
+
+
+def test_coarse_flat_at_the_identity_frame_is_not_torus_certified():
+    # x^2 + 1e-6 y^2 is definite.  Its exact identity flat is bounded below,
+    # but the descent's first frame is I, and at the threshold 1e-4 that
+    # frame drops y^2: a float flat at frame I is no exact identity flat.
+    rep = build_rep(parse_rep_spec("sym(2,std)"), 2)
+    v = [F(1), F(0), F(1, 10**6)]
+    assert flat_shrink_data(rep, v).bounded_below
+    assert is_unstable(rep, v).kind != TORUS_CERTIFIED
+    res = fastest_shrinking_geodesic(rep, v)
+    assert not res.identity
+    assert dominance_certificate(rep, v, CertifyOptions(samples=0)).mode == "float"
 
 
 # float inputs of std, wedge(2,std) and sym(2,std), with their verdict kinds:
@@ -415,7 +432,7 @@ def test_balanced_identity_face_takes_no_step(monkeypatch, text, n, v):
     res = fastest_shrinking_geodesic(rep, v)
     assert res.frames_tried == 1
     assert res.upper == res.rate
-    assert np.array_equal(res.frame, np.eye(n))
+    assert np.array_equal(res.flat.frame, np.eye(n))
     assert res.flat.u == torus_kempf(rep, v).u
     verdict = is_unstable(rep, v)
     assert (verdict.kind, verdict.frames_tried) == (TORUS_CERTIFIED, 1)

@@ -188,6 +188,16 @@ def test_moment_map_is_the_log_norm_derivative(text, n):
             np.testing.assert_array_equal(moment_map(rep, np.ldexp(w, e)), mu)
 
 
+def test_moment_map_of_rationals_beyond_the_float_range():
+    # a rational vector is scaled exactly before it is rounded to floats
+    rep = build_rep(Standard(), 3)
+    mu = moment_map(rep, [F(1), F(1, 3), F(0)])
+    for s in (F(2**1500), F(1, 2**1500)):
+        np.testing.assert_array_equal(moment_map(rep, [s, s / 3, 0]), mu)
+    for s in (F(10**400), F(1, 10**400)):
+        np.testing.assert_allclose(moment_map(rep, [s, s / 3, 0]), mu, atol=1e-15)
+
+
 def oracles_random_sl(rng, n, spread=0.7):
     from instab import cartan_box_sample
     return cartan_box_sample(rng, n, spread)
