@@ -43,7 +43,7 @@ from .errors import (CertificateError, DimensionError, StableVectorError,
                      TorusStableError, ZeroVectorError)
 from .reps import (RepSpec, Representation, act, active_weights, build_rep,
                    log_rep_norm, moment_map, parse_rep_spec, scaled_floats, weight_part)
-from .symspace import block_orthogonal, exp_sym, haar_so, log_flag_norms
+from .symspace import block_orthogonal, exp_sym, haar_from_normal, log_flag_norms
 
 NEG_INF = float("-inf")
 
@@ -326,7 +326,7 @@ def fastest_shrinking_geodesic(rep: Representation, v,
             return ShrinkGeodesicResult(direction=flat_direction_matrix(flat),
                                         rate=flat.rate, upper=flat.rate, flat=flat,
                                         identity=True, frames_tried=1)
-    vec = scaled_floats(rep, v)
+    vec = scaled_floats(rep, v)[0]
     n = rep.n
     levels = np.asarray([w.as_cartan().as_floats() for w in rep.weights])
     eps_ladder = sorted({eps, 1e-7, 1e-4})
@@ -533,17 +533,21 @@ class DominanceCert:
         return tuple(j + 1 for j, a in enumerate(self.alphas) if a > 0)
 
 
-def _xi_prefix(active: Sequence[Tuple[Weight, float]], u: CartanVector) -> float:
+def _xi_prefix(active: Sequence[Tuple[Weight, float]], u: CartanVector,
+               hulls: dict) -> float:
     """max over active subsets whose hull contains u of the min log norm.
 
     Enlarging a subset can only help hull membership, so the optimum is a
     prefix of the weights sorted by decreasing log norm; the answer is the
     log norm of the last weight added when u first enters the hull.
+    ``hulls`` memoises the exact hull tests by the prefix's weight set.
     """
     ordered = sorted(active, key=lambda wr: -wr[1])
     for t in range(1, len(ordered) + 1):
-        prefix = [w.as_cartan() for w, _ in ordered[:t]]
-        if hull_contains(prefix, u):
+        key = frozenset(w for w, _ in ordered[:t])
+        if key not in hulls:
+            hulls[key] = hull_contains([w.as_cartan() for w in key], u)
+        if hulls[key]:
             return ordered[t - 1][1]
     raise AssertionError("internal: u not in the hull of its active weights")
 
@@ -558,6 +562,12 @@ def _coordinate_blocks(u: CartanVector):
         else:
             blocks.append([cur])
     return [tuple(b) for b in blocks]
+
+
+# group elements per stacked action in verification and in the constant
+# estimator: enough to amortise the per-call cost, few enough that the
+# tensors of a 144-dimensional representation stay near 1 MB
+_CHUNK = 128
 
 
 # Why no Haar-random frame is tried.  For v != 0 let A be the weights whose
@@ -577,15 +587,18 @@ def _estimate_constant(rep: Representation, v, frame: np.ndarray,
     Takes the identity and, when u has a repeated coordinate, ``xi_frames``
     random rotations within the blocks of equal coordinates (the frames
     commuting with the shrink direction; Haar frames would never match, see
-    the comment above).  Keeps the frames whose active weights have the same
-    exact min-norm point, and
+    the comment above), and applies them in stacks of ``_CHUNK``.  Keeps
+    the frames whose active weights have the same exact min-norm point, and
     takes the minimum of the prefix-hull statistic; the safety margin is
     subtracted at the end.  ``cls_eps`` must be the threshold that
     classified the certificate's own active set, so the identity frame
-    always passes the filter.
+    always passes the filter.  The frames act on the float copy of
+    ``scaled_floats``, whose exponent enters the log norms, so a rational v
+    beyond the float range gets its constant too.
     """
     n = rep.n
-    w = act(rep, frame, v)
+    vec, e = scaled_floats(rep, v)  # v = vec * 2^e, also beyond the float range
+    w = act(rep, frame, vec)
     blocks = _coordinate_blocks(u)
     frames = [np.eye(n)]
     if len(blocks) < n:
@@ -595,16 +608,18 @@ def _estimate_constant(rep: Representation, v, frame: np.ndarray,
     excluded = 0
     xi_min = math.inf
     cache: dict = {}
-    for k0 in frames:
-        comps = active_weights(rep, act(rep, k0, w), cls_eps)
-        key = frozenset(wt for wt, _ in comps)
-        if key not in cache:
-            cert = min_norm_point([wt.as_cartan() for wt, _ in comps], mode="exact")
-            cache[key] = cert.point
-        if cache[key].coords != u.coords:
-            excluded += 1
-            continue
-        xi_min = min(xi_min, _xi_prefix(comps, u))
+    hulls: dict = {}
+    for start in range(0, len(frames), _CHUNK):
+        for k0w in act(rep, np.stack(frames[start:start + _CHUNK]), w):
+            comps = active_weights(rep, k0w, cls_eps, e)
+            key = frozenset(wt for wt, _ in comps)
+            if key not in cache:
+                cert = min_norm_point([wt.as_cartan() for wt, _ in comps], mode="exact")
+                cache[key] = cert.point
+            if cache[key].coords != u.coords:
+                excluded += 1
+                continue
+            xi_min = min(xi_min, _xi_prefix(comps, u, hulls))
     info = XiInfo(frames=len(frames), excluded=excluded, value=float(xi_min),
                   margin=opts.safety_margin)
     return float(xi_min) - opts.safety_margin, info
@@ -651,11 +666,23 @@ def dominance_certificate(rep: Representation, v,
     return cert
 
 
+def _box_samples(rngs: Sequence[np.random.Generator], n: int, box: float) -> np.ndarray:
+    """The stack of g = k1 exp(diag(a)) k2, one from each generator: it
+    draws a uniform in the box, made traceless, then k1 and k2 Haar; every
+    k comes from one stacked QR."""
+    a = np.empty((len(rngs), n))
+    z = np.empty((len(rngs), 2, n, n))
+    for i, rng in enumerate(rngs):
+        a[i] = rng.uniform(-box, box, size=n)
+        z[i] = rng.standard_normal((2, n, n))
+    a -= a.mean(axis=1, keepdims=True)
+    k = haar_from_normal(z)
+    return (k[:, 0] * np.exp(a)[:, None, :]) @ k[:, 1]
+
+
 def cartan_box_sample(rng: np.random.Generator, n: int, box: float) -> np.ndarray:
     """g = k1 exp(diag(a)) k2, Haar k's, a uniform in the traceless box."""
-    a = rng.uniform(-box, box, size=n)
-    a = a - a.mean()
-    return haar_so(n, rng) @ np.diag(np.exp(a)) @ haar_so(n, rng)
+    return _box_samples([rng], n, box)[0]
 
 
 def verify_dominance(cert: DominanceCert, rep: Optional[Representation] = None,
@@ -667,15 +694,18 @@ def verify_dominance(cert: DominanceCert, rep: Optional[Representation] = None,
     margin(g) = log||rho(g)v|| - sum_j alpha_j log||rho_j(g)w_j|| - c must
     be >= -tol; additionally, along the certified shrink ray both sides
     must decay at the same linear rate (slope difference <= 1e-3), which is
-    what catches inflated coefficients.  samples == 0 yields an empty,
+    what catches inflated coefficients.  Sample i is drawn from its own
+    generator, ``SeedSequence(entropy=seed, spawn_key=(i,))``, by
+    ``cartan_box_sample`` or by ``sampler``, so each can be replayed alone;
+    samples are evaluated in stacked chunks.  samples == 0 yields an empty,
     valid report.
     """
     if rep is None:
         rep = build_rep(cert.spec, cert.n)
     if v is None:
         v = cert.vector
-    vec = np.asarray([float(x) for x in v], dtype=float)
-    if len(vec) != rep.dim:
+    v = list(v)
+    if len(v) != rep.dim:
         raise CertificateError("vector length does not match representation")
     if seed is None:
         seed = cert.seed
@@ -683,25 +713,26 @@ def verify_dominance(cert: DominanceCert, rep: Optional[Representation] = None,
         return VerifyReport(samples=0, failures=0, margin_min=math.inf,
                             margin_mean=math.nan, ray_slope_diff=0.0,
                             ray_checked=False, box=box, tol=tol, seed=seed)
+    vec, e = scaled_floats(rep, v)  # v = vec * 2^e, also beyond the float range
     frame = cert.frame if cert.frame is not None else np.eye(cert.n)
     alphas = np.asarray([float(a) for a in cert.alphas])
 
-    def fundamental_sum(g):
-        # sum_j alpha_j log||rho_j(g) w_j|| with w_j = rho_j(frame^T) v_j
-        return float(alphas @ log_flag_norms(g @ frame.T, cert.order.perm)[:-1])
-
-    def margin_of(g):
-        return log_rep_norm(rep, act(rep, g, vec)) - cert.c - fundamental_sum(g)
+    def sides(gs):
+        # log||rho(g)v|| and sum_j alpha_j log||rho_j(g) w_j|| with
+        # w_j = rho_j(frame^T) v_j, for every g of the stack
+        return (log_rep_norm(rep, act(rep, gs, vec), e),
+                log_flag_norms(gs @ frame.T, cert.order.perm)[:, :-1] @ alphas)
 
     margins = np.empty(samples)
-    for i in range(samples):
-        rng_i = np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                             spawn_key=(i,)))
-        if sampler is not None:
-            g = sampler(rng_i)
+    for start in range(0, samples, _CHUNK):
+        rngs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+                for i in range(start, min(start + _CHUNK, samples))]
+        if sampler is None:
+            gs = _box_samples(rngs, cert.n, box)
         else:
-            g = cartan_box_sample(rng_i, cert.n, box)
-        margins[i] = margin_of(g)
+            gs = np.stack([np.asarray(sampler(r), dtype=float) for r in rngs])
+        lhs, rhs = sides(gs)
+        margins[start:start + len(rngs)] = lhs - cert.c - rhs
     failures = int(np.sum(~(margins >= -tol)))  # NaN margins fail too
 
     # slope agreement along the shrink ray (group parameterization).  For
@@ -719,13 +750,9 @@ def verify_dominance(cert: DominanceCert, rep: Optional[Representation] = None,
         spread = cert.rate - min_level
         t2 = min(40.0, 11.5 / max(spread, 0.3))
     t1 = 0.5 * t2
-    lhs_vals, rhs_vals = [], []
-    for t in (t1, t2):
-        g = np.diag(np.exp(-t * uhat)) @ frame
-        lhs_vals.append(log_rep_norm(rep, act(rep, g, vec)))
-        rhs_vals.append(fundamental_sum(g))
-    lhs_slope = (lhs_vals[1] - lhs_vals[0]) / (t2 - t1)
-    rhs_slope = (rhs_vals[1] - rhs_vals[0]) / (t2 - t1)
+    lhs, rhs = sides(np.stack([np.diag(np.exp(-t * uhat)) @ frame for t in (t1, t2)]))
+    lhs_slope = (lhs[1] - lhs[0]) / (t2 - t1)
+    rhs_slope = (rhs[1] - rhs[0]) / (t2 - t1)
     slope_diff = abs(lhs_slope - rhs_slope)
 
     return VerifyReport(samples=samples, failures=failures,

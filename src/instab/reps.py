@@ -235,6 +235,11 @@ class _Basis:
             for exact, c in ((True, coef), (False, coef.astype(float)))}
 
     @cached_property
+    def gram_f(self) -> np.ndarray:
+        """``gram`` as floats."""
+        return np.asarray([float(g) for g in self.gram])
+
+    @cached_property
     def weight_groups(self):
         """Basis indices grouped by weight: ``(weight, indices)`` pairs in
         the order of the weight coordinates."""
@@ -341,8 +346,9 @@ def basis_labels(rep: Representation) -> Tuple[str, ...]:
 # Group action
 
 
-def check_unimodular_float(mat: np.ndarray, det_tol: float = 1e-9) -> None:
-    """Check det = 1 up to what the conditioning of ``mat`` permits.
+def check_unimodular_float(mat: np.ndarray, det_tol: float = 1e-9) -> np.ndarray:
+    """Check det = 1 up to what the conditioning of ``mat`` permits, for one
+    matrix or for every matrix of a stack, and return the inverse.
 
     The float determinant of a matrix with condition number kappa carries a
     relative error of order kappa * eps, so the tolerance scales with a
@@ -350,61 +356,73 @@ def check_unimodular_float(mat: np.ndarray, det_tol: float = 1e-9) -> None:
     still rejected at every scale.
     """
     sign, logdet = np.linalg.slogdet(mat)
-    if sign <= 0:
+    if (sign <= 0).any():
         raise ValueError("group element must have determinant 1 (got sign <= 0)")
     try:
-        cond = float(np.linalg.norm(mat) * np.linalg.norm(np.linalg.inv(mat)))
+        inv = np.linalg.inv(mat)
     except np.linalg.LinAlgError:
         raise ValueError("group element is numerically singular")
-    if abs(logdet) > det_tol * max(1.0, cond):
+    # squared Frobenius estimate of kappa
+    cond_sq = (mat * mat).sum(axis=(-2, -1)) * (inv * inv).sum(axis=(-2, -1))
+    bad = logdet * logdet > det_tol * det_tol * np.maximum(1.0, cond_sq)
+    if bad.any():
         raise ValueError(f"group element must have determinant 1, "
-                         f"got log|det| = {logdet}")
+                         f"got log|det| = {np.ravel(logdet)[np.ravel(bad)][0]}")
+    return inv
 
 
 def _as_group_matrix(g, n: int, det_tol: float = 1e-9):
-    """Validate shape and unimodularity; return (matrix, exact_flag)."""
+    """Validate shape and unimodularity of ``g``, or of every matrix of a
+    float stack (S, n, n); return (matrix, float inverse or None, exact flag)."""
     exact = (not isinstance(g, np.ndarray) or g.dtype == object) \
         and all(exactlin.is_exact(row) for row in g)
     mat = (np.array([[Fraction(x) for x in row] for row in g], dtype=object)
            if exact else np.asarray(g, dtype=float))
-    if mat.shape != (n, n):
+    if mat.ndim not in (2, 3) or mat.shape[-2:] != (n, n):
         raise DimensionError(f"group element must be {n}x{n}, got {mat.shape}")
     if exact:
         if exactlin.det(mat.tolist()) != 1:
             raise ValueError("group element must have determinant 1")
-    else:
-        check_unimodular_float(mat, det_tol)
-    return mat, exact
+        return mat, None, True
+    return mat, check_unimodular_float(mat, det_tol), False
 
 
-def _apply(rep: Representation, g: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Act with ``g`` on the columns of ``vecs`` through the tensor embedding.
+def _apply(rep: Representation, g: np.ndarray, vecs: np.ndarray,
+           g_inv: np.ndarray | None = None) -> np.ndarray:
+    """Act with ``g``, or with every matrix of a stack (S, n, n), on the
+    columns of ``vecs`` through the tensor embedding.
 
     Embed each column in (R^n)^{(x)k}, apply g along every standard mode and
-    g^{-T} along every dual mode, and read each coordinate back from the
-    head word of its basis vector.  ``g`` and ``vecs`` are both float
-    arrays or both object arrays of ``Fraction``s.
+    g^{-T} along every dual mode (one stacked matmul per mode), and read each
+    coordinate back from the head word of its basis vector.  ``g`` and
+    ``vecs`` are both float arrays or both object arrays of ``Fraction``s;
+    ``g_inv`` is the inverse of ``g`` when the caller has it.  Returns
+    (dim, columns), or (S, dim, columns) for a stack.
     """
     basis = _basis_data(rep.spec, rep.n)
     rows, cols, heads, coefs = basis.scatter
     exact = vecs.dtype == object
     (coef, head_coef), n = coefs[exact], rep.n
+    stack = g.shape[:-2]
+    g = g.reshape(-1, 1, n, n)
     if any(basis.dual):
-        g_inv_t = (np.array(exactlin.inv(g.tolist()), dtype=object) if exact
-                   else np.linalg.inv(g)).T
-    t = np.zeros((n ** len(basis.dual), vecs.shape[1]), dtype=vecs.dtype)
-    t[rows] = coef * vecs[cols]
+        if g_inv is None:
+            g_inv = (np.array([exactlin.inv(m.tolist()) for m in g[:, 0]], dtype=object)
+                     if exact else np.linalg.inv(g))
+        g_inv_t = g_inv.reshape(-1, 1, n, n).swapaxes(-1, -2)
+    t = np.zeros((1, n ** len(basis.dual), vecs.shape[1]), dtype=vecs.dtype)
+    t[0, rows] = coef * vecs[cols]
     for mode, dual in enumerate(basis.dual):
-        t = np.matmul(g_inv_t if dual else g, t.reshape(n ** mode, n, -1))
-    t = t.reshape(-1, vecs.shape[1])
-    return t[heads] / head_coef
+        t = np.matmul(g_inv_t if dual else g, t.reshape(len(t), n ** mode, n, -1))
+    t = t.reshape(len(t), -1, vecs.shape[1])[:, heads] / head_coef
+    return t.reshape(stack + t.shape[1:])
 
 
 def rep_matrix(rep: Representation, g) -> np.ndarray:
     """Matrix of ``g`` on the monomial basis of ``rep``: the action on the
     identity columns."""
-    mat, exact = _as_group_matrix(g, rep.n)
-    return _apply(rep, mat, np.eye(rep.dim, dtype=object if exact else float))
+    mat, inv, exact = _as_group_matrix(g, rep.n)
+    return _apply(rep, mat, np.eye(rep.dim, dtype=object if exact else float), inv)
 
 
 def _vector_in(rep: Representation, v):
@@ -423,13 +441,16 @@ def _vector_in(rep: Representation, v):
 def act(rep: Representation, g, v):
     """Apply ``g`` to ``v``; exact when both inputs are rational.
 
-    Satisfies ``act(rep, g1 @ g2, v) == act(rep, g1, act(rep, g2, v))``.
+    ``g`` may also be a float stack (S, n, n) of group elements, each
+    checked to be unimodular; the result is then the (S, dim) array of
+    their images of ``v``, computed in one pass.  Satisfies
+    ``act(rep, g1 @ g2, v) == act(rep, g1, act(rep, g2, v))``.
     """
-    mat, g_exact = _as_group_matrix(g, rep.n)
+    mat, inv, g_exact = _as_group_matrix(g, rep.n)
     vec, v_exact = _vector_in(rep, v)
     dtype = object if g_exact and v_exact else float
     vecs = np.asarray(vec, dtype=dtype)[:, None]
-    out = _apply(rep, np.asarray(mat, dtype=dtype), vecs)[:, 0]
+    out = _apply(rep, np.asarray(mat, dtype=dtype), vecs, inv)[..., 0]
     return tuple(out.tolist()) if dtype is object else out
 
 
@@ -438,25 +459,30 @@ def act(rep: Representation, g, v):
 
 
 def pow2_scaled(vec: np.ndarray):
-    """``(vec / 2^e, e)`` with 2^e the power of two just above max|vec_i|.
+    """``(vec / 2^e, e)`` with 2^e the power of two just above max|vec_i|;
+    each row of a 2-D array by its own e (an array of them).
 
     Scaling by a power of two is exact, so squares of the scaled entries
     neither overflow nor underflow, and results scaled back by 2^e are
     bit-identical to unscaled arithmetic wherever that stays in range.
     """
-    e = math.frexp(float(np.max(np.abs(vec), initial=0.0)))[1]
-    return np.ldexp(vec, -e), e
+    e = np.frexp(np.max(np.abs(vec), axis=-1, initial=0.0))[1]
+    return np.ldexp(vec, -e[..., None]), (int(e) if e.ndim == 0 else e)
 
 
-def scaled_floats(rep: Representation, v) -> np.ndarray:
-    """The floats of ``pow2_scaled(v)``; a rational v is divided by a power
-    of two near max|v_i| before rounding, so no scale of it over- or underflows."""
+def scaled_floats(rep: Representation, v):
+    """``(x, e)`` with x = ``pow2_scaled(v)`` and v = x * 2^e; a rational
+    v is divided by a power of two near max|v_i| before rounding, so no
+    scale of it over- or underflows, and v = x * 2^e up to that rounding."""
     vec, exact = _vector_in(rep, v)
+    shift = 0
     if exact:
         top = max(map(abs, vec))
-        scale = Fraction(2) ** (top.denominator.bit_length() - top.numerator.bit_length())
+        shift = top.numerator.bit_length() - top.denominator.bit_length()
+        scale = Fraction(2) ** -shift
         vec = np.asarray([float(x * scale) for x in vec])
-    return pow2_scaled(vec)[0]
+    scaled, e = pow2_scaled(vec)
+    return scaled, e + shift
 
 
 def _log_ldexp(x: float, e: int) -> float:
@@ -471,19 +497,25 @@ def _log_ldexp(x: float, e: int) -> float:
     return math.log(x) + e * math.log(2.0)
 
 
-def _weighted_squares(rep: Representation, v):
-    """``(q, e)`` with q_i = gram_i v_i^2 / 4^e: exact ``Fraction``s and
-    e = 0 for rational vectors, floats of ``pow2_scaled(v)`` otherwise."""
-    vec, exact = _vector_in(rep, v)
+def _weighted_squares(rep: Representation, v, exp2: int = 0):
+    """``(q, e)`` with q_i = gram_i x_i^2 / 4^e for x = v * 2^exp2: exact
+    ``Fraction``s and e = 0 for rational vectors, floats of
+    ``pow2_scaled(v)`` otherwise.  The rows of a 2-D float ndarray are
+    taken as vectors, each with its own e."""
+    if isinstance(v, np.ndarray) and v.ndim == 2:
+        vec, exact = v.astype(float, copy=False), False
+    else:
+        vec, exact = _vector_in(rep, v)
     if exact:
+        if exp2:
+            vec = [c * Fraction(2) ** exp2 for c in vec]
         return np.array([g * c * c for g, c in zip(rep.gram, vec)], dtype=object), 0
     scaled, e = pow2_scaled(vec)
-    return np.asarray([float(g) for g in rep.gram]) * scaled ** 2, e
+    return _basis_data(rep.spec, rep.n).gram_f * scaled ** 2, e + exp2
 
 
-def _log_norm(q: np.ndarray, e: int) -> float:
-    """log(sqrt(sum q) * 2^e), -inf for zero."""
-    s = q.sum()
+def _log_norm(s, e: int) -> float:
+    """log(sqrt(s) * 2^e) of a sum of weighted squares, -inf for zero."""
     if not s:
         return NEG_INF
     if isinstance(s, Fraction):  # safe for huge numerators and denominators
@@ -509,27 +541,34 @@ def rep_norm(rep: Representation, v) -> float:
     q, e = _weighted_squares(rep, v)
     try:
         if q.dtype == object:
-            return math.exp(_log_norm(q, e))
+            return math.exp(_log_norm(q.sum(), e))
         return math.ldexp(math.sqrt(q.sum()), e)
     except OverflowError:
         return math.inf
 
 
-def log_rep_norm(rep: Representation, v) -> float:
-    """log of ``rep_norm``, computed in a scale-safe way (-inf for zero)."""
-    return _log_norm(*_weighted_squares(rep, v))
+def log_rep_norm(rep: Representation, v, exp2: int = 0):
+    """log of ``rep_norm(v * 2^exp2)``, computed in a scale-safe way (-inf
+    for zero).  For a 2-D float ndarray, the array of its rows' log norms."""
+    q, e = _weighted_squares(rep, v, exp2)
+    if q.ndim == 2:
+        return np.array([_log_norm(s, k) for s, k in zip(q.sum(axis=1).tolist(),
+                                                         e.tolist())])
+    return _log_norm(q.sum(), e)
 
 
-def weight_components(rep: Representation, v, eps: float = 1e-10):
-    """Split ``v`` into weight components and report their log norms.
+def weight_components(rep: Representation, v, eps: float = 1e-10, exp2: int = 0):
+    """Split ``v * 2^exp2`` into weight components and report their log norms.
 
     Returns ``[(weight, r)]`` over the weights of the basis, sorted by
     weight coordinates; ``r`` is the log of the gram-weighted component norm
     for components above ``eps * ||v||`` (exact nonzero test for rational
     vectors), and ``-inf`` otherwise.  Float norms are taken on ``v`` scaled
-    by a power of two, so no scale underflows or overflows.
+    by a power of two, so no scale underflows or overflows; ``exp2`` lets
+    a caller pass the floats of ``scaled_floats`` for a vector beyond the
+    float range.
     """
-    q, e = _weighted_squares(rep, v)
+    q, e = _weighted_squares(rep, v, exp2)
     total = q.sum()
     if not total:
         raise ZeroVectorError("zero vector has no weight components")
@@ -537,7 +576,7 @@ def weight_components(rep: Representation, v, eps: float = 1e-10):
     for w, idx in _basis_data(rep.spec, rep.n).weight_groups:
         below = (q.dtype != object
                  and not math.sqrt(q[idx].sum()) > eps * math.sqrt(total))
-        out.append((w, NEG_INF if below else _log_norm(q[idx], e)))
+        out.append((w, NEG_INF if below else _log_norm(q[idx].sum(), e)))
     return out
 
 
@@ -561,7 +600,7 @@ def moment_map(rep: Representation, w) -> np.ndarray:
     basis = _basis_data(rep.spec, rep.n)
     rows, cols, _, coefs = basis.scatter
     n, k = rep.n, len(basis.dual)
-    vec = scaled_floats(rep, w)
+    vec = scaled_floats(rep, w)[0]
     t = np.zeros(n ** k)
     t[rows] = coefs[False][0][:, 0] * vec[cols]
     total = float(t @ t)
@@ -576,9 +615,9 @@ def moment_map(rep: Representation, w) -> np.ndarray:
     return mu - np.trace(mu) / n * np.eye(n)
 
 
-def active_weights(rep: Representation, v, eps: float = 1e-10):
-    """The weights whose component of ``v`` is nonzero, with log norms."""
-    return [(w, r) for w, r in weight_components(rep, v, eps) if r != NEG_INF]
+def active_weights(rep: Representation, v, eps: float = 1e-10, exp2: int = 0):
+    """The weights whose component of ``v * 2^exp2`` is nonzero, with log norms."""
+    return [(w, r) for w, r in weight_components(rep, v, eps, exp2) if r != NEG_INF]
 
 
 def highest_weight_vector(n: int, j: int, order: SimpleSystem | None = None):

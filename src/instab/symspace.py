@@ -72,11 +72,16 @@ def spd_power(p: np.ndarray, s: float) -> np.ndarray:
 
 def haar_so(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed element of SO(n)."""
-    z = rng.standard_normal((n, n))
+    return haar_from_normal(rng.standard_normal((n, n)))
+
+
+def haar_from_normal(z: np.ndarray) -> np.ndarray:
+    """The Haar element of SO(n) made from a standard normal n x n matrix,
+    or from every matrix of a stack: the Q of its QR with the signs of
+    diag(R), and the first column negated where det Q < 0."""
     q, r = np.linalg.qr(z)
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    q[..., 0] *= np.where(np.linalg.det(q) < 0, -1.0, 1.0)[..., None]
     return q
 
 
@@ -269,7 +274,8 @@ def busemann_limit(ray: GeodesicRay, x, t_grid: Sequence[float] | None = None,
 
 
 def log_flag_norms(m, perm: Sequence[int]) -> np.ndarray:
-    """log||m e_{perm[0]} ^ ... ^ m e_{perm[j-1]}|| for j = 1..n.
+    """log||m e_{perm[0]} ^ ... ^ m e_{perm[j-1]}|| for j = 1..n, or the
+    (S, n) array of them for a stack of S matrices.
 
     Entry j-1 is the log norm of the degree-j fundamental representation
     of m applied to the highest weight vector of the simple system
@@ -277,8 +283,8 @@ def log_flag_norms(m, perm: Sequence[int]) -> np.ndarray:
     |r_11 ... r_jj| of its QR factor, so one factorization gives every
     degree without building any wedge representation.
     """
-    r = np.linalg.qr(np.asarray(m, dtype=float)[:, list(perm)], mode="r")
-    return np.cumsum(np.log(np.abs(np.diag(r))))
+    r = np.linalg.qr(np.asarray(m, dtype=float)[..., list(perm)], mode="r")
+    return np.cumsum(np.log(np.abs(np.diagonal(r, axis1=-2, axis2=-1))), axis=-1)
 
 
 def busemann_formula(a: CartanVector, g) -> float:

@@ -16,6 +16,7 @@ from instab import (CertifyOptions, NonFiniteError, StableVectorError,
                     fastest_shrinking_geodesic, flat_shrink_data, is_unstable,
                     loads_cert, log_rep_norm, min_norm_point, moment_map,
                     parse_rep_spec, torus_kempf, verify_dominance)
+from instab import instability
 from instab.errors import CertificateError
 from instab.instability import (LIKELY_STABLE, NUMERIC_UNSTABLE,
                                 TORUS_CERTIFIED, flat_direction_matrix)
@@ -290,6 +291,17 @@ def test_is_unstable_at_extreme_scales():
         assert verdict.kind == kind
         assert verdict.flat.u == base.flat.u
         assert verdict.rate == base.rate
+
+
+def test_certificate_of_rationals_beyond_the_float_range():
+    base = dominance_certificate(std(3), [1, 0, 0], fast_opts(samples=300))
+    for s in (F(1, 10**400), F(10**400)):
+        with np.errstate(over="raise", invalid="raise"):
+            cert = dominance_certificate(std(3), [s, 0, 0], fast_opts(samples=300))
+        expected = base.c + math.log(s.numerator) - math.log(s.denominator)
+        assert abs(cert.c - expected) <= 1e-9 * max(1.0, abs(cert.c))
+        assert cert.verification.ok
+        assert verify_dominance(loads_cert(dumps_cert(cert)), samples=100).ok
 
 
 def test_coarse_flat_at_the_identity_frame_is_not_torus_certified():
@@ -617,6 +629,51 @@ def test_verify_counts_nan_margins_as_failures():
                               samples=50, seed=5)
     assert report.failures == 50
     assert not report.ok
+
+
+def _replay_margin(cert, rep, v, seed, i, box=5.0):
+    """The margin of sample i alone, drawn from its own spawn key."""
+    def sampler(_rng):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        return cartan_box_sample(rng, cert.n, box)
+    return verify_dominance(cert, rep, v, samples=1, sampler=sampler).margin_min
+
+
+# margins that vary with g, so a sample drawn from another key shows
+@pytest.mark.parametrize("v", [[1, 1, 0, 0], [1.0, 0.5, 0.0, 0.0]])
+def test_verify_samples_replay_alone_across_chunks(v):
+    rep = build_rep(parse_rep_spec("sym(3,std)"), 2)
+    cert = dominance_certificate(rep, v, fast_opts(samples=0))
+    samples, seed = instability._CHUNK + 7, 4
+    report = verify_dominance(cert, rep, v, samples=samples, seed=seed)
+    alone = [_replay_margin(cert, rep, v, seed, i) for i in range(samples)]
+    assert np.std(alone[-7:]) > 0.1
+    assert abs(min(alone) - report.margin_min) <= 1e-12
+    assert abs(float(np.mean(alone)) - report.margin_mean) <= 1e-12
+    assert report.failures == 0
+
+
+def test_verify_counts_nan_margins_across_chunks():
+    cert = replace(dominance_certificate(std(2), [1, 0], fast_opts(samples=0)), c=math.nan)
+    samples = instability._CHUNK + 7
+    assert verify_dominance(cert, std(2), [1, 0], samples=samples).failures == samples
+
+
+def test_verify_acts_on_stacks_not_per_sample(monkeypatch):
+    from instab import reps
+    rep = build_rep(parse_rep_spec("std*wedge(2,std)"), 3)
+    cert = dominance_certificate(rep, [1] + [0] * 8, fast_opts(samples=0))
+    calls = []
+    apply = reps._apply
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return apply(*args, **kwargs)
+    monkeypatch.setattr(reps, "_apply", counted)
+    report = verify_dominance(cert, rep, samples=2000)
+    assert report.ok
+    assert instability._CHUNK >= 64  # a chunk of a few samples is the loop again
+    assert 0 < len(calls) <= math.ceil(2000 / instability._CHUNK) + 2
 
 
 def test_verify_zero_samples_is_valid():

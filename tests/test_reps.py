@@ -279,6 +279,33 @@ def test_act_rejects_non_unimodular():
         act(rep, np.diag([2.0, 1.0]), [1.0, 0.0])
 
 
+@pytest.mark.parametrize("text,n", [("std", 3), ("dual(std)", 3), ("std*dual(std)", 3),
+                                    ("sym(3,std)", 3),
+                                    ("wedge(2,std)*wedge(2,std)*std", 4)])
+@pytest.mark.parametrize("size", [50, 1])
+def test_act_on_a_stack_matches_the_single_action(text, n, size):
+    from instab import cartan_box_sample
+    rep = build_rep(parse_rep_spec(text), n)
+    rng = np.random.default_rng(12)
+    gs = np.stack([cartan_box_sample(rng, n, 5.0) for _ in range(size)])
+    v = rng.standard_normal(rep.dim)
+    stacked = act(rep, gs, v)
+    assert stacked.shape == (size, rep.dim)
+    for g, row in zip(gs, stacked):
+        single = act(rep, g, v)
+        assert np.max(np.abs(row - single)) <= 1e-12 * np.max(np.abs(single))
+
+
+def test_act_on_a_stack_checks_every_element():
+    from instab import cartan_box_sample
+    rep = build_rep(parse_rep_spec("std*dual(std)"), 3)
+    rng = np.random.default_rng(13)
+    gs = np.stack([cartan_box_sample(rng, 3, 1.0) for _ in range(20)])
+    gs[11] = np.diag([2.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="determinant 1"):
+        act(rep, gs, np.ones(rep.dim))
+
+
 # ---------------------------------------------------------------------------
 # Norms and weight components
 
