@@ -37,4 +37,4 @@ class CertificateError(InstabError, ValueError):
 
 
 class NonFiniteError(InstabError, ValueError):
-    """An input vector has a NaN or infinite entry."""
+    """An input vector or group element has a NaN or infinite entry."""

@@ -41,8 +41,9 @@ from .cartan import (CartanVector, Cocharacter, SimpleSystem, Weight,
                      dominant_order)
 from .errors import (CertificateError, DimensionError, StableVectorError,
                      TorusStableError, ZeroVectorError)
-from .reps import (RepSpec, Representation, act, active_weights, build_rep,
-                   log_rep_norm, moment_map, parse_rep_spec, scaled_floats, weight_part)
+from .reps import (RepSpec, Representation, _log_norm, act, active_weights, build_rep,
+                   log_rep_norm, moment_map, parse_rep_spec, scaled_floats,
+                   weight_components, weight_part)
 from .symspace import block_orthogonal, exp_sym, haar_from_normal, log_flag_norms
 
 NEG_INF = float("-inf")
@@ -533,22 +534,24 @@ class DominanceCert:
         return tuple(j + 1 for j, a in enumerate(self.alphas) if a > 0)
 
 
-def _xi_prefix(active: Sequence[Tuple[Weight, float]], u: CartanVector,
-               hulls: dict) -> float:
+def _xi_prefix(active: Sequence[Tuple[int, float]], weights: Sequence[Weight],
+               u: CartanVector, hulls: dict) -> float:
     """max over active subsets whose hull contains u of the min log norm.
 
-    Enlarging a subset can only help hull membership, so the optimum is a
-    prefix of the weights sorted by decreasing log norm; the answer is the
-    log norm of the last weight added when u first enters the hull.
-    ``hulls`` memoises the exact hull tests by the prefix's weight set.
+    ``active`` holds (index into ``weights``, log norm) pairs.  Enlarging
+    a subset can only help hull membership, so the optimum is a prefix of
+    the weights sorted by decreasing log norm; the answer is the log norm
+    of the last weight added when u first enters the hull.  ``hulls``
+    memoises the exact hull tests by the prefix's set of indices.
     """
-    ordered = sorted(active, key=lambda wr: -wr[1])
-    for t in range(1, len(ordered) + 1):
-        key = frozenset(w for w, _ in ordered[:t])
+    ordered = sorted(active, key=lambda jr: -jr[1])
+    key = 0
+    for t, (j, r) in enumerate(ordered, 1):
+        key |= 1 << j
         if key not in hulls:
-            hulls[key] = hull_contains([w.as_cartan() for w in key], u)
+            hulls[key] = hull_contains([weights[i].as_cartan() for i, _ in ordered[:t]], u)
         if hulls[key]:
-            return ordered[t - 1][1]
+            return r
     raise AssertionError("internal: u not in the hull of its active weights")
 
 
@@ -587,39 +590,45 @@ def _estimate_constant(rep: Representation, v, frame: np.ndarray,
     Takes the identity and, when u has a repeated coordinate, ``xi_frames``
     random rotations within the blocks of equal coordinates (the frames
     commuting with the shrink direction; Haar frames would never match, see
-    the comment above), and applies them in stacks of ``_CHUNK``.  Keeps
-    the frames whose active weights have the same exact min-norm point, and
-    takes the minimum of the prefix-hull statistic; the safety margin is
-    subtracted at the end.  ``cls_eps`` must be the threshold that
-    classified the certificate's own active set, so the identity frame
-    always passes the filter.  The frames act on the float copy of
-    ``scaled_floats``, whose exponent enters the log norms, so a rational v
-    beyond the float range gets its constant too.
+    the comment above), drawn as one stack.  Each chunk of ``_CHUNK``
+    frames is acted on in one call and split into weight components in one
+    array pass.  Keeps the frames whose active weights have the same exact
+    min-norm point, memoised by the active mask, and takes the minimum of
+    the prefix-hull statistic over them; only their active log norms are
+    computed, by the scalar ``_log_norm``, so xi keeps its bits.  The
+    safety margin is subtracted at the end.  ``cls_eps`` must be the
+    threshold that classified the certificate's own active set, so the
+    identity frame always passes the filter.  The frames act on the float
+    copy of ``scaled_floats``, whose exponent enters the log norms, so a
+    rational v beyond the float range gets its constant too.
     """
     n = rep.n
     vec, e = scaled_floats(rep, v)  # v = vec * 2^e, also beyond the float range
     w = act(rep, frame, vec)
     blocks = _coordinate_blocks(u)
-    frames = [np.eye(n)]
+    frames = np.eye(n)[None]
     if len(blocks) < n:
         rng = np.random.default_rng(np.random.SeedSequence((opts.seed, 0x7C)))
-        frames.extend(block_orthogonal(blocks, n, rng)
-                      for _ in range(opts.xi_frames))
+        frames = np.concatenate([frames, block_orthogonal(blocks, n, rng, opts.xi_frames)])
     excluded = 0
     xi_min = math.inf
-    cache: dict = {}
+    matches: dict = {}
     hulls: dict = {}
     for start in range(0, len(frames), _CHUNK):
-        for k0w in act(rep, np.stack(frames[start:start + _CHUNK]), w):
-            comps = active_weights(rep, k0w, cls_eps, e)
-            key = frozenset(wt for wt, _ in comps)
-            if key not in cache:
-                cert = min_norm_point([wt.as_cartan() for wt, _ in comps], mode="exact")
-                cache[key] = cert.point
-            if cache[key].coords != u.coords:
+        weights, active, sums, exps = weight_components(
+            rep, act(rep, frames[start:start + _CHUNK], w), cls_eps, e)
+        for mask, row, k in zip(active, sums.tolist(), exps.tolist()):
+            key = mask.tobytes()
+            if key not in matches:  # the active indices if u matches, else None
+                idx = np.flatnonzero(mask).tolist()
+                cert = min_norm_point([weights[j].as_cartan() for j in idx], mode="exact")
+                matches[key] = idx if cert.point.coords == u.coords else None
+            idx = matches[key]
+            if idx is None:
                 excluded += 1
                 continue
-            xi_min = min(xi_min, _xi_prefix(comps, u, hulls))
+            comps = [(j, _log_norm(row[j], k)) for j in idx]
+            xi_min = min(xi_min, _xi_prefix(comps, weights, u, hulls))
     info = XiInfo(frames=len(frames), excluded=excluded, value=float(xi_min),
                   margin=opts.safety_margin)
     return float(xi_min) - opts.safety_margin, info
@@ -735,20 +744,22 @@ def verify_dominance(cert: DominanceCert, rep: Optional[Representation] = None,
         margins[start:start + len(rngs)] = lhs - cert.c - rhs
     failures = int(np.sum(~(margins >= -tol)))  # NaN margins fail too
 
-    # slope agreement along the shrink ray (group parameterization).  For
-    # float-mode certificates components truncated at the classification
-    # threshold re-emerge along the ray like e^{(rate - level) t} against
-    # an e^{-rate t} signal, so the window is capped by the worst level
-    # spread of the representation's weights; exact certificates flow
-    # through genuinely diagonal matrices and have no such residue.
+    # slope agreement along the shrink ray (group parameterization).  Every
+    # weight of the certified flat has level <u/|u|, weight> >= rate, so a
+    # nonzero component of rho(frame)v below the rate was truncated at the
+    # classification threshold (which may be coarser than cert.eps); it
+    # re-emerges along the ray like e^{(rate - level) t} against an
+    # e^{-rate t} signal, so the window is capped by the worst such
+    # spread.  Exact certificates flow through genuinely diagonal matrices
+    # and have no such residue.
     uhat = np.asarray(cert.direction)
-    if cert.mode == "exact":
-        t2 = 40.0
-    else:
-        min_level = min(sum(float(c) * d for c, d in zip(w.coords, uhat))
-                        for w in rep.weights)
-        spread = cert.rate - min_level
-        t2 = min(40.0, 11.5 / max(spread, 0.3))
+    t2 = 40.0
+    if cert.mode != "exact":
+        comps = weight_components(rep, act(rep, frame, vec), 0.0, e)
+        spread = cert.rate - min(sum(float(c) * d for c, d in zip(w.coords, uhat))
+                                 for w, r in comps if r > NEG_INF)
+        if spread > 1e-9:
+            t2 = min(t2, 11.5 / max(spread, 0.3))
     t1 = 0.5 * t2
     lhs, rhs = sides(np.stack([np.diag(np.exp(-t * uhat)) @ frame for t in (t1, t2)]))
     lhs_slope = (lhs[1] - lhs[0]) / (t2 - t1)

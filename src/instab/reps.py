@@ -249,6 +249,17 @@ class _Basis:
         return tuple((w, np.asarray(idx, dtype=np.intp))
                      for w, idx in sorted(groups.items(), key=lambda kv: kv[0].coords))
 
+    @cached_property
+    def weight_blocks(self):
+        """``weight_groups`` by size: for each size, the groups' positions
+        and their indices as one (groups, size) array, so that one gather
+        and one sum serve all the groups of that size."""
+        sizes: dict = {}
+        for j, (_, idx) in enumerate(self.weight_groups):
+            sizes.setdefault(len(idx), []).append(j)
+        return tuple((np.asarray(cols), np.stack([self.weight_groups[j][1] for j in cols]))
+                     for cols in sizes.values())
+
 
 @lru_cache(maxsize=None)
 def _basis_data(spec: RepSpec, n: int) -> _Basis:
@@ -353,8 +364,13 @@ def check_unimodular_float(mat: np.ndarray, det_tol: float = 1e-9) -> np.ndarray
     The float determinant of a matrix with condition number kappa carries a
     relative error of order kappa * eps, so the tolerance scales with a
     Frobenius estimate of kappa; blunders (wrong sign, det far from 1) are
-    still rejected at every scale.
+    still rejected at every scale.  A NaN or infinite entry raises
+    ``NonFiniteError``.
     """
+    finite = np.isfinite(mat)
+    if not finite.all():
+        bad = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise NonFiniteError(f"group element entry {bad} is {mat[bad]}")
     sign, logdet = np.linalg.slogdet(mat)
     if (sign <= 0).any():
         raise ValueError("group element must have determinant 1 (got sign <= 0)")
@@ -567,17 +583,34 @@ def weight_components(rep: Representation, v, eps: float = 1e-10, exp2: int = 0)
     by a power of two, so no scale underflows or overflows; ``exp2`` lets
     a caller pass the floats of ``scaled_floats`` for a vector beyond the
     float range.
+
+    The rows of a 2-D float ndarray (S, dim) are split all at once, and
+    ``(weights, active, sums, e)`` is returned instead: the G weights in
+    the same order, the (S, G) mask of the components above the threshold,
+    their sums of weighted squares, and the rows' exponents, so that
+    ``_log_norm(sums[i, j], e[i])`` is the log norm of an active entry.
+    A vector is the stack-of-one case.
     """
     q, e = _weighted_squares(rep, v, exp2)
-    total = q.sum()
-    if not total:
+    stack = q.ndim == 2
+    q = q.reshape(-1, q.shape[-1])
+    total = q.sum(axis=1)
+    if not total.all():
         raise ZeroVectorError("zero vector has no weight components")
-    out = []
-    for w, idx in _basis_data(rep.spec, rep.n).weight_groups:
-        below = (q.dtype != object
-                 and not math.sqrt(q[idx].sum()) > eps * math.sqrt(total))
-        out.append((w, NEG_INF if below else _log_norm(q[idx].sum(), e)))
-    return out
+    basis = _basis_data(rep.spec, rep.n)
+    groups = basis.weight_groups
+    sums = np.empty((len(q), len(groups)), dtype=q.dtype)
+    for cols, idx in basis.weight_blocks:
+        # take gives C-ordered groups, each summed like a vector of its own
+        sums[:, cols] = q.take(idx, axis=1).sum(axis=2)
+    if q.dtype == object:  # the exact nonzero test
+        active = sums.astype(bool)
+    else:
+        active = np.sqrt(sums) > eps * np.sqrt(total)[:, None]
+    if stack:
+        return tuple(w for w, _ in groups), active, sums, e
+    return [(w, _log_norm(s, e) if a else NEG_INF)
+            for (w, _), s, a in zip(groups, sums[0].tolist(), active[0].tolist())]
 
 
 def weight_part(rep: Representation, v, weights) -> list:

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from .cartan import CartanVector, chi_decompose, dominant_order
 from .errors import DimensionError, ZeroVectorError
@@ -86,22 +85,31 @@ def haar_from_normal(z: np.ndarray) -> np.ndarray:
 
 
 def block_orthogonal(blocks: Sequence[Sequence[int]], n: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Haar sample from the SO(n) subgroup preserving the index blocks."""
-    k = np.zeros((n, n))
+                     rng: np.random.Generator, count: int) -> np.ndarray:
+    """The (count, n, n) stack of Haar samples from the SO(n) subgroup
+    preserving the index blocks.
+
+    Frame i takes the i-th row of one standard normal draw of shape
+    (count, sum of b^2 over the blocks of size b > 1), block by block in
+    the order given: the same numbers as ``count`` frames drawn one after
+    another.  Each block is the Q of one stacked QR with the signs of
+    diag(R); a frame with det -1 has the first column of its largest block
+    negated.
+    """
+    z = rng.standard_normal((count, sum(len(g) ** 2 for g in blocks if len(g) > 1)))
+    k = np.zeros((count, n, n))
+    start = 0
     for grp in blocks:
-        grp = list(grp)
         b = len(grp)
         if b == 1:
-            k[grp[0], grp[0]] = 1.0
-        else:
-            z = rng.standard_normal((b, b))
-            q, r = np.linalg.qr(z)
-            q = q * np.sign(np.diag(r))
-            k[np.ix_(grp, grp)] = q
-    if np.linalg.det(k) < 0:
-        grp = max(blocks, key=len)
-        k[:, grp[0]] = -k[:, grp[0]]
+            k[:, grp[0], grp[0]] = 1.0
+            continue
+        q, r = np.linalg.qr(z[:, start:start + b * b].reshape(count, b, b))
+        start += b * b
+        k[:, np.array(grp)[:, None], grp] = \
+            q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+    col = max(blocks, key=len)[0]
+    k[:, :, col] *= np.where(np.linalg.det(k) < 0, -1.0, 1.0)[:, None]
     return k
 
 
@@ -122,7 +130,10 @@ def distance(p, q) -> float:
     q = check_sym_point(q)
     if p.shape != q.shape:
         raise DimensionError("point dimensions differ")
-    mu = sla.eigh(q, p, eigvals_only=True)
+    # the eigenvalues of p^{-1} q are those of L^{-1} q L^{-T}, p = L L^T
+    low = np.linalg.cholesky(p)
+    m = np.linalg.solve(low, np.linalg.solve(low, q).T)
+    mu = np.linalg.eigvalsh(0.5 * (m + m.T))
     return float(np.sqrt(np.sum(np.log(mu) ** 2)))
 
 

@@ -165,6 +165,14 @@ def test_removed_options_are_rejected(runner, tmp_path, args):
     assert "No such option" in res.output
 
 
+def test_certify_float_form_with_nothing_truncated(runner, tmp_path):
+    res = runner.invoke(main, ["certify", "--n", "2", "--spec", "sym(3,std)",
+                               "--vector", "1.0,0.5,0.0,0.0",
+                               "--out", str(tmp_path / "cert.json")])
+    assert res.exit_code == 0, res.output
+    assert last_json(res.output)["verification_ok"] is True
+
+
 def test_certify_stable_input(runner, tmp_path):
     out = str(tmp_path / "cert.json")
     res = runner.invoke(main, ["certify", "--n", "2", "--spec", "sym(2,std)",

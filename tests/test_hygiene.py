@@ -1,6 +1,9 @@
 """Source hygiene checks that need nothing beyond the standard library."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -75,3 +78,11 @@ def test_unreferenced_private_detector():
                "b.py": "from a import _used\n\n_used()\n"}
     assert unreferenced_private_definitions(sources) == [
         ("a.py", 4, "_dead"), ("a.py", 7, "_Gone")]
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy costs about 0.3 s of every command's start-up; only tests use it
+    code = "import sys, instab.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(SRC.parent)), check=True)
+    assert out.stdout.strip() == "False"

@@ -574,6 +574,36 @@ def test_block_frames_lower_the_constant():
     assert cert.xi.value < identity.xi.value - 0.5
 
 
+W2W2S = "wedge(2,std)*wedge(2,std)*std"
+
+
+def _unit(dim, index, scale):
+    v = [F(0)] * dim
+    v[index] = scale
+    return v
+
+
+# (frames, excluded, value) of xi as the estimator computed them frame by
+# frame; the stacked estimator must keep every bit.  The extremal weight
+# vectors are those of the large-reps benchmark workload, seeds 1-3.
+@pytest.mark.parametrize("text, n, v, value", [
+    ("sym(2,std)", 3, [0, 1, 0, 0, 0, 0], "-0x1.9efa9f9abc9fcp-3"),
+    ("sym(2,std)", 3, [0.0, 1.0, 0.0, 0.0, 0.0, 0.0], "-0x1.9efa9f9abc9fcp-3"),
+    ("wedge(2,std)", 3, [0.3, 0.5, -0.2], "-0x1.ef672c69da215p-2"),
+    ("std", 4, [0.3, -0.2, 0.5, 0.1], "-0x1.e21a83b8a7153p-2"),
+    ("sym(4,std)", 4, _unit(35, 30, F(1)), "0x0.0p+0"),
+    ("sym(4,std)", 4, _unit(35, 0, F(4)), "0x1.62e42fefa39efp+0"),
+    ("sym(4,std)", 4, _unit(35, 0, F(4, 7)), "-0x1.1e85f5e7040d1p-1"),
+    (W2W2S, 4, _unit(144, 143, F(9, 8)), "0x1.e27076e2af2e6p-4"),
+    (W2W2S, 4, _unit(144, 85, F(9)), "0x1.193ea7aad030bp+1"),
+    (W2W2S, 4, _unit(144, 115, F(5, 6)), "-0x1.7565011e49675p-3"),
+])
+def test_stacked_constant_estimator_keeps_xi(text, n, v, value):
+    cert = dominance_certificate(build_rep(parse_rep_spec(text), n), v,
+                                 CertifyOptions(samples=0))
+    assert (cert.xi.frames, cert.xi.excluded, cert.xi.value.hex()) == (1001, 0, value)
+
+
 def test_certificate_anchors_at_the_fastest_flat():
     # the identity flat of rate sqrt 1.5 must not anchor the certificate
     rep, v = sym3_orbit_vector()
@@ -629,6 +659,39 @@ def test_verify_counts_nan_margins_as_failures():
                               samples=50, seed=5)
     assert report.failures == 50
     assert not report.ok
+
+
+def test_verify_rejects_non_finite_sampled_elements():
+    cert = dominance_certificate(std(2), [1, 0], fast_opts(samples=0))
+    with pytest.raises(NonFiniteError, match="group element"):
+        verify_dominance(cert, std(2), [1, 0], samples=5,
+                         sampler=lambda _r: np.array([[math.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_float_certificate_with_nothing_truncated_passes_the_ray_check():
+    # x^3 + 0.5 x^2 y: its identity flat keeps both components, so nothing
+    # re-emerges along the ray and the window is the full t2 = 40; a
+    # window from the spread of all weights (4.06) let x^3, off the
+    # optimal face, still bend the left-hand slope
+    rep = build_rep(parse_rep_spec("sym(3,std)"), 2)
+    cert = dominance_certificate(rep, [1.0, 0.5, 0.0, 0.0], CertifyOptions(samples=300))
+    assert cert.mode == "float"
+    assert cert.verification.failures == 0
+    assert cert.verification.ray_slope_diff < 1e-9
+    assert cert.verification.ok
+
+
+def test_ray_window_covers_what_a_coarse_flat_truncates():
+    # a rotated x^2 (x + y) is certified from a flat classified at 1e-4:
+    # components far above cert.eps but below the rate still re-emerge
+    # along the ray, so they must cap the window
+    rep = build_rep(parse_rep_spec("sym(3,std)"), 2)
+    k = np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
+    v = [float(x) for x in act(rep, k, [1.0, 1.0, 0.0, 0.0])]
+    assert fastest_shrinking_geodesic(rep, v).flat.eps == 1e-4
+    cert = dominance_certificate(rep, v, CertifyOptions(samples=300))
+    assert cert.mode == "float" and cert.eps == 1e-10
+    assert cert.verification.ok
 
 
 def _replay_margin(cert, rep, v, seed, i, box=5.0):

@@ -10,8 +10,9 @@ from instab import (Cocharacter, ParseError, ZeroVectorError, act,
                     norm_sq, parse_rep_spec, rep_matrix, rep_norm,
                     weight_components)
 from instab.cartan import SimpleSystem
-from instab.errors import DimensionError
-from instab.reps import Dual, Standard, Sym, Tensor, Wedge
+from instab.errors import DimensionError, NonFiniteError
+from instab.reps import (NEG_INF, Dual, Standard, Sym, Tensor, Wedge, _basis_data, _log_norm,
+                         _weighted_squares)
 from instab.symspace import exp_sym, haar_so
 
 import oracles
@@ -306,6 +307,17 @@ def test_act_on_a_stack_checks_every_element():
         act(rep, gs, np.ones(rep.dim))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_act_rejects_non_finite_group_elements(bad):
+    rep = build_rep(Standard(), 2)
+    with pytest.raises(NonFiniteError, match=r"entry \(0, 0\)"):
+        act(rep, [[bad, 0.0], [0.0, 1.0]], [1.0, 0.0])
+    gs = np.stack([np.eye(2)] * 5)
+    gs[3, 1, 0] = bad
+    with pytest.raises(NonFiniteError, match=r"entry \(3, 1, 0\)"):
+        act(rep, gs, [1.0, 0.0])
+
+
 # ---------------------------------------------------------------------------
 # Norms and weight components
 
@@ -362,6 +374,65 @@ def test_weight_components_zero_vector_raises():
     rep = build_rep(Standard(), 2)
     with pytest.raises(ZeroVectorError):
         weight_components(rep, [0.0, 0.0])
+
+
+def _split_rows_by_loop(rep, rows, eps, exp2):
+    # the reference: one row at a time, one weight group at a time
+    out = []
+    for row in rows:
+        q, e = _weighted_squares(rep, row, exp2)
+        total = q.sum()
+        out.append([(NEG_INF if not math.sqrt(q[idx].sum()) > eps * math.sqrt(total)
+                     else _log_norm(q[idx].sum(), e)).hex()
+                    for _, idx in _basis_data(rep.spec, rep.n).weight_groups])
+    return out
+
+
+def _split_rows_one_by_one(rep, rows, eps, exp2):
+    return [[r.hex() for _, r in weight_components(rep, row, eps, exp2)] for row in rows]
+
+
+def _split_rows_as_a_stack(rep, rows, eps, exp2):
+    weights, active, sums, e = weight_components(rep, rows, eps, exp2)
+    assert weights == tuple(w for w, _ in weight_components(rep, rows[0], eps, exp2))
+    assert active.shape == sums.shape == (len(rows), len(weights))
+    return [[_log_norm(s, k).hex() if a else NEG_INF.hex() for s, a in zip(row, mask)]
+            for row, mask, k in zip(sums.tolist(), active, e.tolist())]
+
+
+@pytest.mark.parametrize("text,n", [("sym(2,std)", 3), ("std*dual(std)", 3),
+                                    ("wedge(2,std)*wedge(2,std)*std", 4)])
+def test_weight_components_of_a_stack_match_the_rows(text, n):
+    # bit for bit, also for a component just below the threshold, rows of
+    # very different scales, and rows beyond the float range through exp2
+    rep = build_rep(parse_rep_spec(text), n)
+    eps = 1e-10
+    rng = np.random.default_rng(14)
+    rows = rng.standard_normal((6, rep.dim))
+    groups = [idx for _, idx in _basis_data(rep.spec, n).weight_groups]
+    rows[1] = 0.0
+    rows[1][groups[0]] = 1.0
+    gram = _basis_data(rep.spec, n).gram_f
+    share = (1 - 1e-6) * eps  # component norm / total norm, just below eps
+    rows[1][groups[-1][0]] = share / math.sqrt(gram[groups[-1][0]] * (1 - share ** 2)) \
+        * math.sqrt(float(gram[groups[0]].sum()))
+    rows[2] *= 1e300
+    rows[3] *= 1e-300
+    rows[4][groups[1]] = 0.0
+    for exp2 in (0, 3000, -3000):
+        one_by_one = _split_rows_one_by_one(rep, rows, eps, exp2)
+        assert one_by_one == _split_rows_by_loop(rep, rows, eps, exp2)
+        assert _split_rows_as_a_stack(rep, rows, eps, exp2) == one_by_one
+    assert one_by_one[1][-1] == NEG_INF.hex() and one_by_one[1][0] != NEG_INF.hex()
+    assert NEG_INF.hex() in one_by_one[4]
+
+
+def test_weight_components_of_a_stack_with_a_zero_row_raise():
+    rep = build_rep(parse_rep_spec("sym(2,std)"), 3)
+    rows = np.ones((4, rep.dim))
+    rows[2] = 0.0
+    with pytest.raises(ZeroVectorError):
+        weight_components(rep, rows)
 
 
 def test_log_norms_beyond_the_float_range():

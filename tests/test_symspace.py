@@ -8,6 +8,7 @@ from instab import (CartanVector, GeodesicRay, SimpleSystem, ZeroVectorError,
                     distance, exp_sym, geodesic, haar_so, log_flag_norms,
                     midpoint, project, ray_from_cartan)
 from instab.cartan import dominant_order
+from instab.symspace import block_orthogonal
 
 import oracles
 
@@ -22,6 +23,42 @@ def rand_point(rng, n=3, box=1.0):
 
 def test_project_identity():
     np.testing.assert_allclose(project(np.eye(3)), np.eye(3))
+
+
+def _block_frames_one_by_one(blocks, n, rng, count):
+    # one frame after another: a draw per block, its QR, the signs of
+    # diag(R), and the det fix on the largest block
+    frames = []
+    for _ in range(count):
+        k = np.zeros((n, n))
+        for grp in blocks:
+            if len(grp) == 1:
+                k[grp[0], grp[0]] = 1.0
+            else:
+                q, r = np.linalg.qr(rng.standard_normal((len(grp), len(grp))))
+                k[np.ix_(grp, grp)] = q * np.sign(np.diag(r))
+        if np.linalg.det(k) < 0:
+            col = max(blocks, key=len)[0]
+            k[:, col] = -k[:, col]
+        frames.append(k)
+    return np.stack(frames)
+
+
+@pytest.mark.parametrize("blocks,n", [([(0, 1)], 2), ([(2,), (0, 1)], 3),
+                                      ([(1, 0, 2)], 3), ([(3,), (0, 2, 1)], 4),
+                                      ([(0, 4), (2,), (1, 3, 5)], 6)])
+def test_block_orthogonal_stack_matches_frames_drawn_one_by_one(blocks, n):
+    stack = block_orthogonal(blocks, n, np.random.default_rng(5), 300)
+    assert stack.shape == (300, n, n)
+    assert stack.tobytes() == _block_frames_one_by_one(
+        blocks, n, np.random.default_rng(5), 300).tobytes()
+    np.testing.assert_allclose(stack @ stack.swapaxes(1, 2),
+                               np.broadcast_to(np.eye(n), stack.shape), atol=1e-12)
+    np.testing.assert_allclose(np.linalg.det(stack), 1.0)
+    outside = np.ones((n, n), dtype=bool)
+    for grp in blocks:
+        outside[np.ix_(grp, grp)] = False
+    assert not stack[:, outside].any()
 
 
 def test_project_diagonal_square():
@@ -63,6 +100,15 @@ def test_distance_triangle_inequality():
     for _ in range(200):
         p, q, r = rand_point(rng), rand_point(rng), rand_point(rng)
         assert distance(p, q) <= distance(p, r) + distance(r, q) + 1e-10
+
+
+def test_distance_matches_generalized_eigenvalues():
+    sla = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        p, q = rand_point(rng, 4, 3.0), rand_point(rng, 4, 3.0)
+        mu = sla.eigh(q, p, eigvals_only=True)
+        assert distance(p, q) == pytest.approx(math.sqrt(np.sum(np.log(mu) ** 2)), rel=1e-9)
 
 
 def test_distance_rejects_indefinite():
