@@ -32,7 +32,7 @@ from .cartan import CartanVector
 from .errors import (CertificateError, DimensionError, InstabError,
                      ParseError, StableVectorError, ZeroVectorError)
 from .instability import (CertifyOptions, LIKELY_STABLE, NUMERIC_UNSTABLE,
-                          TORUS_CERTIFIED, cartan_box_sample,
+                          TORUS_CERTIFIED, _frac_from_json, cartan_box_sample,
                           dominance_certificate, dumps_cert, is_unstable,
                           loads_cert, verify_dominance)
 from .reps import basis_labels, build_rep, parse_rep_spec
@@ -43,6 +43,8 @@ def _parse_entry(text: str):
     text = text.strip()
     if "/" in text:
         num, den = text.split("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     try:
         return Fraction(int(text))
@@ -60,7 +62,7 @@ def _parse_vector(vector: str | None, vector_file: str | None):
     out = []
     for x in data:
         if isinstance(x, dict):
-            out.append(Fraction(x["num"], x["den"]))
+            out.append(_frac_from_json(x))
         elif isinstance(x, int):
             out.append(Fraction(x))
         else:

@@ -1,9 +1,9 @@
-"""Small dense linear algebra that works over exact rationals and floats.
+"""Small dense linear algebra over the exact rationals.
 
-All routines accept nested sequences; scalars may be ``Fraction``/``int``
-(exact path, pivoting on the first nonzero entry) or ``float`` (partial
-pivoting).  Matrices here are tiny (corral Gram systems, minors of group
-elements), so clarity beats asymptotics.
+``solve``, ``det`` and ``inv`` are thin calls to one Gauss-Jordan
+elimination, ``_eliminate``.  Entries must be ``int`` or ``Fraction``; a
+float raises ``ValueError``.  Matrices here are tiny (corral Gram systems,
+group elements), so clarity beats asymptotics.
 """
 
 from __future__ import annotations
@@ -13,123 +13,63 @@ from math import gcd
 from typing import List, Sequence
 
 
-def is_exact_scalar(x) -> bool:
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
-
-
 def is_exact(values) -> bool:
-    return all(is_exact_scalar(v) for v in values)
+    return all(isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in values)
 
 
-def _rows(a) -> List[list]:
-    return [list(row) for row in a]
-
-
-def solve(a: Sequence[Sequence], b: Sequence) -> list:
-    """Solve ``a x = b`` by Gaussian elimination.
-
-    Raises ``ZeroDivisionError`` if the matrix is singular (exact mode) or
-    numerically rank deficient (float mode).
+def _eliminate(a: Sequence[Sequence], b: Sequence[Sequence]):
+    """Reduce ``[a | b]`` by Gauss-Jordan elimination over the rationals,
+    pivoting on the first nonzero entry of each column.  ``b`` holds one
+    row of right-hand sides per row of ``a``, possibly empty.  Returns
+    ``(det a, a^-1 b)``, or ``(0, None)`` when ``a`` is singular.
     """
-    m = _rows(a)
-    n = len(m)
-    if any(len(row) != n for row in m) or len(b) != n:
-        raise ValueError("solve expects a square system")
-    exact = all(is_exact(row) for row in m) and is_exact(b)
-    rhs = list(b)
-    if exact:
-        m = [[Fraction(x) for x in row] for row in m]
-        rhs = [Fraction(x) for x in rhs]
-
+    n = len(a)
+    if len(b) != n or any(len(row) != n for row in a):
+        raise ValueError("elimination expects a square matrix and one right-hand row per row")
+    if not all(is_exact(row) for row in (*a, *b)):
+        raise ValueError("exact elimination needs int or Fraction entries")
+    m = [[Fraction(x) for x in (*row, *rhs)] for row, rhs in zip(a, b)]
+    d = Fraction(1)
     for col in range(n):
-        if exact:
-            piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        else:
-            piv = max(range(col, n), key=lambda r: abs(m[r][col]))
-            if abs(m[piv][col]) < 1e-300:
-                piv = None
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
         if piv is None:
-            raise ZeroDivisionError("singular matrix")
+            return Fraction(0), None
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv_p = 1 / m[col][col] if not exact else Fraction(1, 1) / m[col][col]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = m[r][col] * inv_p
-            if factor == 0:
-                continue
-            for c in range(col, n):
-                m[r][c] -= factor * m[col][c]
-            rhs[r] -= factor * rhs[col]
-    return [rhs[i] / m[i][i] for i in range(n)]
-
-
-def det(a: Sequence[Sequence]):
-    """Determinant by fraction-free-ish Gaussian elimination."""
-    m = _rows(a)
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("det expects a square matrix")
-    exact = all(is_exact(row) for row in m)
-    if exact:
-        m = [[Fraction(x) for x in row] for row in m]
-    result = Fraction(1) if exact else 1.0
-    sign = 1
-    for col in range(n):
-        if exact:
-            piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        else:
-            piv = max(range(col, n), key=lambda r: abs(m[r][col]))
-            if m[piv][col] == 0:
-                piv = None
-        if piv is None:
-            return result * 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
+            d = -d
         pivot = m[col][col]
-        result *= pivot
-        for r in range(col + 1, n):
-            factor = m[r][col] / pivot
-            if factor == 0:
-                continue
-            for c in range(col, n):
-                m[r][c] -= factor * m[col][c]
-    return result * sign
-
-
-def inv(a: Sequence[Sequence]) -> List[list]:
-    """Matrix inverse via Gauss-Jordan with the same pivoting rules."""
-    m = _rows(a)
-    n = len(m)
-    exact = all(is_exact(row) for row in m)
-    if exact:
-        m = [[Fraction(x) for x in row] for row in m]
-        aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    else:
-        aug = [list(row) + [float(i == j) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        if exact:
-            piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        else:
-            piv = max(range(col, n), key=lambda r: abs(aug[r][col]))
-            if abs(aug[piv][col]) < 1e-300:
-                piv = None
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [x / pivot for x in aug[col]]
+        d *= pivot
+        # column ``col`` is never read again: reduce only the entries right of it
+        row = [x / pivot for x in m[col][col + 1:]]
+        m[col][col + 1:] = row
         for r in range(n):
-            if r == col:
-                continue
-            factor = aug[r][col]
-            if factor == 0:
-                continue
-            aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+            f = m[r][col]
+            if r != col and f != 0:
+                m[r][col + 1:] = [x - f * y for x, y in zip(m[r][col + 1:], row)]
+    return d, [row[n:] for row in m]
+
+
+def solve(a: Sequence[Sequence], b: Sequence) -> List[Fraction]:
+    """Solve ``a x = b`` exactly; raises ``ZeroDivisionError`` if ``a`` is
+    singular."""
+    _, x = _eliminate(a, [[y] for y in b])
+    if x is None:
+        raise ZeroDivisionError("singular matrix")
+    return [row[0] for row in x]
+
+
+def det(a: Sequence[Sequence]) -> Fraction:
+    """Exact determinant."""
+    return _eliminate(a, [[] for _ in a])[0]
+
+
+def inv(a: Sequence[Sequence]) -> List[List[Fraction]]:
+    """Exact inverse; raises ``ZeroDivisionError`` if ``a`` is singular."""
+    n = len(a)
+    _, x = _eliminate(a, [[int(i == j) for j in range(n)] for i in range(n)])
+    if x is None:
+        raise ZeroDivisionError("singular matrix")
+    return x
 
 
 def primitive_integer_vector(values: Sequence[Fraction]) -> List[int]:

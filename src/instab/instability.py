@@ -57,17 +57,16 @@ CERT_SCHEMA = "instab-cert/1"
 
 @dataclass(frozen=True)
 class MinNormCert:
-    """Closest point to 0 in the convex hull of the input points.
+    """Exact closest point to 0 in the convex hull of rational input points.
 
     ``coeffs`` are convex coefficients over the inputs reproducing ``point``;
-    ``gap = min_i <u, v_i> - <u, u>`` certifies optimality (>= 0 up to
-    tolerance: every input lies on the far side of the supporting
-    hyperplane through u).
+    ``gap = min_i <u, v_i> - <u, u>`` certifies optimality: it is >= 0, so
+    every input lies on the far side of the supporting hyperplane through u.
     """
 
     point: CartanVector
-    coeffs: Tuple
-    gap: float
+    coeffs: Tuple[Fraction, ...]
+    gap: Fraction
 
 
 def _affine_min(points):
@@ -81,34 +80,23 @@ def _affine_min(points):
     return sol[:m]
 
 
-def min_norm_point(points: Sequence, mode: str = "float", tol: float = 1e-12,
-                   max_iter: Optional[int] = None) -> MinNormCert:
-    """Wolfe's algorithm for the min-norm point of conv(points).
+def min_norm_point(points: Sequence) -> MinNormCert:
+    """Wolfe's algorithm for the min-norm point of conv(points), exactly.
 
-    ``points`` may be CartanVectors or plain coordinate sequences.  In exact
-    mode all inputs must be rational and the result (and the optimality
-    gap) are exact; in float mode the optimality certificate holds within
-    ``tol``-level accuracy.
+    ``points`` may be CartanVectors or plain coordinate sequences; every
+    coordinate must be rational (``int`` or ``Fraction``), and a float
+    raises ``ValueError``.  The point, its coefficients and the optimality
+    gap are exact.
     """
-    if mode not in ("float", "exact"):
-        raise ValueError(f"unknown mode {mode!r}")
     raw = [tuple(p.coords) if isinstance(p, CartanVector) else tuple(p) for p in points]
     if not raw:
         raise ValueError("need at least one point")
     dims = {len(p) for p in raw}
     if len(dims) != 1:
         raise DimensionError("points have mixed dimensions")
-    exact = mode == "exact"
-    if exact:
-        if not all(exactlin.is_exact(p) for p in raw):
-            raise ValueError("exact mode requires rational coordinates")
-        pts = [tuple(Fraction(x) for x in p) for p in raw]
-        zero = Fraction(0)
-        keep_tol = Fraction(0)
-    else:
-        pts = [tuple(float(x) for x in p) for p in raw]
-        zero = 0.0
-        keep_tol = 1e-14
+    if not all(exactlin.is_exact(p) for p in raw):
+        raise ValueError("min_norm_point requires rational coordinates")
+    pts = [tuple(Fraction(x) for x in p) for p in raw]
 
     def dot(p, q):
         return sum(x * y for x, y in zip(p, q))
@@ -119,18 +107,17 @@ def min_norm_point(points: Sequence, mode: str = "float", tol: float = 1e-12,
 
     start = min(range(len(pts)), key=lambda i: dot(pts[i], pts[i]))
     corral = [start]
-    lam = [Fraction(1) if exact else 1.0]
+    lam = [Fraction(1)]
     x = pts[start]
-    limit = max_iter if max_iter is not None else 16 * len(pts) + 64
+    limit = 16 * len(pts) + 64
 
     for _ in range(limit):
         xx = dot(x, x)
         j = min(range(len(pts)), key=lambda i: dot(x, pts[i]))
-        thresh = xx if exact else xx - max(tol, tol * abs(xx))
-        if dot(x, pts[j]) >= thresh or j in corral:
+        if dot(x, pts[j]) >= xx or j in corral:
             break
         corral.append(j)
-        lam.append(zero)
+        lam.append(Fraction(0))
         # minor cycle: move toward the affine minimizer, dropping points
         # whose barycentric weight would go negative
         for _ in range(limit):
@@ -143,48 +130,35 @@ def min_norm_point(points: Sequence, mode: str = "float", tol: float = 1e-12,
                 total = sum(lam)
                 lam = [l / total for l in lam]
                 continue
-            if all(m > keep_tol for m in mu):
+            if all(m > 0 for m in mu):
                 lam = list(mu)
                 x = combo(corral, lam)
                 break
-            theta = min(l / (l - m) for l, m in zip(lam, mu) if m <= keep_tol)
+            # the step keeps every weight >= 0 and their sum at 1, so the
+            # weights it drops are exactly 0
+            theta = min(l / (l - m) for l, m in zip(lam, mu) if m <= 0)
             lam = [(1 - theta) * l + theta * m for l, m in zip(lam, mu)]
-            keep = [i for i, l in enumerate(lam) if l > keep_tol]
-            if not keep:
-                keep = [int(np.argmax([float(l) for l in lam]))]
+            keep = [i for i, l in enumerate(lam) if l > 0]
             corral = [corral[i] for i in keep]
             lam = [lam[i] for i in keep]
-            total = sum(lam)
-            lam = [l / total for l in lam]
             x = combo(corral, lam)
         else:
             break
 
-    coeffs = [zero] * len(pts)
+    coeffs = [Fraction(0)] * len(pts)
     for i, l in zip(corral, lam):
         coeffs[i] = coeffs[i] + l
-    xx = dot(x, x)
-    gap = min(dot(x, p) for p in pts) - xx
-    point = CartanVector(x)
-    if not exact:
-        gap = float(gap)
-    return MinNormCert(point=point, coeffs=tuple(coeffs), gap=gap)
+    gap = min(dot(x, p) for p in pts) - dot(x, x)
+    return MinNormCert(point=CartanVector(x), coeffs=tuple(coeffs), gap=gap)
 
 
-def hull_contains(points: Sequence[CartanVector], target: CartanVector,
-                  tol: float = 0.0) -> bool:
-    """Membership of ``target`` in conv(points): exact for rational data,
-    within distance ``tol`` when the target carries floats."""
-    if tol == 0.0 and target.is_exact and all(p.is_exact for p in points):
-        shifted = [tuple(Fraction(a) - Fraction(b)
-                         for a, b in zip(p.coords, target.coords))
-                   for p in points]
-        cert = min_norm_point(shifted, mode="exact")
-        return all(c == 0 for c in cert.point.coords)
-    shifted = [tuple(float(a) - float(b) for a, b in zip(p.coords, target.coords))
-               for p in points]
-    cert = min_norm_point(shifted, mode="float")
-    return cert.point.norm() <= max(tol, 1e-9)
+def hull_contains(points: Sequence[CartanVector], target: CartanVector) -> bool:
+    """Exact membership of ``target`` in conv(points); every coordinate must
+    be rational, and all points must have the target's dimension."""
+    if any(p.n != target.n for p in points):
+        raise DimensionError("points and target have different dimensions")
+    shifted = [tuple(a - b for a, b in zip(p.coords, target.coords)) for p in points]
+    return min_norm_point(shifted).point.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +199,7 @@ def flat_shrink_data(rep: Representation, v, frame: Optional[np.ndarray] = None,
     comps = active_weights(rep, w, eps)
     if not comps:
         raise ZeroVectorError("vector vanishes after applying the frame")
-    cert = min_norm_point([wt.as_cartan() for wt, _ in comps], mode="exact")
+    cert = min_norm_point([wt.as_cartan() for wt, _ in comps])
     rate = cert.point.norm()
     bound_const = float(sum(float(c) * r for c, r in zip(cert.coeffs, (r for _, r in comps))))
     bounded = all(c == 0 for c in cert.point.coords)
@@ -621,7 +595,7 @@ def _estimate_constant(rep: Representation, v, frame: np.ndarray,
             key = mask.tobytes()
             if key not in matches:  # the active indices if u matches, else None
                 idx = np.flatnonzero(mask).tolist()
-                cert = min_norm_point([weights[j].as_cartan() for j in idx], mode="exact")
+                cert = min_norm_point([weights[j].as_cartan() for j in idx])
                 matches[key] = idx if cert.point.coords == u.coords else None
             idx = matches[key]
             if idx is None:
@@ -782,7 +756,9 @@ def _frac_to_json(f: Fraction):
 
 
 def _frac_from_json(d) -> Fraction:
-    if not isinstance(d, dict) or set(d) != {"num", "den"}:
+    """The rational of a ``{"num": int, "den": nonzero int}`` object."""
+    if (not isinstance(d, dict) or set(d) != {"num", "den"}
+            or any(type(x) is not int for x in d.values()) or d["den"] == 0):
         raise CertificateError(f"malformed rational {d!r}")
     return Fraction(d["num"], d["den"])
 

@@ -48,7 +48,7 @@ def test_acceptance_1_min_norm_oracle_equivalence():
             coords = [F(int(a), int(b)) for a, b in zip(nums, dens)]
             shift = sum(coords) / dim
             pts.append(CartanVector([c - shift for c in coords]))
-        cert = min_norm_point(pts, mode="exact")
+        cert = min_norm_point(pts)
         u = np.asarray(cert.point.as_floats())
         u_oracle = oracles.enumerated_min_norm([p.as_floats() for p in pts])
         worst = max(worst, float(np.linalg.norm(u - u_oracle)))

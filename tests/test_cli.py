@@ -103,6 +103,26 @@ def test_classify_non_finite_vector(runner, entry):
     assert "vector entry 0" in res.output
 
 
+def test_classify_zero_denominator(runner):
+    res = runner.invoke(main, ["classify", "--n", "2", "--spec", "std",
+                               "--vector", "1/0,1"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "error: zero denominator in '1/0'" in res.output
+
+
+@pytest.mark.parametrize("entry", ['{"num": 1, "den": 0}', '{"num": 1.5, "den": 2}'],
+                         ids=["zero-den", "float-num"])
+def test_classify_vector_file_malformed_rational(runner, tmp_path, entry):
+    vf = tmp_path / "vector.json"
+    vf.write_text(f"[{entry}, 1]")
+    res = runner.invoke(main, ["classify", "--n", "2", "--spec", "std",
+                               "--vector-file", str(vf)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "error: malformed rational" in res.output
+
+
 def test_classify_dimension_mismatch(runner):
     res = runner.invoke(main, ["classify", "--n", "2", "--spec", "std",
                                "--vector", "1,0,0"])
@@ -239,6 +259,20 @@ def test_verify_rejects_non_finite_constant(runner, tmp_path, value):
     res = runner.invoke(main, ["verify", out, "--samples", "50"])
     assert res.exit_code == 5, res.output
     assert "non-finite" in res.output
+
+
+def test_verify_rejects_zero_denominator(runner, tmp_path):
+    out = str(tmp_path / "cert.json")
+    assert runner.invoke(main, ["certify", "--n", "2", "--spec", "std",
+                                "--vector", "1,0", "--out", out,
+                                "--samples", "50"]).exit_code == 0
+    data = json.loads(open(out).read())
+    data["vector"][0] = {"num": 1, "den": 0}
+    with open(out, "w") as fh:
+        json.dump(data, fh)
+    res = runner.invoke(main, ["verify", out, "--samples", "50"])
+    assert res.exit_code == 5, res.output
+    assert "malformed rational" in res.output
 
 
 def test_certify_exact_vector_file(runner, tmp_path):

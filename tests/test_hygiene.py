@@ -47,6 +47,32 @@ def unreferenced_private_definitions(sources: dict):
                   and total[node.name] == _referenced_names(node)[node.name])
 
 
+def unread_parameters(source: str):
+    """Parameters of functions and lambdas in ``source`` that their body never
+    reads, as (line, function name, parameter); a method's ``self`` or ``cls``
+    is not counted."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        read |= {n.target.id for stmt in body for n in ast.walk(stmt)
+                 if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name)}
+        out += [(node.lineno, getattr(node, "name", "<lambda>"), p.arg) for p in params
+                if p.arg not in read and p.arg not in ("self", "cls")]
+    return sorted(out)
+
+
+# is_unstable keeps these because bench/run.py still passes them
+UNREAD_ALLOWED = {("instability.py", "is_unstable", "budget"),
+                  ("instability.py", "is_unstable", "seed"),
+                  ("instability.py", "is_unstable", "adapted")}
+
+
 def test_modules_are_found():
     assert len(MODULES) >= 6
 
@@ -78,6 +104,28 @@ def test_unreferenced_private_detector():
                "b.py": "from a import _used\n\n_used()\n"}
     assert unreferenced_private_definitions(sources) == [
         ("a.py", 4, "_dead"), ("a.py", 7, "_Gone")]
+
+
+def test_parameters_are_read():
+    unread = [(path.name, line, fn, param) for path in SRC.glob("*.py")
+              for line, fn, param in unread_parameters(path.read_text())
+              if (path.name, fn, param) not in UNREAD_ALLOWED]
+    assert not unread, "never read: " + ", ".join(
+        f"{fn}({param}) ({path}:{line})" for path, line, fn, param in unread)
+
+
+def test_unread_parameter_detector():
+    src = ("def f(a, b, *args, c=1, **kw):\n"
+           "    a += 1\n"
+           "    def g(d):\n"
+           "        return c\n"
+           "    return lambda e, h: e\n\n"
+           "class K:\n"
+           "    def m(self, x):\n"
+           "        return 0\n")
+    assert unread_parameters(src) == [
+        (1, "f", "args"), (1, "f", "b"), (1, "f", "kw"), (3, "g", "d"),
+        (5, "<lambda>", "h"), (8, "m", "x")]
 
 
 def test_cli_import_leaves_scipy_out():

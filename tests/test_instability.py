@@ -496,7 +496,7 @@ def _weight_margin_sq(rep):
         rest = [w for w in weights if w != d]
         for size in range(rep.n):
             for subset in itertools.combinations(rest, size):
-                u = min_norm_point([d, *subset], mode="exact").point
+                u = min_norm_point([d, *subset]).point
                 norm_sq = sum(c * c for c in u.coords)
                 if norm_sq and (best is None or norm_sq < best):
                     best = norm_sq

@@ -11,15 +11,14 @@ import oracles
 
 
 def test_single_point():
-    cert = min_norm_point([CartanVector([1, -1])], mode="exact")
+    cert = min_norm_point([CartanVector([1, -1])])
     assert cert.point.coords == (F(1), F(-1))
     assert cert.coeffs == (F(1),)
     assert cert.gap == 0
 
 
 def test_symmetric_pair_contains_origin():
-    cert = min_norm_point([CartanVector([1, -1]), CartanVector([-1, 1])],
-                          mode="exact")
+    cert = min_norm_point([CartanVector([1, -1]), CartanVector([-1, 1])])
     assert cert.point.coords == (F(0), F(0))
     assert sum(cert.coeffs) == 1
     assert cert.gap == 0
@@ -27,7 +26,7 @@ def test_symmetric_pair_contains_origin():
 
 def test_two_point_segment():
     pts = [CartanVector([2, -1, -1]), CartanVector([-1, 2, -1])]
-    cert = min_norm_point(pts, mode="exact")
+    cert = min_norm_point(pts)
     assert cert.point.coords == (F(1, 2), F(1, 2), F(-1))
     assert sum(c * c for c in cert.point.coords) == F(3, 2)
     # grid oracle over convex combinations
@@ -54,7 +53,7 @@ def test_mixed_dimensions_raise():
 
 def test_exact_mode_rejects_floats():
     with pytest.raises(ValueError):
-        min_norm_point([CartanVector([1.0, -1.0])], mode="exact")
+        min_norm_point([CartanVector([1.0, -1.0])])
 
 
 def _random_rational_polytope(rng, dim, count):
@@ -75,7 +74,7 @@ def test_wolfe_matches_qp_oracle(seed):
         dim = int(rng.integers(2, 7))
         count = int(rng.integers(1, 13))
         pts = _random_rational_polytope(rng, dim, count)
-        cert = min_norm_point(pts, mode="exact")
+        cert = min_norm_point(pts)
         u = np.asarray(cert.point.as_floats())
         u_enum = oracles.enumerated_min_norm([p.as_floats() for p in pts])
         assert np.linalg.norm(u - u_enum) < 1e-9
@@ -91,19 +90,6 @@ def test_wolfe_matches_qp_oracle(seed):
         assert tuple(rebuilt) == cert.point.coords
         assert all(c >= 0 for c in cert.coeffs)
         assert sum(cert.coeffs) == 1
-
-
-def test_float_mode_agrees_with_exact():
-    rng = np.random.default_rng(99)
-    for _ in range(50):
-        dim = int(rng.integers(2, 6))
-        count = int(rng.integers(1, 10))
-        pts = _random_rational_polytope(rng, dim, count)
-        exact = min_norm_point(pts, mode="exact")
-        fl = min_norm_point([p.as_floats() for p in pts], mode="float")
-        assert np.linalg.norm(np.asarray(fl.point.coords) -
-                              np.asarray(exact.point.as_floats())) < 1e-9
-        assert fl.gap >= -1e-9
 
 
 @st.composite
@@ -122,7 +108,7 @@ def small_polytope(draw):
 @settings(max_examples=60, deadline=None)
 @given(small_polytope())
 def test_wolfe_invariants_property(pts):
-    cert = min_norm_point(pts, mode="exact")
+    cert = min_norm_point(pts)
     uu = sum(c * c for c in cert.point.coords)
     assert cert.gap >= 0
     for p in pts:
@@ -138,11 +124,13 @@ def test_hull_contains():
     assert hull_contains(pts, CartanVector([F(1, 2), F(-1, 2)]))
     assert not hull_contains(pts, CartanVector([2, -2]))
     assert not hull_contains([CartanVector([1, -1])], CartanVector([0, 0]))
+    with pytest.raises(DimensionError):
+        hull_contains([CartanVector([1, -1])], CartanVector([1, -1, 0]))
 
 
 def test_scaling_preserves_direction():
     pts = [CartanVector([2, -1, -1]), CartanVector([-1, 2, -1])]
-    base = min_norm_point(pts, mode="exact")
+    base = min_norm_point(pts)
     for c in (F(2), F(1, 3), F(5, 7)):
-        scaled = min_norm_point([p.scale(c) for p in pts], mode="exact")
+        scaled = min_norm_point([p.scale(c) for p in pts])
         assert scaled.point.coords == tuple(c * x for x in base.point.coords)
