@@ -59,15 +59,11 @@ def _parse_vector(vector: str | None, vector_file: str | None):
         return [_parse_entry(x) for x in vector.split(",") if x.strip()]
     with open(vector_file) as fh:
         data = json.load(fh)
-    out = []
-    for x in data:
-        if isinstance(x, dict):
-            out.append(_frac_from_json(x))
-        elif isinstance(x, int):
-            out.append(Fraction(x))
-        else:
-            out.append(float(x))
-    return out
+    # type(), not isinstance(): a bool is no number here
+    if type(data) is not list or any(type(x) not in (dict, int, float) for x in data):
+        raise ValueError("a vector file holds a JSON array of numbers and {num, den} objects")
+    return [_frac_from_json(x) if type(x) is dict else Fraction(x) if type(x) is int else x
+            for x in data]
 
 
 def _emit(payload: dict):
@@ -160,20 +156,15 @@ def cmd_classify(n, spec_text, vector, vector_file, eps):
 @click.option("--seed", type=int, default=0)
 @click.option("--samples", type=int, default=1000,
               help="embedded verification sample count")
-@click.option("--xi-frames", type=int, default=1000)
-@click.option("--safety-margin", type=float, default=0.1)
 @click.option("--box", type=float, default=5.0)
 @click.option("--tol", type=float, default=1e-6)
 @click.option("--eps", type=float, default=1e-10)
-def cmd_certify(n, spec_text, vector, vector_file, out, seed, samples,
-                xi_frames, safety_margin, box, tol, eps):
+def cmd_certify(n, spec_text, vector, vector_file, out, seed, samples, box, tol, eps):
     """Compute a dominance certificate and write it as canonical JSON."""
     try:
         rep = _build(n, spec_text)
         v = _parse_vector(vector, vector_file)
-        opts = CertifyOptions(seed=seed, samples=samples, xi_frames=xi_frames,
-                              safety_margin=safety_margin, box=box, tol=tol,
-                              eps=eps)
+        opts = CertifyOptions(seed=seed, samples=samples, box=box, tol=tol, eps=eps)
         cert = dominance_certificate(rep, v, opts)
     except ZeroVectorError:
         click.echo("error: zero vector", err=True)

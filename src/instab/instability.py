@@ -30,9 +30,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from functools import cache
+from itertools import groupby
+from typing import Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -114,22 +116,15 @@ def min_norm_point(points: Sequence) -> MinNormCert:
     for _ in range(limit):
         xx = dot(x, x)
         j = min(range(len(pts)), key=lambda i: dot(x, pts[i]))
-        if dot(x, pts[j]) >= xx or j in corral:
+        if dot(x, pts[j]) >= xx:
             break
+        # the corral stays affinely independent: <x, p_j> < |x|^2 = <x, p> for every p in it
         corral.append(j)
         lam.append(Fraction(0))
         # minor cycle: move toward the affine minimizer, dropping points
         # whose barycentric weight would go negative
-        for _ in range(limit):
-            try:
-                mu = _affine_min([pts[i] for i in corral])
-            except ZeroDivisionError:
-                # affinely dependent corral: discard the oldest point
-                corral.pop(0)
-                lam.pop(0)
-                total = sum(lam)
-                lam = [l / total for l in lam]
-                continue
+        while True:
+            mu = _affine_min([pts[i] for i in corral])
             if all(m > 0 for m in mu):
                 lam = list(mu)
                 x = combo(corral, lam)
@@ -142,8 +137,6 @@ def min_norm_point(points: Sequence) -> MinNormCert:
             corral = [corral[i] for i in keep]
             lam = [lam[i] for i in keep]
             x = combo(corral, lam)
-        else:
-            break
 
     coeffs = [Fraction(0)] * len(pts)
     for i, l in zip(corral, lam):
@@ -422,6 +415,10 @@ def is_unstable(rep: Representation, v, budget: int = 64, seed: int = 0,
 # Dominance certificates
 
 
+# a certificate entry that is a rational where it can be, else a float
+Num = Union[Fraction, float]
+
+
 @dataclass(frozen=True)
 class KempfData:
     tau: Tuple[int, ...]
@@ -460,12 +457,11 @@ class VerifyReport:
 
 @dataclass(frozen=True)
 class CertifyOptions:
-    """Knobs for certificate construction."""
+    """Settings of certificate construction.  The constant estimator's frame
+    count and safety margin are fixed; the certificate records them in ``xi``."""
 
     seed: int = 0
     eps: float = 1e-10
-    xi_frames: int = 1000
-    safety_margin: float = 0.1
     samples: int = 1000
     box: float = 5.0
     tol: float = 1e-6
@@ -486,14 +482,14 @@ class DominanceCert:
 
     n: int
     spec: RepSpec
-    vector: Tuple
+    vector: Tuple[Num, ...]
     mode: str
     frame: Optional[np.ndarray]
     order: SimpleSystem
     u: CartanVector
     direction: Tuple[float, ...]
     rate: float
-    alphas: Tuple  # nonnegative Fractions; read back as floats if so written
+    alphas: Tuple[Num, ...]  # nonnegative; Fractions unless written as floats
     c: float
     kempf: Optional[KempfData]
     xi: XiInfo
@@ -530,21 +526,18 @@ def _xi_prefix(active: Sequence[Tuple[int, float]], weights: Sequence[Weight],
 
 
 def _coordinate_blocks(u: CartanVector):
-    """Indices grouped by equal coordinates of the exact ``u``."""
-    order = sorted(range(u.n), key=lambda i: u.coords[i], reverse=True)
-    blocks = [[order[0]]]
-    for prev, cur in zip(order, order[1:]):
-        if u.coords[prev] == u.coords[cur]:
-            blocks[-1].append(cur)
-        else:
-            blocks.append([cur])
-    return [tuple(b) for b in blocks]
+    """Indices grouped by equal coordinates of the exact ``u``, in dominant order."""
+    return [tuple(b) for _, b in groupby(dominant_order(u).perm, key=lambda i: u.coords[i])]
 
 
 # group elements per stacked action in verification and in the constant
 # estimator: enough to amortise the per-call cost, few enough that the
 # tensors of a 144-dimensional representation stay near 1 MB
 _CHUNK = 128
+
+# random block frames of the constant estimator, and what it subtracts
+_XI_FRAMES = 1000
+_SAFETY_MARGIN = 0.1
 
 
 # Why no Haar-random frame is tried.  For v != 0 let A be the weights whose
@@ -556,12 +549,11 @@ _CHUNK = 128
 # a frame never certifies, and its min-norm point 0 never matches a u != 0.
 
 
-def _estimate_constant(rep: Representation, v, frame: np.ndarray,
-                       u: CartanVector, cls_eps: float,
-                       opts: CertifyOptions) -> Tuple[float, XiInfo]:
+def _estimate_constant(rep: Representation, v, frame: np.ndarray, u: CartanVector,
+                       cls_eps: float, seed: int) -> Tuple[float, XiInfo]:
     """Lower-bound constant via frames of flats through the shrink geodesic.
 
-    Takes the identity and, when u has a repeated coordinate, ``xi_frames``
+    Takes the identity and, when u has a repeated coordinate, ``_XI_FRAMES``
     random rotations within the blocks of equal coordinates (the frames
     commuting with the shrink direction; Haar frames would never match, see
     the comment above), drawn as one stack.  Each chunk of ``_CHUNK``
@@ -569,8 +561,8 @@ def _estimate_constant(rep: Representation, v, frame: np.ndarray,
     array pass.  Keeps the frames whose active weights have the same exact
     min-norm point, memoised by the active mask, and takes the minimum of
     the prefix-hull statistic over them; only their active log norms are
-    computed, by the scalar ``_log_norm``, so xi keeps its bits.  The
-    safety margin is subtracted at the end.  ``cls_eps`` must be the
+    computed, by the scalar ``_log_norm``, so xi keeps its bits.
+    ``_SAFETY_MARGIN`` is subtracted at the end.  ``cls_eps`` must be the
     threshold that classified the certificate's own active set, so the
     identity frame always passes the filter.  The frames act on the float
     copy of ``scaled_floats``, whose exponent enters the log norms, so a
@@ -582,8 +574,8 @@ def _estimate_constant(rep: Representation, v, frame: np.ndarray,
     blocks = _coordinate_blocks(u)
     frames = np.eye(n)[None]
     if len(blocks) < n:
-        rng = np.random.default_rng(np.random.SeedSequence((opts.seed, 0x7C)))
-        frames = np.concatenate([frames, block_orthogonal(blocks, n, rng, opts.xi_frames)])
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0x7C)))
+        frames = np.concatenate([frames, block_orthogonal(blocks, n, rng, _XI_FRAMES)])
     excluded = 0
     xi_min = math.inf
     matches: dict = {}
@@ -604,8 +596,8 @@ def _estimate_constant(rep: Representation, v, frame: np.ndarray,
             comps = [(j, _log_norm(row[j], k)) for j in idx]
             xi_min = min(xi_min, _xi_prefix(comps, weights, u, hulls))
     info = XiInfo(frames=len(frames), excluded=excluded, value=float(xi_min),
-                  margin=opts.safety_margin)
-    return float(xi_min) - opts.safety_margin, info
+                  margin=_SAFETY_MARGIN)
+    return float(xi_min) - _SAFETY_MARGIN, info
 
 
 def dominance_certificate(rep: Representation, v,
@@ -629,7 +621,7 @@ def dominance_certificate(rep: Representation, v,
     if any(a < 0 for a in alphas):
         raise AssertionError("internal: direction not dominant for its own order")
 
-    c, xi_info = _estimate_constant(rep, v, flat.frame, u, flat.eps, opts)
+    c, xi_info = _estimate_constant(rep, v, flat.frame, u, flat.eps, opts.seed)
 
     frame = None if fsg.identity else flat.frame
     mode = "exact" if (vec_exact and fsg.identity) else "float"
@@ -748,11 +740,11 @@ def verify_dominance(cert: DominanceCert, rep: Optional[Representation] = None,
 
 
 # ---------------------------------------------------------------------------
-# Certificate serialization (canonical JSON)
+# Certificate serialization (canonical JSON); the dataclasses are the schema
 
 
-def _frac_to_json(f: Fraction):
-    return {"num": f.numerator, "den": f.denominator}
+def _num_to_json(x):
+    return {"num": x.numerator, "den": x.denominator} if isinstance(x, Fraction) else float(x)
 
 
 def _frac_from_json(d) -> Fraction:
@@ -763,90 +755,88 @@ def _frac_from_json(d) -> Fraction:
     return Fraction(d["num"], d["den"])
 
 
+_RECORDS = (KempfData, XiInfo, VerifyReport)
+
+
+def _fields_to_dict(record) -> dict:
+    """The fields of ``record`` by name, shallow; nested records as dicts."""
+    return {f.name: _fields_to_dict(value) if isinstance(value, _RECORDS) else value
+            for f in fields(record) for value in [getattr(record, f.name)]}
+
+
 def cert_to_dict(cert: DominanceCert) -> dict:
-    vector = [(_frac_to_json(x) if isinstance(x, Fraction) else float(x))
-              for x in cert.vector]
-    return {
-        "schema": cert.schema,
-        "form": cert.form,
-        "n": cert.n,
-        "spec": str(cert.spec),
-        "mode": cert.mode,
-        "vector": vector,
-        "frame": None if cert.frame is None else [[float(x) for x in row]
-                                                  for row in cert.frame],
-        "order": list(cert.order.perm),
-        "u": [(_frac_to_json(x) if isinstance(x, Fraction) else float(x))
-              for x in cert.u.coords],
-        "direction": [float(x) for x in cert.direction],
-        "rate": cert.rate,
-        "alphas": [(_frac_to_json(a) if isinstance(a, Fraction) else float(a))
-                   for a in cert.alphas],
-        "hw": list(cert.hw_degrees),
-        "c": cert.c,
-        "kempf": None if cert.kempf is None else {
-            "tau": list(cert.kempf.tau), "m": cert.kempf.m,
-            "norm_sq": cert.kempf.norm_sq, "ratio": cert.kempf.ratio},
-        "xi": {"frames": cert.xi.frames, "excluded": cert.xi.excluded,
-               "value": cert.xi.value, "margin": cert.xi.margin},
-        "verification": None if cert.verification is None else {
-            "samples": cert.verification.samples,
-            "failures": cert.verification.failures,
-            "margin_min": cert.verification.margin_min,
-            "margin_mean": cert.verification.margin_mean,
-            "ray_slope_diff": cert.verification.ray_slope_diff,
-            "ray_checked": cert.verification.ray_checked,
-            "box": cert.verification.box,
-            "tol": cert.verification.tol,
-            "seed": cert.verification.seed},
-        "seed": cert.seed,
-        "eps": cert.eps,
-    }
+    """The certificate's dataclass fields as JSON values, plus the derived ``hw``."""
+    out = _fields_to_dict(cert)
+    out.update(spec=str(cert.spec), order=list(cert.order.perm),
+               frame=None if cert.frame is None else cert.frame.tolist(),
+               hw=list(cert.hw_degrees),
+               vector=[_num_to_json(x) for x in cert.vector],
+               u=[_num_to_json(x) for x in cert.u.coords],
+               alphas=[_num_to_json(a) for a in cert.alphas])
+    return out
+
+
+# field types written as another JSON type: (that type, its reader)
+_JSON_FORMS = {
+    RepSpec: (str, parse_rep_spec),
+    SimpleSystem: (Tuple[int, ...], SimpleSystem),
+    CartanVector: (Tuple[Num, ...], CartanVector),
+    np.ndarray: (Tuple[Tuple[float, ...], ...], lambda rows: np.asarray(rows, dtype=float)),
+}
+
+
+# the Python types that json reads or writes for each JSON type a field takes:
+# a bool is no int, an int is a float, and cert_to_dict leaves tuples as they are
+_JSON_TYPES = {int: (int,), float: (float, int), bool: (bool,), str: (str,),
+               list: (list, tuple), dict: (dict,)}
+
+
+def _checked(kind, x, where: str):
+    """``x``, as a float for a ``float`` field, if its type fits ``kind``."""
+    if type(x) not in _JSON_TYPES[kind]:
+        raise CertificateError(f"{where}: expected {kind.__name__}, got {x!r}")
+    return float(x) if kind is float else x
+
+
+@cache
+def _reader(kind):
+    """The function ``read(x, where)`` that reads a field declared ``kind``
+    from its JSON value ``x``, checking each JSON type on the way down, and
+    names the field ``where`` when it raises ``CertificateError``.  A
+    ``{num, den}`` object is read only where the type allows a Fraction."""
+    if kind in _JSON_FORMS:
+        form, make = _JSON_FORMS[kind]
+        read = _reader(form)
+        return lambda x, where: make(read(x, where))
+    if kind == Num:
+        read = _reader(float)
+        return lambda x, where: _frac_from_json(x) if type(x) is dict else read(x, where)
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is tuple:
+        read = _reader(args[0])
+        return lambda x, where: tuple(read(y, where) for y in _checked(list, x, where))
+    if origin is Union:  # Optional
+        read = _reader(args[0])
+        return lambda x, where: None if x is None else read(x, where)
+    if is_dataclass(kind):
+        readers = [(f.name, _reader(get_type_hints(kind)[f.name])) for f in fields(kind)]
+        return lambda x, where: kind(**{name: read(_checked(dict, x, where)[name], name)
+                                        for name, read in readers})
+    return lambda x, where: _checked(kind, x, where)
 
 
 def cert_from_dict(data: dict) -> DominanceCert:
+    """Read a certificate: each field through the type its dataclass declares,
+    then check that its numbers are finite, alphas >= 0 and shapes fit n."""
     try:
-        if data["schema"] != CERT_SCHEMA:
-            raise CertificateError(f"unsupported schema {data.get('schema')!r}")
-        spec = parse_rep_spec(data["spec"])
-        vector = tuple(_frac_from_json(x) if isinstance(x, dict) else float(x)
-                       for x in data["vector"])
-        frame = None if data["frame"] is None else np.asarray(data["frame"], float)
-        kempf = None
-        if data["kempf"] is not None:
-            kd = data["kempf"]
-            kempf = KempfData(tau=tuple(int(t) for t in kd["tau"]), m=int(kd["m"]),
-                              norm_sq=int(kd["norm_sq"]), ratio=float(kd["ratio"]))
-        ver = None
-        if data["verification"] is not None:
-            vd = data["verification"]
-            ver = VerifyReport(samples=int(vd["samples"]), failures=int(vd["failures"]),
-                               margin_min=float(vd["margin_min"]),
-                               margin_mean=float(vd["margin_mean"]),
-                               ray_slope_diff=float(vd["ray_slope_diff"]),
-                               ray_checked=bool(vd["ray_checked"]),
-                               box=float(vd["box"]), tol=float(vd["tol"]),
-                               seed=int(vd["seed"]))
-        cert = DominanceCert(
-            n=int(data["n"]), spec=spec, vector=vector, mode=str(data["mode"]),
-            frame=frame, order=SimpleSystem(tuple(data["order"])),
-            u=CartanVector(tuple(_frac_from_json(x) if isinstance(x, dict)
-                                 else float(x) for x in data["u"])),
-            direction=tuple(float(x) for x in data["direction"]),
-            rate=float(data["rate"]),
-            alphas=tuple(_frac_from_json(a) if isinstance(a, dict) else float(a)
-                         for a in data["alphas"]),
-            c=float(data["c"]), kempf=kempf,
-            xi=XiInfo(frames=int(data["xi"]["frames"]),
-                      excluded=int(data["xi"]["excluded"]),
-                      value=float(data["xi"]["value"]),
-                      margin=float(data["xi"]["margin"])),
-            verification=ver, seed=int(data["seed"]), eps=float(data["eps"]),
-            form=str(data["form"]), schema=str(data["schema"]))
+        if _checked(dict, data, "certificate")["schema"] != CERT_SCHEMA:
+            raise CertificateError(f"unsupported schema {data['schema']!r}")
+        cert = _reader(DominanceCert)(data, "certificate")
     except CertificateError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:  # a missing field, or a value its type rejects
         raise CertificateError(f"malformed certificate: {exc}") from exc
+    frame = cert.frame
     for name, values in (("c", cert.c), ("rate", cert.rate),
                          ("direction", cert.direction),
                          ("alphas", [float(a) for a in cert.alphas]),
@@ -856,9 +846,9 @@ def cert_from_dict(data: dict) -> DominanceCert:
     if any(a < 0 for a in cert.alphas):
         raise CertificateError("alphas must be nonnegative")
     n = cert.n
-    if (len(cert.alphas) != n - 1 or len(cert.direction) != n
-            or (frame is not None and frame.shape != (n, n))):
-        raise CertificateError(f"alphas, direction or frame do not fit n = {n}")
+    if (len(cert.alphas) != n - 1 or len(cert.direction) != n or cert.order.n != n
+            or cert.u.n != n or (frame is not None and frame.shape != (n, n))):
+        raise CertificateError(f"alphas, direction, order, u or frame do not fit n = {n}")
     return cert
 
 
@@ -872,6 +862,4 @@ def loads_cert(text: str) -> DominanceCert:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CertificateError(f"not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise CertificateError("certificate must be a JSON object")
     return cert_from_dict(data)

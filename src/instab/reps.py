@@ -357,7 +357,10 @@ def basis_labels(rep: Representation) -> Tuple[str, ...]:
 # Group action
 
 
-def check_unimodular_float(mat: np.ndarray, det_tol: float = 1e-9) -> np.ndarray:
+_DET_TOL = 1e-9
+
+
+def check_unimodular_float(mat: np.ndarray) -> np.ndarray:
     """Check det = 1 up to what the conditioning of ``mat`` permits, for one
     matrix or for every matrix of a stack, and return the inverse.
 
@@ -380,14 +383,14 @@ def check_unimodular_float(mat: np.ndarray, det_tol: float = 1e-9) -> np.ndarray
         raise ValueError("group element is numerically singular")
     # squared Frobenius estimate of kappa
     cond_sq = (mat * mat).sum(axis=(-2, -1)) * (inv * inv).sum(axis=(-2, -1))
-    bad = logdet * logdet > det_tol * det_tol * np.maximum(1.0, cond_sq)
+    bad = logdet * logdet > _DET_TOL * _DET_TOL * np.maximum(1.0, cond_sq)
     if bad.any():
         raise ValueError(f"group element must have determinant 1, "
                          f"got log|det| = {np.ravel(logdet)[np.ravel(bad)][0]}")
     return inv
 
 
-def _as_group_matrix(g, n: int, det_tol: float = 1e-9):
+def _as_group_matrix(g, n: int):
     """Validate shape and unimodularity of ``g``, or of every matrix of a
     float stack (S, n, n); return (matrix, float inverse or None, exact flag)."""
     exact = (not isinstance(g, np.ndarray) or g.dtype == object) \
@@ -400,7 +403,7 @@ def _as_group_matrix(g, n: int, det_tol: float = 1e-9):
         if exactlin.det(mat.tolist()) != 1:
             raise ValueError("group element must have determinant 1")
         return mat, None, True
-    return mat, check_unimodular_float(mat, det_tol), False
+    return mat, check_unimodular_float(mat), False
 
 
 def _apply(rep: Representation, g: np.ndarray, vecs: np.ndarray,

@@ -123,6 +123,20 @@ def test_classify_vector_file_malformed_rational(runner, tmp_path, entry):
     assert "error: malformed rational" in res.output
 
 
+@pytest.mark.parametrize("command", ["classify", "certify"])
+@pytest.mark.parametrize("content", ["[null, 1]", "[[1], 0]", "5", "[true, 0]", '["1.5", 0]'],
+                         ids=["null", "nested", "not-an-array", "bool", "string"])
+def test_vector_file_takes_only_numbers(runner, tmp_path, command, content):
+    vf = tmp_path / "vector.json"
+    vf.write_text(content)
+    out = ["--out", str(tmp_path / "cert.json")] if command == "certify" else []
+    res = runner.invoke(main, [command, "--n", "2", "--spec", "std",
+                               "--vector-file", str(vf), *out])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "error: " in res.output
+
+
 def test_classify_dimension_mismatch(runner):
     res = runner.invoke(main, ["classify", "--n", "2", "--spec", "std",
                                "--vector", "1,0,0"])
@@ -135,8 +149,7 @@ def test_classify_dimension_mismatch(runner):
 
 def certify_args(out, extra=()):
     return ["certify", "--n", "3", "--spec", "wedge(2,std)", "--vector",
-            "1,0,0", "--out", out, "--samples", "300", "--xi-frames", "100",
-            *extra]
+            "1,0,0", "--out", out, "--samples", "300", *extra]
 
 
 def test_certify_writes_canonical_file(runner, tmp_path):
@@ -261,6 +274,28 @@ def test_verify_rejects_non_finite_constant(runner, tmp_path, value):
     assert "non-finite" in res.output
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (("verification", "ray_checked"), "false", "ray_checked: expected bool, got 'false'"),
+    (("seed",), True, "seed: expected int, got True"),
+    (("vector", 0), "1.5", "vector: expected float, got '1.5'")],
+    ids=["ray_checked", "seed", "vector"])
+def test_verify_rejects_a_value_of_the_wrong_json_type(runner, tmp_path, path, value, message):
+    out = str(tmp_path / "cert.json")
+    assert runner.invoke(main, ["certify", "--n", "2", "--spec", "std",
+                                "--vector", "1,0", "--out", out,
+                                "--samples", "50"]).exit_code == 0
+    data = json.loads(open(out).read())
+    sub = data
+    for key in path[:-1]:
+        sub = sub[key]
+    sub[path[-1]] = value
+    with open(out, "w") as fh:
+        json.dump(data, fh)
+    res = runner.invoke(main, ["verify", out, "--samples", "50"])
+    assert res.exit_code == 5, res.output
+    assert message in res.output
+
+
 def test_verify_rejects_zero_denominator(runner, tmp_path):
     out = str(tmp_path / "cert.json")
     assert runner.invoke(main, ["certify", "--n", "2", "--spec", "std",
@@ -281,7 +316,7 @@ def test_certify_exact_vector_file(runner, tmp_path):
     out = str(tmp_path / "cert.json")
     res = runner.invoke(main, ["certify", "--n", "2", "--spec", "std",
                                "--vector-file", str(vf), "--out", out,
-                               "--samples", "100", "--xi-frames", "50"])
+                               "--samples", "100"])
     assert res.exit_code == 0, res.output
     data = json.loads(open(out).read())
     assert data["mode"] == "exact"
@@ -292,7 +327,7 @@ def test_rational_string_vector_stays_exact(runner, tmp_path):
     out = str(tmp_path / "cert.json")
     res = runner.invoke(main, ["certify", "--n", "2", "--spec", "sym(2,std)",
                                "--vector", "1/2,0,0", "--out", out,
-                               "--samples", "100", "--xi-frames", "50"])
+                               "--samples", "100"])
     assert res.exit_code == 0, res.output
     data = json.loads(open(out).read())
     assert data["mode"] == "exact"
@@ -303,7 +338,7 @@ def test_decimal_vector_barred_from_exact(runner, tmp_path):
     out = str(tmp_path / "cert.json")
     res = runner.invoke(main, ["certify", "--n", "2", "--spec", "std",
                                "--vector", "1.0,0.0", "--out", out,
-                               "--samples", "0", "--xi-frames", "50"])
+                               "--samples", "0"])
     assert res.exit_code == 0
     assert json.loads(open(out).read())["mode"] == "float"
 

@@ -2,8 +2,10 @@ import itertools
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction as F
+from functools import lru_cache
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -19,7 +21,8 @@ from instab import (CertifyOptions, NonFiniteError, StableVectorError,
 from instab import instability
 from instab.errors import CertificateError
 from instab.instability import (LIKELY_STABLE, NUMERIC_UNSTABLE,
-                                TORUS_CERTIFIED, flat_direction_matrix)
+                                TORUS_CERTIFIED, DominanceCert, KempfData,
+                                VerifyReport, XiInfo, flat_direction_matrix)
 from instab.symspace import exp_sym, haar_so
 
 import oracles
@@ -467,7 +470,7 @@ def test_unbalanced_identity_face_runs_the_descent(case):
     fd, face_norm = _face_moment_norm(rep, v)
     assert not fd.bounded_below
     assert face_norm > fd.rate + 1e-3
-    cert = dominance_certificate(rep, v, CertifyOptions(samples=0, xi_frames=50))
+    cert = dominance_certificate(rep, v, CertifyOptions(samples=0))
     assert cert.rate > fd.rate + 1e-3
     assert face_norm >= cert.rate - 1e-12
     res = fastest_shrinking_geodesic(rep, v)
@@ -525,7 +528,7 @@ def test_stable_threshold_is_below_the_weight_margin(text, n):
 
 
 def fast_opts(**kw):
-    defaults = dict(samples=500, xi_frames=120)
+    defaults = dict(samples=500)
     defaults.update(kw)
     return CertifyOptions(**defaults)
 
@@ -561,13 +564,15 @@ def test_certificate_scaling_shifts_constant():
     assert c2.c - c1.c == pytest.approx(math.log(2), abs=1e-9)
 
 
-def test_block_frames_lower_the_constant():
+def test_block_frames_lower_the_constant(monkeypatch):
     # u = (1/3, 1/3, -2/3) for the form xy: rotations in the (x, y) plane
     # keep u but activate x^2 and y^2, and lower the constant well below
     # the identity frame's
     rep = build_rep(parse_rep_spec("sym(2,std)"), 3)
     v = [0, 1, 0, 0, 0, 0]
-    identity = dominance_certificate(rep, v, CertifyOptions(samples=0, xi_frames=0))
+    with monkeypatch.context() as m:
+        m.setattr(instability, "_XI_FRAMES", 0)
+        identity = dominance_certificate(rep, v, CertifyOptions(samples=0))
     cert = dominance_certificate(rep, v, CertifyOptions(samples=0))
     assert cert.u.coords == (F(1, 3), F(1, 3), F(-2, 3))
     assert (identity.xi.frames, cert.xi.frames, cert.xi.excluded) == (1, 1001, 0)
@@ -607,7 +612,7 @@ def test_stacked_constant_estimator_keeps_xi(text, n, v, value):
 def test_certificate_anchors_at_the_fastest_flat():
     # the identity flat of rate sqrt 1.5 must not anchor the certificate
     rep, v = sym3_orbit_vector()
-    cert = dominance_certificate(rep, v, CertifyOptions(samples=200, xi_frames=50))
+    cert = dominance_certificate(rep, v, CertifyOptions(samples=200))
     assert cert.rate == pytest.approx(math.sqrt(7.5), abs=1e-9)
     assert cert.verification.ok
 
@@ -803,6 +808,8 @@ def test_non_finite_certificate_entries_rejected(field, value):
     ("alphas", [0.5, 0.5], "do not fit"),
     ("direction", [1.0], "do not fit"),
     ("frame", np.eye(3).tolist(), "do not fit"),
+    ("order", [0, 1, 2], "do not fit"),
+    ("u", [1.0, -0.5, -0.5], "do not fit"),
 ])
 def test_inconsistent_certificate_entries_rejected(field, value, message):
     cert = dominance_certificate(std(2), [1, 0], fast_opts(samples=0))
@@ -810,6 +817,65 @@ def test_inconsistent_certificate_entries_rejected(field, value, message):
     data[field] = value
     with pytest.raises(CertificateError, match=message):
         cert_from_dict(data)
+
+
+RECORDS = {(): DominanceCert, ("kempf",): KempfData, ("xi",): XiInfo,
+           ("verification",): VerifyReport}
+
+
+@lru_cache(maxsize=None)
+def _float_cert_json() -> str:
+    # a float-mode certificate: it has a frame, a Kempf record and a
+    # verification report, so every field holds a value
+    cert = dominance_certificate(std(2), [1.0, 1.0], fast_opts(samples=20))
+    assert cert.frame is not None and cert.kempf is not None and cert.verification
+    return dumps_cert(cert)
+
+
+def test_cert_to_dict_keys_are_the_record_fields():
+    data = cert_to_dict(loads_cert(_float_cert_json()))
+    for path, record in RECORDS.items():
+        sub = data
+        for key in path:
+            sub = sub[key]
+        extra = {"hw"} if record is DominanceCert else set()
+        assert set(sub) == {f.name for f in fields(record)} | extra, path
+
+
+# JSON values of the wrong type for each declared type: a bool is no int, a
+# string no number, and a {num, den} object is no int or float
+WRONG_JSON = {int: [True, 1.5, "1", {"num": 1, "den": 1}],
+              float: ["1.0", True, None, {"num": 1, "den": 2}],
+              bool: ["false", 0, None],
+              str: [1, None]}
+SCALAR_FIELDS = [((*path, f.name), get_type_hints(record)[f.name])
+                 for path, record in RECORDS.items() for f in fields(record)
+                 if get_type_hints(record)[f.name] in WRONG_JSON]
+# one entry of each array, and the spec string
+ENTRIES = [(("vector", 0), ["1.5", True, None]),
+           (("u", 0), ["0.5", True, {"num": 1.5, "den": 2}]),
+           (("alphas", 0), ["1", True, {"num": 1, "den": 0}]),
+           (("direction", 0), ["1.0", True, {"num": 1, "den": 2}]),
+           (("frame", 0, 0), ["1.0", True, {"num": 1, "den": 1}]),
+           (("order", 0), [1.0, True, "0"]),
+           (("kempf", "tau", 0), [1.0, True, "1"]),
+           (("spec",), [1, None, ["std"]])]
+WRONG_TYPE_CASES = ([(path, bad) for path, kind in SCALAR_FIELDS for bad in WRONG_JSON[kind]]
+                    + [(path, bad) for path, bads in ENTRIES for bad in bads])
+
+
+@pytest.mark.parametrize("path, bad", WRONG_TYPE_CASES,
+                         ids=[f"{'.'.join(map(str, p))}={b!r}" for p, b in WRONG_TYPE_CASES])
+def test_value_of_the_wrong_json_type_rejected(path, bad):
+    data = json.loads(_float_cert_json())
+    sub = data
+    for key in path[:-1]:
+        sub = sub[key]
+    sub[path[-1]] = bad
+    with pytest.raises(CertificateError):
+        cert_from_dict(data)
+    with pytest.raises(CertificateError):
+        loads_cert(json.dumps(data))
 
 
 def test_exact_vector_kept_exact_in_file():
