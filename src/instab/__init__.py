@@ -12,9 +12,8 @@ over the fundamental representations rho_j, with nonnegative rational
 alpha_j, then validates it by sampling.
 """
 
-from .cartan import (CartanVector, Cocharacter, SimpleSystem, Weight,
-                     chi_decompose, chi_recombine, dominant_order,
-                     form_inner, fundamental_weights)
+from .cartan import (CartanVector, Cocharacter, SimpleSystem, chi_decompose,
+                     chi_recombine, dominant_order, form_inner, fundamental_weights)
 from .errors import (CertificateError, DimensionError, InstabError,
                      NonFiniteError, ParseError, StableVectorError,
                      TorusStableError, ZeroVectorError)

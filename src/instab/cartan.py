@@ -1,8 +1,10 @@
 """Root data and character arithmetic for the diagonal torus of SL(n).
 
 Directions in the maximal flat are traceless real (or exact rational)
-n-vectors; torus characters are stored as their canonical sum-zero rational
-representatives and paired with directions by the trace form.  On traceless
+n-vectors, ``CartanVector``s.  A torus character (weight) is the exact
+``CartanVector`` of its canonical sum-zero rational representative, paired
+with directions by the trace form (``pair``) and with integer cocharacters
+by ``pair_int``; its negative is ``scale(-1)``.  On traceless
 matrices the trace form tr(XY) is the Killing form divided by 2n, so chamber
 structure, normalized directions and argmax problems are unchanged by the
 choice; certificates record ``form: "trace"``.
@@ -97,44 +99,21 @@ class CartanVector:
     def as_floats(self) -> Tuple[float, ...]:
         return tuple(float(c) for c in self.coords)
 
+    def add(self, other: "CartanVector") -> "CartanVector":
+        if self.n != other.n:
+            raise DimensionError(f"dimension mismatch: {self.n} vs {other.n}")
+        return CartanVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
-@dataclass(frozen=True)
-class Weight:
-    """A torus character, stored as its sum-zero rational representative."""
-
-    coords: Tuple[Fraction, ...]
-
-    def __init__(self, coords: Sequence[Union[int, Fraction]]):
-        coords = tuple(Fraction(c) for c in coords)
-        if sum(coords) != 0:
-            raise ValueError("weight representative must sum to 0 exactly")
-        object.__setattr__(self, "coords", coords)
-
-    @property
-    def n(self) -> int:
-        return len(self.coords)
-
-    def pair(self, a: "CartanVector") -> Scalar:
-        """Evaluate the character on a flat direction (trace-form pairing)."""
-        return form_inner(self.as_cartan(), a)
+    def pair(self, other: "CartanVector") -> Scalar:
+        """Trace-form pairing, e.g. a weight evaluated on a flat direction."""
+        return form_inner(self, other)
 
     def pair_int(self, tau: "Cocharacter") -> int:
-        """Pairing with an integer cocharacter; always an exact integer."""
-        val = sum(c * e for c, e in zip(self.coords, tau.exps))
+        """Pairing of a weight with an integer cocharacter: an exact integer."""
+        val = Fraction(sum(c * e for c, e in zip(self.coords, tau.exps)))
         if val.denominator != 1:
             raise ArithmeticError(f"non-integral pairing {val}")
         return int(val)
-
-    def as_cartan(self) -> CartanVector:
-        return CartanVector(self.coords)
-
-    def negate(self) -> "Weight":
-        return Weight(tuple(-c for c in self.coords))
-
-    def add(self, other: "Weight") -> "Weight":
-        if self.n != other.n:
-            raise DimensionError("weight dimension mismatch")
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
 
 @dataclass(frozen=True)
@@ -170,9 +149,6 @@ class Cocharacter:
     def norm(self) -> float:
         return sqrt(self.norm_sq())
 
-    def as_cartan(self) -> CartanVector:
-        return CartanVector(tuple(Fraction(e) for e in self.exps))
-
     def power(self, k: int) -> "Cocharacter":
         return Cocharacter(tuple(k * e for e in self.exps))
 
@@ -202,14 +178,14 @@ class SimpleSystem:
     def n(self) -> int:
         return len(self.perm)
 
-    def simple_roots(self) -> Tuple[Weight, ...]:
+    def simple_roots(self) -> Tuple[CartanVector, ...]:
         n = self.n
         roots = []
         for i in range(n - 1):
             coords = [Fraction(0)] * n
             coords[self.perm[i]] = Fraction(1)
             coords[self.perm[i + 1]] = Fraction(-1)
-            roots.append(Weight(coords))
+            roots.append(CartanVector(coords))
         return tuple(roots)
 
     def contains(self, a: CartanVector) -> bool:
@@ -232,7 +208,7 @@ def form_inner(a: CartanVector, b: CartanVector) -> Scalar:
     return float(total)
 
 
-def fundamental_weights(n: int, order: SimpleSystem | None = None) -> Tuple[Weight, ...]:
+def fundamental_weights(n: int, order: SimpleSystem | None = None) -> Tuple[CartanVector, ...]:
     """The n-1 fundamental weights for the given coordinate ordering.
 
     They satisfy 2<alpha_i, chi_j> / <alpha_i, alpha_i> = delta_ij under the
@@ -250,7 +226,7 @@ def fundamental_weights(n: int, order: SimpleSystem | None = None) -> Tuple[Weig
         coords = [Fraction(-j, n)] * n
         for i in range(j):
             coords[order.perm[i]] = Fraction(n - j, n)
-        weights.append(Weight(coords))
+        weights.append(CartanVector(coords))
     return tuple(weights)
 
 
@@ -274,16 +250,10 @@ def chi_decompose(a: CartanVector, order: SimpleSystem) -> Tuple[Scalar, ...]:
 
 def chi_recombine(coeffs: Sequence[Scalar], order: SimpleSystem) -> CartanVector:
     """Sum-zero vector of ``sum_j coeffs[j] * chi_j`` for the given order."""
-    n = order.n
-    chis = fundamental_weights(n, order)
-    acc = [Fraction(0)] * n
-    exact = exactlin.is_exact(coeffs)
-    if not exact:
-        acc = [0.0] * n
-    for coef, chi in zip(coeffs, chis):
-        for i, x in enumerate(chi.coords):
-            acc[i] = acc[i] + coef * x
-    return CartanVector(acc)
+    out = CartanVector([0] * order.n)
+    for coef, chi in zip(coeffs, fundamental_weights(order.n, order)):
+        out = out.add(chi.scale(coef))
+    return out
 
 
 def dominant_order(a: CartanVector) -> SimpleSystem:

@@ -122,13 +122,12 @@ _EXIT_BY_VERDICT = {TORUS_CERTIFIED: 0, LIKELY_STABLE: 2, NUMERIC_UNSTABLE: 3}
 @click.option("--spec", "spec_text", type=str, required=True)
 @click.option("--vector", type=str, default=None)
 @click.option("--vector-file", type=click.Path(exists=True), default=None)
-@click.option("--eps", type=float, default=1e-10)
-def cmd_classify(n, spec_text, vector, vector_file, eps):
+def cmd_classify(n, spec_text, vector, vector_file):
     """Classify a vector: certified unstable / numerically unstable / likely stable."""
     try:
         rep = _build(n, spec_text)
         v = _parse_vector(vector, vector_file)
-        verdict = is_unstable(rep, v, eps=eps)
+        verdict = is_unstable(rep, v)
     except ZeroVectorError:
         _emit({"verdict": "zero_vector"})
         sys.exit(4)
@@ -158,13 +157,12 @@ def cmd_classify(n, spec_text, vector, vector_file, eps):
               help="embedded verification sample count")
 @click.option("--box", type=float, default=5.0)
 @click.option("--tol", type=float, default=1e-6)
-@click.option("--eps", type=float, default=1e-10)
-def cmd_certify(n, spec_text, vector, vector_file, out, seed, samples, box, tol, eps):
+def cmd_certify(n, spec_text, vector, vector_file, out, seed, samples, box, tol):
     """Compute a dominance certificate and write it as canonical JSON."""
     try:
         rep = _build(n, spec_text)
         v = _parse_vector(vector, vector_file)
-        opts = CertifyOptions(seed=seed, samples=samples, box=box, tol=tol, eps=eps)
+        opts = CertifyOptions(seed=seed, samples=samples, box=box, tol=tol)
         cert = dominance_certificate(rep, v, opts)
     except ZeroVectorError:
         click.echo("error: zero vector", err=True)

@@ -39,8 +39,7 @@ from typing import Optional, Sequence, Tuple, Union, get_args, get_origin, get_t
 import numpy as np
 
 from . import exactlin
-from .cartan import (CartanVector, Cocharacter, SimpleSystem, Weight,
-                     dominant_order)
+from .cartan import CartanVector, Cocharacter, SimpleSystem, dominant_order
 from .errors import (CertificateError, DimensionError, StableVectorError,
                      TorusStableError, ZeroVectorError)
 from .reps import (RepSpec, Representation, _log_norm, act, active_weights, build_rep,
@@ -49,6 +48,9 @@ from .reps import (RepSpec, Representation, _log_norm, act, active_weights, buil
 from .symspace import block_orthogonal, exp_sym, haar_from_normal, log_flag_norms
 
 NEG_INF = float("-inf")
+
+# a weight component below this share of the vector's norm counts as zero
+_EPS = 1e-10
 
 CERT_SCHEMA = "instab-cert/1"
 
@@ -172,7 +174,7 @@ class FlatShrinkData:
     """
 
     frame: np.ndarray
-    active: Tuple[Tuple[Weight, float], ...]
+    active: Tuple[Tuple[CartanVector, float], ...]
     u: CartanVector
     coeffs: Tuple[Fraction, ...]
     rate: float
@@ -182,7 +184,7 @@ class FlatShrinkData:
 
 
 def flat_shrink_data(rep: Representation, v, frame: Optional[np.ndarray] = None,
-                     eps: float = 1e-10) -> FlatShrinkData:
+                     eps: float = _EPS) -> FlatShrinkData:
     if frame is None:
         frame_arr = np.eye(rep.n)
         w = v
@@ -192,7 +194,7 @@ def flat_shrink_data(rep: Representation, v, frame: Optional[np.ndarray] = None,
     comps = active_weights(rep, w, eps)
     if not comps:
         raise ZeroVectorError("vector vanishes after applying the frame")
-    cert = min_norm_point([wt.as_cartan() for wt, _ in comps])
+    cert = min_norm_point([wt for wt, _ in comps])
     rate = cert.point.norm()
     bound_const = float(sum(float(c) * r for c, r in zip(cert.coeffs, (r for _, r in comps))))
     bounded = all(c == 0 for c in cert.point.coords)
@@ -266,7 +268,7 @@ def _flag_frame(g: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 
 def fastest_shrinking_geodesic(rep: Representation, v,
-                               eps: float = 1e-10) -> ShrinkGeodesicResult:
+                               eps: float = _EPS) -> ShrinkGeodesicResult:
     """The identity flat when its balanced face proves it optimal, else
     the fastest flat of a moment-map descent of log||rho(g)v|| from g = I.
 
@@ -296,7 +298,7 @@ def fastest_shrinking_geodesic(rep: Representation, v,
                                         identity=True, frames_tried=1)
     vec = scaled_floats(rep, v)[0]
     n = rep.n
-    levels = np.asarray([w.as_cartan().as_floats() for w in rep.weights])
+    levels = np.asarray([w.as_floats() for w in rep.weights])
     eps_ladder = sorted({eps, 1e-7, 1e-4})
     log_v = log_rep_norm(rep, vec)
     g, f = np.eye(n), log_v
@@ -367,7 +369,7 @@ def _kempf(fd: FlatShrinkData) -> Tuple[Cocharacter, int, float]:
     return tau, m, m / tau.norm()
 
 
-def torus_kempf(rep: Representation, v, eps: float = 1e-10) -> TorusKempfResult:
+def torus_kempf(rep: Representation, v, eps: float = _EPS) -> TorusKempfResult:
     fd = flat_shrink_data(rep, v, None, eps)
     if fd.bounded_below:
         raise TorusStableError(
@@ -394,7 +396,7 @@ class Verdict:
 
 
 def is_unstable(rep: Representation, v, budget: int = 64, seed: int = 0,
-                eps: float = 1e-10, adapted: bool = True) -> Verdict:
+                eps: float = _EPS, adapted: bool = True) -> Verdict:
     """Classify ``v`` by the flat of ``fastest_shrinking_geodesic``.
 
     Torus-certified (exactly, over the rationals) when the winning flat is
@@ -457,11 +459,11 @@ class VerifyReport:
 
 @dataclass(frozen=True)
 class CertifyOptions:
-    """Settings of certificate construction.  The constant estimator's frame
-    count and safety margin are fixed; the certificate records them in ``xi``."""
+    """Settings of certificate construction.  The weight threshold and the
+    constant estimator's frame count and safety margin are fixed; the
+    certificate records them in ``eps`` and ``xi``."""
 
     seed: int = 0
-    eps: float = 1e-10
     samples: int = 1000
     box: float = 5.0
     tol: float = 1e-6
@@ -504,7 +506,7 @@ class DominanceCert:
         return tuple(j + 1 for j, a in enumerate(self.alphas) if a > 0)
 
 
-def _xi_prefix(active: Sequence[Tuple[int, float]], weights: Sequence[Weight],
+def _xi_prefix(active: Sequence[Tuple[int, float]], weights: Sequence[CartanVector],
                u: CartanVector, hulls: dict) -> float:
     """max over active subsets whose hull contains u of the min log norm.
 
@@ -519,7 +521,7 @@ def _xi_prefix(active: Sequence[Tuple[int, float]], weights: Sequence[Weight],
     for t, (j, r) in enumerate(ordered, 1):
         key |= 1 << j
         if key not in hulls:
-            hulls[key] = hull_contains([weights[i].as_cartan() for i, _ in ordered[:t]], u)
+            hulls[key] = hull_contains([weights[i] for i, _ in ordered[:t]], u)
         if hulls[key]:
             return r
     raise AssertionError("internal: u not in the hull of its active weights")
@@ -587,7 +589,7 @@ def _estimate_constant(rep: Representation, v, frame: np.ndarray, u: CartanVecto
             key = mask.tobytes()
             if key not in matches:  # the active indices if u matches, else None
                 idx = np.flatnonzero(mask).tolist()
-                cert = min_norm_point([weights[j].as_cartan() for j in idx])
+                cert = min_norm_point([weights[j] for j in idx])
                 matches[key] = idx if cert.point.coords == u.coords else None
             idx = matches[key]
             if idx is None:
@@ -609,7 +611,7 @@ def dominance_certificate(rep: Representation, v,
     no shrinking flat.
     """
     vec_exact = exactlin.is_exact(list(v))
-    fsg = fastest_shrinking_geodesic(rep, v, eps=opts.eps)
+    fsg = fastest_shrinking_geodesic(rep, v)
     flat = fsg.flat
     u = flat.u
     rate = u.norm()
@@ -633,7 +635,7 @@ def dominance_certificate(rep: Representation, v,
         n=rep.n, spec=rep.spec, vector=vector, mode=mode, frame=frame,
         order=order, u=u, direction=uhat.as_floats(), rate=rate,
         alphas=alphas, c=c, kempf=kempf, xi=xi_info, verification=None,
-        seed=opts.seed, eps=opts.eps)
+        seed=opts.seed, eps=_EPS)
     if opts.samples > 0:
         report = verify_dominance(cert, rep, v, opts.samples,
                                   tol=opts.tol, seed=opts.seed, box=opts.box)
@@ -716,16 +718,13 @@ def verify_dominance(cert: DominanceCert, rep: Optional[Representation] = None,
     # classification threshold (which may be coarser than cert.eps); it
     # re-emerges along the ray like e^{(rate - level) t} against an
     # e^{-rate t} signal, so the window is capped by the worst such
-    # spread.  Exact certificates flow through genuinely diagonal matrices
-    # and have no such residue.
+    # spread.  On an exact certificate nothing was truncated, and the
+    # spread is 0 up to rounding.
     uhat = np.asarray(cert.direction)
-    t2 = 40.0
-    if cert.mode != "exact":
-        comps = weight_components(rep, act(rep, frame, vec), 0.0, e)
-        spread = cert.rate - min(sum(float(c) * d for c, d in zip(w.coords, uhat))
-                                 for w, r in comps if r > NEG_INF)
-        if spread > 1e-9:
-            t2 = min(t2, 11.5 / max(spread, 0.3))
+    comps = weight_components(rep, act(rep, frame, vec), 0.0, e)
+    spread = cert.rate - min(sum(float(c) * d for c, d in zip(w.coords, uhat))
+                             for w, r in comps if r > NEG_INF)
+    t2 = 11.5 / max(spread, 0.3) if spread > 1e-9 else 40.0
     t1 = 0.5 * t2
     lhs, rhs = sides(np.stack([np.diag(np.exp(-t * uhat)) @ frame for t in (t1, t2)]))
     lhs_slope = (lhs[1] - lhs[0]) / (t2 - t1)
@@ -749,10 +748,11 @@ def _num_to_json(x):
 
 def _frac_from_json(d) -> Fraction:
     """The rational of a ``{"num": int, "den": nonzero int}`` object."""
-    if (not isinstance(d, dict) or set(d) != {"num", "den"}
-            or any(type(x) is not int for x in d.values()) or d["den"] == 0):
-        raise CertificateError(f"malformed rational {d!r}")
-    return Fraction(d["num"], d["den"])
+    if type(d) is dict and len(d) == 2:
+        num, den = d.get("num"), d.get("den")
+        if type(num) is int and type(den) is int and den:
+            return Fraction(num, den)
+    raise CertificateError(f"malformed rational {d!r}")
 
 
 _RECORDS = (KempfData, XiInfo, VerifyReport)
@@ -827,11 +827,13 @@ def _reader(kind):
 
 def cert_from_dict(data: dict) -> DominanceCert:
     """Read a certificate: each field through the type its dataclass declares,
-    then check that its numbers are finite, alphas >= 0 and shapes fit n."""
+    then check that its numbers are finite, alphas >= 0, shapes fit n, the
+    mode is one of the two and ``hw`` the degrees of the positive alphas."""
     try:
         if _checked(dict, data, "certificate")["schema"] != CERT_SCHEMA:
             raise CertificateError(f"unsupported schema {data['schema']!r}")
         cert = _reader(DominanceCert)(data, "certificate")
+        hw = _reader(Tuple[int, ...])(data["hw"], "hw")
     except CertificateError:
         raise
     except (KeyError, ValueError) as exc:  # a missing field, or a value its type rejects
@@ -849,6 +851,14 @@ def cert_from_dict(data: dict) -> DominanceCert:
     if (len(cert.alphas) != n - 1 or len(cert.direction) != n or cert.order.n != n
             or cert.u.n != n or (frame is not None and frame.shape != (n, n))):
         raise CertificateError(f"alphas, direction, order, u or frame do not fit n = {n}")
+    if cert.mode not in ("exact", "float"):
+        raise CertificateError(f"mode must be 'exact' or 'float', got {cert.mode!r}")
+    if cert.mode == "exact" and (frame is not None or not exactlin.is_exact(cert.vector)
+                                 or not cert.u.is_exact):
+        raise CertificateError("an exact certificate needs a rational vector and u, no frame")
+    if hw != cert.hw_degrees:
+        raise CertificateError(f"hw {list(hw)} is not the degrees of the positive alphas, "
+                               f"{list(cert.hw_degrees)}")
     return cert
 
 

@@ -8,7 +8,10 @@ basis of weight vectors in deterministic lexicographic order and endows the
 space with an SO(n)-invariant inner product that is diagonal on that basis:
 wedge monomials carry the determinant (Gram) convention, symmetric monomials
 the multinomial weights of their symmetrized tensors.  Weight spaces are
-orthogonal by construction.
+orthogonal by construction.  ``build_rep`` builds each (spec, n) once: the
+``Representation`` it returns is the basis itself, carrying the child
+indices, exact weights (``CartanVector``s), gram entries and tensor words of
+every basis vector, and the arrays derived from them.
 
 Group elements act through that embedding, with one code path for every
 representation.  Each basis vector is a fixed tensor in (R^n)^{(x)k}: a
@@ -36,7 +39,7 @@ from typing import Tuple, Union
 import numpy as np
 
 from . import exactlin
-from .cartan import Cocharacter, SimpleSystem, Weight
+from .cartan import CartanVector, Cocharacter, SimpleSystem
 from .errors import DimensionError, NonFiniteError, ParseError, ZeroVectorError
 
 NEG_INF = float("-inf")
@@ -181,43 +184,29 @@ def _parse_atom(tokens, pos):
 
 @dataclass(frozen=True)
 class Representation:
-    """A concrete representation with its monomial weight basis.
+    """A concrete representation: its monomial weight basis and that basis'
+    embedding in a tensor power of the standard representation.
 
-    ``weights[i]`` is the torus character of basis element i; ``gram[i]`` the
-    (positive rational) squared norm of that basis element.  Distinct-weight
-    basis elements are orthogonal since the inner product is diagonal.
-    """
-
-    spec: RepSpec
-    n: int
-    dim: int
-    weights: Tuple[Weight, ...]
-    gram: Tuple[Fraction, ...]
-
-
-def build_rep(spec: RepSpec, n: int) -> Representation:
-    if n < 2:
-        raise DimensionError("n must be at least 2")
-    basis = _basis_data(spec, n)
-    return Representation(spec=spec, n=n, dim=len(basis.weights),
-                          weights=basis.weights, gram=basis.gram)
-
-
-@dataclass(frozen=True)
-class _Basis:
-    """Monomial basis of one spec node and its tensor-power embedding.
-
-    Basis vector i is a monomial in the child basis vectors ``index[i]``.
-    It embeds into (R^n)^{(x)k}, k = len(dual), as ``words[i]``, a tuple of
+    Basis vector i is a monomial in the child basis vectors ``index[i]``;
+    ``weights[i]`` is its torus character, an exact ``CartanVector``, and
+    ``gram[i]`` its (positive rational) squared norm.  Distinct-weight basis
+    vectors are orthogonal since the inner product is diagonal.  Vector i
+    embeds into (R^n)^{(x)k}, k = len(dual), as ``words[i]``, a tuple of
     (flat word, coefficient) pairs; g acts on mode m of a word, or g^{-T}
     where ``dual[m]``.  Distinct basis vectors have disjoint word supports.
     """
 
+    spec: RepSpec
+    n: int
     index: Tuple[Tuple[int, ...], ...]
-    weights: Tuple[Weight, ...]
+    weights: Tuple[CartanVector, ...]
     gram: Tuple[Fraction, ...]
     words: Tuple[Tuple[Tuple[int, Union[int, Fraction]], ...], ...]
     dual: Tuple[bool, ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.weights)
 
     @cached_property
     def scatter(self):
@@ -262,34 +251,37 @@ class _Basis:
 
 
 @lru_cache(maxsize=None)
-def _basis_data(spec: RepSpec, n: int) -> _Basis:
+def build_rep(spec: RepSpec, n: int) -> Representation:
+    """The representation of ``spec`` for SL(n), built once per (spec, n)."""
+    if n < 2:
+        raise DimensionError("n must be at least 2")
     if isinstance(spec, Standard):
         weights = []
         for i in range(n):
             coords = [Fraction(-1, n)] * n
             coords[i] += 1
-            weights.append(Weight(coords))
-        return _Basis(index=tuple((i,) for i in range(n)), weights=tuple(weights),
-                      gram=(Fraction(1),) * n,
-                      words=tuple(((i, 1),) for i in range(n)), dual=(False,))
+            weights.append(CartanVector(coords))
+        return Representation(spec=spec, n=n, index=tuple((i,) for i in range(n)),
+                              weights=tuple(weights), gram=(Fraction(1),) * n,
+                              words=tuple(((i, 1),) for i in range(n)), dual=(False,))
     if isinstance(spec, Dual):
         # the dual basis vector of a child basis tensor t is t / <t, t>
-        b = _basis_data(spec.base, n)
-        return _Basis(index=tuple((i,) for i in range(len(b.weights))),
-                      weights=tuple(w.negate() for w in b.weights),
-                      gram=tuple(1 / g for g in b.gram),
-                      words=tuple(tuple((w, Fraction(c) / sum(x * x for _, x in ws))
-                                        for w, c in ws) for ws in b.words),
-                      dual=tuple(not d for d in b.dual))
+        b = build_rep(spec.base, n)
+        return Representation(spec=spec, n=n, index=tuple((i,) for i in range(b.dim)),
+                              weights=tuple(w.scale(-1) for w in b.weights),
+                              gram=tuple(1 / g for g in b.gram),
+                              words=tuple(tuple((w, Fraction(c) / sum(x * x for _, x in ws))
+                                                for w, c in ws) for ws in b.words),
+                              dual=tuple(not d for d in b.dual))
     if isinstance(spec, Tensor):
-        slots = (_basis_data(spec.left, n), _basis_data(spec.right, n))
-        index = product(*(range(len(s.weights)) for s in slots))
+        slots = (build_rep(spec.left, n), build_rep(spec.right, n))
+        index = product(*(range(s.dim) for s in slots))
 
         def arrangements(idx):
             return [(1, idx)]
     elif isinstance(spec, (Wedge, Sym)):
-        child = _basis_data(spec.base, n)
-        d = len(child.weights)
+        child = build_rep(spec.base, n)
+        d = child.dim
         if spec.k < 1:
             raise DimensionError(f"{'wedge' if isinstance(spec, Wedge) else 'sym'} "
                                  "degree must be >= 1")
@@ -329,15 +321,16 @@ def _basis_data(spec: RepSpec, n: int) -> _Basis:
                     coef *= sc
                 out.append((word, coef))
         words.append(tuple(out))
-    return _Basis(index=index, weights=tuple(weights), gram=tuple(gram),
-                  words=tuple(words), dual=sum((s.dual for s in slots), ()))
+    return Representation(spec=spec, n=n, index=index, weights=tuple(weights),
+                          gram=tuple(gram), words=tuple(words),
+                          dual=sum((s.dual for s in slots), ()))
 
 
 def basis_labels(rep: Representation) -> Tuple[str, ...]:
     """Human-readable monomial labels, for tables and debugging."""
 
     def label(spec, i) -> str:
-        idx = _basis_data(spec, rep.n).index[i]
+        idx = build_rep(spec, rep.n).index[i]
         if isinstance(spec, Standard):
             return f"e{idx[0] + 1}"
         if isinstance(spec, Dual):
@@ -418,20 +411,19 @@ def _apply(rep: Representation, g: np.ndarray, vecs: np.ndarray,
     ``g_inv`` is the inverse of ``g`` when the caller has it.  Returns
     (dim, columns), or (S, dim, columns) for a stack.
     """
-    basis = _basis_data(rep.spec, rep.n)
-    rows, cols, heads, coefs = basis.scatter
+    rows, cols, heads, coefs = rep.scatter
     exact = vecs.dtype == object
     (coef, head_coef), n = coefs[exact], rep.n
     stack = g.shape[:-2]
     g = g.reshape(-1, 1, n, n)
-    if any(basis.dual):
+    if any(rep.dual):
         if g_inv is None:
             g_inv = (np.array([exactlin.inv(m.tolist()) for m in g[:, 0]], dtype=object)
                      if exact else np.linalg.inv(g))
         g_inv_t = g_inv.reshape(-1, 1, n, n).swapaxes(-1, -2)
-    t = np.zeros((1, n ** len(basis.dual), vecs.shape[1]), dtype=vecs.dtype)
+    t = np.zeros((1, n ** len(rep.dual), vecs.shape[1]), dtype=vecs.dtype)
     t[0, rows] = coef * vecs[cols]
-    for mode, dual in enumerate(basis.dual):
+    for mode, dual in enumerate(rep.dual):
         t = np.matmul(g_inv_t if dual else g, t.reshape(len(t), n ** mode, n, -1))
     t = t.reshape(len(t), -1, vecs.shape[1])[:, heads] / head_coef
     return t.reshape(stack + t.shape[1:])
@@ -530,7 +522,7 @@ def _weighted_squares(rep: Representation, v, exp2: int = 0):
             vec = [c * Fraction(2) ** exp2 for c in vec]
         return np.array([g * c * c for g, c in zip(rep.gram, vec)], dtype=object), 0
     scaled, e = pow2_scaled(vec)
-    return _basis_data(rep.spec, rep.n).gram_f * scaled ** 2, e + exp2
+    return rep.gram_f * scaled ** 2, e + exp2
 
 
 def _log_norm(s, e: int) -> float:
@@ -600,10 +592,9 @@ def weight_components(rep: Representation, v, eps: float = 1e-10, exp2: int = 0)
     total = q.sum(axis=1)
     if not total.all():
         raise ZeroVectorError("zero vector has no weight components")
-    basis = _basis_data(rep.spec, rep.n)
-    groups = basis.weight_groups
+    groups = rep.weight_groups
     sums = np.empty((len(q), len(groups)), dtype=q.dtype)
-    for cols, idx in basis.weight_blocks:
+    for cols, idx in rep.weight_blocks:
         # take gives C-ordered groups, each summed like a vector of its own
         sums[:, cols] = q.take(idx, axis=1).sum(axis=2)
     if q.dtype == object:  # the exact nonzero test
@@ -619,7 +610,7 @@ def weight_components(rep: Representation, v, eps: float = 1e-10, exp2: int = 0)
 def weight_part(rep: Representation, v, weights) -> list:
     """``v`` with 0 on the basis vectors whose weight is not in ``weights``."""
     keep = np.zeros(rep.dim, dtype=bool)
-    for w, idx in _basis_data(rep.spec, rep.n).weight_groups:
+    for w, idx in rep.weight_groups:
         keep[idx] = w in weights
     return [x if k else 0 for x, k in zip(v, keep)]
 
@@ -633,9 +624,8 @@ def moment_map(rep: Representation, w) -> np.ndarray:
     over the mode unfoldings T_(m) (minus on dual modes).  The rep norm is
     a constant multiple of ||T||, and mu does not depend on the scale of w.
     """
-    basis = _basis_data(rep.spec, rep.n)
-    rows, cols, _, coefs = basis.scatter
-    n, k = rep.n, len(basis.dual)
+    rows, cols, _, coefs = rep.scatter
+    n, k = rep.n, len(rep.dual)
     vec = scaled_floats(rep, w)[0]
     t = np.zeros(n ** k)
     t[rows] = coefs[False][0][:, 0] * vec[cols]
@@ -644,16 +634,16 @@ def moment_map(rep: Representation, w) -> np.ndarray:
         raise ZeroVectorError("zero vector has no moment map")
     t = t.reshape((n,) * k)
     mu = np.zeros((n, n))
-    for mode, dual in enumerate(basis.dual):
+    for mode, dual in enumerate(rep.dual):
         m = np.moveaxis(t, mode, 0).reshape(n, -1)
         mu += (-1.0 if dual else 1.0) * (m @ m.T)
     mu /= total
     return mu - np.trace(mu) / n * np.eye(n)
 
 
-def active_weights(rep: Representation, v, eps: float = 1e-10, exp2: int = 0):
-    """The weights whose component of ``v * 2^exp2`` is nonzero, with log norms."""
-    return [(w, r) for w, r in weight_components(rep, v, eps, exp2) if r != NEG_INF]
+def active_weights(rep: Representation, v, eps: float = 1e-10):
+    """The weights whose component of ``v`` is nonzero, with log norms."""
+    return [(w, r) for w, r in weight_components(rep, v, eps) if r != NEG_INF]
 
 
 def highest_weight_vector(n: int, j: int, order: SimpleSystem | None = None):
@@ -670,7 +660,7 @@ def highest_weight_vector(n: int, j: int, order: SimpleSystem | None = None):
         order = SimpleSystem.identity(n)
     rep = build_rep(Wedge(j, Standard()), n)
     target = tuple(sorted(order.perm[:j]))
-    index = _basis_data(rep.spec, n).index.index(target)
+    index = rep.index.index(target)
     v = np.zeros(rep.dim)
     v[index] = 1.0
     return rep, v

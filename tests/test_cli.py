@@ -189,7 +189,9 @@ def test_certify_exits_1_when_verification_not_ok(runner, tmp_path, monkeypatch)
     ["classify", "--no-adapted"],
     ["certify", "--budget", "8"],
     ["certify", "--cross-check"],
-    ["certify", "--no-cross-check"]])
+    ["certify", "--no-cross-check"],
+    ["classify", "--eps", "1e-10"],
+    ["certify", "--eps", "1e-10"]])
 def test_removed_options_are_rejected(runner, tmp_path, args):
     out = ["--out", str(tmp_path / "cert.json")] if args[0] == "certify" else []
     res = runner.invoke(main, [*args, *out, "--n", "2", "--spec", "std",
@@ -289,6 +291,26 @@ def test_verify_rejects_a_value_of_the_wrong_json_type(runner, tmp_path, path, v
     for key in path[:-1]:
         sub = sub[key]
     sub[path[-1]] = value
+    with open(out, "w") as fh:
+        json.dump(data, fh)
+    res = runner.invoke(main, ["verify", out, "--samples", "50"])
+    assert res.exit_code == 5, res.output
+    assert message in res.output
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("hw", [5], "not the degrees of the positive alphas"),
+    ("mode", "bogus", "mode must be 'exact' or 'float'"),
+    ("vector", [1.0, 0.0], "an exact certificate needs a rational vector")],
+    ids=["hw", "mode", "exact-float-vector"])
+def test_verify_rejects_fields_that_disagree(runner, tmp_path, field, value, message):
+    out = str(tmp_path / "cert.json")
+    assert runner.invoke(main, ["certify", "--n", "2", "--spec", "std",
+                                "--vector", "1,0", "--out", out,
+                                "--samples", "50"]).exit_code == 0
+    data = json.loads(open(out).read())
+    assert data["mode"] == "exact"
+    data[field] = value
     with open(out, "w") as fh:
         json.dump(data, fh)
     res = runner.invoke(main, ["verify", out, "--samples", "50"])

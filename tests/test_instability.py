@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -493,7 +494,7 @@ def _weight_margin_sq(rep):
     """gamma(rho)^2: the least nonzero squared norm of the min-norm point of
     at most n distinct weights.  By Weyl symmetry one weight of the set can
     be taken dominant."""
-    weights = sorted({w.as_cartan().coords for w in rep.weights})
+    weights = sorted({w.coords for w in rep.weights})
     best = None
     for d in (w for w in weights if list(w) == sorted(w, reverse=True)):
         rest = [w for w in weights if w != d]
@@ -810,6 +811,14 @@ def test_non_finite_certificate_entries_rejected(field, value):
     ("frame", np.eye(3).tolist(), "do not fit"),
     ("order", [0, 1, 2], "do not fit"),
     ("u", [1.0, -0.5, -0.5], "do not fit"),
+    ("mode", "bogus", "mode must be"),
+    ("mode", "Exact", "mode must be"),
+    ("vector", [1.0, 0.0], "exact certificate"),
+    ("u", [0.5, -0.5], "exact certificate"),
+    ("frame", np.eye(2).tolist(), "exact certificate"),
+    ("hw", [5], "positive alphas"),
+    ("hw", [], "positive alphas"),
+    ("hw", ["1"], "hw: expected int"),
 ])
 def test_inconsistent_certificate_entries_rejected(field, value, message):
     cert = dominance_certificate(std(2), [1, 0], fast_opts(samples=0))
@@ -876,6 +885,47 @@ def test_value_of_the_wrong_json_type_rejected(path, bad):
         cert_from_dict(data)
     with pytest.raises(CertificateError):
         loads_cert(json.dumps(data))
+
+
+# sha256 of dumps_cert(dominance_certificate(..., CertifyOptions(samples=200)))
+CERTIFICATE_BYTES = [
+    ("std", 2, [F(1), F(0)],
+     "d9972b292c43fa42e6c8ee5bcf586404619edd504e61b92f542ff60e88059024"),
+    ("wedge(2,std)", 3, [F(1), F(0), F(0)],
+     "3024d66ae4cf56a89f35d4155f3d481d53e58a5cb79f831c1b970eda68cbb4ba"),
+    ("std*dual(std)", 2, [F(0), F(1), F(0), F(0)],
+     "2f704dae0bf71e3b73677b7527a8097e9f2a4f2bdcd3b75aa53077be6cb4466d"),
+    ("sym(2,std)", 2, [F(1), F(0), F(0)],
+     "89a517b7f02472837bdb8fadfd67dfda215a3f235c6b58365e5aabed29e0cf18"),
+    ("std", 3, [F(1), F(0), F(0)],
+     "9b7ffc6d5081177a7ad5971f52f6d5236c4ee3ed70f589a85aac60de46c0d27c"),
+    ("wedge(2,std)", 3, [F(2), F(0), F(0)],
+     "95a75dc2717977b16394617cef849e5d8fcfd9cef6d8c8e47b3be896765b150b"),
+    ("std*wedge(2,std)", 3, [F(1)] + [F(0)] * 8,
+     "a4c8217ef6a6cb2d0b20364791f820b77aa327814bef1997605f076b96475b49"),
+    ("sym(3,std)", 2, [F(1), F(1), F(0), F(0)],
+     "5e511f2beacc61a2af803a4682efa3606c3b3f7fa40cfd6a3030a66f11b6bbe6"),
+    ("std", 2, [1.0, 1.0],
+     "980373a24378b43df1a5173734703f5d64adec0fad93e48bd3388bd28a59a6b3"),
+    ("wedge(2,std)", 3, [0.3, 0.5, -0.2],
+     "511cae5a3e3dbf6717f2f1ed41c6c1f4577a105a98df60cc6498e929cf7b6f09"),
+    ("sym(2,std)", 3, [0, 1, 0, 0, 0, 0],
+     "bfda308332585f0c4fa4475b7fdb078548148733031af9d92283b97214a6cf3d"),
+    ("std", 3, [F(1, 10**400), 0, 0],
+     "1283ff7bad9c9acd6392bd6d171ead45df8f396cc9b8ea489cd1e5c7a2f36e73"),
+    ("sym(3,std)", 2, [1.0, 0.5, 0, 0],
+     "d84b57487f6c5aa786ef485f624b53d137b940476ccab2a11200f0356f3b612b"),
+]
+
+
+@pytest.mark.parametrize("spec, n, v, digest", CERTIFICATE_BYTES,
+                         ids=[f"{s} n={n} {i}" for i, (s, n, _, _) in enumerate(CERTIFICATE_BYTES)])
+def test_certificate_bytes_are_pinned(spec, n, v, digest):
+    # a change to any certificate byte, from the search to the encoder, shows here
+    text = dumps_cert(dominance_certificate(build_rep(parse_rep_spec(spec), n), v,
+                                            CertifyOptions(samples=200)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert dumps_cert(loads_cert(text)) == text
 
 
 def test_exact_vector_kept_exact_in_file():

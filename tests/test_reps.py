@@ -9,9 +9,9 @@ from instab import (Cocharacter, ParseError, ZeroVectorError, act,
                     highest_weight_vector, log_rep_norm, m_value, moment_map,
                     norm_sq, parse_rep_spec, rep_matrix, rep_norm,
                     weight_components)
-from instab.cartan import SimpleSystem
+from instab.cartan import CartanVector, SimpleSystem
 from instab.errors import DimensionError, NonFiniteError
-from instab.reps import (NEG_INF, Dual, Standard, Sym, Tensor, Wedge, _basis_data, _log_norm,
+from instab.reps import (NEG_INF, Dual, Standard, Sym, Tensor, Wedge, _log_norm,
                          _weighted_squares)
 from instab.symspace import exp_sym, haar_so
 
@@ -57,6 +57,16 @@ def test_standard_rep_data():
     assert rep.dim == 3
     assert rep.weights[0].coords == (F(2, 3), F(-1, 3), F(-1, 3))
     assert rep.gram == (F(1), F(1), F(1))
+
+
+def test_build_rep_builds_each_spec_once():
+    # the representation is its own basis: one object per (spec, n), shared
+    # with the nodes built under it, its weights exact CartanVectors
+    rep = build_rep(parse_rep_spec("dual(wedge(2,std))*std"), 3)
+    assert build_rep(parse_rep_spec("dual(wedge(2,std))*std"), 3) is rep
+    assert build_rep(Dual(Wedge(2, Standard())), 3) is build_rep(rep.spec.left, 3)
+    assert all(isinstance(w, CartanVector) and w.is_exact for w in rep.weights)
+    assert rep.dim == len(rep.index) == len(rep.gram) == len(rep.words) == 9
 
 
 def test_wedge_dimension_and_weights():
@@ -384,7 +394,7 @@ def _split_rows_by_loop(rep, rows, eps, exp2):
         total = q.sum()
         out.append([(NEG_INF if not math.sqrt(q[idx].sum()) > eps * math.sqrt(total)
                      else _log_norm(q[idx].sum(), e)).hex()
-                    for _, idx in _basis_data(rep.spec, rep.n).weight_groups])
+                    for _, idx in rep.weight_groups])
     return out
 
 
@@ -409,10 +419,10 @@ def test_weight_components_of_a_stack_match_the_rows(text, n):
     eps = 1e-10
     rng = np.random.default_rng(14)
     rows = rng.standard_normal((6, rep.dim))
-    groups = [idx for _, idx in _basis_data(rep.spec, n).weight_groups]
+    groups = [idx for _, idx in rep.weight_groups]
     rows[1] = 0.0
     rows[1][groups[0]] = 1.0
-    gram = _basis_data(rep.spec, n).gram_f
+    gram = rep.gram_f
     share = (1 - 1e-6) * eps  # component norm / total norm, just below eps
     rows[1][groups[-1][0]] = share / math.sqrt(gram[groups[-1][0]] * (1 - share ** 2)) \
         * math.sqrt(float(gram[groups[0]].sum()))
