@@ -13,7 +13,7 @@ alpha_j, then validates it by sampling.
 """
 
 from .cartan import (CartanVector, Cocharacter, SimpleSystem, chi_decompose,
-                     chi_recombine, dominant_order, form_inner, fundamental_weights)
+                     dominant_order, fundamental_weights)
 from .errors import (CertificateError, DimensionError, InstabError,
                      NonFiniteError, ParseError, StableVectorError,
                      TorusStableError, ZeroVectorError)
@@ -29,8 +29,7 @@ from .instability import (CertifyOptions, DominanceCert, FlatShrinkData,
 from .reps import (Dual, RepSpec, Representation, Standard, Sym, Tensor,
                    Wedge, act, active_weights, basis_labels, build_rep,
                    highest_weight_vector, log_rep_norm, m_value, moment_map,
-                   norm_sq, parse_rep_spec, rep_matrix, rep_norm,
-                   weight_components)
+                   parse_rep_spec, rep_norm, weight_components)
 from .symspace import (BusemannEstimate, GeodesicRay, busemann_formula,
                        busemann_limit, distance, exp_sym, geodesic, haar_so,
                        log_flag_norms, midpoint, project, ray_from_cartan)

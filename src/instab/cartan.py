@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, sqrt
+from math import sqrt
 from typing import Sequence, Tuple, Union
 
 from .errors import DimensionError, ZeroVectorError
@@ -105,8 +105,13 @@ class CartanVector:
         return CartanVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def pair(self, other: "CartanVector") -> Scalar:
-        """Trace-form pairing, e.g. a weight evaluated on a flat direction."""
-        return form_inner(self, other)
+        """Trace-form pairing, e.g. a weight evaluated on a flat direction:
+        a ``Fraction`` when both are exact, otherwise a float.  Symmetric
+        and positive definite on traceless vectors."""
+        if self.n != other.n:
+            raise DimensionError(f"dimension mismatch: {self.n} vs {other.n}")
+        total = sum(x * y for x, y in zip(self.coords, other.coords))
+        return total if isinstance(total, Fraction) else float(total)
 
     def pair_int(self, tau: "Cocharacter") -> int:
         """Pairing of a weight with an integer cocharacter: an exact integer."""
@@ -120,8 +125,7 @@ class CartanVector:
 class Cocharacter:
     """An integer one-parameter subgroup of the diagonal torus.
 
-    ``exps`` are the diagonal exponents; they sum to 0.  ``primitive`` is
-    True when the gcd of the nonzero entries is 1.
+    ``exps`` are the diagonal exponents; they sum to 0.
     """
 
     exps: Tuple[int, ...]
@@ -136,21 +140,11 @@ class Cocharacter:
     def n(self) -> int:
         return len(self.exps)
 
-    @property
-    def primitive(self) -> bool:
-        g = 0
-        for e in self.exps:
-            g = gcd(g, abs(e))
-        return g == 1
-
     def norm_sq(self) -> int:
         return sum(e * e for e in self.exps)
 
     def norm(self) -> float:
         return sqrt(self.norm_sq())
-
-    def power(self, k: int) -> "Cocharacter":
-        return Cocharacter(tuple(k * e for e in self.exps))
 
 
 @dataclass(frozen=True)
@@ -177,35 +171,6 @@ class SimpleSystem:
     @property
     def n(self) -> int:
         return len(self.perm)
-
-    def simple_roots(self) -> Tuple[CartanVector, ...]:
-        n = self.n
-        roots = []
-        for i in range(n - 1):
-            coords = [Fraction(0)] * n
-            coords[self.perm[i]] = Fraction(1)
-            coords[self.perm[i + 1]] = Fraction(-1)
-            roots.append(CartanVector(coords))
-        return tuple(roots)
-
-    def contains(self, a: CartanVector) -> bool:
-        """True when ``a`` lies in the closed positive chamber."""
-        c = a.coords
-        return all(c[self.perm[i]] >= c[self.perm[i + 1]] for i in range(self.n - 1))
-
-
-def form_inner(a: CartanVector, b: CartanVector) -> Scalar:
-    """Trace-form inner product of two flat directions.
-
-    Returns a ``Fraction`` when both inputs are exact, otherwise a float.
-    Symmetric and positive definite on traceless vectors.
-    """
-    if a.n != b.n:
-        raise DimensionError(f"dimension mismatch: {a.n} vs {b.n}")
-    total = sum(x * y for x, y in zip(a.coords, b.coords))
-    if isinstance(total, Fraction):
-        return total
-    return float(total)
 
 
 def fundamental_weights(n: int, order: SimpleSystem | None = None) -> Tuple[CartanVector, ...]:
@@ -246,14 +211,6 @@ def chi_decompose(a: CartanVector, order: SimpleSystem) -> Tuple[Scalar, ...]:
     nsq = a.norm_sq()
     c = a.coords
     return tuple((c[order.perm[j]] - c[order.perm[j + 1]]) / nsq for j in range(a.n - 1))
-
-
-def chi_recombine(coeffs: Sequence[Scalar], order: SimpleSystem) -> CartanVector:
-    """Sum-zero vector of ``sum_j coeffs[j] * chi_j`` for the given order."""
-    out = CartanVector([0] * order.n)
-    for coef, chi in zip(coeffs, fundamental_weights(order.n, order)):
-        out = out.add(chi.scale(coef))
-    return out
 
 
 def dominant_order(a: CartanVector) -> SimpleSystem:

@@ -28,7 +28,7 @@ from fractions import Fraction
 import click
 import numpy as np
 
-from .cartan import CartanVector
+from .cartan import CartanVector, fundamental_weights
 from .errors import (CertificateError, DimensionError, InstabError,
                      ParseError, StableVectorError, ZeroVectorError)
 from .instability import (CertifyOptions, LIKELY_STABLE, NUMERIC_UNSTABLE,
@@ -91,7 +91,6 @@ def cmd_rep_info(n: int, spec_text: str, as_json: bool):
     except (ParseError, DimensionError, InstabError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-    from .cartan import fundamental_weights
     weights = [[str(c) for c in w.coords] for w in rep.weights]
     fw = [[str(c) for c in w.coords] for w in fundamental_weights(n)]
     payload = {
@@ -180,7 +179,7 @@ def cmd_certify(n, spec_text, vector, vector_file, out, seed, samples, box, tol)
         "out": out, "rate": cert.rate, "mode": cert.mode,
         "alphas": [str(a) for a in cert.alphas], "c": cert.c,
         "hw": list(cert.hw_degrees),
-        "kempf_tau": None if cert.kempf is None else list(cert.kempf.tau),
+        "kempf_tau": list(cert.kempf.tau),
         "verification_failures": (None if cert.verification is None
                                   else cert.verification.failures),
         "verification_ok": (None if cert.verification is None

@@ -47,8 +47,6 @@ from .reps import (RepSpec, Representation, _log_norm, act, active_weights, buil
                    weight_components, weight_part)
 from .symspace import block_orthogonal, exp_sym, haar_from_normal, log_flag_norms
 
-NEG_INF = float("-inf")
-
 # a weight component below this share of the vector's norm counts as zero
 _EPS = 1e-10
 
@@ -359,14 +357,21 @@ class TorusKempfResult:
     flat: FlatShrinkData
 
 
-def _kempf(fd: FlatShrinkData) -> Tuple[Cocharacter, int, float]:
-    """``(tau, m, m/||tau||)`` of a flat not bounded below: tau primitive
-    integral along u, m its least pairing with the active weights."""
-    tau = Cocharacter(exactlin.primitive_integer_vector(fd.u.coords))
-    m = min(w.pair_int(tau) for w, _ in fd.active)
-    if m <= 0:
-        raise AssertionError("internal: optimal cocharacter has nonpositive pairing")
-    return tau, m, m / tau.norm()
+@dataclass(frozen=True)
+class KempfData:
+    tau: Tuple[int, ...]
+    m: int
+    norm_sq: int
+    ratio: float
+
+
+def _kempf(u: CartanVector) -> KempfData:
+    """tau primitive integral along the min-norm point u != 0 of some
+    weights, and m = <u, tau> > 0: their least pairing with tau, as each
+    pairs with u to at least ||u||^2, with equality on the face of u."""
+    tau = Cocharacter(exactlin.primitive_integer_vector(u.coords))
+    m = u.pair_int(tau)
+    return KempfData(tau=tau.exps, m=m, norm_sq=tau.norm_sq(), ratio=m / tau.norm())
 
 
 def torus_kempf(rep: Representation, v, eps: float = _EPS) -> TorusKempfResult:
@@ -374,8 +379,8 @@ def torus_kempf(rep: Representation, v, eps: float = _EPS) -> TorusKempfResult:
     if fd.bounded_below:
         raise TorusStableError(
             "0 lies in the hull of the active weights at the identity frame")
-    tau, m, ratio = _kempf(fd)
-    return TorusKempfResult(tau=tau, m=m, ratio=ratio, u=fd.u, flat=fd)
+    k = _kempf(fd.u)
+    return TorusKempfResult(tau=Cocharacter(k.tau), m=k.m, ratio=k.ratio, u=fd.u, flat=fd)
 
 
 # ---------------------------------------------------------------------------
@@ -419,14 +424,6 @@ def is_unstable(rep: Representation, v, budget: int = 64, seed: int = 0,
 
 # a certificate entry that is a rational where it can be, else a float
 Num = Union[Fraction, float]
-
-
-@dataclass(frozen=True)
-class KempfData:
-    tau: Tuple[int, ...]
-    m: int
-    norm_sq: int
-    ratio: float
 
 
 @dataclass(frozen=True)
@@ -493,7 +490,7 @@ class DominanceCert:
     rate: float
     alphas: Tuple[Num, ...]  # nonnegative; Fractions unless written as floats
     c: float
-    kempf: Optional[KempfData]
+    kempf: KempfData
     xi: XiInfo
     verification: Optional[VerifyReport]
     seed: int
@@ -615,8 +612,6 @@ def dominance_certificate(rep: Representation, v,
     flat = fsg.flat
     u = flat.u
     rate = u.norm()
-    tau, m, ratio = _kempf(flat)
-    kempf = KempfData(tau=tau.exps, m=m, norm_sq=tau.norm_sq(), ratio=ratio)
     order = dominant_order(u)
     perm = order.perm
     alphas = tuple(u.coords[perm[j]] - u.coords[perm[j + 1]] for j in range(rep.n - 1))
@@ -634,7 +629,7 @@ def dominance_certificate(rep: Representation, v,
     cert = DominanceCert(
         n=rep.n, spec=rep.spec, vector=vector, mode=mode, frame=frame,
         order=order, u=u, direction=uhat.as_floats(), rate=rate,
-        alphas=alphas, c=c, kempf=kempf, xi=xi_info, verification=None,
+        alphas=alphas, c=c, kempf=_kempf(u), xi=xi_info, verification=None,
         seed=opts.seed, eps=_EPS)
     if opts.samples > 0:
         report = verify_dominance(cert, rep, v, opts.samples,
@@ -721,9 +716,8 @@ def verify_dominance(cert: DominanceCert, rep: Optional[Representation] = None,
     # spread.  On an exact certificate nothing was truncated, and the
     # spread is 0 up to rounding.
     uhat = np.asarray(cert.direction)
-    comps = weight_components(rep, act(rep, frame, vec), 0.0, e)
     spread = cert.rate - min(sum(float(c) * d for c, d in zip(w.coords, uhat))
-                             for w, r in comps if r > NEG_INF)
+                             for w, _ in active_weights(rep, act(rep, frame, vec), 0.0))
     t2 = 11.5 / max(spread, 0.3) if spread > 1e-9 else 40.0
     t1 = 0.5 * t2
     lhs, rhs = sides(np.stack([np.diag(np.exp(-t * uhat)) @ frame for t in (t1, t2)]))
@@ -828,7 +822,8 @@ def _reader(kind):
 def cert_from_dict(data: dict) -> DominanceCert:
     """Read a certificate: each field through the type its dataclass declares,
     then check that its numbers are finite, alphas >= 0, shapes fit n, the
-    mode is one of the two and ``hw`` the degrees of the positive alphas."""
+    mode is one of the two, ``hw`` the degrees of the positive alphas, and
+    u rational and nonzero, with the rate, direction and kempf it fixes."""
     try:
         if _checked(dict, data, "certificate")["schema"] != CERT_SCHEMA:
             raise CertificateError(f"unsupported schema {data['schema']!r}")
@@ -859,6 +854,17 @@ def cert_from_dict(data: dict) -> DominanceCert:
     if hw != cert.hw_degrees:
         raise CertificateError(f"hw {list(hw)} is not the degrees of the positive alphas, "
                                f"{list(cert.hw_degrees)}")
+    # rate, direction and kempf are functions of u; sampling checks the rest
+    u = cert.u
+    if not u.is_exact or u.is_zero():
+        raise CertificateError("u must be a nonzero rational vector")
+    try:
+        derived = {"rate": u.norm(), "direction": u.unit().as_floats(), "kempf": _kempf(u)}
+    except (OverflowError, ZeroVectorError) as exc:  # u beyond the float range
+        raise CertificateError(f"u has no float norm: {exc}") from exc
+    for name, value in derived.items():
+        if getattr(cert, name) != value:
+            raise CertificateError(f"{name} is not the value u determines, {value!r}")
     return cert
 
 

@@ -429,13 +429,6 @@ def _apply(rep: Representation, g: np.ndarray, vecs: np.ndarray,
     return t.reshape(stack + t.shape[1:])
 
 
-def rep_matrix(rep: Representation, g) -> np.ndarray:
-    """Matrix of ``g`` on the monomial basis of ``rep``: the action on the
-    identity columns."""
-    mat, inv, exact = _as_group_matrix(g, rep.n)
-    return _apply(rep, mat, np.eye(rep.dim, dtype=object if exact else float), inv)
-
-
 def _vector_in(rep: Representation, v):
     coords = list(v)
     if len(coords) != rep.dim:
@@ -509,17 +502,15 @@ def _log_ldexp(x: float, e: int) -> float:
 
 
 def _weighted_squares(rep: Representation, v, exp2: int = 0):
-    """``(q, e)`` with q_i = gram_i x_i^2 / 4^e for x = v * 2^exp2: exact
-    ``Fraction``s and e = 0 for rational vectors, floats of
-    ``pow2_scaled(v)`` otherwise.  The rows of a 2-D float ndarray are
-    taken as vectors, each with its own e."""
+    """``(q, e)`` with q_i = gram_i x_i^2 / 4^e: exact ``Fraction``s of
+    x = v and e = 0 for rational vectors, else floats of ``pow2_scaled(v)``
+    with x = v * 2^exp2 (the floats of ``scaled_floats``).  The rows of a
+    2-D float ndarray are taken as vectors, each with its own e."""
     if isinstance(v, np.ndarray) and v.ndim == 2:
         vec, exact = v.astype(float, copy=False), False
     else:
         vec, exact = _vector_in(rep, v)
     if exact:
-        if exp2:
-            vec = [c * Fraction(2) ** exp2 for c in vec]
         return np.array([g * c * c for g, c in zip(rep.gram, vec)], dtype=object), 0
     scaled, e = pow2_scaled(vec)
     return rep.gram_f * scaled ** 2, e + exp2
@@ -532,18 +523,6 @@ def _log_norm(s, e: int) -> float:
     if isinstance(s, Fraction):  # safe for huge numerators and denominators
         return 0.5 * (math.log(s.numerator) - math.log(s.denominator))
     return _log_ldexp(math.sqrt(s), e)
-
-
-def norm_sq(rep: Representation, v):
-    """Gram-weighted squared norm; ``Fraction`` for exact vectors, inf for
-    a float square beyond the float range."""
-    q, e = _weighted_squares(rep, v)
-    if q.dtype == object:
-        return q.sum()
-    try:
-        return math.ldexp(float(q.sum()), 2 * e)
-    except OverflowError:
-        return math.inf
 
 
 def rep_norm(rep: Representation, v) -> float:
@@ -569,25 +548,19 @@ def log_rep_norm(rep: Representation, v, exp2: int = 0):
 
 
 def weight_components(rep: Representation, v, eps: float = 1e-10, exp2: int = 0):
-    """Split ``v * 2^exp2`` into weight components and report their log norms.
+    """Split ``v * 2^exp2``, or each row of a 2-D float ndarray (S, dim),
+    into weight components; a vector is a stack of one.
 
-    Returns ``[(weight, r)]`` over the weights of the basis, sorted by
-    weight coordinates; ``r`` is the log of the gram-weighted component norm
-    for components above ``eps * ||v||`` (exact nonzero test for rational
-    vectors), and ``-inf`` otherwise.  Float norms are taken on ``v`` scaled
-    by a power of two, so no scale underflows or overflows; ``exp2`` lets
-    a caller pass the floats of ``scaled_floats`` for a vector beyond the
-    float range.
-
-    The rows of a 2-D float ndarray (S, dim) are split all at once, and
-    ``(weights, active, sums, e)`` is returned instead: the G weights in
-    the same order, the (S, G) mask of the components above the threshold,
-    their sums of weighted squares, and the rows' exponents, so that
+    Returns ``(weights, active, sums, e)``: the G weights of the basis,
+    sorted by weight coordinates; the (S, G) mask of the components above
+    ``eps * ||v||`` (exact nonzero test for rational vectors); their sums
+    of weighted squares; and the S exponents of the rows, so that
     ``_log_norm(sums[i, j], e[i])`` is the log norm of an active entry.
-    A vector is the stack-of-one case.
+    Float norms are taken on ``v`` scaled by a power of two, so no scale
+    underflows or overflows; ``exp2`` lets a caller pass the floats of
+    ``scaled_floats`` for a vector beyond the float range.
     """
     q, e = _weighted_squares(rep, v, exp2)
-    stack = q.ndim == 2
     q = q.reshape(-1, q.shape[-1])
     total = q.sum(axis=1)
     if not total.all():
@@ -601,10 +574,7 @@ def weight_components(rep: Representation, v, eps: float = 1e-10, exp2: int = 0)
         active = sums.astype(bool)
     else:
         active = np.sqrt(sums) > eps * np.sqrt(total)[:, None]
-    if stack:
-        return tuple(w for w, _ in groups), active, sums, e
-    return [(w, _log_norm(s, e) if a else NEG_INF)
-            for (w, _), s, a in zip(groups, sums[0].tolist(), active[0].tolist())]
+    return tuple(w for w, _ in groups), active, sums, np.reshape(e, -1)
 
 
 def weight_part(rep: Representation, v, weights) -> list:
@@ -642,8 +612,11 @@ def moment_map(rep: Representation, w) -> np.ndarray:
 
 
 def active_weights(rep: Representation, v, eps: float = 1e-10):
-    """The weights whose component of ``v`` is nonzero, with log norms."""
-    return [(w, r) for w, r in weight_components(rep, v, eps) if r != NEG_INF]
+    """The weights whose component of the vector ``v`` is above ``eps *
+    ||v||`` (nonzero, for rational v), with log norms."""
+    weights, active, sums, e = weight_components(rep, v, eps)
+    return [(w, _log_norm(s, int(e[0])))
+            for w, s, a in zip(weights, sums[0].tolist(), active[0].tolist()) if a]
 
 
 def highest_weight_vector(n: int, j: int, order: SimpleSystem | None = None):

@@ -22,12 +22,13 @@ matrix exponential would overflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .cartan import CartanVector, chi_decompose, dominant_order
 from .errors import DimensionError, ZeroVectorError
+from .reps import check_unimodular_float
 
 _SYM_TOL = 1e-10
 _CLUSTER_GAP = 18.0  # see _log_eigs_graded
@@ -38,8 +39,6 @@ _CLUSTER_GAP = 18.0  # see _log_eigs_graded
 
 
 def check_group_element(g) -> np.ndarray:
-    from .reps import check_unimodular_float
-
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {g.shape}")
@@ -158,14 +157,12 @@ def midpoint(p, q) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GeodesicRay:
-    """Unit-speed ray t -> base^T exp(t * direction) base.
+    """Unit-speed ray t -> exp(t * direction) from the identity point.
 
-    ``direction`` is symmetric, traceless, trace-form norm 1; ``base`` is a
-    group element translating the ray (None = ray from the identity point).
+    ``direction`` is symmetric, traceless, of trace-form norm 1.
     """
 
     direction: np.ndarray
-    base: Optional[np.ndarray] = None
 
     def __post_init__(self):
         d = np.asarray(self.direction, dtype=float)
@@ -177,20 +174,14 @@ class GeodesicRay:
         if abs(nrm - 1.0) > 1e-9:
             raise ValueError(f"ray direction must have trace-form norm 1, got {nrm}")
         object.__setattr__(self, "direction", d)
-        if self.base is not None:
-            object.__setattr__(self, "base", check_group_element(self.base))
 
     def point(self, t: float) -> np.ndarray:
-        p = exp_sym(t * self.direction)
-        if self.base is None:
-            return p
-        return self.base.T @ p @ self.base
+        return exp_sym(t * self.direction)
 
 
-def ray_from_cartan(a: CartanVector, base: Optional[np.ndarray] = None) -> GeodesicRay:
+def ray_from_cartan(a: CartanVector) -> GeodesicRay:
     """Unit ray through the diagonal flat in direction ``a``."""
-    u = a.unit()
-    return GeodesicRay(direction=np.diag(u.as_floats()), base=base)
+    return GeodesicRay(direction=np.diag(a.unit().as_floats()))
 
 
 def _log_eigs_graded(m: np.ndarray, expo: np.ndarray) -> np.ndarray:
@@ -236,10 +227,6 @@ def _log_eigs_graded(m: np.ndarray, expo: np.ndarray) -> np.ndarray:
 
 def _distance_to_ray_point(x: np.ndarray, ray: GeodesicRay, t: float) -> float:
     """d(x, ray.point(t)), stable for large t."""
-    if ray.base is not None:
-        binv = np.linalg.inv(ray.base)
-        x = binv.T @ x @ binv
-        x = 0.5 * (x + x.T)
     d, q = np.linalg.eigh(ray.direction)
     xin = np.linalg.inv(x)
     mmat = q.T @ xin @ q

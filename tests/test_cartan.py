@@ -4,21 +4,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from instab import (CartanVector, Cocharacter, SimpleSystem, ZeroVectorError,
-                    chi_decompose, chi_recombine, dominant_order, form_inner,
-                    fundamental_weights)
+                    chi_decompose, dominant_order, fundamental_weights)
 from instab.errors import DimensionError
 from instab import exactlin
 
 
 def test_form_inner_values():
-    assert form_inner(CartanVector([1, -1]), CartanVector([1, -1])) == 2
-    assert form_inner(CartanVector([1, 0, -1]), CartanVector([0, 1, -1])) == 1
-    assert form_inner(CartanVector([2, -1, -1]), CartanVector([0, 0, 0])) == 0
+    assert CartanVector([1, -1]).pair(CartanVector([1, -1])) == 2
+    assert CartanVector([1, 0, -1]).pair(CartanVector([0, 1, -1])) == 1
+    assert CartanVector([2, -1, -1]).pair(CartanVector([0, 0, 0])) == 0
 
 
 def test_form_inner_dimension_mismatch():
     with pytest.raises(DimensionError):
-        form_inner(CartanVector([1, -1]), CartanVector([1, 0, -1]))
+        CartanVector([1, -1]).pair(CartanVector([1, 0, -1]))
 
 
 def test_cartan_vector_must_be_traceless():
@@ -60,12 +59,13 @@ def test_fundamental_weights_known_values():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_pairing_is_kronecker_delta(n):
-    order = SimpleSystem.identity(n)
-    chis = fundamental_weights(n, order)
-    roots = order.simple_roots()
+    chis = fundamental_weights(n, SimpleSystem.identity(n))
+    # the simple roots e_i - e_{i+1} of the identity order
+    roots = [CartanVector([1 if k == i else -1 if k == i + 1 else 0 for k in range(n)])
+             for i in range(n - 1)]
     for i, alpha in enumerate(roots):
         for j, chi in enumerate(chis):
-            val = 2 * form_inner(alpha, chi) / form_inner(alpha, alpha)
+            val = 2 * alpha.pair(chi) / alpha.pair(alpha)
             assert val == (1 if i == j else 0)
 
 
@@ -84,7 +84,7 @@ def test_chi_decompose_matches_linear_solve():
     a = CartanVector([1, 0, -1])
     order = SimpleSystem.identity(3)
     chis = fundamental_weights(3, order)
-    nsq = form_inner(a, a)
+    nsq = a.pair(a)
     rows = [[chis[j].coords[i] for j in range(2)] for i in range(2)]
     rhs = [F(a.coords[i]) / nsq for i in range(2)]
     expected = tuple(exactlin.solve(rows, rhs))
@@ -98,7 +98,7 @@ def test_chi_decompose_dual_direction():
     # <a,a> normalization
     a = fundamental_weights(3)[0]
     coeffs = chi_decompose(a, SimpleSystem.identity(3))
-    nsq = form_inner(a, a)
+    nsq = a.pair(a)
     assert coeffs == (F(1) / nsq, F(0))
 
 
@@ -127,8 +127,10 @@ def test_chi_roundtrip_exact(a):
         return
     order = dominant_order(a)
     coeffs = chi_decompose(a, order)
-    recombined = chi_recombine(coeffs, order)
-    nsq = form_inner(a, a)
+    recombined = CartanVector([0] * a.n)
+    for coef, chi in zip(coeffs, fundamental_weights(a.n, order)):
+        recombined = recombined.add(chi.scale(coef))
+    nsq = a.pair(a)
     assert recombined.coords == tuple(F(c) / nsq for c in a.coords)
     assert all(c >= 0 for c in coeffs)
 
@@ -141,10 +143,8 @@ def test_dominant_order_examples():
 
 def test_dominant_order_chamber_membership():
     a = CartanVector([-2.0, 3.5, -1.5])
-    order = dominant_order(a)
-    assert order.contains(a)
-    for root in order.simple_roots():
-        assert root.pair(a) >= 0
+    along = [a.coords[i] for i in dominant_order(a).perm]
+    assert all(x >= y for x, y in zip(along, along[1:]))
 
 
 def test_dominant_order_stable_ties():
@@ -155,16 +155,11 @@ def test_dominant_order_stable_ties():
 def test_simple_system_validation():
     with pytest.raises(ValueError):
         SimpleSystem((0, 0, 1))
-    roots = SimpleSystem((1, 0)).simple_roots()
-    assert roots[0].coords == (F(-1), F(1))
 
 
 def test_cocharacter_invariants():
     tau = Cocharacter([2, -1, -1])
     assert tau.norm_sq() == 6
-    assert tau.primitive
-    assert not Cocharacter([2, 0, -2]).primitive
-    assert tau.power(3).exps == (6, -3, -3)
     with pytest.raises(ValueError):
         Cocharacter([1, 1])
 
@@ -177,4 +172,4 @@ def test_cocharacter_norm_sq_is_nonnegative_integer(exps):
     tau = Cocharacter(exps)
     ns = tau.norm_sq()
     assert isinstance(ns, int) and ns >= 0
-    assert abs(form_inner(CartanVector(tau.exps), CartanVector(tau.exps)) - ns) == 0
+    assert abs(CartanVector(tau.exps).pair(CartanVector(tau.exps)) - ns) == 0

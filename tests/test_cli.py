@@ -244,6 +244,26 @@ def test_verify_tampered_certificate(runner, tmp_path):
     assert not last_json(res.output)["ok"]
 
 
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(rate=d["rate"] * 1.5),
+    lambda d: d.update(direction=d["direction"][::-1]),
+    lambda d: d.update(kempf={"tau": [5, 5, -10], "m": 1, "norm_sq": 3, "ratio": 9.0})],
+    ids=["rate", "direction", "kempf"])
+def test_verify_rejects_values_that_contradict_u(runner, tmp_path, edit):
+    out = str(tmp_path / "cert.json")
+    assert runner.invoke(main, ["certify", "--n", "3", "--spec", "std*wedge(2,std)",
+                                "--vector", "1,0,0,0,0,0,0,0,0", "--out", out,
+                                "--samples", "0"]).exit_code == 0
+    assert runner.invoke(main, ["verify", out, "--samples", "500"]).exit_code == 0
+    data = json.loads(open(out).read())
+    edit(data)
+    with open(out, "w") as fh:
+        json.dump(data, fh)
+    res = runner.invoke(main, ["verify", out, "--samples", "500"])
+    assert res.exit_code == 5, res.output
+    assert "is not the value u determines" in res.output
+
+
 def test_verify_zero_samples(runner, tmp_path):
     out = str(tmp_path / "cert.json")
     assert runner.invoke(main, certify_args(out)).exit_code == 0

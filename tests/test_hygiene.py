@@ -1,6 +1,7 @@
 """Source hygiene checks that need nothing beyond the standard library."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -9,8 +10,13 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "instab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "instab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# the callers of the package besides its own modules: the benchmark and the
+# acceptance gate (tests of a definition do not count as its callers)
+CALLERS = [ROOT / "bench" / f"{name}.py" for name in ("run", "spans", "checks", "workloads")] \
+    + [ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "oracles.py"]
 
 
 def unused_imports(source: str):
@@ -45,6 +51,43 @@ def unreferenced_private_definitions(sources: dict):
                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                   and node.name.startswith("_") and not node.name.startswith("__")
                   and total[node.name] == _referenced_names(node)[node.name])
+
+
+def _is_click_command(node) -> bool:
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr == "command" for d in node.decorator_list)
+
+
+def unreferenced_public_definitions(sources: dict, outside: Counter):
+    """Public module-level functions and classes of ``sources`` ({file name:
+    text}), and the public methods of those classes, that neither
+    ``sources`` nor the name counts ``outside`` reference outside their own
+    definition, as (file name, line, qualified name).  Functions registered
+    as click commands are exempt."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    total = sum((_referenced_names(tree) for tree in trees.values()), outside)
+    out = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs = [(node, node.name)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(m, f"{node.name}.{m.name}") for m in node.body
+                         if isinstance(m, ast.FunctionDef)]
+            out += [(name, d.lineno, qual) for d, qual in defs
+                    if not d.name.startswith("_") and not _is_click_command(d)
+                    and total[d.name] == _referenced_names(d)[d.name]]
+    return sorted(out)
+
+
+def traced_names() -> dict:
+    """``TRACED`` of bench/spans.py, {module: function names}, read without
+    importing the benchmark."""
+    for node in ast.parse((ROOT / "bench" / "spans.py").read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/spans.py assigns no TRACED")
 
 
 def unread_parameters(source: str):
@@ -104,6 +147,37 @@ def test_unreferenced_private_detector():
                "b.py": "from a import _used\n\n_used()\n"}
     assert unreferenced_private_definitions(sources) == [
         ("a.py", 4, "_dead"), ("a.py", 7, "_Gone")]
+
+
+def test_public_definitions_have_callers():
+    outside = sum((_referenced_names(ast.parse(path.read_text())) for path in CALLERS),
+                  Counter(name for names in traced_names().values() for name in names))
+    unused = unreferenced_public_definitions(
+        {path.name: path.read_text() for path in MODULES}, outside)
+    assert not unused, "only tests call: " + ", ".join(
+        f"{name} ({path}:{line})" for path, line, name in unused)
+
+
+def test_unreferenced_public_detector():
+    sources = {"a.py": ("def used():\n    return Box().kept()\n\n"
+                        "def dead(x):\n    return dead(x - 1)\n\n"
+                        "class Box:\n"
+                        "    def kept(self):\n        return 1\n\n"
+                        "    def gone(self):\n        return self.gone()\n\n"
+                        "    def _own(self):\n        return 0\n\n"
+                        "def traced():\n    pass\n\n"
+                        "@main.command('run')\ndef cmd_run():\n    pass\n"),
+               "b.py": "from a import used\n\nused()\n"}
+    assert unreferenced_public_definitions(sources, Counter(["traced"])) == [
+        ("a.py", 4, "dead"), ("a.py", 11, "Box.gone")]
+
+
+def test_traced_names_exist():
+    # a deletion that breaks the benchmark's --trace pass shows here
+    missing = [f"{module}.{name}" for module, names in traced_names().items()
+               for name in names
+               if not hasattr(importlib.import_module(f"instab.{module}"), name)]
+    assert not missing, "traced but not defined: " + ", ".join(missing)
 
 
 def test_parameters_are_read():

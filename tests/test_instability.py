@@ -207,7 +207,7 @@ def test_torus_kempf_standard():
     assert res.tau.exps == (1, -1)
     assert res.m == 1
     assert res.ratio == pytest.approx(1 / math.sqrt(2))
-    assert res.tau.primitive
+    assert math.gcd(*res.tau.exps) == 1
 
 
 def test_torus_kempf_wedge():
@@ -819,12 +819,27 @@ def test_non_finite_certificate_entries_rejected(field, value):
     ("hw", [5], "positive alphas"),
     ("hw", [], "positive alphas"),
     ("hw", ["1"], "hw: expected int"),
+    ("u", [{"num": 0, "den": 1}] * 2, "nonzero rational"),
+    ("u", [{"num": 1, "den": 1}, {"num": -1, "den": 1}], "rate is not"),
+    ("rate", 1.0, "rate is not"),
+    ("direction", [-math.sqrt(0.5), math.sqrt(0.5)], "direction is not"),
+    ("kempf", {"tau": [2, -2], "m": 2, "norm_sq": 8, "ratio": math.sqrt(0.5)},
+     "kempf is not"),
+    ("kempf", {"tau": [1, -1], "m": 1, "norm_sq": 2, "ratio": 0.75}, "kempf is not"),
 ])
 def test_inconsistent_certificate_entries_rejected(field, value, message):
     cert = dominance_certificate(std(2), [1, 0], fast_opts(samples=0))
     data = cert_to_dict(cert)
     data[field] = value
     with pytest.raises(CertificateError, match=message):
+        cert_from_dict(data)
+
+
+def test_float_u_rejected():
+    # u is the exact min-norm point in float mode too
+    data = json.loads(_float_cert_json())
+    data["u"] = [x["num"] / x["den"] for x in data["u"]]
+    with pytest.raises(CertificateError, match="nonzero rational"):
         cert_from_dict(data)
 
 

@@ -284,14 +284,6 @@ def test_ray_is_unit_speed():
             t - s, rel=1e-10)
 
 
-def test_based_ray_starts_at_projection():
-    rng = np.random.default_rng(16)
-    g = cartan_box_sample(rng, 3, 1.0)
-    ray = ray_from_cartan(CartanVector([1.0, 0.0, -1.0]), base=g)
-    np.testing.assert_allclose(ray.point(0.0), project(g), atol=1e-12)
-    assert distance(ray.point(0.0), ray.point(2.0)) == pytest.approx(2.0, rel=1e-10)
-
-
 def test_midpoint_properties():
     rng = np.random.default_rng(17)
     for _ in range(50):
