@@ -19,7 +19,7 @@ from .errors import (CertificateError, DimensionError, InstabError,
                      TorusStableError, ZeroVectorError)
 from .instability import (CertifyOptions, DominanceCert, FlatShrinkData,
                           KempfData, MinNormCert, ShrinkGeodesicResult,
-                          TorusKempfResult, Verdict, VerifyReport,
+                          Verdict, VerifyReport,
                           cartan_box_sample, cert_from_dict, cert_to_dict,
                           dominance_certificate, dumps_cert,
                           fastest_shrinking_geodesic, flat_shrink_data,

@@ -152,7 +152,7 @@ def cmd_classify(n, spec_text, vector, vector_file):
 @click.option("--vector-file", type=click.Path(exists=True), default=None)
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--seed", type=int, default=0)
-@click.option("--samples", type=int, default=1000,
+@click.option("--samples", type=click.IntRange(min=0), default=1000,
               help="embedded verification sample count")
 @click.option("--box", type=float, default=5.0)
 @click.option("--tol", type=float, default=1e-6)
@@ -178,8 +178,8 @@ def cmd_certify(n, spec_text, vector, vector_file, out, seed, samples, box, tol)
     summary = {
         "out": out, "rate": cert.rate, "mode": cert.mode,
         "alphas": [str(a) for a in cert.alphas], "c": cert.c,
-        "hw": list(cert.hw_degrees),
-        "kempf_tau": list(cert.kempf.tau),
+        "hw": list(cert.hw),
+        "kempf_tau": list(cert.kempf.tau.exps),
         "verification_failures": (None if cert.verification is None
                                   else cert.verification.failures),
         "verification_ok": (None if cert.verification is None
@@ -192,7 +192,7 @@ def cmd_certify(n, spec_text, vector, vector_file, out, seed, samples, box, tol)
 
 @main.command("verify")
 @click.argument("cert_path", type=click.Path(exists=True))
-@click.option("--samples", type=int, default=10000)
+@click.option("--samples", type=click.IntRange(min=0), default=10000)
 @click.option("--seed", type=int, default=None)
 @click.option("--tol", type=float, default=1e-6)
 @click.option("--box", type=float, default=5.0)
@@ -224,8 +224,8 @@ def cmd_verify(cert_path, samples, seed, tol, box):
 @click.option("--n", type=int, required=True)
 @click.option("--direction", type=str, required=True,
               help="comma separated traceless direction, e.g. '1,0,-1'")
-@click.option("--points", type=int, default=100)
-@click.option("--tmax", type=float, default=1000.0)
+@click.option("--points", type=click.IntRange(min=1), default=100)
+@click.option("--tmax", type=click.FloatRange(min=100), default=1000.0)
 @click.option("--seed", type=int, default=0)
 @click.option("--box", type=float, default=1.0,
               help="size of the sampled test points")

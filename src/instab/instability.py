@@ -32,7 +32,7 @@ import json
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import groupby
 from typing import Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints
 
@@ -42,13 +42,10 @@ from . import exactlin
 from .cartan import CartanVector, Cocharacter, SimpleSystem, dominant_order
 from .errors import (CertificateError, DimensionError, StableVectorError,
                      TorusStableError, ZeroVectorError)
-from .reps import (RepSpec, Representation, _log_norm, act, active_weights, build_rep,
-                   log_rep_norm, moment_map, parse_rep_spec, scaled_floats,
+from .reps import (_EPS, RepSpec, Representation, _log_norm, act, active_weights,
+                   build_rep, log_rep_norm, moment_map, parse_rep_spec, scaled_floats,
                    weight_components, weight_part)
 from .symspace import block_orthogonal, exp_sym, haar_from_normal, log_flag_norms
-
-# a weight component below this share of the vector's norm counts as zero
-_EPS = 1e-10
 
 CERT_SCHEMA = "instab-cert/1"
 
@@ -165,20 +162,33 @@ class FlatShrinkData:
     The flat is pi(exp(diag(.)) k) for the orthogonal ``frame`` k.  On it
     the log norm is, up to a bounded error, max over active weights of
     <weight, b> + r_weight; ``u`` is the exact min-norm point of the active
-    weights, ``rate = ||u||`` the best decay slope (0 iff 0 lies in the
-    hull, in which case the restriction is bounded below), and
-    ``bound_const`` realizes the lower bound <b, u> + C on the flat.
-    ``eps`` is the relative threshold that classified the active set.
+    weights, and ``bound_const`` realizes the lower bound <b, u> + C on the
+    flat.  ``eps`` is the relative threshold that classified the active set.
     """
 
     frame: np.ndarray
     active: Tuple[Tuple[CartanVector, float], ...]
     u: CartanVector
     coeffs: Tuple[Fraction, ...]
-    rate: float
     bound_const: float
-    bounded_below: bool
     eps: float
+
+    @cached_property
+    def rate(self) -> float:
+        """The best decay slope ||u||."""
+        return self.u.norm()
+
+    @cached_property
+    def bounded_below(self) -> bool:
+        """u = 0: 0 lies in the hull, and the log norm is bounded below on the flat."""
+        return self.u.is_zero()
+
+    @property
+    def direction(self) -> Optional[np.ndarray]:
+        """Unit shrinking direction of the flat, as a symmetric matrix."""
+        if self.bounded_below:
+            return None
+        return -(self.frame.T @ np.diag(self.u.unit().as_floats()) @ self.frame)
 
 
 def flat_shrink_data(rep: Representation, v, frame: Optional[np.ndarray] = None,
@@ -193,21 +203,9 @@ def flat_shrink_data(rep: Representation, v, frame: Optional[np.ndarray] = None,
     if not comps:
         raise ZeroVectorError("vector vanishes after applying the frame")
     cert = min_norm_point([wt for wt, _ in comps])
-    rate = cert.point.norm()
     bound_const = float(sum(float(c) * r for c, r in zip(cert.coeffs, (r for _, r in comps))))
-    bounded = all(c == 0 for c in cert.point.coords)
     return FlatShrinkData(frame=frame_arr, active=tuple(comps), u=cert.point,
-                          coeffs=cert.coeffs, rate=rate, bound_const=bound_const,
-                          bounded_below=bounded, eps=eps)
-
-
-def flat_direction_matrix(fd: FlatShrinkData) -> Optional[np.ndarray]:
-    """Unit shrinking direction of the flat, as a symmetric matrix."""
-    if fd.bounded_below:
-        return None
-    uhat = np.asarray(fd.u.unit().as_floats())
-    k = fd.frame
-    return -(k.T @ np.diag(uhat) @ k)
+                          coeffs=cert.coeffs, bound_const=bound_const, eps=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -218,22 +216,29 @@ def flat_direction_matrix(fd: FlatShrinkData) -> Optional[np.ndarray]:
 class ShrinkGeodesicResult:
     """The fastest flat the search found.
 
-    ``rate`` is always the exact in-flat rate ||u|| of ``flat``, a flat
-    that is not bounded below, and ``direction`` its unit shrinking
-    direction.  ``upper`` bounds every rate from above: ``rate`` itself
-    when the identity flat's balanced face proves it optimal, else the
-    least ||mu(rho(g)v)|| the descent saw at a well-conditioned g.
-    ``identity``: ``flat`` is the identity flat of v itself at ``eps``
-    (exact for rational v), not one the descent took on a float copy.
-    ``frames_tried`` counts the identity and the descent's snapped frames.
+    ``flat`` is a flat that is not bounded below.  ``upper`` bounds every
+    rate from above: ``rate`` itself when the identity flat's balanced face
+    proves it optimal, else the least ||mu(rho(g)v)|| the descent saw at a
+    well-conditioned g.  ``identity``: ``flat`` is the identity flat of v
+    itself at ``eps`` (exact for rational v), not one the descent took on a
+    float copy.  ``frames_tried`` counts the identity and the descent's
+    snapped frames.
     """
 
-    direction: np.ndarray
-    rate: float
     upper: float
     flat: FlatShrinkData
     identity: bool
     frames_tried: int
+
+    @property
+    def rate(self) -> float:
+        """The exact in-flat rate ||u|| of ``flat``."""
+        return self.flat.rate
+
+    @property
+    def direction(self) -> np.ndarray:
+        """The unit shrinking direction of ``flat``."""
+        return self.flat.direction
 
 
 # Every positive rate is at least gamma(rho) > 0, the least nonzero norm of
@@ -291,9 +296,8 @@ def fastest_shrinking_geodesic(rep: Representation, v,
     if not flat.bounded_below:
         face = {w for w, _ in flat.active if w.pair(flat.u) == flat.u.norm_sq()}
         if np.linalg.norm(moment_map(rep, weight_part(rep, v, face))) <= flat.rate + _GAP:
-            return ShrinkGeodesicResult(direction=flat_direction_matrix(flat),
-                                        rate=flat.rate, upper=flat.rate, flat=flat,
-                                        identity=True, frames_tried=1)
+            return ShrinkGeodesicResult(upper=flat.rate, flat=flat, identity=True,
+                                        frames_tried=1)
     vec = scaled_floats(rep, v)[0]
     n = rep.n
     levels = np.asarray([w.as_floats() for w in rep.weights])
@@ -331,8 +335,7 @@ def fastest_shrinking_geodesic(rep: Representation, v,
     if not found:
         raise StableVectorError(f"no shrinking flat in {_MAX_STEPS} moment-map steps")
     best = max(found, key=lambda fd: fd.rate)
-    return ShrinkGeodesicResult(direction=flat_direction_matrix(best), rate=best.rate,
-                                upper=upper, flat=best, identity=best is flat,
+    return ShrinkGeodesicResult(upper=upper, flat=best, identity=best is flat,
                                 frames_tried=frames)
 
 
@@ -341,25 +344,16 @@ def fastest_shrinking_geodesic(rep: Representation, v,
 
 
 @dataclass(frozen=True)
-class TorusKempfResult:
-    """Optimal destabilizing cocharacter of the diagonal torus.
+class KempfData:
+    """Optimal destabilizing cocharacter of a flat.
 
     ``tau`` is the primitive integer cocharacter proportional to the
     min-norm point u of the active weights; its minimal pairing m over the
     active weights is positive, and ratio = m/||tau|| = ||u|| is the decay
-    rate on the diagonal flat.
+    rate on the flat.
     """
 
     tau: Cocharacter
-    m: int
-    ratio: float
-    u: CartanVector
-    flat: FlatShrinkData
-
-
-@dataclass(frozen=True)
-class KempfData:
-    tau: Tuple[int, ...]
     m: int
     norm_sq: int
     ratio: float
@@ -371,16 +365,16 @@ def _kempf(u: CartanVector) -> KempfData:
     pairs with u to at least ||u||^2, with equality on the face of u."""
     tau = Cocharacter(exactlin.primitive_integer_vector(u.coords))
     m = u.pair_int(tau)
-    return KempfData(tau=tau.exps, m=m, norm_sq=tau.norm_sq(), ratio=m / tau.norm())
+    return KempfData(tau=tau, m=m, norm_sq=tau.norm_sq(), ratio=m / tau.norm())
 
 
-def torus_kempf(rep: Representation, v, eps: float = _EPS) -> TorusKempfResult:
-    fd = flat_shrink_data(rep, v, None, eps)
+def torus_kempf(rep: Representation, v) -> KempfData:
+    """The Kempf cocharacter of the identity flat of ``v``."""
+    fd = flat_shrink_data(rep, v)
     if fd.bounded_below:
         raise TorusStableError(
             "0 lies in the hull of the active weights at the identity frame")
-    k = _kempf(fd.u)
-    return TorusKempfResult(tau=Cocharacter(k.tau), m=k.m, ratio=k.ratio, u=fd.u, flat=fd)
+    return _kempf(fd.u)
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +390,11 @@ LIKELY_STABLE = "likely_stable"
 class Verdict:
     kind: str
     flat: Optional[FlatShrinkData]
-    rate: float
     frames_tried: int
+
+    @property
+    def rate(self) -> float:
+        return 0.0 if self.flat is None else self.flat.rate
 
 
 def is_unstable(rep: Representation, v, budget: int = 64, seed: int = 0,
@@ -412,10 +409,9 @@ def is_unstable(rep: Representation, v, budget: int = 64, seed: int = 0,
     try:
         fsg = fastest_shrinking_geodesic(rep, v, eps=eps)
     except StableVectorError:
-        return Verdict(kind=LIKELY_STABLE, flat=None, rate=0.0, frames_tried=0)
+        return Verdict(kind=LIKELY_STABLE, flat=None, frames_tried=0)
     kind = TORUS_CERTIFIED if fsg.identity else NUMERIC_UNSTABLE
-    return Verdict(kind=kind, flat=fsg.flat, rate=fsg.rate,
-                   frames_tried=fsg.frames_tried)
+    return Verdict(kind=kind, flat=fsg.flat, frames_tried=fsg.frames_tried)
 
 
 # ---------------------------------------------------------------------------
@@ -470,27 +466,19 @@ class CertifyOptions:
 class DominanceCert:
     """A verifiable lower bound log||rho(g)v|| >= sum alpha_j log||rho_j(g)w_j|| + c.
 
-    ``order`` fixes the simple system (0-based coordinate permutation),
-    ``u`` is the exact min-norm point whose unit is the dominant direction,
-    ``alphas`` are the exact nonnegative rational coefficients (index j is
-    the fundamental degree j+1), and ``frame`` is the orthogonal change of
-    basis: w_j = rho_j(frame^T) v_j for the highest weight vectors v_j of
-    ``order``.  ``kempf`` records the integer cocharacter of the certifying
-    flat in frame coordinates.
+    ``u`` is the exact min-norm point of the certifying flat, and ``frame``
+    the orthogonal change of basis (None for the identity): w_j =
+    rho_j(frame^T) v_j for the highest weight vectors v_j of ``order``.
+    What u fixes, and the mode that the vector and frame fix, are
+    properties, so a certificate cannot contradict itself.
     """
 
     n: int
     spec: RepSpec
     vector: Tuple[Num, ...]
-    mode: str
     frame: Optional[np.ndarray]
-    order: SimpleSystem
     u: CartanVector
-    direction: Tuple[float, ...]
-    rate: float
-    alphas: Tuple[Num, ...]  # nonnegative; Fractions unless written as floats
     c: float
-    kempf: KempfData
     xi: XiInfo
     verification: Optional[VerifyReport]
     seed: int
@@ -498,9 +486,40 @@ class DominanceCert:
     form: str = "trace"
     schema: str = CERT_SCHEMA
 
+    @cached_property
+    def order(self) -> SimpleSystem:
+        """The simple system (0-based coordinate permutation) in which u is dominant."""
+        return dominant_order(self.u)
+
+    @cached_property
+    def alphas(self) -> Tuple[Fraction, ...]:
+        """The steps of u along ``order``, exact and nonnegative; index j is
+        the fundamental degree j+1."""
+        c, perm = self.u.coords, self.order.perm
+        return tuple(c[perm[j]] - c[perm[j + 1]] for j in range(self.u.n - 1))
+
     @property
-    def hw_degrees(self) -> Tuple[int, ...]:
+    def rate(self) -> float:
+        return self.u.norm()
+
+    @property
+    def direction(self) -> Tuple[float, ...]:
+        return self.u.unit().as_floats()
+
+    @property
+    def kempf(self) -> KempfData:
+        """The integer cocharacter of the certifying flat, in frame coordinates."""
+        return _kempf(self.u)
+
+    @property
+    def hw(self) -> Tuple[int, ...]:
+        """The degrees of the positive alphas."""
         return tuple(j + 1 for j, a in enumerate(self.alphas) if a > 0)
+
+    @property
+    def mode(self) -> str:
+        """``exact`` for a rational vector certified at the identity frame."""
+        return "exact" if self.frame is None and exactlin.is_exact(self.vector) else "float"
 
 
 def _xi_prefix(active: Sequence[Tuple[int, float]], weights: Sequence[CartanVector],
@@ -610,27 +629,12 @@ def dominance_certificate(rep: Representation, v,
     vec_exact = exactlin.is_exact(list(v))
     fsg = fastest_shrinking_geodesic(rep, v)
     flat = fsg.flat
-    u = flat.u
-    rate = u.norm()
-    order = dominant_order(u)
-    perm = order.perm
-    alphas = tuple(u.coords[perm[j]] - u.coords[perm[j + 1]] for j in range(rep.n - 1))
-    if any(a < 0 for a in alphas):
-        raise AssertionError("internal: direction not dominant for its own order")
-
-    c, xi_info = _estimate_constant(rep, v, flat.frame, u, flat.eps, opts.seed)
-
-    frame = None if fsg.identity else flat.frame
-    mode = "exact" if (vec_exact and fsg.identity) else "float"
+    c, xi_info = _estimate_constant(rep, v, flat.frame, flat.u, flat.eps, opts.seed)
     vector = tuple(Fraction(x) for x in v) if vec_exact \
         else tuple(float(x) for x in v)
-
-    uhat = u.unit()
     cert = DominanceCert(
-        n=rep.n, spec=rep.spec, vector=vector, mode=mode, frame=frame,
-        order=order, u=u, direction=uhat.as_floats(), rate=rate,
-        alphas=alphas, c=c, kempf=_kempf(u), xi=xi_info, verification=None,
-        seed=opts.seed, eps=_EPS)
+        n=rep.n, spec=rep.spec, vector=vector, frame=None if fsg.identity else flat.frame,
+        u=flat.u, c=c, xi=xi_info, verification=None, seed=opts.seed, eps=_EPS)
     if opts.samples > 0:
         report = verify_dominance(cert, rep, v, opts.samples,
                                   tol=opts.tol, seed=opts.seed, box=opts.box)
@@ -736,10 +740,6 @@ def verify_dominance(cert: DominanceCert, rep: Optional[Representation] = None,
 # Certificate serialization (canonical JSON); the dataclasses are the schema
 
 
-def _num_to_json(x):
-    return {"num": x.numerator, "den": x.denominator} if isinstance(x, Fraction) else float(x)
-
-
 def _frac_from_json(d) -> Fraction:
     """The rational of a ``{"num": int, "den": nonzero int}`` object."""
     if type(d) is dict and len(d) == 2:
@@ -749,40 +749,48 @@ def _frac_from_json(d) -> Fraction:
     raise CertificateError(f"malformed rational {d!r}")
 
 
-_RECORDS = (KempfData, XiInfo, VerifyReport)
+# types written as another JSON type: (that type, its reader, its writer)
+_JSON_FORMS = {
+    SimpleSystem: (Tuple[int, ...], SimpleSystem, lambda order: order.perm),
+    Cocharacter: (Tuple[int, ...], Cocharacter, lambda tau: tau.exps),
+    CartanVector: (Tuple[Num, ...], CartanVector, lambda u: u.coords),
+    np.ndarray: (Tuple[Tuple[float, ...], ...], lambda rows: np.asarray(rows, dtype=float),
+                 np.ndarray.tolist),
+    RepSpec: (str, parse_rep_spec, str),
+}
+
+# the properties a certificate writes beside its fields, with their types:
+# u fixes each of them (mode: the vector and frame), and the loader checks
+# them in this order
+_DERIVED = {"rate": float, "direction": Tuple[float, ...], "kempf": KempfData,
+            "mode": str, "order": SimpleSystem, "alphas": Tuple[Num, ...],
+            "hw": Tuple[int, ...]}
 
 
-def _fields_to_dict(record) -> dict:
-    """The fields of ``record`` by name, shallow; nested records as dicts."""
-    return {f.name: _fields_to_dict(value) if isinstance(value, _RECORDS) else value
-            for f in fields(record) for value in [getattr(record, f.name)]}
+def _to_json(x):
+    """The JSON value of ``x``; ``_reader`` of its type reads it back."""
+    if x is None or isinstance(x, (int, float, str)):
+        return x
+    if isinstance(x, Fraction):
+        return {"num": x.numerator, "den": x.denominator}
+    if isinstance(x, (tuple, list)):
+        return [_to_json(y) for y in x]
+    for kind, (_, _, write) in _JSON_FORMS.items():
+        if isinstance(x, kind):
+            return _to_json(write(x))
+    return {f.name: _to_json(getattr(x, f.name)) for f in fields(x)}
 
 
 def cert_to_dict(cert: DominanceCert) -> dict:
-    """The certificate's dataclass fields as JSON values, plus the derived ``hw``."""
-    out = _fields_to_dict(cert)
-    out.update(spec=str(cert.spec), order=list(cert.order.perm),
-               frame=None if cert.frame is None else cert.frame.tolist(),
-               hw=list(cert.hw_degrees),
-               vector=[_num_to_json(x) for x in cert.vector],
-               u=[_num_to_json(x) for x in cert.u.coords],
-               alphas=[_num_to_json(a) for a in cert.alphas])
-    return out
+    """The certificate's fields and the properties ``_DERIVED`` names, as JSON values."""
+    return {name: _to_json(getattr(cert, name))
+            for name in [*(f.name for f in fields(cert)), *_DERIVED]}
 
 
-# field types written as another JSON type: (that type, its reader)
-_JSON_FORMS = {
-    RepSpec: (str, parse_rep_spec),
-    SimpleSystem: (Tuple[int, ...], SimpleSystem),
-    CartanVector: (Tuple[Num, ...], CartanVector),
-    np.ndarray: (Tuple[Tuple[float, ...], ...], lambda rows: np.asarray(rows, dtype=float)),
-}
-
-
-# the Python types that json reads or writes for each JSON type a field takes:
-# a bool is no int, an int is a float, and cert_to_dict leaves tuples as they are
+# the Python types that json reads for each JSON type a field takes: a bool
+# is no int, and an int is a float
 _JSON_TYPES = {int: (int,), float: (float, int), bool: (bool,), str: (str,),
-               list: (list, tuple), dict: (dict,)}
+               list: (list,), dict: (dict,)}
 
 
 def _checked(kind, x, where: str):
@@ -799,7 +807,7 @@ def _reader(kind):
     names the field ``where`` when it raises ``CertificateError``.  A
     ``{num, den}`` object is read only where the type allows a Fraction."""
     if kind in _JSON_FORMS:
-        form, make = _JSON_FORMS[kind]
+        form, make, _ = _JSON_FORMS[kind]
         read = _reader(form)
         return lambda x, where: make(read(x, where))
     if kind == Num:
@@ -820,51 +828,36 @@ def _reader(kind):
 
 
 def cert_from_dict(data: dict) -> DominanceCert:
-    """Read a certificate: each field through the type its dataclass declares,
-    then check that its numbers are finite, alphas >= 0, shapes fit n, the
-    mode is one of the two, ``hw`` the degrees of the positive alphas, and
-    u rational and nonzero, with the rate, direction and kempf it fixes."""
+    """Read a certificate: each field and each value ``_DERIVED`` names
+    through the type it declares; then check that c and the frame are
+    finite, u and the frame fit n, and u is rational and nonzero.  Last,
+    each written ``_DERIVED`` value must be the property's JSON value.
+    Sampling checks the rest: c, and that u and the frame fit the vector."""
     try:
         if _checked(dict, data, "certificate")["schema"] != CERT_SCHEMA:
             raise CertificateError(f"unsupported schema {data['schema']!r}")
         cert = _reader(DominanceCert)(data, "certificate")
-        hw = _reader(Tuple[int, ...])(data["hw"], "hw")
+        written = {name: _reader(kind)(data[name], name) for name, kind in _DERIVED.items()}
     except CertificateError:
         raise
     except (KeyError, ValueError) as exc:  # a missing field, or a value its type rejects
         raise CertificateError(f"malformed certificate: {exc}") from exc
-    frame = cert.frame
-    for name, values in (("c", cert.c), ("rate", cert.rate),
-                         ("direction", cert.direction),
-                         ("alphas", [float(a) for a in cert.alphas]),
-                         ("frame", [] if frame is None else frame)):
+    frame, n, u = cert.frame, cert.n, cert.u
+    for name, values in (("c", cert.c), ("frame", [] if frame is None else frame)):
         if not np.all(np.isfinite(values)):
             raise CertificateError(f"non-finite entry in {name!r}")
-    if any(a < 0 for a in cert.alphas):
-        raise CertificateError("alphas must be nonnegative")
-    n = cert.n
-    if (len(cert.alphas) != n - 1 or len(cert.direction) != n or cert.order.n != n
-            or cert.u.n != n or (frame is not None and frame.shape != (n, n))):
-        raise CertificateError(f"alphas, direction, order, u or frame do not fit n = {n}")
-    if cert.mode not in ("exact", "float"):
-        raise CertificateError(f"mode must be 'exact' or 'float', got {cert.mode!r}")
-    if cert.mode == "exact" and (frame is not None or not exactlin.is_exact(cert.vector)
-                                 or not cert.u.is_exact):
-        raise CertificateError("an exact certificate needs a rational vector and u, no frame")
-    if hw != cert.hw_degrees:
-        raise CertificateError(f"hw {list(hw)} is not the degrees of the positive alphas, "
-                               f"{list(cert.hw_degrees)}")
-    # rate, direction and kempf are functions of u; sampling checks the rest
-    u = cert.u
+    if u.n != n or (frame is not None and frame.shape != (n, n)):
+        raise CertificateError(f"u or frame do not fit n = {n}")
     if not u.is_exact or u.is_zero():
         raise CertificateError("u must be a nonzero rational vector")
-    try:
-        derived = {"rate": u.norm(), "direction": u.unit().as_floats(), "kempf": _kempf(u)}
-    except (OverflowError, ZeroVectorError) as exc:  # u beyond the float range
-        raise CertificateError(f"u has no float norm: {exc}") from exc
-    for name, value in derived.items():
-        if getattr(cert, name) != value:
-            raise CertificateError(f"{name} is not the value u determines, {value!r}")
+    for name, value in written.items():
+        try:
+            derived = _to_json(getattr(cert, name))
+        except (OverflowError, ZeroVectorError) as exc:  # u beyond the float range
+            raise CertificateError(f"u has no float norm: {exc}") from exc
+        if _to_json(value) != derived:
+            source = "the vector and frame determine" if name == "mode" else "u determines"
+            raise CertificateError(f"{name} is not the value {source}, {derived!r}")
     return cert
 
 

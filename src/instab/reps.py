@@ -462,6 +462,10 @@ def act(rep: Representation, g, v):
 # Norms, weight components, valuations
 
 
+# a weight component below this share of the vector's norm counts as zero
+_EPS = 1e-10
+
+
 def pow2_scaled(vec: np.ndarray):
     """``(vec / 2^e, e)`` with 2^e the power of two just above max|vec_i|;
     each row of a 2-D array by its own e (an array of them).
@@ -547,7 +551,7 @@ def log_rep_norm(rep: Representation, v, exp2: int = 0):
     return _log_norm(q.sum(), e)
 
 
-def weight_components(rep: Representation, v, eps: float = 1e-10, exp2: int = 0):
+def weight_components(rep: Representation, v, eps: float = _EPS, exp2: int = 0):
     """Split ``v * 2^exp2``, or each row of a 2-D float ndarray (S, dim),
     into weight components; a vector is a stack of one.
 
@@ -611,7 +615,7 @@ def moment_map(rep: Representation, w) -> np.ndarray:
     return mu - np.trace(mu) / n * np.eye(n)
 
 
-def active_weights(rep: Representation, v, eps: float = 1e-10):
+def active_weights(rep: Representation, v, eps: float = _EPS):
     """The weights whose component of the vector ``v`` is above ``eps *
     ||v||`` (nonzero, for rational v), with log norms."""
     weights, active, sums, e = weight_components(rep, v, eps)
@@ -639,7 +643,7 @@ def highest_weight_vector(n: int, j: int, order: SimpleSystem | None = None):
     return rep, v
 
 
-def m_value(rep: Representation, v, tau: Cocharacter, eps: float = 1e-10) -> int:
+def m_value(rep: Representation, v, tau: Cocharacter) -> int:
     """Minimal tau-exponent over the nonzero components of ``v``.
 
     This is the valuation at t=0 of t -> rho(tau(t)) v: the group element
@@ -650,7 +654,7 @@ def m_value(rep: Representation, v, tau: Cocharacter, eps: float = 1e-10) -> int
         raise DimensionError("cocharacter dimension mismatch")
     if all(e == 0 for e in tau.exps):
         raise ZeroVectorError("zero cocharacter")
-    act_w = active_weights(rep, v, eps)
+    act_w = active_weights(rep, v)
     if not act_w:
         raise ZeroVectorError("zero vector")
     return min(w.pair_int(tau) for w, _ in act_w)

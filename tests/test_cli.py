@@ -1,9 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
 
+from instab import dumps_cert, loads_cert
 from instab.cli import main
 
 
@@ -232,13 +234,13 @@ def test_verify_valid_certificate(runner, tmp_path):
 
 
 def test_verify_tampered_certificate(runner, tmp_path):
+    # u fixes the alphas, so inflate them through u: every value the loader
+    # checks stays consistent, and only sampling can tell
     out = str(tmp_path / "cert.json")
     assert runner.invoke(main, certify_args(out)).exit_code == 0
-    data = json.loads(open(out).read())
-    data["alphas"] = [{"num": a["num"] * 2, "den": a["den"]}
-                      for a in data["alphas"]]
+    cert = loads_cert(open(out).read())
     with open(out, "w") as fh:
-        json.dump(data, fh)
+        fh.write(dumps_cert(replace(cert, u=cert.u.scale(2))))
     res = runner.invoke(main, ["verify", out, "--samples", "500"])
     assert res.exit_code == 1
     assert not last_json(res.output)["ok"]
@@ -247,8 +249,9 @@ def test_verify_tampered_certificate(runner, tmp_path):
 @pytest.mark.parametrize("edit", [
     lambda d: d.update(rate=d["rate"] * 1.5),
     lambda d: d.update(direction=d["direction"][::-1]),
-    lambda d: d.update(kempf={"tau": [5, 5, -10], "m": 1, "norm_sq": 3, "ratio": 9.0})],
-    ids=["rate", "direction", "kempf"])
+    lambda d: d.update(kempf={"tau": [5, 5, -10], "m": 1, "norm_sq": 3, "ratio": 9.0}),
+    lambda d: d.update(alphas=[{"num": a["num"] * 2, "den": a["den"]} for a in d["alphas"]])],
+    ids=["rate", "direction", "kempf", "alphas"])
 def test_verify_rejects_values_that_contradict_u(runner, tmp_path, edit):
     out = str(tmp_path / "cert.json")
     assert runner.invoke(main, ["certify", "--n", "3", "--spec", "std*wedge(2,std)",
@@ -319,9 +322,9 @@ def test_verify_rejects_a_value_of_the_wrong_json_type(runner, tmp_path, path, v
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("hw", [5], "not the degrees of the positive alphas"),
-    ("mode", "bogus", "mode must be 'exact' or 'float'"),
-    ("vector", [1.0, 0.0], "an exact certificate needs a rational vector")],
+    ("hw", [5], "hw is not the value u determines"),
+    ("mode", "bogus", "mode is not the value the vector and frame determine"),
+    ("vector", [1.0, 0.0], "mode is not the value the vector and frame determine")],
     ids=["hw", "mode", "exact-float-vector"])
 def test_verify_rejects_fields_that_disagree(runner, tmp_path, field, value, message):
     out = str(tmp_path / "cert.json")
@@ -400,6 +403,29 @@ def test_busemann_check_zero_direction(runner):
     res = runner.invoke(main, ["busemann-check", "--n", "3", "--direction",
                                "0,0,0"])
     assert res.exit_code == 1
+
+
+def test_busemann_check_at_the_least_tmax(runner):
+    res = runner.invoke(main, ["busemann-check", "--n", "2", "--direction", "1,-1",
+                               "--points", "1", "--tmax", "100"])
+    assert res.exit_code == 0, res.output
+    assert last_json(res.output)["t_max"] == 100
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("certify", "--samples", "-5"), ("verify", "--samples", "-3"),
+    ("busemann-check", "--tmax", "50"), ("busemann-check", "--tmax", "10"),
+    ("busemann-check", "--points", "0")])
+def test_option_out_of_range_is_a_usage_error(runner, tmp_path, command, option, value):
+    out = str(tmp_path / "cert.json")
+    vector = ["--n", "2", "--spec", "std", "--vector", "1,0"]
+    assert runner.invoke(main, ["certify", *vector, "--out", out, "--samples", "0"]).exit_code == 0
+    args = {"certify": [*vector, "--out", str(tmp_path / "other.json")], "verify": [out],
+            "busemann-check": ["--n", "3", "--direction", "1,0,-1"]}[command]
+    res = runner.invoke(main, [command, *args, option, value])
+    assert res.exit_code == 2, res.output
+    assert f"Invalid value for '{option}'" in res.output
+    assert not (tmp_path / "other.json").exists()
 
 
 def test_classify_deterministic_output(runner):

@@ -23,10 +23,11 @@ from instab import instability
 from instab.errors import CertificateError
 from instab.instability import (LIKELY_STABLE, NUMERIC_UNSTABLE,
                                 TORUS_CERTIFIED, DominanceCert, KempfData,
-                                VerifyReport, XiInfo, flat_direction_matrix)
+                                VerifyReport, XiInfo)
 from instab.symspace import exp_sym, haar_so
 
 import oracles
+from ladder import ladder
 from test_acceptance import END_TO_END
 
 
@@ -157,7 +158,7 @@ def test_fsg_restriction_to_its_flat():
     res = fastest_shrinking_geodesic(wedge2(3), [1.0, 0.0, 0.0])
     fd = flat_shrink_data(wedge2(3), [1.0, 0.0, 0.0], res.flat.frame)
     assert abs(res.rate - fd.rate) < 1e-6
-    assert np.max(np.abs(flat_direction_matrix(fd) - res.direction)) < 1e-6
+    assert np.max(np.abs(fd.direction - res.direction)) < 1e-6
 
 
 def test_fsg_reports_exact_in_flat_rate():
@@ -214,7 +215,7 @@ def test_torus_kempf_wedge():
     res = torus_kempf(wedge2(3), [1, 0, 0])
     assert res.tau.exps == (1, 1, -2)
     assert res.m == 2
-    assert res.ratio == pytest.approx(res.u.norm())
+    assert res.ratio == pytest.approx(flat_shrink_data(wedge2(3), [1, 0, 0]).rate)
 
 
 def test_torus_kempf_stable_input():
@@ -280,6 +281,18 @@ def test_is_unstable_rejects_non_finite_entries(v):
     with pytest.raises(NonFiniteError, match="entry 0") as err:
         is_unstable(std(3), v)
     assert not isinstance(err.value, ZeroVectorError)
+
+
+def test_ladder_verdicts_are_pinned():
+    # the inputs and verdict counts ROADMAP reports on
+    entries = ladder()
+    text = "\n".join(f"{spec} {n} {','.join(map(str, v))}" for spec, n, v in entries)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "0a366539678f6ceed83886a0341349d835b7776ea5909a3276bc7fc47a64c806"
+    kinds = [is_unstable(build_rep(parse_rep_spec(spec), n), v).kind if any(v) else "zero"
+             for spec, n, v in entries]
+    assert {k: kinds.count(k) for k in set(kinds)} == {
+        TORUS_CERTIFIED: 159, NUMERIC_UNSTABLE: 59, LIKELY_STABLE: 138, "zero": 44}
 
 
 def test_is_unstable_at_extreme_scales():
@@ -449,7 +462,7 @@ def test_balanced_identity_face_takes_no_step(monkeypatch, text, n, v):
     assert res.frames_tried == 1
     assert res.upper == res.rate
     assert np.array_equal(res.flat.frame, np.eye(n))
-    assert res.flat.u == torus_kempf(rep, v).u
+    assert res.flat.u == flat_shrink_data(rep, v).u
     verdict = is_unstable(rep, v)
     assert (verdict.kind, verdict.frames_tried) == (TORUS_CERTIFIED, 1)
     assert steps == []
@@ -540,7 +553,7 @@ def test_certificate_identity_family():
     assert cert.mode == "exact"
     assert cert.frame is None
     assert cert.rate == pytest.approx(1 / math.sqrt(2))
-    assert cert.kempf is not None and cert.kempf.tau == (1, -1)
+    assert cert.kempf is not None and cert.kempf.tau.exps == (1, -1)
     rep = cert.verification
     assert rep.failures == 0
     # both sides differ by the constant -c only
@@ -552,7 +565,7 @@ def test_certificate_identity_family():
 def test_certificate_wedge_single_alpha():
     cert = dominance_certificate(wedge2(3), [1, 0, 0], fast_opts())
     assert cert.alphas == (F(0), F(1))
-    assert cert.hw_degrees == (2,)
+    assert cert.hw == (2,)
     assert cert.verification.failures == 0
 
 
@@ -633,8 +646,11 @@ def test_certificate_rejects_stable():
 
 
 def test_corrupted_alphas_fail_verification():
+    # u fixes the alphas, so inflate them through u: the certificate stays
+    # consistent, and only sampling can tell
     cert = dominance_certificate(std(2), [1, 0], fast_opts(samples=0))
-    bad = replace(cert, alphas=tuple(2 * a for a in cert.alphas))
+    bad = replace(cert, u=cert.u.scale(2))
+    assert bad.alphas == tuple(2 * a for a in cert.alphas)
     report = verify_dominance(bad, std(2), [1, 0], samples=400, seed=5)
     assert not report.ok
     assert report.ray_slope_diff > 1e-3
@@ -798,26 +814,32 @@ def test_non_finite_certificate_entries_rejected(field, value):
     cert = dominance_certificate(std(2), [1, 0], fast_opts(samples=0))
     data = cert_to_dict(cert)
     data[field] = value
-    with pytest.raises(CertificateError, match=f"non-finite entry in '{field}'"):
+    # rate, direction and alphas are fixed by u, which is finite
+    message = (f"non-finite entry in '{field}'" if field in ("c", "frame")
+               else f"{field} is not the value u determines")
+    with pytest.raises(CertificateError, match=message):
         cert_from_dict(data)
-    with pytest.raises(CertificateError, match=f"non-finite entry in '{field}'"):
+    with pytest.raises(CertificateError, match=message):
         loads_cert(json.dumps(data))
 
 
+# the id names what is wrong with the entry, the message what the loader says
 @pytest.mark.parametrize("field, value, message", [
-    ("alphas", [-0.5], "nonnegative"),
-    ("alphas", [0.5, 0.5], "do not fit"),
-    ("direction", [1.0], "do not fit"),
+    pytest.param("alphas", [-0.5], "alphas is not", id="alphas-value0-nonnegative"),
+    pytest.param("alphas", [0.5, 0.5], "alphas is not", id="alphas-value1-do not fit"),
+    pytest.param("direction", [1.0], "direction is not", id="direction-value2-do not fit"),
     ("frame", np.eye(3).tolist(), "do not fit"),
-    ("order", [0, 1, 2], "do not fit"),
+    pytest.param("order", [0, 1, 2], "order is not", id="order-value4-do not fit"),
     ("u", [1.0, -0.5, -0.5], "do not fit"),
-    ("mode", "bogus", "mode must be"),
-    ("mode", "Exact", "mode must be"),
-    ("vector", [1.0, 0.0], "exact certificate"),
-    ("u", [0.5, -0.5], "exact certificate"),
-    ("frame", np.eye(2).tolist(), "exact certificate"),
-    ("hw", [5], "positive alphas"),
-    ("hw", [], "positive alphas"),
+    pytest.param("mode", "bogus", "mode is not", id="mode-bogus-mode must be"),
+    pytest.param("mode", "Exact", "mode is not", id="mode-Exact-mode must be"),
+    pytest.param("vector", [1.0, 0.0], "mode is not the value the vector and frame",
+                 id="vector-value8-exact certificate"),
+    pytest.param("u", [0.5, -0.5], "nonzero rational", id="u-value9-exact certificate"),
+    pytest.param("frame", np.eye(2).tolist(), "mode is not the value the vector and frame",
+                 id="frame-value10-exact certificate"),
+    pytest.param("hw", [5], "hw is not", id="hw-value11-positive alphas"),
+    pytest.param("hw", [], "hw is not", id="hw-value12-positive alphas"),
     ("hw", ["1"], "hw: expected int"),
     ("u", [{"num": 0, "den": 1}] * 2, "nonzero rational"),
     ("u", [{"num": 1, "den": 1}, {"num": -1, "den": 1}], "rate is not"),
@@ -856,14 +878,21 @@ def _float_cert_json() -> str:
     return dumps_cert(cert)
 
 
+def _json_keys(record) -> dict:
+    """The declared type of each key that ``cert_to_dict`` writes for ``record``:
+    its fields, and for the certificate also the properties of ``_DERIVED``."""
+    hints = get_type_hints(record)
+    keys = {f.name: hints[f.name] for f in fields(record)}
+    return {**keys, **instability._DERIVED} if record is DominanceCert else keys
+
+
 def test_cert_to_dict_keys_are_the_record_fields():
     data = cert_to_dict(loads_cert(_float_cert_json()))
     for path, record in RECORDS.items():
         sub = data
         for key in path:
             sub = sub[key]
-        extra = {"hw"} if record is DominanceCert else set()
-        assert set(sub) == {f.name for f in fields(record)} | extra, path
+        assert set(sub) == set(_json_keys(record)), path
 
 
 # JSON values of the wrong type for each declared type: a bool is no int, a
@@ -872,9 +901,8 @@ WRONG_JSON = {int: [True, 1.5, "1", {"num": 1, "den": 1}],
               float: ["1.0", True, None, {"num": 1, "den": 2}],
               bool: ["false", 0, None],
               str: [1, None]}
-SCALAR_FIELDS = [((*path, f.name), get_type_hints(record)[f.name])
-                 for path, record in RECORDS.items() for f in fields(record)
-                 if get_type_hints(record)[f.name] in WRONG_JSON]
+SCALAR_FIELDS = [((*path, name), kind) for path, record in RECORDS.items()
+                 for name, kind in _json_keys(record).items() if kind in WRONG_JSON]
 # one entry of each array, and the spec string
 ENTRIES = [(("vector", 0), ["1.5", True, None]),
            (("u", 0), ["0.5", True, {"num": 1.5, "den": 2}]),
