@@ -12,11 +12,12 @@ its balanced face proves it optimal, else the moment-map descent.
 classify reports torus-certified when the identity flat wins; certify
 anchors at the flat the search returns.
 
-Exit codes: classify 0 = certified unstable, 2 = likely stable,
-3 = numerically unstable, 4 = zero vector; certify 1 = the embedded
-verification is not ok, 2 = stable input; verify 0 = all checks pass,
-1 = margin/slope failures, 5 = malformed certificate; parse and dimension
-errors and non-finite vector entries exit 1.
+Exit codes: classify 0 = certified unstable, 3 = numerically unstable,
+4 = zero vector, 6 = likely stable; certify 1 = the embedded verification
+is not ok, 6 = stable input; verify 0 = all checks pass, 1 = margin/slope
+failures, 5 = malformed certificate; parse and dimension errors and
+non-finite vector entries exit 1, and usage errors (an option out of its
+range) exit 2.
 """
 
 from __future__ import annotations
@@ -113,7 +114,9 @@ def cmd_rep_info(n: int, spec_text: str, as_json: bool):
     _emit(payload)
 
 
-_EXIT_BY_VERDICT = {TORUS_CERTIFIED: 0, LIKELY_STABLE: 2, NUMERIC_UNSTABLE: 3}
+# 2 is click's exit code for a usage error, so "stable" takes 6
+_EXIT_STABLE = 6
+_EXIT_BY_VERDICT = {TORUS_CERTIFIED: 0, NUMERIC_UNSTABLE: 3, LIKELY_STABLE: _EXIT_STABLE}
 
 
 @main.command("classify")
@@ -168,7 +171,7 @@ def cmd_certify(n, spec_text, vector, vector_file, out, seed, samples, box, tol)
         sys.exit(4)
     except StableVectorError as exc:
         click.echo(f"stable input: {exc}", err=True)
-        sys.exit(2)
+        sys.exit(_EXIT_STABLE)
     except (ParseError, DimensionError, InstabError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)

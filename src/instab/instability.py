@@ -161,17 +161,13 @@ class FlatShrinkData:
 
     The flat is pi(exp(diag(.)) k) for the orthogonal ``frame`` k.  On it
     the log norm is, up to a bounded error, max over active weights of
-    <weight, b> + r_weight; ``u`` is the exact min-norm point of the active
-    weights, and ``bound_const`` realizes the lower bound <b, u> + C on the
-    flat.  ``eps`` is the relative threshold that classified the active set.
+    <weight, b> + r_weight; ``active`` holds those (weight, r_weight)
+    pairs, and ``u`` is the exact min-norm point of the active weights.
     """
 
     frame: np.ndarray
     active: Tuple[Tuple[CartanVector, float], ...]
     u: CartanVector
-    coeffs: Tuple[Fraction, ...]
-    bound_const: float
-    eps: float
 
     @cached_property
     def rate(self) -> float:
@@ -202,10 +198,8 @@ def flat_shrink_data(rep: Representation, v, frame: Optional[np.ndarray] = None,
     comps = active_weights(rep, w, eps)
     if not comps:
         raise ZeroVectorError("vector vanishes after applying the frame")
-    cert = min_norm_point([wt for wt, _ in comps])
-    bound_const = float(sum(float(c) * r for c, r in zip(cert.coeffs, (r for _, r in comps))))
-    return FlatShrinkData(frame=frame_arr, active=tuple(comps), u=cert.point,
-                          coeffs=cert.coeffs, bound_const=bound_const, eps=eps)
+    u = min_norm_point([wt for wt, _ in comps]).point
+    return FlatShrinkData(frame=frame_arr, active=tuple(comps), u=u)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +214,8 @@ class ShrinkGeodesicResult:
     rate from above: ``rate`` itself when the identity flat's balanced face
     proves it optimal, else the least ||mu(rho(g)v)|| the descent saw at a
     well-conditioned g.  ``identity``: ``flat`` is the identity flat of v
-    itself at ``eps`` (exact for rational v), not one the descent took on a
-    float copy.  ``frames_tried`` counts the identity and the descent's
+    itself (exact for rational v), not one the descent took on a float
+    copy.  ``frames_tried`` counts the identity and the descent's
     snapped frames.
     """
 
@@ -279,7 +273,7 @@ def fastest_shrinking_geodesic(rep: Representation, v,
     log norm (eta starts at 1 and only ever halves: longer steps zigzag
     across the optimum), and keeps g upper triangular by QR (the norm is
     SO(n)-invariant).  At every step the flag of -mu is snapped to a frame
-    and its exact flat data taken at the thresholds {eps, 1e-7, 1e-4}.  The
+    and its exact flat data taken at the one threshold ``eps``.  The
     search stops once the fastest flat's ||u|| is within 1e-6 of the least
     well-conditioned ||mu||, or once g is too ill-conditioned for ||mu|| to
     bound anything, and returns that flat.  Raises StableVectorError when
@@ -301,7 +295,6 @@ def fastest_shrinking_geodesic(rep: Representation, v,
     vec = scaled_floats(rep, v)[0]
     n = rep.n
     levels = np.asarray([w.as_floats() for w in rep.weights])
-    eps_ladder = sorted({eps, 1e-7, 1e-4})
     log_v = log_rep_norm(rep, vec)
     g, f = np.eye(n), log_v
     flats, frames = [flat], 1
@@ -316,9 +309,10 @@ def fastest_shrinking_geodesic(rep: Representation, v,
         if upper < _STABLE_MU:
             raise StableVectorError(f"||mu|| = {upper:.3e} is below every positive rate")
         k = _flag_frame(g, mu)
-        flats.extend(flat_shrink_data(rep, vec, k, e) for e in eps_ladder)
+        flats.append(flat_shrink_data(rep, vec, k, eps))
         frames += 1
-        # a coarse threshold can misclassify; ||u|| above upper is impossible
+        # eps can drop a component of the float rho(k)v that is not 0, and a
+        # flat so misread can claim a ||u|| above upper, which no rate reaches
         found = [fd for fd in flats if not fd.bounded_below and fd.rate <= upper + _GAP]
         # done when the fastest flat meets upper, or upper can improve no more
         if found and (upper - max(fd.rate for fd in found) <= _GAP or not accurate):
@@ -568,7 +562,7 @@ _SAFETY_MARGIN = 0.1
 
 
 def _estimate_constant(rep: Representation, v, frame: np.ndarray, u: CartanVector,
-                       cls_eps: float, seed: int) -> Tuple[float, XiInfo]:
+                       seed: int) -> Tuple[float, XiInfo]:
     """Lower-bound constant via frames of flats through the shrink geodesic.
 
     Takes the identity and, when u has a repeated coordinate, ``_XI_FRAMES``
@@ -580,9 +574,9 @@ def _estimate_constant(rep: Representation, v, frame: np.ndarray, u: CartanVecto
     min-norm point, memoised by the active mask, and takes the minimum of
     the prefix-hull statistic over them; only their active log norms are
     computed, by the scalar ``_log_norm``, so xi keeps its bits.
-    ``_SAFETY_MARGIN`` is subtracted at the end.  ``cls_eps`` must be the
-    threshold that classified the certificate's own active set, so the
-    identity frame always passes the filter.  The frames act on the float
+    ``_SAFETY_MARGIN`` is subtracted at the end.  Components are split at
+    ``_EPS``, the threshold of every flat of the search, so the identity
+    frame always passes the filter.  The frames act on the float
     copy of ``scaled_floats``, whose exponent enters the log norms, so a
     rational v beyond the float range gets its constant too.
     """
@@ -600,7 +594,7 @@ def _estimate_constant(rep: Representation, v, frame: np.ndarray, u: CartanVecto
     hulls: dict = {}
     for start in range(0, len(frames), _CHUNK):
         weights, active, sums, exps = weight_components(
-            rep, act(rep, frames[start:start + _CHUNK], w), cls_eps, e)
+            rep, act(rep, frames[start:start + _CHUNK], w), _EPS, e)
         for mask, row, k in zip(active, sums.tolist(), exps.tolist()):
             key = mask.tobytes()
             if key not in matches:  # the active indices if u matches, else None
@@ -629,7 +623,7 @@ def dominance_certificate(rep: Representation, v,
     vec_exact = exactlin.is_exact(list(v))
     fsg = fastest_shrinking_geodesic(rep, v)
     flat = fsg.flat
-    c, xi_info = _estimate_constant(rep, v, flat.frame, flat.u, flat.eps, opts.seed)
+    c, xi_info = _estimate_constant(rep, v, flat.frame, flat.u, opts.seed)
     vector = tuple(Fraction(x) for x in v) if vec_exact \
         else tuple(float(x) for x in v)
     cert = DominanceCert(
@@ -714,11 +708,10 @@ def verify_dominance(cert: DominanceCert, rep: Optional[Representation] = None,
     # slope agreement along the shrink ray (group parameterization).  Every
     # weight of the certified flat has level <u/|u|, weight> >= rate, so a
     # nonzero component of rho(frame)v below the rate was truncated at the
-    # classification threshold (which may be coarser than cert.eps); it
-    # re-emerges along the ray like e^{(rate - level) t} against an
-    # e^{-rate t} signal, so the window is capped by the worst such
-    # spread.  On an exact certificate nothing was truncated, and the
-    # spread is 0 up to rounding.
+    # threshold cert.eps; it re-emerges along the ray like
+    # e^{(rate - level) t} against an e^{-rate t} signal, so the window is
+    # capped by the worst such spread.  On an exact certificate nothing was
+    # truncated, and the spread is 0 up to rounding.
     uhat = np.asarray(cert.direction)
     spread = cert.rate - min(sum(float(c) * d for c, d in zip(w.coords, uhat))
                              for w, _ in active_weights(rep, act(rep, frame, vec), 0.0))

@@ -66,7 +66,7 @@ def test_classify_certified(runner):
 def test_classify_stable(runner):
     res = runner.invoke(main, ["classify", "--n", "2", "--spec", "sym(2,std)",
                                "--vector", "0,1,0"])
-    assert res.exit_code == 2
+    assert res.exit_code == 6
     assert last_json(res.output)["verdict"] == "likely_stable"
 
 
@@ -214,7 +214,7 @@ def test_certify_stable_input(runner, tmp_path):
     out = str(tmp_path / "cert.json")
     res = runner.invoke(main, ["certify", "--n", "2", "--spec", "sym(2,std)",
                                "--vector", "0,1,0", "--out", out])
-    assert res.exit_code == 2
+    assert res.exit_code == 6
 
 
 def test_certify_zero_vector(runner, tmp_path):
@@ -426,6 +426,17 @@ def test_option_out_of_range_is_a_usage_error(runner, tmp_path, command, option,
     assert res.exit_code == 2, res.output
     assert f"Invalid value for '{option}'" in res.output
     assert not (tmp_path / "other.json").exists()
+
+
+def test_stable_input_and_usage_error_exit_with_different_codes(runner, tmp_path):
+    # x^2 + 1e-6 y^2 is definite, hence stable
+    args = ["certify", "--n", "2", "--spec", "sym(2,std)", "--vector", "1,0,1/1000000",
+            "--out", str(tmp_path / "cert.json")]
+    stable = runner.invoke(main, args)
+    usage = runner.invoke(main, [*args, "--samples", "-1"])
+    assert "stable input" in stable.output
+    assert "Invalid value for '--samples'" in usage.output
+    assert (stable.exit_code, usage.exit_code) == (6, 2)
 
 
 def test_classify_deterministic_output(runner):

@@ -27,7 +27,7 @@ from instab.instability import (LIKELY_STABLE, NUMERIC_UNSTABLE,
 from instab.symspace import exp_sym, haar_so
 
 import oracles
-from ladder import ladder
+from ladder import ladder, rotated_ladder
 from test_acceptance import END_TO_END
 
 
@@ -96,17 +96,21 @@ def test_flat_data_wedge_rate():
 
 
 def test_flat_data_lower_bound_constant():
-    # on the flat, log norm >= <b, u> + C for the reported C
+    # on the flat, log norm >= <b, u> + C for C = sum_i c_i r_i, with c the
+    # convex coefficients of u over the active weights and r their log norms
     rep = std(3)
     v = [1.0, 2.0, 0.5]
     fd = flat_shrink_data(rep, v)
+    mnp = min_norm_point([w for w, _ in fd.active])
+    assert mnp.point == fd.u
+    const = sum(float(c) * r for c, (_, r) in zip(mnp.coeffs, fd.active))
     rng = np.random.default_rng(0)
     u = np.asarray(fd.u.as_floats())
     for _ in range(1000):
         b = rng.uniform(-4, 4, 3)
         b -= b.mean()
         val = log_rep_norm(rep, act(rep, np.diag(np.exp(b)), v))
-        assert val >= float(b @ u) + fd.bound_const - 1e-9
+        assert val >= float(b @ u) + const - 1e-9
 
 
 def test_flat_data_zero_vector():
@@ -295,6 +299,23 @@ def test_ladder_verdicts_are_pinned():
         TORUS_CERTIFIED: 159, NUMERIC_UNSTABLE: 59, LIKELY_STABLE: 138, "zero": 44}
 
 
+def test_rotated_ladder_verdicts_are_pinned():
+    # the rotated inputs, their verdict counts, and each input's kind and u
+    entries = rotated_ladder()
+    text = "\n".join(f"{spec} {n} {','.join(map(str, v))}" for spec, n, v in entries)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "ba31481c1775ce31adb1398a4064af2db2792d5260169dd828392fdeed5c0a37"
+    verdicts = [is_unstable(build_rep(parse_rep_spec(spec), n), v) for spec, n, v in entries]
+    kinds = [verdict.kind for verdict in verdicts]
+    assert {k: kinds.count(k) for k in set(kinds)} == {
+        TORUS_CERTIFIED: 22, NUMERIC_UNSTABLE: 196, LIKELY_STABLE: 138}
+    answers = "\n".join(f"{verdict.kind} " + ("" if verdict.flat is None else
+                                              ",".join(map(str, verdict.flat.u.coords)))
+                        for verdict in verdicts)
+    assert hashlib.sha256(answers.encode()).hexdigest() == \
+        "d7d692555e9e8f65536d0dbc2e71e42c55c76816fd30e1c2dac4a3521d84804e"
+
+
 def test_is_unstable_at_extreme_scales():
     base = is_unstable(std(3), [1.0, 0.0, 0.0])
     # rationals beyond the float range are scaled exactly before rounding
@@ -321,17 +342,18 @@ def test_certificate_of_rationals_beyond_the_float_range():
         assert verify_dominance(loads_cert(dumps_cert(cert)), samples=100).ok
 
 
-def test_coarse_flat_at_the_identity_frame_is_not_torus_certified():
-    # x^2 + 1e-6 y^2 is definite.  Its exact identity flat is bounded below,
-    # but the descent's first frame is I, and at the threshold 1e-4 that
-    # frame drops y^2: a float flat at frame I is no exact identity flat.
+def test_definite_binary_quadric_is_likely_stable():
+    # x^2 + 1e-6 y^2 is definite (det != 0), so no rate is positive.  Every
+    # flat of the search keeps y^2 at the threshold 1e-10, and the descent
+    # drives ||mu|| below every positive rate.
     rep = build_rep(parse_rep_spec("sym(2,std)"), 2)
     v = [F(1), F(0), F(1, 10**6)]
     assert flat_shrink_data(rep, v).bounded_below
-    assert is_unstable(rep, v).kind != TORUS_CERTIFIED
-    res = fastest_shrinking_geodesic(rep, v)
-    assert not res.identity
-    assert dominance_certificate(rep, v, CertifyOptions(samples=0)).mode == "float"
+    assert is_unstable(rep, v).kind == LIKELY_STABLE
+    with pytest.raises(StableVectorError):
+        fastest_shrinking_geodesic(rep, v)
+    with pytest.raises(StableVectorError):
+        dominance_certificate(rep, v, CertifyOptions(samples=0))
 
 
 # float inputs of std, wedge(2,std) and sym(2,std), with their verdict kinds:
@@ -491,6 +513,15 @@ def test_unbalanced_identity_face_runs_the_descent(case):
     assert res.frames_tried > 1
     assert res.rate == cert.rate
     assert res.upper - res.rate <= 1e-6
+
+
+def test_descent_takes_one_flat_per_frame(monkeypatch):
+    # each snapped frame is read at the one threshold eps: one flat each,
+    # and the identity flat counts as the first frame
+    flats = _count_calls(monkeypatch, instability, "flat_shrink_data")
+    res = fastest_shrinking_geodesic(std(3), [1.0, 1.0, 0.0])
+    assert not res.identity and res.frames_tried > 1
+    assert len(flats) == res.frames_tried
 
 
 def test_certify_runs_one_search(monkeypatch):
@@ -703,14 +734,17 @@ def test_float_certificate_with_nothing_truncated_passes_the_ray_check():
     assert cert.verification.ok
 
 
-def test_ray_window_covers_what_a_coarse_flat_truncates():
-    # a rotated x^2 (x + y) is certified from a flat classified at 1e-4:
-    # components far above cert.eps but below the rate still re-emerge
-    # along the ray, so they must cap the window
+def test_ray_window_covers_what_a_descent_flat_truncates():
+    # a rotated x^2 (x + y) is certified from a descent flat whose frame
+    # leaves float residues of components below the rate; they drop out of
+    # the active set at cert.eps but re-emerge along the ray, so they must
+    # cap the window
     rep = build_rep(parse_rep_spec("sym(3,std)"), 2)
     k = np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
     v = [float(x) for x in act(rep, k, [1.0, 1.0, 0.0, 0.0])]
-    assert fastest_shrinking_geodesic(rep, v).flat.eps == 1e-4
+    res = fastest_shrinking_geodesic(rep, v)
+    assert not res.identity
+    assert len(res.flat.active) < np.count_nonzero(act(rep, res.flat.frame, v))
     cert = dominance_certificate(rep, v, CertifyOptions(samples=300))
     assert cert.mode == "float" and cert.eps == 1e-10
     assert cert.verification.ok
