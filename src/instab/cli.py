@@ -33,7 +33,7 @@ from .cartan import CartanVector, fundamental_weights
 from .errors import (CertificateError, DimensionError, InstabError,
                      ParseError, StableVectorError, ZeroVectorError)
 from .instability import (CertifyOptions, LIKELY_STABLE, NUMERIC_UNSTABLE,
-                          TORUS_CERTIFIED, _frac_from_json, cartan_box_sample,
+                          SEED_MAX, TORUS_CERTIFIED, _frac_from_json, cartan_box_sample,
                           dominance_certificate, dumps_cert, is_unstable,
                           loads_cert, verify_dominance)
 from .reps import basis_labels, build_rep, parse_rep_spec
@@ -154,7 +154,7 @@ def cmd_classify(n, spec_text, vector, vector_file):
 @click.option("--vector", type=str, default=None)
 @click.option("--vector-file", type=click.Path(exists=True), default=None)
 @click.option("--out", type=click.Path(), required=True)
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(0, SEED_MAX), default=0)
 @click.option("--samples", type=click.IntRange(min=0), default=1000,
               help="embedded verification sample count")
 @click.option("--box", type=float, default=5.0)
@@ -196,7 +196,7 @@ def cmd_certify(n, spec_text, vector, vector_file, out, seed, samples, box, tol)
 @main.command("verify")
 @click.argument("cert_path", type=click.Path(exists=True))
 @click.option("--samples", type=click.IntRange(min=0), default=10000)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=click.IntRange(0, SEED_MAX), default=None)
 @click.option("--tol", type=float, default=1e-6)
 @click.option("--box", type=float, default=5.0)
 def cmd_verify(cert_path, samples, seed, tol, box):
@@ -229,7 +229,7 @@ def cmd_verify(cert_path, samples, seed, tol, box):
               help="comma separated traceless direction, e.g. '1,0,-1'")
 @click.option("--points", type=click.IntRange(min=1), default=100)
 @click.option("--tmax", type=click.FloatRange(min=100), default=1000.0)
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(0, SEED_MAX), default=0)
 @click.option("--box", type=float, default=1.0,
               help="size of the sampled test points")
 def cmd_busemann_check(n, direction, points, tmax, seed, box):

@@ -49,6 +49,9 @@ from .symspace import block_orthogonal, exp_sym, haar_from_normal, log_flag_norm
 
 CERT_SCHEMA = "instab-cert/1"
 
+# a seed keys verification's Philox4x64 stream and must fit one 64-bit word
+SEED_MAX = 2**64 - 1
+
 
 # ---------------------------------------------------------------------------
 # Min-norm point in a polytope (Wolfe)
@@ -636,23 +639,34 @@ def dominance_certificate(rep: Representation, v,
     return cert
 
 
-def _box_samples(rngs: Sequence[np.random.Generator], n: int, box: float) -> np.ndarray:
-    """The stack of g = k1 exp(diag(a)) k2, one from each generator: it
-    draws a uniform in the box, made traceless, then k1 and k2 Haar; every
-    k comes from one stacked QR."""
-    a = np.empty((len(rngs), n))
-    z = np.empty((len(rngs), 2, n, n))
-    for i, rng in enumerate(rngs):
-        a[i] = rng.uniform(-box, box, size=n)
-        z[i] = rng.standard_normal((2, n, n))
+def _sample_words(n: int) -> int:
+    """W, the uniforms one verification sample takes: n for the Cartan part
+    and 2n^2 for the normals of k1 and k2, rounded up to whole Philox4x64
+    counter steps of 4 words, so that sample i starts at counter i W / 4."""
+    return -(-(n + 2 * n * n) // 4) * 4
+
+
+def _box_samples(x: np.ndarray, n: int, box: float) -> np.ndarray:
+    """The stack of g = k1 exp(diag(a)) k2 made from an (S, W) block of
+    uniforms in [0, 1), one row per sample.  a = box (2x - 1) on the first
+    n words, made traceless.  The next 2n^2 words give n^2 pairs (x1, x2)
+    and the normals r cos(2 pi x2), r sin(2 pi x2) with r = sqrt(-2 log u1),
+    u1 = 1 - x1 in (0, 1] (Box-Muller); ``haar_from_normal`` makes k1 and
+    k2 from them in one stacked QR."""
+    m = n * n
+    a = box * (2.0 * x[:, :n] - 1.0)
     a -= a.mean(axis=1, keepdims=True)
-    k = haar_from_normal(z)
+    r = np.sqrt(-2.0 * np.log(1.0 - x[:, n:n + m]))
+    theta = 2.0 * np.pi * x[:, n + m:n + 2 * m]
+    z = np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=1)
+    k = haar_from_normal(z.reshape(-1, 2, n, n))
     return (k[:, 0] * np.exp(a)[:, None, :]) @ k[:, 1]
 
 
 def cartan_box_sample(rng: np.random.Generator, n: int, box: float) -> np.ndarray:
-    """g = k1 exp(diag(a)) k2, Haar k's, a uniform in the traceless box."""
-    return _box_samples([rng], n, box)[0]
+    """g = k1 exp(diag(a)) k2, Haar k's, a uniform in the traceless box:
+    the verification map ``_box_samples`` of W uniforms drawn from ``rng``."""
+    return _box_samples(rng.random((1, _sample_words(n))), n, box)[0]
 
 
 def verify_dominance(cert: DominanceCert, rep: Optional[Representation] = None,
@@ -664,11 +678,12 @@ def verify_dominance(cert: DominanceCert, rep: Optional[Representation] = None,
     margin(g) = log||rho(g)v|| - sum_j alpha_j log||rho_j(g)w_j|| - c must
     be >= -tol; additionally, along the certified shrink ray both sides
     must decay at the same linear rate (slope difference <= 1e-3), which is
-    what catches inflated coefficients.  Sample i is drawn from its own
-    generator, ``SeedSequence(entropy=seed, spawn_key=(i,))``, by
-    ``cartan_box_sample`` or by ``sampler``, so each can be replayed alone;
-    samples are evaluated in stacked chunks.  samples == 0 yields an empty,
-    valid report.
+    what catches inflated coefficients.  Sample i is ``_box_samples`` of
+    the W = ``_sample_words(n)`` uniforms of the Philox4x64 stream keyed by
+    ``seed`` from counter i W / 4 on, so each can be replayed alone; a chunk
+    of ``_CHUNK`` samples is one draw from one generator, evaluated as one
+    stack.  ``sampler(i)``, when given, returns sample i instead.
+    samples == 0 yields an empty, valid report.
     """
     if rep is None:
         rep = build_rep(cert.spec, cert.n)
@@ -693,16 +708,17 @@ def verify_dominance(cert: DominanceCert, rep: Optional[Representation] = None,
         return (log_rep_norm(rep, act(rep, gs, vec), e),
                 log_flag_norms(gs @ frame.T, cert.order.perm)[:, :-1] @ alphas)
 
+    width = _sample_words(cert.n)
     margins = np.empty(samples)
     for start in range(0, samples, _CHUNK):
-        rngs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-                for i in range(start, min(start + _CHUNK, samples))]
+        stop = min(start + _CHUNK, samples)
         if sampler is None:
-            gs = _box_samples(rngs, cert.n, box)
+            rng = np.random.Generator(np.random.Philox(key=seed, counter=start * width // 4))
+            gs = _box_samples(rng.random((stop - start, width)), cert.n, box)
         else:
-            gs = np.stack([np.asarray(sampler(r), dtype=float) for r in rngs])
+            gs = np.stack([np.asarray(sampler(i), dtype=float) for i in range(start, stop)])
         lhs, rhs = sides(gs)
-        margins[start:start + len(rngs)] = lhs - cert.c - rhs
+        margins[start:stop] = lhs - cert.c - rhs
     failures = int(np.sum(~(margins >= -tol)))  # NaN margins fail too
 
     # slope agreement along the shrink ray (group parameterization).  Every
@@ -823,8 +839,9 @@ def _reader(kind):
 def cert_from_dict(data: dict) -> DominanceCert:
     """Read a certificate: each field and each value ``_DERIVED`` names
     through the type it declares; then check that c and the frame are
-    finite, u and the frame fit n, and u is rational and nonzero.  Last,
-    each written ``_DERIVED`` value must be the property's JSON value.
+    finite, u and the frame fit n, u is rational and nonzero, and every
+    seed lies in [0, ``SEED_MAX``].  Last, each written ``_DERIVED`` value
+    must be the property's JSON value.
     Sampling checks the rest: c, and that u and the frame fit the vector."""
     try:
         if _checked(dict, data, "certificate")["schema"] != CERT_SCHEMA:
@@ -843,6 +860,12 @@ def cert_from_dict(data: dict) -> DominanceCert:
         raise CertificateError(f"u or frame do not fit n = {n}")
     if not u.is_exact or u.is_zero():
         raise CertificateError("u must be a nonzero rational vector")
+    seeds = {"seed": cert.seed}
+    if cert.verification is not None:
+        seeds["verification.seed"] = cert.verification.seed
+    for name, seed in seeds.items():
+        if not 0 <= seed <= SEED_MAX:
+            raise CertificateError(f"{name} {seed} is outside [0, 2**64 - 1]")
     for name, value in written.items():
         try:
             derived = _to_json(getattr(cert, name))

@@ -415,7 +415,9 @@ def test_busemann_check_at_the_least_tmax(runner):
 @pytest.mark.parametrize("command, option, value", [
     ("certify", "--samples", "-5"), ("verify", "--samples", "-3"),
     ("busemann-check", "--tmax", "50"), ("busemann-check", "--tmax", "10"),
-    ("busemann-check", "--points", "0")])
+    ("busemann-check", "--points", "0"), ("certify", "--seed", "-1"),
+    ("verify", "--seed", "-1"), ("busemann-check", "--seed", "-1"),
+    ("certify", "--seed", str(2**64))])
 def test_option_out_of_range_is_a_usage_error(runner, tmp_path, command, option, value):
     out = str(tmp_path / "cert.json")
     vector = ["--n", "2", "--spec", "std", "--vector", "1,0"]

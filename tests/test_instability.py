@@ -750,12 +750,18 @@ def test_ray_window_covers_what_a_descent_flat_truncates():
     assert cert.verification.ok
 
 
+def _replay_sample(n, seed, i, box=5.0):
+    """Sample i alone: the first W uniforms of the Philox stream keyed by
+    ``seed`` from counter i W / 4 on."""
+    width = instability._sample_words(n)
+    rng = np.random.Generator(np.random.Philox(key=seed, counter=i * width // 4))
+    return instability._box_samples(rng.random((1, width)), n, box)[0]
+
+
 def _replay_margin(cert, rep, v, seed, i, box=5.0):
-    """The margin of sample i alone, drawn from its own spawn key."""
-    def sampler(_rng):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        return cartan_box_sample(rng, cert.n, box)
-    return verify_dominance(cert, rep, v, samples=1, sampler=sampler).margin_min
+    """The margin of sample i alone, drawn from its own counter."""
+    g = _replay_sample(cert.n, seed, i, box)
+    return verify_dominance(cert, rep, v, samples=1, sampler=lambda _i: g).margin_min
 
 
 # margins that vary with g, so a sample drawn from another key shows
@@ -770,6 +776,59 @@ def test_verify_samples_replay_alone_across_chunks(v):
     assert abs(min(alone) - report.margin_min) <= 1e-12
     assert abs(float(np.mean(alone)) - report.margin_mean) <= 1e-12
     assert report.failures == 0
+
+
+def test_chunk_rows_are_the_samples_drawn_alone(monkeypatch):
+    n, seed = 3, 9
+    chunks = []
+    box_samples = instability._box_samples
+
+    def recorded(x, n, box):
+        chunks.append(box_samples(x, n, box))
+        return chunks[-1]
+    monkeypatch.setattr(instability, "_box_samples", recorded)
+    rep = build_rep(parse_rep_spec("std*wedge(2,std)"), n)
+    cert = dominance_certificate(rep, [1] + [0] * 8, fast_opts(samples=0))
+    verify_dominance(cert, rep, samples=instability._CHUNK + 7, seed=seed)
+    monkeypatch.undo()
+    assert [len(c) for c in chunks] == [instability._CHUNK, 7]
+    assert np.array_equal(chunks[0][37], _replay_sample(n, seed, 37))
+    assert np.array_equal(chunks[1][3], _replay_sample(n, seed, instability._CHUNK + 3))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_box_samples_are_traceless_with_haar_k(n):
+    size = 4096
+    x = np.random.Generator(np.random.Philox(key=2)).random((size, instability._sample_words(n)))
+    gs = instability._box_samples(x, n, 5.0)
+    assert np.all(np.isfinite(gs))
+    # the singular values of g = k1 exp(diag a) k2 are exp(a)
+    a = np.log(np.linalg.svd(gs, compute_uv=False))
+    assert np.allclose(a.sum(axis=1), 0.0, atol=1e-9)  # tr a = 0
+    assert np.all(np.abs(a) <= 2 * 5.0 * (1 - 1 / n) + 1e-9)
+    # box 0 leaves k = k1 k2, a product of independent Haar elements and so
+    # Haar itself: entries of mean 0 and E[k_ij^2] = 1/n, each within 5 sigma
+    ks = instability._box_samples(x, n, 0.0)
+    assert np.allclose(ks @ np.swapaxes(ks, 1, 2), np.eye(n), atol=1e-12)
+    assert np.allclose(np.linalg.det(ks), 1.0)
+    entries = ks.reshape(size, -1)
+    assert np.all(np.abs(entries.mean(axis=0)) < 5 * math.sqrt(1 / n / size))
+    sq = entries ** 2
+    assert np.all(np.abs(sq.mean(axis=0) - 1 / n) < 5 * sq.std(axis=0) / math.sqrt(size))
+
+
+def test_verify_builds_one_generator_per_chunk(monkeypatch):
+    rep = build_rep(parse_rep_spec("std*wedge(2,std)"), 3)
+    cert = dominance_certificate(rep, [1] + [0] * 8, fast_opts(samples=0))
+    built = []
+    philox = np.random.Philox
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+    monkeypatch.setattr(np.random, "Philox", counted)
+    assert verify_dominance(cert, rep, samples=2000).ok
+    assert 0 < len(built) <= math.ceil(2000 / instability._CHUNK)
 
 
 def test_verify_counts_nan_margins_across_chunks():
@@ -891,6 +950,18 @@ def test_inconsistent_certificate_entries_rejected(field, value, message):
         cert_from_dict(data)
 
 
+@pytest.mark.parametrize("path, seed", [(("seed",), -1), (("seed",), 2**64),
+                                        (("verification", "seed"), -1)])
+def test_seed_outside_the_philox_key_range_rejected(path, seed):
+    data = json.loads(_float_cert_json())
+    sub = data
+    for key in path[:-1]:
+        sub = sub[key]
+    sub[path[-1]] = seed
+    with pytest.raises(CertificateError, match=f"{'.'.join(path)} {seed} is outside"):
+        cert_from_dict(data)
+
+
 def test_float_u_rejected():
     # u is the exact min-norm point in float mode too
     data = json.loads(_float_cert_json())
@@ -967,31 +1038,31 @@ def test_value_of_the_wrong_json_type_rejected(path, bad):
 # sha256 of dumps_cert(dominance_certificate(..., CertifyOptions(samples=200)))
 CERTIFICATE_BYTES = [
     ("std", 2, [F(1), F(0)],
-     "d9972b292c43fa42e6c8ee5bcf586404619edd504e61b92f542ff60e88059024"),
+     "3ce29b8d87a5fed983cbb48b3fb5a0a9c66aee71393f4528b64531201172dcc9"),
     ("wedge(2,std)", 3, [F(1), F(0), F(0)],
-     "3024d66ae4cf56a89f35d4155f3d481d53e58a5cb79f831c1b970eda68cbb4ba"),
+     "22a8f0e2a71ec9ce2e85da7d3c0f4893dc882cc86dcc5a8702b0dd130f30131b"),
     ("std*dual(std)", 2, [F(0), F(1), F(0), F(0)],
-     "2f704dae0bf71e3b73677b7527a8097e9f2a4f2bdcd3b75aa53077be6cb4466d"),
+     "4f33e3f010f09c32de13bc7b56620cdf8e13bb1b975b8a4cc580434ae45a506c"),
     ("sym(2,std)", 2, [F(1), F(0), F(0)],
-     "89a517b7f02472837bdb8fadfd67dfda215a3f235c6b58365e5aabed29e0cf18"),
+     "83ccaa7a1fc6fd50b56d9ef23500f56d1abffed947a2ecb9011c49de42abf15c"),
     ("std", 3, [F(1), F(0), F(0)],
-     "9b7ffc6d5081177a7ad5971f52f6d5236c4ee3ed70f589a85aac60de46c0d27c"),
+     "d49947054f293fd82cb948e3bd3964a6f3c069fb1c9e472c2e5f1767c9c9ad6d"),
     ("wedge(2,std)", 3, [F(2), F(0), F(0)],
-     "95a75dc2717977b16394617cef849e5d8fcfd9cef6d8c8e47b3be896765b150b"),
+     "0c527d58d4027c49ebe65d18884b1534b70588039c327bee42f4412b55c742e2"),
     ("std*wedge(2,std)", 3, [F(1)] + [F(0)] * 8,
-     "a4c8217ef6a6cb2d0b20364791f820b77aa327814bef1997605f076b96475b49"),
+     "53a0224ea88ef881f40725bb3a303bf9ec89f84954fd4d9406d28d5681d8117e"),
     ("sym(3,std)", 2, [F(1), F(1), F(0), F(0)],
-     "5e511f2beacc61a2af803a4682efa3606c3b3f7fa40cfd6a3030a66f11b6bbe6"),
+     "94b3b2a9c9920013b863cbdfdbbf214b083ed3db9e19bf7002fe2bb5e8e55517"),
     ("std", 2, [1.0, 1.0],
-     "980373a24378b43df1a5173734703f5d64adec0fad93e48bd3388bd28a59a6b3"),
+     "3ae62088452e2e1246aac40e642f42bfe94698d888d63862d84922e6ffaf71ff"),
     ("wedge(2,std)", 3, [0.3, 0.5, -0.2],
-     "511cae5a3e3dbf6717f2f1ed41c6c1f4577a105a98df60cc6498e929cf7b6f09"),
+     "ba00d52031e78da51ecc76398563eefec2c3048fa40171b7e1b4993fb4de6256"),
     ("sym(2,std)", 3, [0, 1, 0, 0, 0, 0],
-     "bfda308332585f0c4fa4475b7fdb078548148733031af9d92283b97214a6cf3d"),
+     "7ad4960332df2247183fff59713cce2d61a929d663f6614d49f24c6c61264df3"),
     ("std", 3, [F(1, 10**400), 0, 0],
-     "1283ff7bad9c9acd6392bd6d171ead45df8f396cc9b8ea489cd1e5c7a2f36e73"),
+     "3c093d366ea024915a64bb7ecb90bf6da364791453c5c1871cc737fa2244f43e"),
     ("sym(3,std)", 2, [1.0, 0.5, 0, 0],
-     "d84b57487f6c5aa786ef485f624b53d137b940476ccab2a11200f0356f3b612b"),
+     "d6c9359bbe53a214f43eee7899e15f721629811e10f362f4dd9c31310c8de232"),
 ]
 
 
