@@ -53,6 +53,11 @@ CERT_SCHEMA = "instab-cert/1"
 SEED_MAX = 2**64 - 1
 
 
+def _check_seed(seed: int, name: str = "seed", error=ValueError) -> None:
+    if not 0 <= seed <= SEED_MAX:
+        raise error(f"{name} {seed} is outside [0, 2**64 - 1]")
+
+
 # ---------------------------------------------------------------------------
 # Min-norm point in a polytope (Wolfe)
 
@@ -99,6 +104,12 @@ def min_norm_point(points: Sequence) -> MinNormCert:
     if not all(exactlin.is_exact(p) for p in raw):
         raise ValueError("min_norm_point requires rational coordinates")
     pts = [tuple(Fraction(x) for x in p) for p in raw]
+    if not any(map(sum, zip(*pts))):
+        # the centroid 0 is the min-norm point, as for the distinct weights
+        # of a representation, whose set is invariant under the Weyl group
+        m = len(pts)
+        return MinNormCert(point=CartanVector([0] * len(pts[0])),
+                           coeffs=(Fraction(1, m),) * m, gap=Fraction(0))
 
     def dot(p, q):
         return sum(x * y for x, y in zip(p, q))
@@ -239,16 +250,28 @@ class ShrinkGeodesicResult:
 
 
 # Every positive rate is at least gamma(rho) > 0, the least nonzero norm of
-# the min-norm point of at most n distinct weights (Caratheodory), and the
-# rate never exceeds ||mu(rho(g)v)||.  So ||mu|| below gamma proves that v
-# is not unstable; the threshold sits below gamma of every representation
-# that test_stable_threshold_is_below_the_weight_margin enumerates.
+# the min-norm point of at most n distinct weights (Caratheodory; Kempf
+# 1978), and the rate never exceeds ||mu(rho(g)v)||.  So ||mu|| below gamma
+# proves that v is not unstable.  The descent stops below gamma/2, computed
+# exactly by Representation.weight_margin_sq, so that float error in mu
+# cannot matter.  Where that enumeration is capped (reps._MARGIN_SETS), it
+# stops below the fallback _STABLE_MU instead, which is not proven below
+# gamma there.
 _STABLE_MU = 1e-3
 _GAP = 1e-6
 # rho(g)v carries a relative error of about 1e-16 times this bound on
 # ||rho(g)|| ||v|| / ||rho(g)v||, and so does mu
 _MAX_LOG_COND = math.log(1e8)
 _MAX_STEPS = 200
+
+
+def _stable_bound(rep: Representation) -> Tuple[float, str]:
+    """The ||mu|| below which the descent calls v stable, and its name."""
+    margin_sq = rep.weight_margin_sq
+    if margin_sq is None:
+        return _STABLE_MU, f"the fallback {_STABLE_MU:g}"
+    half = math.sqrt(margin_sq) / 2
+    return half, f"gamma/2 = {half:.3g}"
 
 
 def _flag_frame(g: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -280,8 +303,9 @@ def fastest_shrinking_geodesic(rep: Representation, v,
     search stops once the fastest flat's ||u|| is within 1e-6 of the least
     well-conditioned ||mu||, or once g is too ill-conditioned for ||mu|| to
     bound anything, and returns that flat.  Raises StableVectorError when
-    ||mu|| falls below every positive rate, or when the step cap passes
-    without a flat that is not bounded below.
+    that ||mu|| falls below every positive rate (below gamma(rho)/2, see
+    ``_stable_bound``), or when the step cap passes without a flat that is
+    not bounded below.
     """
     flat = flat_shrink_data(rep, v, None, eps)
     # Along the identity flat's own ray, rho(exp(-s u))v / ||.|| tends to
@@ -295,6 +319,7 @@ def fastest_shrinking_geodesic(rep: Representation, v,
         if np.linalg.norm(moment_map(rep, weight_part(rep, v, face))) <= flat.rate + _GAP:
             return ShrinkGeodesicResult(upper=flat.rate, flat=flat, identity=True,
                                         frames_tried=1)
+    stable_mu, rule = _stable_bound(rep)
     vec = scaled_floats(rep, v)[0]
     n = rep.n
     levels = np.asarray([w.as_floats() for w in rep.weights])
@@ -309,8 +334,9 @@ def fastest_shrinking_geodesic(rep: Representation, v,
         accurate = log_cond + log_v - f <= _MAX_LOG_COND
         if accurate:
             upper = min(upper, mu_norm)
-        if upper < _STABLE_MU:
-            raise StableVectorError(f"||mu|| = {upper:.3e} is below every positive rate")
+        if upper < stable_mu:
+            raise StableVectorError(
+                f"||mu|| = {upper:.3e} is below every positive rate (below {rule})")
         k = _flag_frame(g, mu)
         flats.append(flat_shrink_data(rep, vec, k, eps))
         frames += 1
@@ -451,12 +477,16 @@ class VerifyReport:
 class CertifyOptions:
     """Settings of certificate construction.  The weight threshold and the
     constant estimator's frame count and safety margin are fixed; the
-    certificate records them in ``eps`` and ``xi``."""
+    certificate records them in ``eps`` and ``xi``.  A seed outside
+    [0, ``SEED_MAX``] raises ValueError."""
 
     seed: int = 0
     samples: int = 1000
     box: float = 5.0
     tol: float = 1e-6
+
+    def __post_init__(self):
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -683,7 +713,8 @@ def verify_dominance(cert: DominanceCert, rep: Optional[Representation] = None,
     ``seed`` from counter i W / 4 on, so each can be replayed alone; a chunk
     of ``_CHUNK`` samples is one draw from one generator, evaluated as one
     stack.  ``sampler(i)``, when given, returns sample i instead.
-    samples == 0 yields an empty, valid report.
+    samples == 0 yields an empty, valid report.  A seed outside
+    [0, ``SEED_MAX``] raises ValueError.
     """
     if rep is None:
         rep = build_rep(cert.spec, cert.n)
@@ -694,6 +725,7 @@ def verify_dominance(cert: DominanceCert, rep: Optional[Representation] = None,
         raise CertificateError("vector length does not match representation")
     if seed is None:
         seed = cert.seed
+    _check_seed(seed)
     if samples == 0:
         return VerifyReport(samples=0, failures=0, margin_min=math.inf,
                             margin_mean=math.nan, ray_slope_diff=0.0,
@@ -864,8 +896,7 @@ def cert_from_dict(data: dict) -> DominanceCert:
     if cert.verification is not None:
         seeds["verification.seed"] = cert.verification.seed
     for name, seed in seeds.items():
-        if not 0 <= seed <= SEED_MAX:
-            raise CertificateError(f"{name} {seed} is outside [0, 2**64 - 1]")
+        _check_seed(seed, name, CertificateError)
     for name, value in written.items():
         try:
             derived = _to_json(getattr(cert, name))

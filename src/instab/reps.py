@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -43,6 +43,11 @@ from .cartan import CartanVector, Cocharacter, SimpleSystem
 from .errors import DimensionError, NonFiniteError, ParseError, ZeroVectorError
 
 NEG_INF = float("-inf")
+
+# Representation.weight_margin_sq enumerates at most this many candidate
+# weight sets: every ladder and test pair has at most 260 (sym(2,std) n=4),
+# while sym(2,std) n=5 has 2,942 and sym(3,std) n=6 about 11.5 million
+_MARGIN_SETS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +253,41 @@ class Representation:
             sizes.setdefault(len(idx), []).append(j)
         return tuple((np.asarray(cols), np.stack([self.weight_groups[j][1] for j in cols]))
                      for cols in sizes.values())
+
+    @cached_property
+    def weight_margin_sq(self) -> Optional[Fraction]:
+        """gamma(rho)^2, the least nonzero squared norm of the min-norm point
+        of at most n distinct weights, exactly; None when no such point is
+        nonzero, or when there are more than ``_MARGIN_SETS`` candidate sets.
+
+        A nonzero min-norm point u of a weight set lies in the hull of an
+        affinely independent subset T, with barycentric weights lam > 0 and
+        <u, t> = ||u||^2 on T.  So the Gram matrix G of T is nonsingular,
+        y = lam / ||u||^2 solves G y = 1, and ||u||^2 = 1 / sum(y).
+        Conversely, when G y = 1 has a solution y > 0, the point
+        u = y / sum(y) of the hull of T pairs with each t to ||u||^2, so it
+        is the min-norm point of T.  The distinct weights are invariant
+        under the coordinate permutations (the Weyl group), which keep
+        norms, so T can be taken to hold one dominant weight and at most
+        n - 1 others.  No Wolfe run is needed.
+        """
+        distinct = sorted({w.coords for w in self.weights})
+        dominant = [i for i, w in enumerate(distinct) if list(w) == sorted(w, reverse=True)]
+        count = len(dominant) * sum(math.comb(len(distinct) - 1, k) for k in range(self.n))
+        if count > _MARGIN_SETS:
+            return None
+        dots = [[sum(x * y for x, y in zip(p, q)) for q in distinct] for p in distinct]
+        norms_sq = []
+        for d in dominant:
+            others = [i for i in range(len(distinct)) if i != d]
+            for t in ((d, *rest) for size in range(self.n) for rest in combinations(others, size)):
+                try:
+                    y = exactlin.solve([[dots[i][j] for j in t] for i in t], [1] * len(t))
+                except ZeroDivisionError:  # T is linearly dependent; a subset gives its u
+                    continue
+                if all(c > 0 for c in y):
+                    norms_sq.append(1 / sum(y))
+        return min(norms_sq, default=None)
 
 
 @lru_cache(maxsize=None)

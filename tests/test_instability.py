@@ -190,7 +190,34 @@ def test_stable_ternary_form_is_settled_by_the_moment_map():
     assert is_unstable(rep, v).kind == LIKELY_STABLE
     with pytest.raises(StableVectorError, match=r"\|\|mu\|\| = ") as err:
         fastest_shrinking_geodesic(rep, v)
-    assert float(re.search(r"= (\S+) ", str(err.value)).group(1)) < 1e-3
+    assert float(re.search(r"= (\S+) ", str(err.value)).group(1)) < \
+        math.sqrt(rep.weight_margin_sq) / 2
+
+
+def test_stop_message_names_the_bound_it_crossed():
+    # gamma/2 where the weight margin is enumerated, else the fallback
+    ternary = build_rep(parse_rep_spec("sym(2,std)"), 3)
+    with pytest.raises(StableVectorError,
+                       match=r"is below every positive rate \(below gamma/2 = 0\.204\)$"):
+        fastest_shrinking_geodesic(ternary, [1.0, 0.3, 0.1, 2.0, -0.2, 1.5])
+    assert instability._stable_bound(build_rep(parse_rep_spec("sym(3,std)"), 6)) == \
+        (1e-3, "the fallback 0.001")
+
+
+# the rotated ladder's std*std inputs (0-based, in ladder order) that are
+# semistable but not polystable: ||mu|| tends to 0 on their orbits without
+# reaching it, and below a fixed 1e-3 they ran the descent to its step cap
+SEMISTABLE_STD_STD = (8, 10, 12)
+
+
+def test_semistable_inputs_stop_at_the_weight_margin(monkeypatch):
+    entries = [v for spec, n, v in rotated_ladder() if (spec, n) == ("std*std", 3)]
+    rep = build_rep(parse_rep_spec("std*std"), 3)
+    for i in SEMISTABLE_STD_STD:
+        calls = _count_calls(monkeypatch, instability, "moment_map")
+        assert is_unstable(rep, entries[i]).kind == LIKELY_STABLE
+        assert len(calls) < 20
+        monkeypatch.undo()
 
 
 def test_rotated_triple_root_is_unstable():
@@ -559,13 +586,25 @@ SEARCHED_SPECS = LEMMA_SPECS + [
     ("std*wedge(2,std)", 3), ("sym(4,std)", 2), ("dual(sym(2,std))", 2)]
 
 
-@pytest.mark.parametrize("text, n", SEARCHED_SPECS)
+@pytest.mark.parametrize("text, n", SEARCHED_SPECS + [("sym(2,std)", 4)])
 def test_stable_threshold_is_below_the_weight_margin(text, n):
     # every positive rate is the norm of such a min-norm point, and ||mu||
-    # bounds the rate from above, so ||mu|| < 1e-3 < gamma proves that v is
-    # not unstable
-    gamma_sq = _weight_margin_sq(build_rep(parse_rep_spec(text), n))
-    assert gamma_sq > F(1, 10**6)
+    # bounds the rate from above, so ||mu|| < gamma/2 proves that v is not
+    # unstable; the affine solves of src give the Wolfe enumeration's gamma
+    rep = build_rep(parse_rep_spec(text), n)
+    assert rep.weight_margin_sq == _weight_margin_sq(rep)
+    assert instability._stable_bound(rep)[0] == math.sqrt(rep.weight_margin_sq) / 2
+
+
+def test_capped_weight_margin_falls_back_without_enumerating(monkeypatch):
+    # sym(3,std) n=6 has about 11.5 million candidate sets: no solve is run,
+    # and the descent keeps the fixed 1e-3
+    from instab import exactlin
+    solves = _count_calls(monkeypatch, exactlin, "solve")
+    rep = replace(build_rep(parse_rep_spec("sym(3,std)"), 6))  # nothing cached yet
+    assert rep.weight_margin_sq is None
+    assert instability._stable_bound(rep)[0] == 1e-3
+    assert solves == []
 
 
 # ---------------------------------------------------------------------------
@@ -960,6 +999,18 @@ def test_seed_outside_the_philox_key_range_rejected(path, seed):
     sub[path[-1]] = seed
     with pytest.raises(CertificateError, match=f"{'.'.join(path)} {seed} is outside"):
         cert_from_dict(data)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_the_philox_key_range_raises_in_the_api(seed):
+    # the range the CLI and the loader enforce, named before numpy sees it
+    for samples in (0, 5):
+        with pytest.raises(ValueError, match=f"^seed {seed} is outside"):
+            dominance_certificate(std(2), [1, 0], CertifyOptions(seed=seed, samples=samples))
+    cert = dominance_certificate(std(2), [1, 0], fast_opts(samples=0))
+    for samples in (0, 5):
+        with pytest.raises(ValueError, match=f"^seed {seed} is outside"):
+            verify_dominance(cert, samples=samples, seed=seed)
 
 
 def test_float_u_rejected():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from instab import CartanVector, hull_contains, min_norm_point
+from instab import CartanVector, build_rep, hull_contains, min_norm_point, parse_rep_spec
+from instab import instability
 from instab.errors import DimensionError
 
 import oracles
@@ -134,3 +135,39 @@ def test_scaling_preserves_direction():
     for c in (F(2), F(1, 3), F(5, 7)):
         scaled = min_norm_point([p.scale(c) for p in pts])
         assert scaled.point.coords == tuple(c * x for x in base.point.coords)
+
+
+def _assert_zero_with_certificate(pts, cert):
+    assert cert.point.is_zero()
+    assert all(c >= 0 for c in cert.coeffs) and sum(cert.coeffs) == 1
+    assert all(sum(c * p.coords[i] for c, p in zip(cert.coeffs, pts)) == 0
+               for i in range(pts[0].n))
+    assert cert.gap == 0
+
+
+@pytest.mark.parametrize("text, n", [("std", 3), ("sym(2,std)", 3), ("std*dual(std)", 2),
+                                     ("wedge(2,std)", 4), ("std*std", 3)])
+def test_distinct_weights_of_a_representation_have_min_norm_point_zero(monkeypatch, text, n):
+    # a Weyl-invariant set sums to 0, so no Wolfe step is taken
+    steps = []
+    monkeypatch.setattr(instability, "_affine_min", lambda pts: steps.append(pts))
+    pts = sorted({w for w in build_rep(parse_rep_spec(text), n).weights},
+                 key=lambda w: w.coords)
+    _assert_zero_with_certificate(pts, min_norm_point(pts))
+    assert steps == []
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_centroid_zero_matches_the_wolfe_loop(seed):
+    # a set completed to sum 0 gets point 0 at once; a repeated point leaves
+    # the hull as it is but not the sum, so Wolfe runs on the same hull
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        dim = int(rng.integers(2, 6))
+        pts = _random_rational_polytope(rng, dim, int(rng.integers(1, 8)))
+        pts.append(CartanVector([-sum(p.coords[i] for p in pts) for i in range(dim)]))
+        cert = min_norm_point(pts)
+        _assert_zero_with_certificate(pts, cert)
+        repeat = max(pts, key=lambda p: p.norm_sq())  # 0 only if every point is
+        if not repeat.is_zero():
+            assert min_norm_point(pts + [repeat]).point == cert.point
