@@ -593,15 +593,34 @@ _SAFETY_MARGIN = 0.1
 # So 0 lies in the hull of a Haar frame's active weights almost surely: such
 # a frame never certifies, and its min-norm point 0 never matches a u != 0.
 
+# Why block frames are drawn only when another weight lies on u's face
+# F = {lambda : <lambda, u> = |u|^2} (Kempf 1978, Instability in invariant
+# theory).  Let u be the only weight of the representation on F, and k a
+# rotation commuting with u.
+# 1. A matched frame's active weights all have level <lambda, u> >= |u|^2,
+#    since u is their min-norm point.
+# 2. Only the weight u among them has level |u|^2, so a convex combination
+#    of them equals u only with all its mass on u: u enters the prefix hull
+#    exactly when the weight u is added, and the frame's statistic is
+#    log||(rho(k)w)_u||.
+# 3. rho(k) commutes with the projection onto the level-|u|^2 space, which
+#    is the weight space of u, and preserves the norm, so the statistic is
+#    log||w_u|| for every such k.
+# 4. The identity frame always matches (components are split at the flat's
+#    threshold), so it alone gives the minimum; other frames only repeat it
+#    up to rounding.
+
 
 def _estimate_constant(rep: Representation, v, frame: np.ndarray, u: CartanVector,
                        seed: int) -> Tuple[float, XiInfo]:
     """Lower-bound constant via frames of flats through the shrink geodesic.
 
-    Takes the identity and, when u has a repeated coordinate, ``_XI_FRAMES``
-    random rotations within the blocks of equal coordinates (the frames
-    commuting with the shrink direction; Haar frames would never match, see
-    the comment above), drawn as one stack.  Each chunk of ``_CHUNK``
+    Takes the identity and, when u has a repeated coordinate and another
+    weight lies on u's face, ``_XI_FRAMES`` random rotations within the
+    blocks of equal coordinates (the frames commuting with the shrink
+    direction; Haar frames would never match, and where u is alone on its
+    face every such frame repeats the identity's value, see the comments
+    above), drawn as one stack.  Each chunk of ``_CHUNK``
     frames is acted on in one call and split into weight components in one
     array pass.  Keeps the frames whose active weights have the same exact
     min-norm point, memoised by the active mask, and takes the minimum of
@@ -617,8 +636,10 @@ def _estimate_constant(rep: Representation, v, frame: np.ndarray, u: CartanVecto
     vec, e = scaled_floats(rep, v)  # v = vec * 2^e, also beyond the float range
     w = act(rep, frame, vec)
     blocks = _coordinate_blocks(u)
+    level = u.norm_sq()
     frames = np.eye(n)[None]
-    if len(blocks) < n:
+    if len(blocks) < n and any(lam != u and lam.pair(u) == level
+                               for lam, _ in rep.weight_groups):
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0x7C)))
         frames = np.concatenate([frames, block_orthogonal(blocks, n, rng, _XI_FRAMES)])
     excluded = 0

@@ -474,7 +474,7 @@ def _vector_in(rep: Representation, v):
     if len(coords) != rep.dim:
         raise DimensionError(f"vector length {len(coords)} != rep dim {rep.dim}")
     if exactlin.is_exact(coords):
-        return tuple(Fraction(c) for c in coords), True
+        return tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coords), True
     vec = np.asarray([float(c) for c in coords])
     if not np.isfinite(vec).all():
         bad = np.flatnonzero(~np.isfinite(vec))[0]
@@ -528,7 +528,7 @@ def scaled_floats(rep: Representation, v):
         top = max(map(abs, vec))
         shift = top.numerator.bit_length() - top.denominator.bit_length()
         scale = Fraction(2) ** -shift
-        vec = np.asarray([float(x * scale) for x in vec])
+        vec = np.asarray([float(x * scale) if x else 0.0 for x in vec])
     scaled, e = pow2_scaled(vec)
     return scaled, e + shift
 
@@ -586,8 +586,19 @@ def log_rep_norm(rep: Representation, v, exp2: int = 0):
     for zero).  For a 2-D float ndarray, the array of its rows' log norms."""
     q, e = _weighted_squares(rep, v, exp2)
     if q.ndim == 2:
-        return np.array([_log_norm(s, k) for s, k in zip(q.sum(axis=1).tolist(),
-                                                         e.tolist())])
+        # _log_norm row by row, bit for bit: sqrt and ldexp are exact or
+        # correctly rounded in numpy too, and math.log takes the rows whose
+        # norm is a normal float; zero, subnormal and overflowing rows keep
+        # the scalar path
+        s = q.sum(axis=1)
+        with np.errstate(over="ignore"):
+            y = np.ldexp(np.sqrt(s), e)
+        normal = (y >= sys.float_info.min) & (y < math.inf)
+        out = np.empty(len(s))
+        out[normal] = list(map(math.log, y[normal].tolist()))
+        rest = ~normal
+        out[rest] = [_log_norm(x, k) for x, k in zip(s[rest].tolist(), e[rest].tolist())]
+        return out
     return _log_norm(q.sum(), e)
 
 

@@ -18,13 +18,15 @@ from instab import (CertifyOptions, NonFiniteError, StableVectorError,
                     dominance_certificate, dumps_cert,
                     fastest_shrinking_geodesic, flat_shrink_data, is_unstable,
                     loads_cert, log_rep_norm, min_norm_point, moment_map,
-                    parse_rep_spec, torus_kempf, verify_dominance)
+                    parse_rep_spec, torus_kempf, verify_dominance,
+                    weight_components)
 from instab import instability
 from instab.errors import CertificateError
 from instab.instability import (LIKELY_STABLE, NUMERIC_UNSTABLE,
                                 TORUS_CERTIFIED, DominanceCert, KempfData,
                                 VerifyReport, XiInfo)
-from instab.symspace import exp_sym, haar_so
+from instab.reps import _log_norm, scaled_floats
+from instab.symspace import block_orthogonal, exp_sym, haar_so
 
 import oracles
 from ladder import ladder, rotated_ladder
@@ -673,12 +675,14 @@ def _unit(dim, index, scale):
 
 
 # (frames, excluded, value) of xi as the estimator computed them frame by
-# frame; the stacked estimator must keep every bit.  The extremal weight
-# vectors are those of the large-reps benchmark workload, seeds 1-3.
-@pytest.mark.parametrize("text, n, v, value", [
+# frame; the stacked estimator must keep every bit.  Only the form xy has
+# another weight on u's face, so only it draws block frames; the others
+# take the identity frame alone.  The extremal weight vectors are those of
+# the large-reps benchmark workload, seeds 1-3.
+XI_CASES = [
     ("sym(2,std)", 3, [0, 1, 0, 0, 0, 0], "-0x1.9efa9f9abc9fcp-3"),
     ("sym(2,std)", 3, [0.0, 1.0, 0.0, 0.0, 0.0, 0.0], "-0x1.9efa9f9abc9fcp-3"),
-    ("wedge(2,std)", 3, [0.3, 0.5, -0.2], "-0x1.ef672c69da215p-2"),
+    ("wedge(2,std)", 3, [0.3, 0.5, -0.2], "-0x1.ef672c69da20bp-2"),
     ("std", 4, [0.3, -0.2, 0.5, 0.1], "-0x1.e21a83b8a7153p-2"),
     ("sym(4,std)", 4, _unit(35, 30, F(1)), "0x0.0p+0"),
     ("sym(4,std)", 4, _unit(35, 0, F(4)), "0x1.62e42fefa39efp+0"),
@@ -686,11 +690,69 @@ def _unit(dim, index, scale):
     (W2W2S, 4, _unit(144, 143, F(9, 8)), "0x1.e27076e2af2e6p-4"),
     (W2W2S, 4, _unit(144, 85, F(9)), "0x1.193ea7aad030bp+1"),
     (W2W2S, 4, _unit(144, 115, F(5, 6)), "-0x1.7565011e49675p-3"),
-])
+]
+
+
+@pytest.mark.parametrize("text, n, v, value", XI_CASES)
 def test_stacked_constant_estimator_keeps_xi(text, n, v, value):
     cert = dominance_certificate(build_rep(parse_rep_spec(text), n), v,
                                  CertifyOptions(samples=0))
-    assert (cert.xi.frames, cert.xi.excluded, cert.xi.value.hex()) == (1001, 0, value)
+    frames = 1001 if text == "sym(2,std)" else 1
+    assert (cert.xi.frames, cert.xi.excluded, cert.xi.value.hex()) == (frames, 0, value)
+
+
+# Every case above where u is the only weight on its face, plus the
+# acceptance inputs in wedge(2,std) and std n=3: there the estimator takes
+# the identity frame alone, because every rotation commuting with u gives
+# the same statistic (the comment above _estimate_constant).
+ALONE_ON_FACE = [case[:3] for case in XI_CASES if case[0] != "sym(2,std)"] + [
+    ("wedge(2,std)", 3, [F(1), F(0), F(0)]),
+    ("wedge(2,std)", 3, [F(2), F(0), F(0)]),
+    ("std", 3, [F(1), F(0), F(0)]),
+]
+
+
+@pytest.mark.parametrize("text, n, v", ALONE_ON_FACE)
+def test_block_frames_repeat_the_identity_statistic(text, n, v):
+    rep = build_rep(parse_rep_spec(text), n)
+    flat = fastest_shrinking_geodesic(rep, v).flat
+    u = flat.u
+    assert [w for w, _ in rep.weight_groups if w != u and w.pair(u) == u.norm_sq()] == []
+    blocks = instability._coordinate_blocks(u)
+    assert len(blocks) < n
+    vec, e = scaled_floats(rep, v)
+    frames = np.concatenate([np.eye(n)[None],
+                             block_orthogonal(blocks, n, np.random.default_rng(3), 200)])
+    weights, active, sums, exps = weight_components(
+        rep, act(rep, frames, act(rep, flat.frame, vec)), instability._EPS, e)
+    j = weights.index(u)
+    points: dict = {}
+    logs = []
+    for mask, row, k in zip(active, sums.tolist(), exps.tolist()):
+        key = mask.tobytes()
+        if key not in points:
+            points[key] = min_norm_point([weights[i] for i in np.flatnonzero(mask)]).point
+        assert points[key].coords == u.coords
+        logs.append(_log_norm(row[j], k))
+    assert np.max(np.abs(np.array(logs) - logs[0])) <= 1e-12
+
+
+def test_large_reps_certificates_draw_no_block_frame(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return block_orthogonal(*args)
+
+    monkeypatch.setattr(instability, "block_orthogonal", counted)
+    for text, n, v, _ in XI_CASES:
+        if text in ("sym(4,std)", W2W2S):
+            dominance_certificate(build_rep(parse_rep_spec(text), n), v, CertifyOptions(samples=0))
+    assert calls == []
+    # the form xy has x^2 and y^2 on its face, so it still samples
+    dominance_certificate(build_rep(parse_rep_spec("sym(2,std)"), 3), [0, 1, 0, 0, 0, 0],
+                          CertifyOptions(samples=0))
+    assert len(calls) == 1
 
 
 def test_certificate_anchors_at_the_fastest_flat():
@@ -1091,15 +1153,15 @@ CERTIFICATE_BYTES = [
     ("std", 2, [F(1), F(0)],
      "3ce29b8d87a5fed983cbb48b3fb5a0a9c66aee71393f4528b64531201172dcc9"),
     ("wedge(2,std)", 3, [F(1), F(0), F(0)],
-     "22a8f0e2a71ec9ce2e85da7d3c0f4893dc882cc86dcc5a8702b0dd130f30131b"),
+     "9b5a2b3ea3daac58d2a3e1529538263d465a0d0b896a0475965740dc7a89611b"),
     ("std*dual(std)", 2, [F(0), F(1), F(0), F(0)],
      "4f33e3f010f09c32de13bc7b56620cdf8e13bb1b975b8a4cc580434ae45a506c"),
     ("sym(2,std)", 2, [F(1), F(0), F(0)],
      "83ccaa7a1fc6fd50b56d9ef23500f56d1abffed947a2ecb9011c49de42abf15c"),
     ("std", 3, [F(1), F(0), F(0)],
-     "d49947054f293fd82cb948e3bd3964a6f3c069fb1c9e472c2e5f1767c9c9ad6d"),
+     "d5695c57a96aa2801cc7fa2d6ef5c197dde7768dd7d2bed955b65b9029fd413c"),
     ("wedge(2,std)", 3, [F(2), F(0), F(0)],
-     "0c527d58d4027c49ebe65d18884b1534b70588039c327bee42f4412b55c742e2"),
+     "e1e8fc65524f19b3e1e8f9445c200ae6c0d180e5c32715b20bb5b30fb52314a5"),
     ("std*wedge(2,std)", 3, [F(1)] + [F(0)] * 8,
      "53a0224ea88ef881f40725bb3a303bf9ec89f84954fd4d9406d28d5681d8117e"),
     ("sym(3,std)", 2, [F(1), F(1), F(0), F(0)],
@@ -1107,11 +1169,11 @@ CERTIFICATE_BYTES = [
     ("std", 2, [1.0, 1.0],
      "3ae62088452e2e1246aac40e642f42bfe94698d888d63862d84922e6ffaf71ff"),
     ("wedge(2,std)", 3, [0.3, 0.5, -0.2],
-     "ba00d52031e78da51ecc76398563eefec2c3048fa40171b7e1b4993fb4de6256"),
+     "9c89412f1fb071438618c4a7e833996b398e6da23e36f1599815e34216670090"),
     ("sym(2,std)", 3, [0, 1, 0, 0, 0, 0],
      "7ad4960332df2247183fff59713cce2d61a929d663f6614d49f24c6c61264df3"),
     ("std", 3, [F(1, 10**400), 0, 0],
-     "3c093d366ea024915a64bb7ecb90bf6da364791453c5c1871cc737fa2244f43e"),
+     "cf086d326b8b3a2d10395f9d461cd2079e8009ee530a9d3cadf8e9e30306f113"),
     ("sym(3,std)", 2, [1.0, 0.5, 0, 0],
      "d6c9359bbe53a214f43eee7899e15f721629811e10f362f4dd9c31310c8de232"),
 ]

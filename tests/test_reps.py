@@ -464,6 +464,20 @@ def test_log_norms_beyond_the_float_range():
         pytest.approx(math.log(1.5e308) + 0.5 * math.log(2.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("exp2", [0, 5, -3000, 3000])
+def test_stacked_log_norms_match_the_scalar_path_bit_for_bit(exp2):
+    # rows scaled e^-700 to e^700, a zero row, a subnormal row and rows
+    # whose norm overflows after the shift by 2^exp2
+    rep = build_rep(parse_rep_spec("std*wedge(2,std)"), 3)
+    rng = np.random.default_rng(0)
+    rows = rng.standard_normal((5000, rep.dim)) * np.exp(rng.uniform(-700, 700, (5000, 1)))
+    rows = np.vstack([rows, np.zeros(rep.dim), np.full(rep.dim, 1e-320),
+                      np.full(rep.dim, 1e308)])
+    q, e = _weighted_squares(rep, rows, exp2)
+    scalar = [_log_norm(s, k) for s, k in zip(q.sum(axis=1).tolist(), e.tolist())]
+    assert np.array_equal(log_rep_norm(rep, rows, exp2), scalar)
+
+
 def test_norms_beyond_the_float_range_are_inf():
     rep = build_rep(Sym(2, Standard()), 2)
     assert rep_norm(rep, [0.0, 1.5e308, 0.0]) == math.inf
