@@ -636,10 +636,8 @@ def _estimate_constant(rep: Representation, v, frame: np.ndarray, u: CartanVecto
     vec, e = scaled_floats(rep, v)  # v = vec * 2^e, also beyond the float range
     w = act(rep, frame, vec)
     blocks = _coordinate_blocks(u)
-    level = u.norm_sq()
     frames = np.eye(n)[None]
-    if len(blocks) < n and any(lam != u and lam.pair(u) == level
-                               for lam, _ in rep.weight_groups):
+    if len(blocks) < n and rep.shares_face(u):
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0x7C)))
         frames = np.concatenate([frames, block_orthogonal(blocks, n, rng, _XI_FRAMES)])
     excluded = 0

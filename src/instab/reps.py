@@ -19,11 +19,12 @@ symmetric monomial is the sum of its distinct words, a wedge monomial the
 alternating sum of its words, a tensor product the product of its factors'
 tensors, and a dual basis vector the child's tensor divided by its squared
 tensor norm, with its modes marked dual.  To act, embed the coordinates,
-apply g along every standard mode and g^{-T} along every dual mode, and
-read each coordinate back from one word of its basis vector (distinct basis
-vectors have disjoint word supports).  Entries may be floats or exact
-``Fraction``s; the exact path is used whenever both the group element and
-the vector are rational.
+then contract the modes cyclically: apply g (g^{-T} on a dual mode) to the
+leading mode in one batched GEMM and move it to the end, k times, which
+restores the mode order; read each coordinate back from one word of its
+basis vector (distinct basis vectors have disjoint word supports).  Entries
+may be floats or exact ``Fraction``s; the exact path is used whenever both
+the group element and the vector are rational.
 """
 
 from __future__ import annotations
@@ -218,14 +219,14 @@ class Representation:
         """Flat arrays of the embedding: every word, its basis vector, and
         the head word of each basis vector (its first), from which that
         coordinate is read back; then {exact: (coefficients of all words,
-        coefficients of the heads as a column)}."""
+        coefficients of the heads)}."""
         pairs = [(w, i, c) for i, ws in enumerate(self.words) for w, c in ws]
         rows = np.array([w for w, _, _ in pairs], dtype=np.intp)
         cols = np.array([i for _, i, _ in pairs], dtype=np.intp)
         coef = np.array([Fraction(c) for _, _, c in pairs], dtype=object)
         head = np.searchsorted(cols, np.arange(len(self.words)))
         return rows, cols, rows[head], {
-            exact: (c[:, None], c[head, None])
+            exact: (c, c[head])
             for exact, c in ((True, coef), (False, coef.astype(float)))}
 
     @cached_property
@@ -253,6 +254,22 @@ class Representation:
             sizes.setdefault(len(idx), []).append(j)
         return tuple((np.asarray(cols), np.stack([self.weight_groups[j][1] for j in cols]))
                      for cols in sizes.values())
+
+    @cached_property
+    def weight_ints(self) -> np.ndarray:
+        """n times each weight of ``weight_groups``, as rows of Python ints
+        (every weight lies in (1/n)Z^n)."""
+        return np.array([[int(c * self.n) for c in w.coords] for w, _ in self.weight_groups],
+                        dtype=object)
+
+    def shares_face(self, u: CartanVector) -> bool:
+        """Whether a weight other than the exact u lies on u's face
+        {lambda : <lambda, u> = |u|^2}.  With u = du / d, du integral, that
+        reads <n lambda, du> d = n <du, du>: exact integer arithmetic."""
+        d = math.lcm(*(Fraction(c).denominator for c in u.coords))
+        du = np.array([int(c * d) for c in u.coords], dtype=object)
+        face = self.weight_ints[self.weight_ints.dot(du) * d == self.n * du.dot(du)]
+        return bool((face * d != self.n * du).any())
 
     @cached_property
     def weight_margin_sq(self) -> Optional[Fraction]:
@@ -439,34 +456,34 @@ def _as_group_matrix(g, n: int):
     return mat, check_unimodular_float(mat), False
 
 
-def _apply(rep: Representation, g: np.ndarray, vecs: np.ndarray,
+def _apply(rep: Representation, g: np.ndarray, vec: np.ndarray,
            g_inv: np.ndarray | None = None) -> np.ndarray:
-    """Act with ``g``, or with every matrix of a stack (S, n, n), on the
-    columns of ``vecs`` through the tensor embedding.
+    """Act with ``g``, or with every matrix of a stack (S, n, n), on ``vec``
+    through the tensor embedding: one batched GEMM per mode, modes rotated.
 
-    Embed each column in (R^n)^{(x)k}, apply g along every standard mode and
-    g^{-T} along every dual mode (one stacked matmul per mode), and read each
-    coordinate back from the head word of its basis vector.  ``g`` and
-    ``vecs`` are both float arrays or both object arrays of ``Fraction``s;
-    ``g_inv`` is the inverse of ``g`` when the caller has it.  Returns
-    (dim, columns), or (S, dim, columns) for a stack.
+    Embed ``vec`` in (R^n)^{(x)k} as an (n, n^(k-1)) matrix, rows over the
+    leading mode.  Each step contracts that mode with g (g^{-T} on a dual
+    mode) and moves it to the end, t <- t^T g^T, so after k steps the modes
+    are back in order; each coordinate is read back from the head word of
+    its basis vector.  ``g`` and ``vec`` are both float arrays or both object
+    arrays of ``Fraction``s; ``g_inv`` is the inverse of ``g`` when the
+    caller has it.  Returns (dim,), or (S, dim) for a stack.
     """
     rows, cols, heads, coefs = rep.scatter
-    exact = vecs.dtype == object
+    exact = vec.dtype == object
     (coef, head_coef), n = coefs[exact], rep.n
     stack = g.shape[:-2]
-    g = g.reshape(-1, 1, n, n)
+    g = g.reshape(-1, n, n)
     if any(rep.dual):
         if g_inv is None:
-            g_inv = (np.array([exactlin.inv(m.tolist()) for m in g[:, 0]], dtype=object)
+            g_inv = (np.array([exactlin.inv(m.tolist()) for m in g], dtype=object)
                      if exact else np.linalg.inv(g))
-        g_inv_t = g_inv.reshape(-1, 1, n, n).swapaxes(-1, -2)
-    t = np.zeros((1, n ** len(rep.dual), vecs.shape[1]), dtype=vecs.dtype)
-    t[0, rows] = coef * vecs[cols]
-    for mode, dual in enumerate(rep.dual):
-        t = np.matmul(g_inv_t if dual else g, t.reshape(len(t), n ** mode, n, -1))
-    t = t.reshape(len(t), -1, vecs.shape[1])[:, heads] / head_coef
-    return t.reshape(stack + t.shape[1:])
+        g_inv = g_inv.reshape(-1, n, n)
+    t = np.zeros((1, n, n ** (len(rep.dual) - 1)), dtype=vec.dtype)
+    t.flat[rows] = coef * vec[cols]
+    for dual in rep.dual:
+        t = (t.swapaxes(1, 2) @ (g_inv if dual else g.swapaxes(1, 2))).reshape(len(g), n, -1)
+    return (t.reshape(len(g), -1)[:, heads] / head_coef).reshape(stack + (rep.dim,))
 
 
 def _vector_in(rep: Representation, v):
@@ -493,8 +510,7 @@ def act(rep: Representation, g, v):
     mat, inv, g_exact = _as_group_matrix(g, rep.n)
     vec, v_exact = _vector_in(rep, v)
     dtype = object if g_exact and v_exact else float
-    vecs = np.asarray(vec, dtype=dtype)[:, None]
-    out = _apply(rep, np.asarray(mat, dtype=dtype), vecs, inv)[..., 0]
+    out = _apply(rep, np.asarray(mat, dtype=dtype), np.asarray(vec, dtype=dtype), inv)
     return tuple(out.tolist()) if dtype is object else out
 
 
@@ -525,7 +541,7 @@ def scaled_floats(rep: Representation, v):
     vec, exact = _vector_in(rep, v)
     shift = 0
     if exact:
-        top = max(map(abs, vec))
+        top = max((abs(x) for x in vec if x), default=Fraction(0))  # abs makes a Fraction
         shift = top.numerator.bit_length() - top.denominator.bit_length()
         scale = Fraction(2) ** -shift
         vec = np.asarray([float(x * scale) if x else 0.0 for x in vec])
@@ -653,7 +669,7 @@ def moment_map(rep: Representation, w) -> np.ndarray:
     n, k = rep.n, len(rep.dual)
     vec = scaled_floats(rep, w)[0]
     t = np.zeros(n ** k)
-    t[rows] = coefs[False][0][:, 0] * vec[cols]
+    t[rows] = coefs[False][0] * vec[cols]
     total = float(t @ t)
     if not total:
         raise ZeroVectorError("zero vector has no moment map")

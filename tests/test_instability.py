@@ -1153,7 +1153,7 @@ CERTIFICATE_BYTES = [
     ("std", 2, [F(1), F(0)],
      "3ce29b8d87a5fed983cbb48b3fb5a0a9c66aee71393f4528b64531201172dcc9"),
     ("wedge(2,std)", 3, [F(1), F(0), F(0)],
-     "9b5a2b3ea3daac58d2a3e1529538263d465a0d0b896a0475965740dc7a89611b"),
+     "9c01beca7a827032864a0f1f6b0cdcfe4140b1a41dbdad4e2e7dc3107d23e425"),
     ("std*dual(std)", 2, [F(0), F(1), F(0), F(0)],
      "4f33e3f010f09c32de13bc7b56620cdf8e13bb1b975b8a4cc580434ae45a506c"),
     ("sym(2,std)", 2, [F(1), F(0), F(0)],
@@ -1161,15 +1161,15 @@ CERTIFICATE_BYTES = [
     ("std", 3, [F(1), F(0), F(0)],
      "d5695c57a96aa2801cc7fa2d6ef5c197dde7768dd7d2bed955b65b9029fd413c"),
     ("wedge(2,std)", 3, [F(2), F(0), F(0)],
-     "e1e8fc65524f19b3e1e8f9445c200ae6c0d180e5c32715b20bb5b30fb52314a5"),
+     "2e17ef15dbc7203b8cc8b15ce8e3db1d260ec35d25a496b63bf66a4c888b4595"),
     ("std*wedge(2,std)", 3, [F(1)] + [F(0)] * 8,
-     "53a0224ea88ef881f40725bb3a303bf9ec89f84954fd4d9406d28d5681d8117e"),
+     "5b46d44e9afc54d2adf71002542a1501a289340dce434c7f29cf33a47b0ee83c"),
     ("sym(3,std)", 2, [F(1), F(1), F(0), F(0)],
      "94b3b2a9c9920013b863cbdfdbbf214b083ed3db9e19bf7002fe2bb5e8e55517"),
     ("std", 2, [1.0, 1.0],
      "3ae62088452e2e1246aac40e642f42bfe94698d888d63862d84922e6ffaf71ff"),
     ("wedge(2,std)", 3, [0.3, 0.5, -0.2],
-     "9c89412f1fb071438618c4a7e833996b398e6da23e36f1599815e34216670090"),
+     "a943f2b1e166b225d1fa46a0595b5d9e085e5385baa0b19aa0b58595bb23b5d7"),
     ("sym(2,std)", 3, [0, 1, 0, 0, 0, 0],
      "7ad4960332df2247183fff59713cce2d61a929d663f6614d49f24c6c61264df3"),
     ("std", 3, [F(1, 10**400), 0, 0],

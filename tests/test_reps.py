@@ -11,7 +11,7 @@ from instab import (Cocharacter, ParseError, ZeroVectorError, act,
 from instab.cartan import CartanVector, SimpleSystem
 from instab.errors import DimensionError, NonFiniteError
 from instab.reps import (NEG_INF, Dual, Standard, Sym, Tensor, Wedge, _log_norm,
-                         _weighted_squares)
+                         _weighted_squares, pow2_scaled, scaled_floats)
 from instab.symspace import exp_sym, haar_so
 
 import oracles
@@ -124,6 +124,26 @@ def test_dual_gram_inverts():
     base = build_rep(Sym(2, Standard()), 2)
     assert [w.coords for w in rep.weights] == \
         [tuple(-c for c in w.coords) for w in base.weights]
+
+
+@pytest.mark.parametrize("text,n", [("sym(2,std)", 3), ("std*wedge(2,std)", 3),
+                                    ("sym(4,std)", 4), ("dual(wedge(2,std))*sym(2,dual(std))", 3),
+                                    ("wedge(2,std)*wedge(2,std)*std", 4)])
+def test_shares_face_matches_the_rational_scan(text, n):
+    # the integer test against the scan of <lambda, u> = |u|^2 in Fractions,
+    # on every weight, its multiples and the midpoints of pairs of weights
+    rep = build_rep(parse_rep_spec(text), n)
+    weights = [w for w, _ in rep.weight_groups]
+    us = [w.scale(s) for w in weights if not w.is_zero() for s in (1, F(1, 2), F(3, 7))]
+    us += [a.add(b).scale(F(1, 2)) for a, b in zip(weights, weights[1:])]
+    seen = set()
+    for u in us:
+        if u.is_zero():
+            continue
+        expected = any(w != u and w.pair(u) == u.norm_sq() for w in weights)
+        assert rep.shares_face(u) == expected
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +316,8 @@ def test_act_rejects_non_unimodular():
 
 @pytest.mark.parametrize("text,n", [("std", 3), ("dual(std)", 3), ("std*dual(std)", 3),
                                     ("sym(3,std)", 3),
-                                    ("wedge(2,std)*wedge(2,std)*std", 4)])
+                                    ("wedge(2,std)*wedge(2,std)*std", 4),
+                                    ("dual(wedge(2,std))*sym(2,dual(std))", 3)])
 @pytest.mark.parametrize("size", [50, 1])
 def test_act_on_a_stack_matches_the_single_action(text, n, size):
     from instab import cartan_box_sample
@@ -309,6 +330,32 @@ def test_act_on_a_stack_matches_the_single_action(text, n, size):
     for g, row in zip(gs, stacked):
         single = act(rep, g, v)
         assert np.max(np.abs(row - single)) <= 1e-12 * np.max(np.abs(single))
+
+
+def _exact_sl(rng, n):
+    """A random rational matrix of determinant 1: a rational diagonal of
+    determinant 1 times elementary unipotents with small rational entries."""
+    d = [F(int(rng.integers(1, 4)), int(rng.integers(1, 4))) for _ in range(n - 1)]
+    diag = np.diag(d + [1 / math.prod(d)]).astype(object)
+    pairs = [rng.choice(n, 2, replace=False) for _ in range(2 * n)]
+    return diag @ elementary_unipotent_product(
+        n, [(int(i), int(j), F(int(rng.integers(-2, 3)), int(rng.integers(1, 4))))
+            for i, j in pairs])
+
+
+@pytest.mark.parametrize("text,n", ACTION_SPECS)
+def test_float_stack_matches_the_exact_action(text, n):
+    # every row of one stacked float action, against the exact single action
+    rep = build_rep(parse_rep_spec(text), n)
+    rng = np.random.default_rng(14)
+    gs = [_exact_sl(rng, n) for _ in range(8)]
+    v = [F(int(a), int(b)) for a, b in zip(rng.integers(-3, 4, rep.dim), rng.integers(1, 4, rep.dim))]
+    stacked = act(rep, np.stack(gs).astype(float), [float(x) for x in v])
+    for g, row in zip(gs, stacked):
+        exact = act(rep, g.tolist(), v)
+        assert all(isinstance(x, F) for x in exact)
+        exact = np.asarray([float(x) for x in exact])
+        assert np.max(np.abs(row - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
 def test_act_on_a_stack_checks_every_element():
@@ -483,6 +530,20 @@ def test_norms_beyond_the_float_range_are_inf():
     assert rep_norm(rep, [0.0, 1.5e308, 0.0]) == math.inf
     assert rep_norm(rep, [F(0), F(10) ** 400, F(0)]) == math.inf
     assert log_rep_norm(rep, [0.0, 1.5e308, 0.0]) == pytest.approx(709.948, abs=1e-3)
+
+
+@pytest.mark.parametrize("entries", [{17: F(-7, 3), 90: F(5, 2**80), 143: F(10**30, 11)}, {}])
+def test_scaled_floats_of_a_zero_heavy_rational_vector(entries):
+    # the maximum over the nonzero entries is the same Fraction as over all
+    # of them, so the floats and the exponent are the same bits
+    rep = build_rep(parse_rep_spec("wedge(2,std)*wedge(2,std)*std"), 4)
+    v = [entries.get(i, F(0)) for i in range(rep.dim)]
+    top = max(map(abs, v))
+    shift = top.numerator.bit_length() - top.denominator.bit_length()
+    x, e = pow2_scaled(np.asarray([float(c * F(2) ** -shift) for c in v]))
+    got_x, got_e = scaled_floats(rep, v)
+    np.testing.assert_array_equal(got_x, x)
+    assert got_e == e + shift
 
 
 def test_exact_weight_components():
