@@ -3,8 +3,8 @@
 Directions in the maximal flat are traceless real (or exact rational)
 n-vectors, ``CartanVector``s.  A torus character (weight) is the exact
 ``CartanVector`` of its canonical sum-zero rational representative, paired
-with directions by the trace form (``pair``) and with integer cocharacters
-by ``pair_int``; its negative is ``scale(-1)``.  On traceless
+with directions by the trace form and with integer cocharacters by
+``pair_int``; its negative is ``scale(-1)``.  On traceless
 matrices the trace form tr(XY) is the Killing form divided by 2n, so chamber
 structure, normalized directions and argmax problems are unchanged by the
 choice; certificates record ``form: "trace"``.
@@ -103,15 +103,6 @@ class CartanVector:
         if self.n != other.n:
             raise DimensionError(f"dimension mismatch: {self.n} vs {other.n}")
         return CartanVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def pair(self, other: "CartanVector") -> Scalar:
-        """Trace-form pairing, e.g. a weight evaluated on a flat direction:
-        a ``Fraction`` when both are exact, otherwise a float.  Symmetric
-        and positive definite on traceless vectors."""
-        if self.n != other.n:
-            raise DimensionError(f"dimension mismatch: {self.n} vs {other.n}")
-        total = sum(x * y for x, y in zip(self.coords, other.coords))
-        return total if isinstance(total, Fraction) else float(total)
 
     def pair_int(self, tau: "Cocharacter") -> int:
         """Pairing of a weight with an integer cocharacter: an exact integer."""

@@ -315,7 +315,8 @@ def fastest_shrinking_geodesic(rep: Representation, v,
     # above, while the flat's own ||u|| bounds it from below: a balanced
     # face, ||mu(v_F)|| = ||u||, proves the flat optimal (Ness 1984).
     if not flat.bounded_below:
-        face = {w for w, _ in flat.active if w.pair(flat.u) == flat.u.norm_sq()}
+        face = {w for (w, _), level in zip(rep.weight_groups, rep.levels(flat.u)) if not level}
+        face = face.intersection(w for w, _ in flat.active)
         if np.linalg.norm(moment_map(rep, weight_part(rep, v, face))) <= flat.rate + _GAP:
             return ShrinkGeodesicResult(upper=flat.rate, flat=flat, identity=True,
                                         frames_tried=1)
@@ -550,8 +551,8 @@ class DominanceCert:
 
 
 def _xi_prefix(active: Sequence[Tuple[int, float]], weights: Sequence[CartanVector],
-               u: CartanVector, hulls: dict) -> float:
-    """max over active subsets whose hull contains u of the min log norm.
+               u: CartanVector, hulls: dict) -> Optional[float]:
+    """max over active subsets whose hull contains u of the min log norm, else None.
 
     ``active`` holds (index into ``weights``, log norm) pairs.  Enlarging
     a subset can only help hull membership, so the optimum is a prefix of
@@ -567,7 +568,7 @@ def _xi_prefix(active: Sequence[Tuple[int, float]], weights: Sequence[CartanVect
             hulls[key] = hull_contains([weights[i] for i, _ in ordered[:t]], u)
         if hulls[key]:
             return r
-    raise AssertionError("internal: u not in the hull of its active weights")
+    return None
 
 
 def _coordinate_blocks(u: CartanVector):
@@ -593,20 +594,25 @@ _SAFETY_MARGIN = 0.1
 # So 0 lies in the hull of a Haar frame's active weights almost surely: such
 # a frame never certifies, and its min-norm point 0 never matches a u != 0.
 
-# Why block frames are drawn only when another weight lies on u's face
-# F = {lambda : <lambda, u> = |u|^2} (Kempf 1978, Instability in invariant
-# theory).  Let u be the only weight of the representation on F, and k a
-# rotation commuting with u.
-# 1. A matched frame's active weights all have level <lambda, u> >= |u|^2,
-#    since u is their min-norm point.
-# 2. Only the weight u among them has level |u|^2, so a convex combination
-#    of them equals u only with all its mass on u: u enters the prefix hull
-#    exactly when the weight u is added, and the frame's statistic is
-#    log||(rho(k)w)_u||.
-# 3. rho(k) commutes with the projection onto the level-|u|^2 space, which
+# u's face F = {lambda : <lambda, u> = |u|^2} decides the constant estimator
+# (Kempf 1978, Instability in invariant theory); Representation.levels
+# places each weight below, on or above F.  Let A be a frame's active weights.
+# 1. u is the min-norm point of A exactly when no weight of A lies below F
+#    and u is in the hull of A on F (Wolfe's optimality condition; then
+#    each x in the hull of A has |x| |u| >= <x, u> >= |u|^2).  The
+#    estimator keeps those frames.
+# 2. A convex combination of such an A that equals u pairs with u to
+#    |u|^2, so it puts no mass above F: u enters a prefix hull exactly when
+#    it enters the hull of the prefix's weights on F, the only weights the
+#    prefix statistic runs over.
+# Block frames are drawn only when more than one weight lies on F.  u is in
+# the hull of the weights on F, so a lone one is the weight u.  For a
+# rotation k commuting with u:
+# 3. By 2, a kept frame's statistic is log||(rho(k)w)_u||.
+# 4. rho(k) commutes with the projection onto the level-|u|^2 space, which
 #    is the weight space of u, and preserves the norm, so the statistic is
 #    log||w_u|| for every such k.
-# 4. The identity frame always matches (components are split at the flat's
+# 5. The identity frame is always kept (components are split at the flat's
 #    threshold), so it alone gives the minimum; other frames only repeat it
 #    up to rounding.
 
@@ -615,17 +621,18 @@ def _estimate_constant(rep: Representation, v, frame: np.ndarray, u: CartanVecto
                        seed: int) -> Tuple[float, XiInfo]:
     """Lower-bound constant via frames of flats through the shrink geodesic.
 
-    Takes the identity and, when u has a repeated coordinate and another
-    weight lies on u's face, ``_XI_FRAMES`` random rotations within the
+    Takes the identity and, when u has a repeated coordinate and more than
+    one weight lies on u's face, ``_XI_FRAMES`` random rotations within the
     blocks of equal coordinates (the frames commuting with the shrink
     direction; Haar frames would never match, and where u is alone on its
     face every such frame repeats the identity's value, see the comments
     above), drawn as one stack.  Each chunk of ``_CHUNK``
     frames is acted on in one call and split into weight components in one
-    array pass.  Keeps the frames whose active weights have the same exact
-    min-norm point, memoised by the active mask, and takes the minimum of
-    the prefix-hull statistic over them; only their active log norms are
-    computed, by the scalar ``_log_norm``, so xi keeps its bits.
+    array pass.  Keeps the frames whose active weights have min-norm point
+    u: none lies below u's face, and u is in the hull of those on it.  Takes
+    the minimum over them of the prefix-hull statistic of their active face
+    weights, whose log norms alone are computed, by the scalar
+    ``_log_norm``, so xi keeps its bits.
     ``_SAFETY_MARGIN`` is subtracted at the end.  Components are split at
     ``_EPS``, the threshold of every flat of the search, so the identity
     frame always passes the filter.  The frames act on the float
@@ -635,31 +642,24 @@ def _estimate_constant(rep: Representation, v, frame: np.ndarray, u: CartanVecto
     n = rep.n
     vec, e = scaled_floats(rep, v)  # v = vec * 2^e, also beyond the float range
     w = act(rep, frame, vec)
+    levels = rep.levels(u)
     blocks = _coordinate_blocks(u)
     frames = np.eye(n)[None]
-    if len(blocks) < n and rep.shares_face(u):
+    if len(blocks) < n and np.count_nonzero(levels == 0) > 1:
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0x7C)))
         frames = np.concatenate([frames, block_orthogonal(blocks, n, rng, _XI_FRAMES)])
-    excluded = 0
-    xi_min = math.inf
-    matches: dict = {}
     hulls: dict = {}
+    xis = []  # each frame's statistic, None where it is not kept
     for start in range(0, len(frames), _CHUNK):
         weights, active, sums, exps = weight_components(
             rep, act(rep, frames[start:start + _CHUNK], w), _EPS, e)
-        for mask, row, k in zip(active, sums.tolist(), exps.tolist()):
-            key = mask.tobytes()
-            if key not in matches:  # the active indices if u matches, else None
-                idx = np.flatnonzero(mask).tolist()
-                cert = min_norm_point([weights[j] for j in idx])
-                matches[key] = idx if cert.point.coords == u.coords else None
-            idx = matches[key]
-            if idx is None:
-                excluded += 1
-                continue
-            comps = [(j, _log_norm(row[j], k)) for j in idx]
-            xi_min = min(xi_min, _xi_prefix(comps, weights, u, hulls))
-    info = XiInfo(frames=len(frames), excluded=excluded, value=float(xi_min),
+        below, face = (active & (levels < 0)).any(axis=1), active & (levels == 0)
+        xis += [None if low else _xi_prefix(
+            [(j, _log_norm(row[j], k)) for j in np.flatnonzero(on).tolist()], weights, u, hulls)
+            for low, on, row, k in zip(below, face, sums.tolist(), exps.tolist())]
+    kept = [xi for xi in xis if xi is not None]
+    xi_min = min(kept, default=math.inf)
+    info = XiInfo(frames=len(frames), excluded=len(xis) - len(kept), value=float(xi_min),
                   margin=_SAFETY_MARGIN)
     return float(xi_min) - _SAFETY_MARGIN, info
 
@@ -921,6 +921,8 @@ def cert_from_dict(data: dict) -> DominanceCert:
             derived = _to_json(getattr(cert, name))
         except (OverflowError, ZeroVectorError) as exc:  # u beyond the float range
             raise CertificateError(f"u has no float norm: {exc}") from exc
+        except ArithmeticError as exc:  # the min-norm point of weights pairs to an integer
+            raise CertificateError(f"u is no min-norm point of weights: {exc}") from exc
         if _to_json(value) != derived:
             source = "the vector and frame determine" if name == "mode" else "u determines"
             raise CertificateError(f"{name} is not the value {source}, {derived!r}")

@@ -262,14 +262,15 @@ class Representation:
         return np.array([[int(c * self.n) for c in w.coords] for w, _ in self.weight_groups],
                         dtype=object)
 
-    def shares_face(self, u: CartanVector) -> bool:
-        """Whether a weight other than the exact u lies on u's face
-        {lambda : <lambda, u> = |u|^2}.  With u = du / d, du integral, that
-        reads <n lambda, du> d = n <du, du>: exact integer arithmetic."""
+    def levels(self, u: CartanVector) -> np.ndarray:
+        """For each weight lambda of ``weight_groups``, the sign of
+        <lambda, u> - |u|^2: -1 below the face {lambda : <lambda, u> = |u|^2}
+        of the exact u, 0 on it and 1 above.  With u = du / d, du integral,
+        that is the sign of <n lambda, du> d - n <du, du>: exact integer
+        arithmetic."""
         d = math.lcm(*(Fraction(c).denominator for c in u.coords))
         du = np.array([int(c * d) for c in u.coords], dtype=object)
-        face = self.weight_ints[self.weight_ints.dot(du) * d == self.n * du.dot(du)]
-        return bool((face * d != self.n * du).any())
+        return np.sign(self.weight_ints.dot(du) * d - self.n * du.dot(du)).astype(int)
 
     @cached_property
     def weight_margin_sq(self) -> Optional[Fraction]:
@@ -286,24 +287,25 @@ class Representation:
         is the min-norm point of T.  The distinct weights are invariant
         under the coordinate permutations (the Weyl group), which keep
         norms, so T can be taken to hold one dominant weight and at most
-        n - 1 others.  No Wolfe run is needed.
+        n - 1 others.  No Wolfe run is needed.  G is taken as the integer
+        Gram matrix n^2 G of ``weight_ints``, which y / n^2 solves.
         """
-        distinct = sorted({w.coords for w in self.weights})
-        dominant = [i for i, w in enumerate(distinct) if list(w) == sorted(w, reverse=True)]
-        count = len(dominant) * sum(math.comb(len(distinct) - 1, k) for k in range(self.n))
+        ints = self.weight_ints
+        dominant = [i for i, w in enumerate(ints.tolist()) if w == sorted(w, reverse=True)]
+        count = len(dominant) * sum(math.comb(len(ints) - 1, k) for k in range(self.n))
         if count > _MARGIN_SETS:
             return None
-        dots = [[sum(x * y for x, y in zip(p, q)) for q in distinct] for p in distinct]
+        gram = ints.dot(ints.T).tolist()
         norms_sq = []
         for d in dominant:
-            others = [i for i in range(len(distinct)) if i != d]
+            others = [i for i in range(len(ints)) if i != d]
             for t in ((d, *rest) for size in range(self.n) for rest in combinations(others, size)):
                 try:
-                    y = exactlin.solve([[dots[i][j] for j in t] for i in t], [1] * len(t))
+                    y = exactlin.solve([[gram[i][j] for j in t] for i in t], [1] * len(t))
                 except ZeroDivisionError:  # T is linearly dependent; a subset gives its u
                     continue
                 if all(c > 0 for c in y):
-                    norms_sq.append(1 / sum(y))
+                    norms_sq.append(1 / (self.n ** 2 * sum(y)))
         return min(norms_sq, default=None)
 
 
@@ -487,12 +489,15 @@ def _apply(rep: Representation, g: np.ndarray, vec: np.ndarray,
 
 
 def _vector_in(rep: Representation, v):
-    coords = list(v)
+    numeric = isinstance(v, np.ndarray) and v.ndim == 1 and v.dtype.kind in "iuf"
+    coords = v if numeric else list(v)
     if len(coords) != rep.dim:
         raise DimensionError(f"vector length {len(coords)} != rep dim {rep.dim}")
     if exactlin.is_exact(coords):
         return tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coords), True
-    vec = np.asarray([float(c) for c in coords])
+    # a numeric ndarray converts in one call; float() rejects the other entries
+    # that np.asarray would read as NaN, such as None
+    vec = np.asarray(coords, dtype=float) if numeric else np.asarray([float(c) for c in coords])
     if not np.isfinite(vec).all():
         bad = np.flatnonzero(~np.isfinite(vec))[0]
         raise NonFiniteError(f"vector entry {bad} is {vec[bad]}")

@@ -14,6 +14,12 @@ import scipy.optimize as sopt
 from instab import act, highest_weight_vector, log_rep_norm
 
 
+def trace_form(a, b):
+    """The trace-form pairing sum_i a_i b_i of two CartanVectors, exact for
+    rational coordinates."""
+    return sum(x * y for x, y in zip(a.coords, b.coords))
+
+
 def qp_min_norm(points):
     """Min-norm point of a polytope by SLSQP over the simplex."""
     pts = np.asarray(points, dtype=float)

@@ -1,12 +1,14 @@
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
 from instab import dumps_cert, loads_cert
 from instab.cli import main
+from instab.instability import _to_json
 
 
 @pytest.fixture
@@ -265,6 +267,27 @@ def test_verify_rejects_values_that_contradict_u(runner, tmp_path, edit):
     res = runner.invoke(main, ["verify", out, "--samples", "500"])
     assert res.exit_code == 5, res.output
     assert "is not the value u determines" in res.output
+
+
+@pytest.mark.parametrize("scale", [Fraction(1, 2), Fraction(3, 4), Fraction(101, 100)],
+                         ids=["1/2", "3/4", "101/100"])
+def test_verify_rejects_a_u_that_is_no_min_norm_point(runner, tmp_path, scale):
+    # u = (1/2, -1/2) scaled, with every derived value that u still fixes
+    # rewritten to match; no min-norm point of weights pairs with its
+    # primitive cocharacter to a non-integer, as this u does
+    out = str(tmp_path / "cert.json")
+    assert runner.invoke(main, ["certify", "--n", "2", "--spec", "std", "--vector", "1,0",
+                                "--out", out, "--samples", "0"]).exit_code == 0
+    text = open(out).read()
+    data, cert = json.loads(text), loads_cert(text)
+    scaled = replace(cert, u=cert.u.scale(scale))
+    for name in ("u", "rate", "direction", "order", "alphas", "hw", "mode"):
+        data[name] = _to_json(getattr(scaled, name))
+    with open(out, "w") as fh:
+        json.dump(data, fh)
+    res = runner.invoke(main, ["verify", out, "--samples", "50"])
+    assert res.exit_code == 5, res.output
+    assert "u is no min-norm point of weights: non-integral pairing" in res.output
 
 
 def test_verify_zero_samples(runner, tmp_path):

@@ -21,6 +21,7 @@ from instab import (CertifyOptions, NonFiniteError, StableVectorError,
                     parse_rep_spec, torus_kempf, verify_dominance,
                     weight_components)
 from instab import instability
+from instab.cartan import CartanVector
 from instab.errors import CertificateError
 from instab.instability import (LIKELY_STABLE, NUMERIC_UNSTABLE,
                                 TORUS_CERTIFIED, DominanceCert, KempfData,
@@ -345,6 +346,25 @@ def test_rotated_ladder_verdicts_are_pinned():
         "d7d692555e9e8f65536d0dbc2e71e42c55c76816fd30e1c2dac4a3521d84804e"
 
 
+def test_ladder_certificates_are_pinned():
+    # one sha256 over the dumps_cert bytes (samples=0) of the certificate of
+    # every unstable input of both ladders, in ladder order
+    digest, count = hashlib.sha256(), 0
+    for spec, n, v in ladder() + rotated_ladder():
+        if not any(v):
+            continue
+        try:
+            cert = dominance_certificate(build_rep(parse_rep_spec(spec), n), v,
+                                         CertifyOptions(samples=0))
+        except StableVectorError:
+            continue
+        digest.update(dumps_cert(cert).encode())
+        count += 1
+    assert count == 436
+    assert digest.hexdigest() == \
+        "f36ac063ba3dda52b3eed9e78959f3ce40bd95c4c675270297f9a48a763c5255"
+
+
 def test_is_unstable_at_extreme_scales():
     base = is_unstable(std(3), [1.0, 0.0, 0.0])
     # rationals beyond the float range are scaled exactly before rounding
@@ -522,7 +542,7 @@ def test_balanced_identity_face_takes_no_step(monkeypatch, text, n, v):
 def _face_moment_norm(rep, v):
     """||mu(v_F)|| for the identity flat, v_F found from rep.weights alone."""
     fd = flat_shrink_data(rep, v)
-    face = {w for w, _ in fd.active if w.pair(fd.u) == fd.u.norm_sq()}
+    face = {w for w, _ in fd.active if oracles.trace_form(w, fd.u) == fd.u.norm_sq()}
     v_face = [float(x) if w in face else 0.0 for x, w in zip(v, rep.weights)]
     return fd, float(np.linalg.norm(moment_map(rep, v_face)))
 
@@ -717,7 +737,8 @@ def test_block_frames_repeat_the_identity_statistic(text, n, v):
     rep = build_rep(parse_rep_spec(text), n)
     flat = fastest_shrinking_geodesic(rep, v).flat
     u = flat.u
-    assert [w for w, _ in rep.weight_groups if w != u and w.pair(u) == u.norm_sq()] == []
+    assert [w for w, _ in rep.weight_groups
+            if w != u and oracles.trace_form(w, u) == u.norm_sq()] == []
     blocks = instability._coordinate_blocks(u)
     assert len(blocks) < n
     vec, e = scaled_floats(rep, v)
@@ -735,6 +756,51 @@ def test_block_frames_repeat_the_identity_statistic(text, n, v):
         assert points[key].coords == u.coords
         logs.append(_log_norm(row[j], k))
     assert np.max(np.abs(np.array(logs) - logs[0])) <= 1e-12
+
+
+# the estimator's keep rule on random active masks over the weights of
+# representations with and without dual modes, both large-reps pairs among
+# them; u runs over the certified u of the XI_CASES of the same n, and over
+# min-norm points of random weight sets, which are rarely weights
+KEEP_RULE_REPS = [("sym(2,std)", 3), ("dual(wedge(2,std))*sym(2,dual(std))", 3),
+                  ("sym(4,std)", 4), (W2W2S, 4)]
+
+
+@pytest.mark.parametrize("text, n", KEEP_RULE_REPS)
+def test_keep_rule_matches_the_min_norm_point(text, n):
+    # kept: no active weight below u's face, and u in the prefix hull of the
+    # active face weights; the reference keeps a mask whose active weights
+    # have min-norm point u, and runs the prefix over all of them
+    rep = build_rep(parse_rep_spec(text), n)
+    weights = [w for w, _ in rep.weight_groups]
+    rng = np.random.default_rng(17)
+    us = sorted({fastest_shrinking_geodesic(build_rep(parse_rep_spec(t), m), v).flat.u.coords
+                 for t, m, v, _ in XI_CASES if m == n})
+    picks = [rng.choice(len(weights), 2 + i % 2, replace=False) for i in range(4)]
+    us += [min_norm_point([weights[j] for j in pick]).point.coords for pick in picks]
+    outcomes = set()
+    for u in map(CartanVector, us):
+        if u.is_zero():
+            continue
+        levels = rep.levels(u)
+        for _ in range(20):
+            # weights on or above the face, and sometimes one below it
+            mask = (levels >= 0) & (rng.random(len(weights)) < rng.uniform(0.1, 0.6))
+            if rng.random() < 0.3:
+                mask[rng.choice(np.flatnonzero(levels < 0))] = True
+            if not mask.any():
+                continue
+            logs = rng.standard_normal(len(weights)).tolist()
+            face = [(j, logs[j]) for j in np.flatnonzero(mask & (levels == 0)).tolist()]
+            low = (mask & (levels < 0)).any()
+            xi = None if low else instability._xi_prefix(face, weights, u, {})
+            active = [(j, logs[j]) for j in np.flatnonzero(mask).tolist()]
+            kept = min_norm_point([weights[j] for j, _ in active]).point == u
+            assert (xi is not None) == kept
+            if kept:
+                assert xi == instability._xi_prefix(active, weights, u, {})
+            outcomes.add(kept)
+    assert outcomes == {True, False}
 
 
 def test_large_reps_certificates_draw_no_block_frame(monkeypatch):

@@ -11,7 +11,7 @@ from instab import (Cocharacter, ParseError, ZeroVectorError, act,
 from instab.cartan import CartanVector, SimpleSystem
 from instab.errors import DimensionError, NonFiniteError
 from instab.reps import (NEG_INF, Dual, Standard, Sym, Tensor, Wedge, _log_norm,
-                         _weighted_squares, pow2_scaled, scaled_floats)
+                         _vector_in, _weighted_squares, pow2_scaled, scaled_floats)
 from instab.symspace import exp_sym, haar_so
 
 import oracles
@@ -129,21 +129,23 @@ def test_dual_gram_inverts():
 @pytest.mark.parametrize("text,n", [("sym(2,std)", 3), ("std*wedge(2,std)", 3),
                                     ("sym(4,std)", 4), ("dual(wedge(2,std))*sym(2,dual(std))", 3),
                                     ("wedge(2,std)*wedge(2,std)*std", 4)])
-def test_shares_face_matches_the_rational_scan(text, n):
-    # the integer test against the scan of <lambda, u> = |u|^2 in Fractions,
-    # on every weight, its multiples and the midpoints of pairs of weights
+def test_levels_match_the_rational_scan(text, n):
+    # each level against the sign of <lambda, u> - |u|^2 in Fractions, for u
+    # every weight, its multiples and the midpoints of pairs of weights
     rep = build_rep(parse_rep_spec(text), n)
     weights = [w for w, _ in rep.weight_groups]
     us = [w.scale(s) for w in weights if not w.is_zero() for s in (1, F(1, 2), F(3, 7))]
     us += [a.add(b).scale(F(1, 2)) for a, b in zip(weights, weights[1:])]
-    seen = set()
+    signs, shared = set(), set()
     for u in us:
         if u.is_zero():
             continue
-        expected = any(w != u and w.pair(u) == u.norm_sq() for w in weights)
-        assert rep.shares_face(u) == expected
-        seen.add(expected)
-    assert seen == {True, False}
+        gaps = [oracles.trace_form(w, u) - u.norm_sq() for w in weights]
+        expected = [(g > 0) - (g < 0) for g in gaps]
+        assert rep.levels(u).tolist() == expected
+        signs.update(expected)
+        shared.add(expected.count(0) > 1)
+    assert signs == {-1, 0, 1} and shared == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +379,22 @@ def test_act_rejects_non_finite_group_elements(bad):
     gs[3, 1, 0] = bad
     with pytest.raises(NonFiniteError, match=r"entry \(3, 1, 0\)"):
         act(rep, gs, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("v", [
+    np.array([0.1, -2.5e-300, 3.0, 1e300, 0.0, -0.0]),
+    [0.1, -2.5e-300, 3.0, 1e300, 0.0, -0.0],
+    np.array([1, -3, 0, 7, 2**60 + 1, -5])], ids=["float ndarray", "float list", "int ndarray"])
+def test_vector_in_matches_the_entry_by_entry_conversion(v):
+    rep = build_rep(parse_rep_spec("sym(2,std)"), 3)
+    vec, exact = _vector_in(rep, v)
+    assert not exact
+    assert vec.dtype == float
+    assert vec.tobytes() == np.asarray([float(c) for c in list(v)]).tobytes()
+    bad = np.array(v, dtype=float)
+    bad[2], bad[4] = math.nan, math.inf
+    with pytest.raises(NonFiniteError, match="entry 2 is nan"):
+        _vector_in(rep, bad)
 
 
 # ---------------------------------------------------------------------------
