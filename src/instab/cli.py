@@ -17,12 +17,13 @@ Exit codes: classify 0 = certified unstable, 3 = numerically unstable,
 is not ok, 6 = stable input; verify 0 = all checks pass, 1 = margin/slope
 failures, 5 = malformed certificate; parse and dimension errors and
 non-finite vector entries exit 1, and usage errors (an option out of its
-range) exit 2.
+range, such as a negative or non-finite --box or --tol) exit 2.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -65,6 +66,13 @@ def _parse_vector(vector: str | None, vector_file: str | None):
         raise ValueError("a vector file holds a JSON array of numbers and {num, den} objects")
     return [_frac_from_json(x) if type(x) is dict else Fraction(x) if type(x) is int else x
             for x in data]
+
+
+def _finite_nonnegative(ctx, param, value: float) -> float:
+    """A click callback: ``value`` is a finite number >= 0, or a usage error."""
+    if not (math.isfinite(value) and value >= 0):
+        raise click.BadParameter(f"{value} is not a finite number >= 0", ctx, param)
+    return value
 
 
 def _emit(payload: dict):
@@ -157,8 +165,8 @@ def cmd_classify(n, spec_text, vector, vector_file):
 @click.option("--seed", type=click.IntRange(0, SEED_MAX), default=0)
 @click.option("--samples", type=click.IntRange(min=0), default=1000,
               help="embedded verification sample count")
-@click.option("--box", type=float, default=5.0)
-@click.option("--tol", type=float, default=1e-6)
+@click.option("--box", type=float, default=5.0, callback=_finite_nonnegative)
+@click.option("--tol", type=float, default=1e-6, callback=_finite_nonnegative)
 def cmd_certify(n, spec_text, vector, vector_file, out, seed, samples, box, tol):
     """Compute a dominance certificate and write it as canonical JSON."""
     try:
@@ -197,8 +205,8 @@ def cmd_certify(n, spec_text, vector, vector_file, out, seed, samples, box, tol)
 @click.argument("cert_path", type=click.Path(exists=True))
 @click.option("--samples", type=click.IntRange(min=0), default=10000)
 @click.option("--seed", type=click.IntRange(0, SEED_MAX), default=None)
-@click.option("--tol", type=float, default=1e-6)
-@click.option("--box", type=float, default=5.0)
+@click.option("--tol", type=float, default=1e-6, callback=_finite_nonnegative)
+@click.option("--box", type=float, default=5.0, callback=_finite_nonnegative)
 def cmd_verify(cert_path, samples, seed, tol, box):
     """Re-verify a certificate file by sampling group elements."""
     try:
@@ -230,7 +238,7 @@ def cmd_verify(cert_path, samples, seed, tol, box):
 @click.option("--points", type=click.IntRange(min=1), default=100)
 @click.option("--tmax", type=click.FloatRange(min=100), default=1000.0)
 @click.option("--seed", type=click.IntRange(0, SEED_MAX), default=0)
-@click.option("--box", type=float, default=1.0,
+@click.option("--box", type=float, default=1.0, callback=_finite_nonnegative,
               help="size of the sampled test points")
 def cmd_busemann_check(n, direction, points, tmax, seed, box):
     """Cross-validate the fundamental-representation Busemann formula

@@ -42,7 +42,7 @@ from . import exactlin
 from .cartan import CartanVector, Cocharacter, SimpleSystem, dominant_order
 from .errors import (CertificateError, DimensionError, StableVectorError,
                      TorusStableError, ZeroVectorError)
-from .reps import (_EPS, RepSpec, Representation, _log_norm, act, active_weights,
+from .reps import (_EPS, RepSpec, Representation, _apply, _log_norm, act, active_weights,
                    build_rep, log_rep_norm, moment_map, parse_rep_spec, scaled_floats,
                    weight_components, weight_part)
 from .symspace import block_orthogonal, exp_sym, haar_from_normal, log_flag_norms
@@ -56,6 +56,16 @@ SEED_MAX = 2**64 - 1
 def _check_seed(seed: int, name: str = "seed", error=ValueError) -> None:
     if not 0 <= seed <= SEED_MAX:
         raise error(f"{name} {seed} is outside [0, 2**64 - 1]")
+
+
+def _check_sampling(samples: int, box: float, tol: float) -> None:
+    """Reject a negative sample count, and a box or tolerance that is
+    negative or not finite."""
+    if samples < 0:
+        raise ValueError(f"samples {samples} is negative")
+    for name, value in (("box", box), ("tol", tol)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} {value} is not a finite number >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +489,8 @@ class CertifyOptions:
     """Settings of certificate construction.  The weight threshold and the
     constant estimator's frame count and safety margin are fixed; the
     certificate records them in ``eps`` and ``xi``.  A seed outside
-    [0, ``SEED_MAX``] raises ValueError."""
+    [0, ``SEED_MAX``], a negative sample count, and a box or tolerance
+    that is negative or not finite raise ValueError."""
 
     seed: int = 0
     samples: int = 1000
@@ -488,6 +499,7 @@ class CertifyOptions:
 
     def __post_init__(self):
         _check_seed(self.seed)
+        _check_sampling(self.samples, self.box, self.tol)
 
 
 @dataclass(frozen=True)
@@ -526,15 +538,15 @@ class DominanceCert:
         c, perm = self.u.coords, self.order.perm
         return tuple(c[perm[j]] - c[perm[j + 1]] for j in range(self.u.n - 1))
 
-    @property
+    @cached_property
     def rate(self) -> float:
         return self.u.norm()
 
-    @property
+    @cached_property
     def direction(self) -> Tuple[float, ...]:
         return self.u.unit().as_floats()
 
-    @property
+    @cached_property
     def kempf(self) -> KempfData:
         """The integer cocharacter of the certifying flat, in frame coordinates."""
         return _kempf(self.u)
@@ -544,7 +556,7 @@ class DominanceCert:
         """The degrees of the positive alphas."""
         return tuple(j + 1 for j, a in enumerate(self.alphas) if a > 0)
 
-    @property
+    @cached_property
     def mode(self) -> str:
         """``exact`` for a rational vector certified at the identity frame."""
         return "exact" if self.frame is None and exactlin.is_exact(self.vector) else "float"
@@ -576,10 +588,21 @@ def _coordinate_blocks(u: CartanVector):
     return [tuple(b) for _, b in groupby(dominant_order(u).perm, key=lambda i: u.coords[i])]
 
 
-# group elements per stacked action in verification and in the constant
-# estimator: enough to amortise the per-call cost, few enough that the
-# tensors of a 144-dimensional representation stay near 1 MB
-_CHUNK = 128
+# Verification and the constant estimator act on chunks of group elements,
+# each as one stack.  Small stacks cost mostly numpy's per-call overhead, so
+# a chunk holds as many elements as keep its widest array at _STACK_FLOATS
+# floats (1 MB): the stacked tensor (S, n^k) of the action, or the (S, W)
+# uniforms of the samples.  The 144-dimensional wedge(2,std)*wedge(2,std)*std
+# (n^k = 4^5) gets _MIN_CHUNK = 128, the least chunk of any representation.
+_STACK_FLOATS = 2 ** 17
+_MIN_CHUNK = 128
+
+
+def _chunk(rep: Representation) -> int:
+    """Group elements per stacked action on ``rep``."""
+    width = max(rep.n ** len(rep.dual), _sample_words(rep.n))
+    return max(_MIN_CHUNK, _STACK_FLOATS // width)
+
 
 # random block frames of the constant estimator, and what it subtracts
 _XI_FRAMES = 1000
@@ -626,10 +649,11 @@ def _estimate_constant(rep: Representation, v, frame: np.ndarray, u: CartanVecto
     blocks of equal coordinates (the frames commuting with the shrink
     direction; Haar frames would never match, and where u is alone on its
     face every such frame repeats the identity's value, see the comments
-    above), drawn as one stack.  Each chunk of ``_CHUNK``
-    frames is acted on in one call and split into weight components in one
-    array pass.  Keeps the frames whose active weights have min-norm point
-    u: none lies below u's face, and u is in the hull of those on it.  Takes
+    above), drawn as one stack.  Each chunk of ``_chunk(rep)`` frames,
+    rotations by construction and so not checked again, is acted on in one
+    call and split into weight components in one array pass.  Keeps the
+    frames whose active weights have min-norm point u: none lies below u's
+    face, and u is in the hull of those on it.  Takes
     the minimum over them of the prefix-hull statistic of their active face
     weights, whose log norms alone are computed, by the scalar
     ``_log_norm``, so xi keeps its bits.
@@ -650,9 +674,10 @@ def _estimate_constant(rep: Representation, v, frame: np.ndarray, u: CartanVecto
         frames = np.concatenate([frames, block_orthogonal(blocks, n, rng, _XI_FRAMES)])
     hulls: dict = {}
     xis = []  # each frame's statistic, None where it is not kept
-    for start in range(0, len(frames), _CHUNK):
+    size = _chunk(rep)
+    for start in range(0, len(frames), size):
         weights, active, sums, exps = weight_components(
-            rep, act(rep, frames[start:start + _CHUNK], w), _EPS, e)
+            rep, _apply(rep, frames[start:start + size], w), _EPS, e)
         below, face = (active & (levels < 0)).any(axis=1), active & (levels == 0)
         xis += [None if low else _xi_prefix(
             [(j, _log_norm(row[j], k)) for j in np.flatnonzero(on).tolist()], weights, u, hulls)
@@ -729,12 +754,18 @@ def verify_dominance(cert: DominanceCert, rep: Optional[Representation] = None,
     must decay at the same linear rate (slope difference <= 1e-3), which is
     what catches inflated coefficients.  Sample i is ``_box_samples`` of
     the W = ``_sample_words(n)`` uniforms of the Philox4x64 stream keyed by
-    ``seed`` from counter i W / 4 on, so each can be replayed alone; a chunk
-    of ``_CHUNK`` samples is one draw from one generator, evaluated as one
-    stack.  ``sampler(i)``, when given, returns sample i instead.
+    ``seed`` from counter i W / 4 on, so each can be replayed alone.  A
+    chunk of ``_chunk(rep)`` samples (thousands on a small representation)
+    is one draw from one generator, evaluated as one stack.  These samples
+    are unimodular by construction, so they are only tested to be finite,
+    which a ``box`` too large fails.  ``sampler(i)``, when given, returns
+    sample i instead; its samples, and the frame and ray elements of the
+    certificate (checked before any sample), must have determinant 1.
     samples == 0 yields an empty, valid report.  A seed outside
-    [0, ``SEED_MAX``] raises ValueError.
+    [0, ``SEED_MAX``], a negative sample count, and a box or tolerance
+    that is negative or not finite raise ValueError.
     """
+    _check_sampling(samples, box, tol)
     if rep is None:
         rep = build_rep(cert.spec, cert.n)
     if v is None:
@@ -753,24 +784,12 @@ def verify_dominance(cert: DominanceCert, rep: Optional[Representation] = None,
     frame = cert.frame if cert.frame is not None else np.eye(cert.n)
     alphas = np.asarray([float(a) for a in cert.alphas])
 
-    def sides(gs):
+    def sides(gs, checked=True):
         # log||rho(g)v|| and sum_j alpha_j log||rho_j(g) w_j|| with
         # w_j = rho_j(frame^T) v_j, for every g of the stack
-        return (log_rep_norm(rep, act(rep, gs, vec), e),
+        w = act(rep, gs, vec) if checked else _apply(rep, gs, vec)
+        return (log_rep_norm(rep, w, e),
                 log_flag_norms(gs @ frame.T, cert.order.perm)[:, :-1] @ alphas)
-
-    width = _sample_words(cert.n)
-    margins = np.empty(samples)
-    for start in range(0, samples, _CHUNK):
-        stop = min(start + _CHUNK, samples)
-        if sampler is None:
-            rng = np.random.Generator(np.random.Philox(key=seed, counter=start * width // 4))
-            gs = _box_samples(rng.random((stop - start, width)), cert.n, box)
-        else:
-            gs = np.stack([np.asarray(sampler(i), dtype=float) for i in range(start, stop)])
-        lhs, rhs = sides(gs)
-        margins[start:stop] = lhs - cert.c - rhs
-    failures = int(np.sum(~(margins >= -tol)))  # NaN margins fail too
 
     # slope agreement along the shrink ray (group parameterization).  Every
     # weight of the certified flat has level <u/|u|, weight> >= rate, so a
@@ -780,14 +799,33 @@ def verify_dominance(cert: DominanceCert, rep: Optional[Representation] = None,
     # capped by the worst such spread.  On an exact certificate nothing was
     # truncated, and the spread is 0 up to rounding.
     uhat = np.asarray(cert.direction)
+    at_frame = vec if cert.frame is None else act(rep, frame, vec)
     spread = cert.rate - min(sum(float(c) * d for c, d in zip(w.coords, uhat))
-                             for w, _ in active_weights(rep, act(rep, frame, vec), 0.0))
+                             for w, _ in active_weights(rep, at_frame, 0.0))
     t2 = 11.5 / max(spread, 0.3) if spread > 1e-9 else 40.0
     t1 = 0.5 * t2
     lhs, rhs = sides(np.stack([np.diag(np.exp(-t * uhat)) @ frame for t in (t1, t2)]))
     lhs_slope = (lhs[1] - lhs[0]) / (t2 - t1)
     rhs_slope = (rhs[1] - rhs[0]) / (t2 - t1)
     slope_diff = abs(lhs_slope - rhs_slope)
+
+    width = _sample_words(cert.n)
+    size = _chunk(rep)
+    margins = np.empty(samples)
+    for start in range(0, samples, size):
+        stop = min(start + size, samples)
+        if sampler is None:
+            rng = np.random.Generator(np.random.Philox(key=seed, counter=start * width // 4))
+            with np.errstate(over="ignore", invalid="ignore"):  # a box too large
+                gs = _box_samples(rng.random((stop - start, width)), cert.n, box)
+            if not np.isfinite(gs).all():
+                raise ValueError(f"box {box} draws group elements that are not finite")
+            lhs, rhs = sides(gs, checked=False)
+        else:
+            lhs, rhs = sides(np.stack([np.asarray(sampler(i), dtype=float)
+                                       for i in range(start, stop)]))
+        margins[start:stop] = lhs - cert.c - rhs
+    failures = int(np.sum(~(margins >= -tol)))  # NaN margins fail too
 
     return VerifyReport(samples=samples, failures=failures,
                         margin_min=float(np.min(margins)),
@@ -805,7 +843,7 @@ def _frac_from_json(d) -> Fraction:
     if type(d) is dict and len(d) == 2:
         num, den = d.get("num"), d.get("den")
         if type(num) is int and type(den) is int and den:
-            return Fraction(num, den)
+            return Fraction(num) if den == 1 else Fraction(num, den)
     raise CertificateError(f"malformed rational {d!r}")
 
 

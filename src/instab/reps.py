@@ -493,7 +493,7 @@ def _vector_in(rep: Representation, v):
     coords = v if numeric else list(v)
     if len(coords) != rep.dim:
         raise DimensionError(f"vector length {len(coords)} != rep dim {rep.dim}")
-    if exactlin.is_exact(coords):
+    if not numeric and exactlin.is_exact(coords):  # numpy scalars are never exact
         return tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coords), True
     # a numeric ndarray converts in one call; float() rejects the other entries
     # that np.asarray would read as NaN, such as None
@@ -542,14 +542,17 @@ def pow2_scaled(vec: np.ndarray):
 def scaled_floats(rep: Representation, v):
     """``(x, e)`` with x = ``pow2_scaled(v)`` and v = x * 2^e; a rational
     v is divided by a power of two near max|v_i| before rounding, so no
-    scale of it over- or underflows, and v = x * 2^e up to that rounding."""
+    scale of it over- or underflows, and v = x * 2^e up to that rounding.
+    Each nonzero p/q becomes one correctly rounded integer division, as
+    ``float(Fraction)`` does, with the power of two shifted into p or q."""
     vec, exact = _vector_in(rep, v)
     shift = 0
     if exact:
         top = max((abs(x) for x in vec if x), default=Fraction(0))  # abs makes a Fraction
         shift = top.numerator.bit_length() - top.denominator.bit_length()
-        scale = Fraction(2) ** -shift
-        vec = np.asarray([float(x * scale) if x else 0.0 for x in vec])
+        up, down = max(-shift, 0), max(shift, 0)
+        vec = np.asarray([(x.numerator << up) / (x.denominator << down) if x else 0.0
+                          for x in vec])
     scaled, e = pow2_scaled(vec)
     return scaled, e + shift
 

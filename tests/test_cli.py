@@ -453,6 +453,37 @@ def test_option_out_of_range_is_a_usage_error(runner, tmp_path, command, option,
     assert not (tmp_path / "other.json").exists()
 
 
+@pytest.mark.parametrize("command, option, value", [
+    ("certify", "--box", "nan"), ("certify", "--tol", "-1e-6"), ("verify", "--box", "nan"),
+    ("verify", "--box", "-1"), ("verify", "--tol", "nan"), ("verify", "--tol", "inf"),
+    ("busemann-check", "--box", "nan")])
+def test_a_bad_box_or_tolerance_is_a_usage_error(runner, tmp_path, command, option, value):
+    out = str(tmp_path / "cert.json")
+    vector = ["--n", "2", "--spec", "std", "--vector", "1,0"]
+    assert runner.invoke(main, ["certify", *vector, "--out", out, "--samples", "0"]).exit_code == 0
+    args = {"certify": [*vector, "--out", str(tmp_path / "other.json")], "verify": [out],
+            "busemann-check": ["--n", "3", "--direction", "1,0,-1"]}[command]
+    res = runner.invoke(main, [command, *args, option, value])
+    assert res.exit_code == 2, res.output
+    assert f"Invalid value for '{option}'" in res.output
+    assert not (tmp_path / "other.json").exists()
+
+
+def test_verify_rejects_a_frame_without_det_1(runner, tmp_path):
+    out = str(tmp_path / "cert.json")
+    assert runner.invoke(main, ["certify", "--n", "2", "--spec", "std", "--vector", "1.0,1.0",
+                                "--out", out, "--samples", "0"]).exit_code == 0
+    data = json.loads(open(out).read())
+    assert data["mode"] == "float"
+    assert runner.invoke(main, ["verify", out, "--samples", "50"]).exit_code == 0
+    data["frame"][0] = [-x for x in data["frame"][0]]
+    with open(out, "w") as fh:
+        json.dump(data, fh)
+    res = runner.invoke(main, ["verify", out, "--samples", "50"])
+    assert res.exit_code == 5, res.output
+    assert "determinant 1" in res.output
+
+
 def test_stable_input_and_usage_error_exit_with_different_codes(runner, tmp_path):
     # x^2 + 1e-6 y^2 is definite, hence stable
     args = ["certify", "--n", "2", "--spec", "sym(2,std)", "--vector", "1,0,1/1000000",

@@ -888,6 +888,71 @@ def test_verify_rejects_non_finite_sampled_elements():
                          sampler=lambda _r: np.array([[math.nan, 0.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("setting, message", [
+    (dict(samples=-1), "samples -1 is negative"),
+    (dict(box=-1.0), "box -1.0 is not"), (dict(box=math.nan), "box nan is not"),
+    (dict(box=math.inf), "box inf is not"), (dict(tol=-1e-6), "tol -1e-06 is not"),
+    (dict(tol=math.nan), "tol nan is not"), (dict(tol=math.inf), "tol inf is not")])
+def test_bad_verification_settings_are_rejected(setting, message):
+    cert = dominance_certificate(std(2), [1, 0], fast_opts(samples=0))
+    with pytest.raises(ValueError, match=message):
+        verify_dominance(cert, std(2), [1, 0], **setting)
+    with pytest.raises(ValueError, match=message):
+        CertifyOptions(**setting)
+
+
+def test_a_box_too_large_for_floats_is_named():
+    cert = dominance_certificate(std(2), [1, 0], fast_opts(samples=0))
+    with pytest.raises(ValueError, match="box 1000000.0 draws group elements that are not finite"):
+        verify_dominance(cert, std(2), [1, 0], samples=5, box=1e6)
+
+
+def _record_unimodular_checks(monkeypatch):
+    from instab import reps
+    shapes = []
+    check = reps.check_unimodular_float
+
+    def recorded(mat):
+        shapes.append(mat.shape)
+        return check(mat)
+    monkeypatch.setattr(reps, "check_unimodular_float", recorded)
+    return shapes
+
+
+def test_verify_checks_the_ray_but_not_its_own_samples(monkeypatch):
+    rep = build_rep(parse_rep_spec("std*wedge(2,std)"), 3)
+    cert = dominance_certificate(rep, [1] + [0] * 8, fast_opts(samples=0))
+    assert cert.frame is None
+    shapes = _record_unimodular_checks(monkeypatch)
+    assert verify_dominance(cert, rep, samples=300).ok
+    assert shapes == [(2, 3, 3)]  # the two ray elements, one stack
+    shapes.clear()
+    rng = np.random.default_rng(1)
+    gs = [cartan_box_sample(rng, 3, 5.0) for _ in range(300)]
+    assert verify_dominance(cert, rep, samples=300, sampler=gs.__getitem__).ok
+    assert shapes == [(2, 3, 3), (300, 3, 3)]  # and every element a sampler gives
+
+
+def test_verify_checks_the_frame_of_a_certificate(monkeypatch):
+    rep = std(2)
+    cert = dominance_certificate(rep, [1.0, 1.0], fast_opts(samples=0))
+    assert cert.mode == "float" and cert.frame is not None
+    shapes = _record_unimodular_checks(monkeypatch)
+    assert verify_dominance(cert, rep, samples=300).ok
+    assert shapes == [(2, 2), (2, 2, 2)]  # the frame, then the ray elements
+    data = cert_to_dict(cert)
+    data["frame"][0] = [-x for x in data["frame"][0]]  # det -1
+    with pytest.raises(ValueError, match="determinant 1"):
+        verify_dominance(cert_from_dict(data), samples=300)
+
+
+def test_verify_rejects_sampled_elements_without_det_1():
+    cert = dominance_certificate(std(2), [1, 0], fast_opts(samples=0))
+    with pytest.raises(ValueError, match="determinant 1"):
+        verify_dominance(cert, std(2), [1, 0], samples=5,
+                         sampler=lambda _r: np.diag([2.0, 1.0]))
+
+
 def test_float_certificate_with_nothing_truncated_passes_the_ray_check():
     # x^3 + 0.5 x^2 y: its identity flat keeps both components, so nothing
     # re-emerges along the ray and the window is the full t2 = 40; a
@@ -931,12 +996,19 @@ def _replay_margin(cert, rep, v, seed, i, box=5.0):
     return verify_dominance(cert, rep, v, samples=1, sampler=lambda _i: g).margin_min
 
 
+@pytest.fixture
+def least_chunks(monkeypatch):
+    """Chunks of ``_MIN_CHUNK`` group elements on every representation, so
+    that a few hundred samples cross a chunk boundary."""
+    monkeypatch.setattr(instability, "_STACK_FLOATS", 1)
+
+
 # margins that vary with g, so a sample drawn from another key shows
 @pytest.mark.parametrize("v", [[1, 1, 0, 0], [1.0, 0.5, 0.0, 0.0]])
-def test_verify_samples_replay_alone_across_chunks(v):
+def test_verify_samples_replay_alone_across_chunks(v, least_chunks):
     rep = build_rep(parse_rep_spec("sym(3,std)"), 2)
     cert = dominance_certificate(rep, v, fast_opts(samples=0))
-    samples, seed = instability._CHUNK + 7, 4
+    samples, seed = instability._chunk(rep) + 7, 4
     report = verify_dominance(cert, rep, v, samples=samples, seed=seed)
     alone = [_replay_margin(cert, rep, v, seed, i) for i in range(samples)]
     assert np.std(alone[-7:]) > 0.1
@@ -945,7 +1017,7 @@ def test_verify_samples_replay_alone_across_chunks(v):
     assert report.failures == 0
 
 
-def test_chunk_rows_are_the_samples_drawn_alone(monkeypatch):
+def test_chunk_rows_are_the_samples_drawn_alone(monkeypatch, least_chunks):
     n, seed = 3, 9
     chunks = []
     box_samples = instability._box_samples
@@ -956,11 +1028,12 @@ def test_chunk_rows_are_the_samples_drawn_alone(monkeypatch):
     monkeypatch.setattr(instability, "_box_samples", recorded)
     rep = build_rep(parse_rep_spec("std*wedge(2,std)"), n)
     cert = dominance_certificate(rep, [1] + [0] * 8, fast_opts(samples=0))
-    verify_dominance(cert, rep, samples=instability._CHUNK + 7, seed=seed)
+    size = instability._chunk(rep)
+    verify_dominance(cert, rep, samples=size + 7, seed=seed)
     monkeypatch.undo()
-    assert [len(c) for c in chunks] == [instability._CHUNK, 7]
+    assert [len(c) for c in chunks] == [size, 7]
     assert np.array_equal(chunks[0][37], _replay_sample(n, seed, 37))
-    assert np.array_equal(chunks[1][3], _replay_sample(n, seed, instability._CHUNK + 3))
+    assert np.array_equal(chunks[1][3], _replay_sample(n, seed, size + 3))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -984,9 +1057,7 @@ def test_box_samples_are_traceless_with_haar_k(n):
     assert np.all(np.abs(sq.mean(axis=0) - 1 / n) < 5 * sq.std(axis=0) / math.sqrt(size))
 
 
-def test_verify_builds_one_generator_per_chunk(monkeypatch):
-    rep = build_rep(parse_rep_spec("std*wedge(2,std)"), 3)
-    cert = dominance_certificate(rep, [1] + [0] * 8, fast_opts(samples=0))
+def _count_philox(monkeypatch):
     built = []
     philox = np.random.Philox
 
@@ -994,17 +1065,39 @@ def test_verify_builds_one_generator_per_chunk(monkeypatch):
         built.append(1)
         return philox(*args, **kwargs)
     monkeypatch.setattr(np.random, "Philox", counted)
+    return built
+
+
+def test_verify_builds_one_generator_per_chunk(monkeypatch, least_chunks):
+    rep = build_rep(parse_rep_spec("std*wedge(2,std)"), 3)
+    cert = dominance_certificate(rep, [1] + [0] * 8, fast_opts(samples=0))
+    built = _count_philox(monkeypatch)
     assert verify_dominance(cert, rep, samples=2000).ok
-    assert 0 < len(built) <= math.ceil(2000 / instability._CHUNK)
+    assert 0 < len(built) <= math.ceil(2000 / instability._chunk(rep))
 
 
-def test_verify_counts_nan_margins_across_chunks():
+def test_a_certificate_check_at_n_3_is_one_draw(monkeypatch):
+    rep = build_rep(parse_rep_spec("std*wedge(2,std)"), 3)
+    cert = dominance_certificate(rep, [1] + [0] * 8, fast_opts(samples=0))
+    built = _count_philox(monkeypatch)
+    assert verify_dominance(cert, rep, samples=300).ok
+    assert len(built) == 1
+
+
+def test_the_144_dimensional_rep_keeps_chunks_of_128():
+    rep = build_rep(parse_rep_spec("wedge(2,std)*wedge(2,std)*std"), 4)
+    assert rep.dim == 144
+    # its stacked tensors (S, 4^5) hold 2^17 floats, 1 MB
+    assert instability._chunk(rep) == 128 == instability._STACK_FLOATS // 4 ** 5
+
+
+def test_verify_counts_nan_margins_across_chunks(least_chunks):
     cert = replace(dominance_certificate(std(2), [1, 0], fast_opts(samples=0)), c=math.nan)
-    samples = instability._CHUNK + 7
+    samples = instability._chunk(std(2)) + 7
     assert verify_dominance(cert, std(2), [1, 0], samples=samples).failures == samples
 
 
-def test_verify_acts_on_stacks_not_per_sample(monkeypatch):
+def test_verify_acts_on_stacks_not_per_sample(monkeypatch, least_chunks):
     from instab import reps
     rep = build_rep(parse_rep_spec("std*wedge(2,std)"), 3)
     cert = dominance_certificate(rep, [1] + [0] * 8, fast_opts(samples=0))
@@ -1014,11 +1107,13 @@ def test_verify_acts_on_stacks_not_per_sample(monkeypatch):
     def counted(*args, **kwargs):
         calls.append(1)
         return apply(*args, **kwargs)
+    # verification calls _apply itself on its own samples, and act on the ray
     monkeypatch.setattr(reps, "_apply", counted)
+    monkeypatch.setattr(instability, "_apply", counted)
     report = verify_dominance(cert, rep, samples=2000)
     assert report.ok
-    assert instability._CHUNK >= 64  # a chunk of a few samples is the loop again
-    assert 0 < len(calls) <= math.ceil(2000 / instability._CHUNK) + 2
+    assert instability._chunk(rep) >= 64  # a chunk of a few samples is the loop again
+    assert 0 < len(calls) <= math.ceil(2000 / instability._chunk(rep)) + 2
 
 
 def test_verify_zero_samples_is_valid():

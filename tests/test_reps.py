@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from instab import (Cocharacter, ParseError, ZeroVectorError, act,
                     active_weights, build_rep, fundamental_weights,
@@ -557,6 +558,24 @@ def test_scaled_floats_of_a_zero_heavy_rational_vector(entries):
     rep = build_rep(parse_rep_spec("wedge(2,std)*wedge(2,std)*std"), 4)
     v = [entries.get(i, F(0)) for i in range(rep.dim)]
     top = max(map(abs, v))
+    shift = top.numerator.bit_length() - top.denominator.bit_length()
+    x, e = pow2_scaled(np.asarray([float(c * F(2) ** -shift) for c in v]))
+    got_x, got_e = scaled_floats(rep, v)
+    np.testing.assert_array_equal(got_x, x)
+    assert got_e == e + shift
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.fractions(max_denominator=2**70).map(lambda x: x * F(3) ** 200), min_size=3,
+                max_size=3), st.integers(-1200, 1200))
+def test_scaled_floats_divide_once_as_float_of_a_fraction_does(entries, e2):
+    # one integer division p 2^a / (q 2^b) rounds the same value as
+    # float(Fraction(p, q) * 2^(a - b)), and so gives the same bits
+    rep = build_rep(Standard(), 3)
+    v = [x * F(2) ** e2 for x in entries]
+    top = max(map(abs, v))
+    if not top:
+        return
     shift = top.numerator.bit_length() - top.denominator.bit_length()
     x, e = pow2_scaled(np.asarray([float(c * F(2) ** -shift) for c in v]))
     got_x, got_e = scaled_floats(rep, v)
