@@ -17,7 +17,8 @@ Exit codes: classify 0 = certified unstable, 3 = numerically unstable,
 is not ok, 6 = stable input; verify 0 = all checks pass, 1 = margin/slope
 failures, 5 = malformed certificate; parse and dimension errors and
 non-finite vector entries exit 1, and usage errors (an option out of its
-range, such as a negative or non-finite --box or --tol) exit 2.
+range, such as a negative or non-finite --box or --tol, or a verify --box
+whose samples overflow; certify exits 1 there, as on a parse error) exit 2.
 """
 
 from __future__ import annotations
@@ -218,9 +219,11 @@ def cmd_verify(cert_path, samples, seed, tol, box):
     try:
         report = verify_dominance(cert, samples=samples, seed=seed,
                                   tol=tol, box=box)
-    except (CertificateError, InstabError, ValueError) as exc:
+    except InstabError as exc:  # CertificateError among them
         click.echo(f"malformed certificate: {exc}", err=True)
         sys.exit(5)
+    except ValueError as exc:  # the options, such as a box whose samples overflow
+        raise click.UsageError(str(exc)) from exc
     payload = {
         "samples": report.samples, "failures": report.failures,
         "margin_min": report.margin_min, "margin_mean": report.margin_mean,

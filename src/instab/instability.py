@@ -184,13 +184,14 @@ class FlatShrinkData:
     """Exact decay data of the restriction of log||rho(.)v|| to one flat.
 
     The flat is pi(exp(diag(.)) k) for the orthogonal ``frame`` k.  On it
-    the log norm is, up to a bounded error, max over active weights of
-    <weight, b> + r_weight; ``active`` holds those (weight, r_weight)
-    pairs, and ``u`` is the exact min-norm point of the active weights.
+    the log norm is, up to a bounded error, the max over the active
+    weights of <weight, b>.  ``active`` holds those weights, the support of
+    rho(k)v (``active_weights``: exact for a rational vector at the
+    identity frame), and ``u`` is their exact min-norm point.
     """
 
     frame: np.ndarray
-    active: Tuple[Tuple[CartanVector, float], ...]
+    active: Tuple[CartanVector, ...]
     u: CartanVector
 
     @cached_property
@@ -219,11 +220,10 @@ def flat_shrink_data(rep: Representation, v, frame: Optional[np.ndarray] = None,
     else:
         frame_arr = np.asarray(frame, dtype=float)
         w = act(rep, frame_arr, v)
-    comps = active_weights(rep, w, eps)
-    if not comps:
+    active = tuple(active_weights(rep, w, eps))
+    if not active:
         raise ZeroVectorError("vector vanishes after applying the frame")
-    u = min_norm_point([wt for wt, _ in comps]).point
-    return FlatShrinkData(frame=frame_arr, active=tuple(comps), u=u)
+    return FlatShrinkData(frame=frame_arr, active=active, u=min_norm_point(active).point)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +326,7 @@ def fastest_shrinking_geodesic(rep: Representation, v,
     # face, ||mu(v_F)|| = ||u||, proves the flat optimal (Ness 1984).
     if not flat.bounded_below:
         face = {w for (w, _), level in zip(rep.weight_groups, rep.levels(flat.u)) if not level}
-        face = face.intersection(w for w, _ in flat.active)
+        face = face.intersection(flat.active)
         if np.linalg.norm(moment_map(rep, weight_part(rep, v, face))) <= flat.rate + _GAP:
             return ShrinkGeodesicResult(upper=flat.rate, flat=flat, identity=True,
                                         frames_tried=1)
@@ -760,10 +760,11 @@ def verify_dominance(cert: DominanceCert, rep: Optional[Representation] = None,
     are unimodular by construction, so they are only tested to be finite,
     which a ``box`` too large fails.  ``sampler(i)``, when given, returns
     sample i instead; its samples, and the frame and ray elements of the
-    certificate (checked before any sample), must have determinant 1.
-    samples == 0 yields an empty, valid report.  A seed outside
-    [0, ``SEED_MAX``], a negative sample count, and a box or tolerance
-    that is negative or not finite raise ValueError.
+    certificate (checked before any sample), must have determinant 1; a
+    frame that fails raises CertificateError.  samples == 0 yields an
+    empty, valid report.  A seed outside [0, ``SEED_MAX``], a negative
+    sample count, and a box or tolerance that is negative or not finite
+    raise ValueError, and so does a box whose samples overflow.
     """
     _check_sampling(samples, box, tol)
     if rep is None:
@@ -799,9 +800,12 @@ def verify_dominance(cert: DominanceCert, rep: Optional[Representation] = None,
     # capped by the worst such spread.  On an exact certificate nothing was
     # truncated, and the spread is 0 up to rounding.
     uhat = np.asarray(cert.direction)
-    at_frame = vec if cert.frame is None else act(rep, frame, vec)
+    try:
+        at_frame = vec if cert.frame is None else act(rep, frame, vec)
+    except ValueError as exc:
+        raise CertificateError(f"frame: {exc}") from exc
     spread = cert.rate - min(sum(float(c) * d for c, d in zip(w.coords, uhat))
-                             for w, _ in active_weights(rep, at_frame, 0.0))
+                             for w in active_weights(rep, at_frame, 0.0))
     t2 = 11.5 / max(spread, 0.3) if spread > 1e-9 else 40.0
     t1 = 0.5 * t2
     lhs, rhs = sides(np.stack([np.diag(np.exp(-t * uhat)) @ frame for t in (t1, t2)]))

@@ -24,7 +24,8 @@ leading mode in one batched GEMM and move it to the end, k times, which
 restores the mode order; read each coordinate back from one word of its
 basis vector (distinct basis vectors have disjoint word supports).  Entries
 may be floats or exact ``Fraction``s; the exact path is used whenever both
-the group element and the vector are rational.
+the group element and the vector are rational.  Norms are floats, of a
+rational vector rounded once; its support by weight is read exactly.
 """
 
 from __future__ import annotations
@@ -557,9 +558,23 @@ def scaled_floats(rep: Representation, v):
     return scaled, e + shift
 
 
-def _log_ldexp(x: float, e: int) -> float:
-    """log(x * 2^e) for x > 0; the log of the product itself while that is
-    a normal float."""
+def _weighted_squares(rep: Representation, v, exp2: int = 0):
+    """Floats ``(q, e)``, q_i = gram_i x_i^2 with v * 2^exp2 = x * 2^e:
+    x is ``scaled_floats(v)``, which rounds a rational v once, or
+    ``pow2_scaled`` of each row of a 2-D float ndarray, each with its e."""
+    if isinstance(v, np.ndarray) and v.ndim == 2:
+        scaled, e = pow2_scaled(v.astype(float, copy=False))
+    else:
+        scaled, e = scaled_floats(rep, v)
+    return rep.gram_f * scaled ** 2, e + exp2
+
+
+def _log_norm(s: float, e: int) -> float:
+    """log(sqrt(s) * 2^e) of a sum of weighted squares, -inf for zero; the
+    log of that product itself while it is a normal float."""
+    if not s:
+        return NEG_INF
+    x = math.sqrt(s)
     try:
         y = math.ldexp(x, e)
     except OverflowError:
@@ -569,37 +584,11 @@ def _log_ldexp(x: float, e: int) -> float:
     return math.log(x) + e * math.log(2.0)
 
 
-def _weighted_squares(rep: Representation, v, exp2: int = 0):
-    """``(q, e)`` with q_i = gram_i x_i^2 / 4^e: exact ``Fraction``s of
-    x = v and e = 0 for rational vectors, else floats of ``pow2_scaled(v)``
-    with x = v * 2^exp2 (the floats of ``scaled_floats``).  The rows of a
-    2-D float ndarray are taken as vectors, each with its own e."""
-    if isinstance(v, np.ndarray) and v.ndim == 2:
-        vec, exact = v.astype(float, copy=False), False
-    else:
-        vec, exact = _vector_in(rep, v)
-    if exact:
-        return np.array([g * c * c for g, c in zip(rep.gram, vec)], dtype=object), 0
-    scaled, e = pow2_scaled(vec)
-    return rep.gram_f * scaled ** 2, e + exp2
-
-
-def _log_norm(s, e: int) -> float:
-    """log(sqrt(s) * 2^e) of a sum of weighted squares, -inf for zero."""
-    if not s:
-        return NEG_INF
-    if isinstance(s, Fraction):  # safe for huge numerators and denominators
-        return 0.5 * (math.log(s.numerator) - math.log(s.denominator))
-    return _log_ldexp(math.sqrt(s), e)
-
-
 def rep_norm(rep: Representation, v) -> float:
     """SO(n)-invariant norm of ``v`` (weight spaces orthogonal); inf beyond
     the float range, where ``log_rep_norm`` stays finite."""
     q, e = _weighted_squares(rep, v)
     try:
-        if q.dtype == object:
-            return math.exp(_log_norm(q.sum(), e))
         return math.ldexp(math.sqrt(q.sum()), e)
     except OverflowError:
         return math.inf
@@ -632,12 +621,11 @@ def weight_components(rep: Representation, v, eps: float = _EPS, exp2: int = 0):
 
     Returns ``(weights, active, sums, e)``: the G weights of the basis,
     sorted by weight coordinates; the (S, G) mask of the components above
-    ``eps * ||v||`` (exact nonzero test for rational vectors); their sums
-    of weighted squares; and the S exponents of the rows, so that
-    ``_log_norm(sums[i, j], e[i])`` is the log norm of an active entry.
-    Float norms are taken on ``v`` scaled by a power of two, so no scale
-    underflows or overflows; ``exp2`` lets a caller pass the floats of
-    ``scaled_floats`` for a vector beyond the float range.
+    ``eps * ||v||``; their float sums of weighted squares; and the S
+    exponents of the rows, so that ``_log_norm(sums[i, j], e[i])`` is the
+    log norm of an active entry.  A rational ``v`` is rounded once, by
+    ``scaled_floats`` (its exact support is ``active_weights``); ``exp2``
+    lets a caller pass those floats for a vector beyond the float range.
     """
     q, e = _weighted_squares(rep, v, exp2)
     q = q.reshape(-1, q.shape[-1])
@@ -645,14 +633,11 @@ def weight_components(rep: Representation, v, eps: float = _EPS, exp2: int = 0):
     if not total.all():
         raise ZeroVectorError("zero vector has no weight components")
     groups = rep.weight_groups
-    sums = np.empty((len(q), len(groups)), dtype=q.dtype)
+    sums = np.empty((len(q), len(groups)))
     for cols, idx in rep.weight_blocks:
         # take gives C-ordered groups, each summed like a vector of its own
         sums[:, cols] = q.take(idx, axis=1).sum(axis=2)
-    if q.dtype == object:  # the exact nonzero test
-        active = sums.astype(bool)
-    else:
-        active = np.sqrt(sums) > eps * np.sqrt(total)[:, None]
+    active = np.sqrt(sums) > eps * np.sqrt(total)[:, None]
     return tuple(w for w, _ in groups), active, sums, np.reshape(e, -1)
 
 
@@ -690,12 +675,18 @@ def moment_map(rep: Representation, w) -> np.ndarray:
     return mu - np.trace(mu) / n * np.eye(n)
 
 
-def active_weights(rep: Representation, v, eps: float = _EPS):
-    """The weights whose component of the vector ``v`` is above ``eps *
-    ||v||`` (nonzero, for rational v), with log norms."""
-    weights, active, sums, e = weight_components(rep, v, eps)
-    return [(w, _log_norm(s, int(e[0])))
-            for w, s, a in zip(weights, sums[0].tolist(), active[0].tolist()) if a]
+def active_weights(rep: Representation, v, eps: float = _EPS) -> list:
+    """The weights of the support of ``v``, in ``weight_groups`` order:
+    exactly those of its nonzero coordinates for a rational ``v``, and for
+    floats those whose component is above ``eps * ||v||``."""
+    vec, exact = _vector_in(rep, v)
+    if not exact:
+        weights, active, _, _ = weight_components(rep, vec, eps)
+        return [w for w, a in zip(weights, active[0].tolist()) if a]
+    nonzero = np.array([x != 0 for x in vec])
+    if not nonzero.any():
+        raise ZeroVectorError("zero vector has no weight components")
+    return [w for w, idx in rep.weight_groups if nonzero[idx].any()]
 
 
 def highest_weight_vector(n: int, j: int, order: SimpleSystem | None = None):
@@ -729,7 +720,4 @@ def m_value(rep: Representation, v, tau: Cocharacter) -> int:
         raise DimensionError("cocharacter dimension mismatch")
     if all(e == 0 for e in tau.exps):
         raise ZeroVectorError("zero cocharacter")
-    act_w = active_weights(rep, v)
-    if not act_w:
-        raise ZeroVectorError("zero vector")
-    return min(w.pair_int(tau) for w, _ in act_w)
+    return min(w.pair_int(tau) for w in active_weights(rep, v))

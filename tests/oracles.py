@@ -5,6 +5,7 @@ programming via scipy, explicit tensor-power embeddings for norms and
 actions, and exact power-of-two scaling for valuations.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -170,6 +171,19 @@ def primitive_cocharacters(n, bound):
         if g == 1:
             out.append(exps)
     return out
+
+
+def exact_log_norm(rep, v):
+    """log||v|| of a rational vector from its exact squared norm
+    p/q = sum_i gram_i c_i^2: 1/2 (log p - log q), finite at any scale;
+    -inf for zero.  It is evaluated as 1/2 (log m + k log 2) with
+    p/q = m 2^k, m in [1/2, 2]: math.log(p) - math.log(q) of two huge
+    integers cancels, losing up to 1e-13 where p/q is moderate."""
+    s = sum(g * Fraction(c) ** 2 for g, c in zip(rep.gram, v))
+    if not s:
+        return -math.inf
+    k = s.numerator.bit_length() - s.denominator.bit_length()
+    return 0.5 * (math.log(s / Fraction(2) ** k) + k * math.log(2))
 
 
 def fundamental_log_norms(m, order):

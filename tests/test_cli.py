@@ -484,6 +484,20 @@ def test_verify_rejects_a_frame_without_det_1(runner, tmp_path):
     assert "determinant 1" in res.output
 
 
+@pytest.mark.parametrize("command, code", [("verify", 2), ("certify", 1)])
+def test_a_box_whose_samples_overflow(runner, tmp_path, command, code):
+    # verify: a usage error, not a malformed file; certify: an input error,
+    # since a plain ValueError there can also be a parse error
+    out = str(tmp_path / "cert.json")
+    vector = ["--n", "2", "--spec", "std", "--vector", "1,0"]
+    assert runner.invoke(main, ["certify", *vector, "--out", out, "--samples", "0"]).exit_code == 0
+    args = {"verify": [out], "certify": [*vector, "--out", str(tmp_path / "other.json")]}[command]
+    res = runner.invoke(main, [command, *args, "--box", "1e6", "--samples", "10"])
+    assert res.exit_code == code, res.output
+    assert "box 1000000.0 draws group elements that are not finite" in res.output
+    assert "malformed" not in res.output
+
+
 def test_stable_input_and_usage_error_exit_with_different_codes(runner, tmp_path):
     # x^2 + 1e-6 y^2 is definite, hence stable
     args = ["certify", "--n", "2", "--spec", "sym(2,std)", "--vector", "1,0,1/1000000",

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from instab import (CertifyOptions, NonFiniteError, StableVectorError,
-                    TorusStableError, ZeroVectorError, act, build_rep,
+                    TorusStableError, ZeroVectorError, act, active_weights, build_rep,
                     cartan_box_sample, cert_from_dict, cert_to_dict,
                     dominance_certificate, dumps_cert,
                     fastest_shrinking_geodesic, flat_shrink_data, is_unstable,
@@ -104,9 +104,11 @@ def test_flat_data_lower_bound_constant():
     rep = std(3)
     v = [1.0, 2.0, 0.5]
     fd = flat_shrink_data(rep, v)
-    mnp = min_norm_point([w for w, _ in fd.active])
+    mnp = min_norm_point(fd.active)
     assert mnp.point == fd.u
-    const = sum(float(c) * r for c, (_, r) in zip(mnp.coeffs, fd.active))
+    weights, _, sums, e = weight_components(rep, v)
+    r = dict(zip(weights, (_log_norm(s, int(e[0])) for s in sums[0].tolist())))
+    const = sum(float(c) * r[w] for c, w in zip(mnp.coeffs, fd.active))
     rng = np.random.default_rng(0)
     u = np.asarray(fd.u.as_floats())
     for _ in range(1000):
@@ -539,10 +541,32 @@ def test_balanced_identity_face_takes_no_step(monkeypatch, text, n, v):
     assert steps == []
 
 
+def test_a_rational_support_is_exact_at_any_scale():
+    # 2^-1100 rounds to 0.0 beside 1, yet its weight is in the support and
+    # in u: the midpoint of the two weights
+    rep = std(3)
+    v = [F(1), F(1, 2 ** 1100), F(0)]
+    assert scaled_floats(rep, v)[0].tolist() == [0.5, 0.0, 0.0]
+    assert set(active_weights(rep, v)) == set(rep.weights[:2])
+    assert flat_shrink_data(rep, v).u == CartanVector((F(1, 6), F(1, 6), F(-1, 3)))
+
+
+def test_the_exact_identity_flat_takes_no_float_norm(monkeypatch):
+    from instab import reps
+    rep = build_rep(parse_rep_spec(LARGE_REPS[1][0]), LARGE_REPS[1][1])
+    assert rep.dim == 144
+    v = [F(3, 7)] + [F(0)] * (rep.dim - 1)
+    calls = _count_calls(monkeypatch, reps, "_weighted_squares")
+    assert flat_shrink_data(rep, v).u == rep.weights[0]
+    assert calls == []
+    flat_shrink_data(rep, [float(x) for x in v])  # floats take their components
+    assert calls == ["_weighted_squares"]
+
+
 def _face_moment_norm(rep, v):
     """||mu(v_F)|| for the identity flat, v_F found from rep.weights alone."""
     fd = flat_shrink_data(rep, v)
-    face = {w for w, _ in fd.active if oracles.trace_form(w, fd.u) == fd.u.norm_sq()}
+    face = {w for w in fd.active if oracles.trace_form(w, fd.u) == fd.u.norm_sq()}
     v_face = [float(x) if w in face else 0.0 for x, w in zip(v, rep.weights)]
     return fd, float(np.linalg.norm(moment_map(rep, v_face)))
 

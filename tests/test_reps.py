@@ -424,17 +424,27 @@ def test_sym_norm_value():
     assert rep_norm(rep, [1, 1, 1]) == pytest.approx(2.0)
 
 
+def _component_log_norms(rep, v):
+    """(weight, log norm) of each active weight component of ``v``."""
+    weights, active, sums, e = weight_components(rep, v)
+    return [(w, _log_norm(s, int(e[0])))
+            for w, s, a in zip(weights, sums[0].tolist(), active[0].tolist()) if a]
+
+
 def test_weight_components_unit_vector():
     rep = build_rep(Standard(), 2)
     active = active_weights(rep, [1.0, 0.0])
     assert len(active) == 1
-    assert active[0][0].coords == (F(1, 2), F(-1, 2))
-    assert active[0][1] == pytest.approx(0.0, abs=1e-14)
+    assert active[0].coords == (F(1, 2), F(-1, 2))
+    (w, r), = _component_log_norms(rep, [1.0, 0.0])
+    assert w == active[0]
+    assert r == pytest.approx(0.0, abs=1e-14)
 
 
 def test_weight_components_two_units():
     rep = build_rep(Standard(), 2)
-    comps = active_weights(rep, [1.0, 1.0])
+    assert len(active_weights(rep, [1.0, 1.0])) == 2
+    comps = _component_log_norms(rep, [1.0, 1.0])
     assert len(comps) == 2
     assert all(r == pytest.approx(0.0, abs=1e-14) for _, r in comps)
 
@@ -444,9 +454,8 @@ def test_weight_components_gram_weighted():
     rep = build_rep(Sym(2, Standard()), 2)
     vec = oracles.sym_monomial_embedding((0, 1), 2)
     expected = 0.5 * math.log(float(vec @ vec))
-    comps = active_weights(rep, [0, 1, 0])
-    assert len(comps) == 1
-    assert comps[0][1] == pytest.approx(expected)
+    assert len(active_weights(rep, [0, 1, 0])) == 1
+    assert log_rep_norm(rep, [0, 1, 0]) == pytest.approx(expected)
     assert expected == pytest.approx(0.5 * math.log(2.0))
 
 
@@ -523,7 +532,8 @@ def test_weight_components_of_a_stack_with_a_zero_row_raise():
 
 def test_log_norms_beyond_the_float_range():
     # a subnormal entry, and a norm larger than the largest float
-    (_, r), = active_weights(build_rep(Standard(), 3), [1e-310, 0.0, 0.0])
+    assert len(active_weights(build_rep(Standard(), 3), [1e-310, 0.0, 0.0])) == 1
+    (_, r), = _component_log_norms(build_rep(Standard(), 3), [1e-310, 0.0, 0.0])
     assert r == pytest.approx(math.log(1e-310), rel=1e-12)
     rep = build_rep(Sym(2, Standard()), 2)
     assert log_rep_norm(rep, [0.0, 1.5e308, 0.0]) == \
@@ -583,11 +593,33 @@ def test_scaled_floats_divide_once_as_float_of_a_fraction_does(entries, e2):
     assert got_e == e + shift
 
 
+# a small, a 35- and the 144-dimensional representation
+ORACLE_REPS = [("std", 3), ("sym(4,std)", 4), ("wedge(2,std)*wedge(2,std)*std", 4)]
+
+
+@pytest.mark.parametrize("text, n", ORACLE_REPS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_log_norms_of_rational_vectors_match_the_exact_oracle(text, n, data):
+    # each entry is rounded once after a power-of-two shift, so the float
+    # log norm is the exact one up to about dim roundings; entries scaled by
+    # up to 2^+-1200 lie far outside the float range
+    rep = build_rep(parse_rep_spec(text), n)
+    entry = st.fractions(max_denominator=2**70).map(lambda x: x * F(3) ** 200)
+    entries = data.draw(st.lists(st.just(F(0)) | entry, min_size=rep.dim, max_size=rep.dim))
+    e2 = data.draw(st.sampled_from([-1200, 1200]) | st.integers(-1200, 1200))
+    v = [x * F(2) ** e2 for x in entries]
+    expected = oracles.exact_log_norm(rep, v)
+    if expected == -math.inf:
+        assert log_rep_norm(rep, v) == -math.inf
+        return
+    assert log_rep_norm(rep, v) == pytest.approx(expected, rel=1e-15, abs=rep.dim * 2.0 ** -52)
+
+
 def test_exact_weight_components():
     rep = build_rep(Standard(), 2)
-    comps = active_weights(rep, [F(3), F(0)])
-    assert len(comps) == 1
-    assert comps[0][1] == pytest.approx(math.log(3.0))
+    assert len(active_weights(rep, [F(3), F(0)])) == 1
+    assert log_rep_norm(rep, [F(3), F(0)]) == pytest.approx(math.log(3.0))
 
 
 # ---------------------------------------------------------------------------
@@ -599,9 +631,9 @@ def test_highest_weight_vector_weights():
         chis = fundamental_weights(n)
         for j in range(1, n):
             rep, v = highest_weight_vector(n, j)
-            (w, r), = active_weights(rep, v)
+            w, = active_weights(rep, v)
             assert w.coords == chis[j - 1].coords
-            assert r == pytest.approx(0.0, abs=1e-14)
+            assert log_rep_norm(rep, v) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_highest_weight_vector_fixed_by_upper_unipotent():
@@ -617,7 +649,7 @@ def test_highest_weight_vector_fixed_by_upper_unipotent():
 
 def test_highest_weight_vector_reversed_order():
     rep, v = highest_weight_vector(3, 1, SimpleSystem((2, 1, 0)))
-    (w, _), = active_weights(rep, v)
+    w, = active_weights(rep, v)
     assert w.coords == (F(-1, 3), F(-1, 3), F(2, 3))
 
 
