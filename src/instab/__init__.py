@@ -23,9 +23,8 @@ from .instability import (CertifyOptions, DominanceCert, FlatShrinkData,
                           cartan_box_sample, cert_from_dict, cert_to_dict,
                           dominance_certificate, dumps_cert,
                           fastest_shrinking_geodesic, flat_shrink_data,
-                          hull_contains, is_unstable, loads_cert,
-                          min_norm_point, torus_kempf, verify_dominance,
-                          LIKELY_STABLE, NUMERIC_UNSTABLE, TORUS_CERTIFIED)
+                          is_unstable, loads_cert, min_norm_point, torus_kempf,
+                          verify_dominance, LIKELY_STABLE, NUMERIC_UNSTABLE, TORUS_CERTIFIED)
 from .reps import (Dual, RepSpec, Representation, Standard, Sym, Tensor,
                    Wedge, act, active_weights, basis_labels, build_rep,
                    highest_weight_vector, log_rep_norm, m_value, moment_map,

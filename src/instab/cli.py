@@ -15,10 +15,11 @@ anchors at the flat the search returns.
 Exit codes: classify 0 = certified unstable, 3 = numerically unstable,
 4 = zero vector, 6 = likely stable; certify 1 = the embedded verification
 is not ok, 6 = stable input; verify 0 = all checks pass, 1 = margin/slope
-failures, 5 = malformed certificate; parse and dimension errors and
-non-finite vector entries exit 1, and usage errors (an option out of its
-range, such as a negative or non-finite --box or --tol, or a verify --box
-whose samples overflow; certify exits 1 there, as on a parse error) exit 2.
+failures, 5 = malformed certificate; parse and dimension errors,
+non-finite vector entries and a certify --out that cannot be written exit
+1, and usage errors (an option out of its range, such as a negative or
+non-finite --box or --tol, or a verify --box whose samples overflow;
+certify exits 1 there, as on a parse error) exit 2.
 """
 
 from __future__ import annotations
@@ -185,8 +186,12 @@ def cmd_certify(n, spec_text, vector, vector_file, out, seed, samples, box, tol)
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     text = dumps_cert(cert)
-    with open(out, "w") as fh:
-        fh.write(text)
+    try:
+        with open(out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        click.echo(f"error: cannot write {out}: {exc}", err=True)
+        sys.exit(1)
     summary = {
         "out": out, "rate": cert.rate, "mode": cert.mode,
         "alphas": [str(a) for a in cert.alphas], "c": cert.c,
@@ -249,6 +254,8 @@ def cmd_busemann_check(n, direction, points, tmax, seed, box):
     try:
         coords = [_parse_entry(x) for x in direction.split(",") if x.strip()]
         a = CartanVector(coords)
+        if a.n != n:
+            raise DimensionError(f"direction has {a.n} coordinates, expected {n}")
         if a.is_zero():
             raise ZeroVectorError("zero direction")
         ray = ray_from_cartan(a)

@@ -74,16 +74,9 @@ def _check_sampling(samples: int, box: float, tol: float) -> None:
 
 @dataclass(frozen=True)
 class MinNormCert:
-    """Exact closest point to 0 in the convex hull of rational input points.
-
-    ``coeffs`` are convex coefficients over the inputs reproducing ``point``;
-    ``gap = min_i <u, v_i> - <u, u>`` certifies optimality: it is >= 0, so
-    every input lies on the far side of the supporting hyperplane through u.
-    """
+    """Exact closest point to 0 in the convex hull of rational input points."""
 
     point: CartanVector
-    coeffs: Tuple[Fraction, ...]
-    gap: Fraction
 
 
 def _affine_min(points):
@@ -97,29 +90,23 @@ def _affine_min(points):
     return sol[:m]
 
 
-def min_norm_point(points: Sequence) -> MinNormCert:
+def min_norm_point(points: Sequence[CartanVector]) -> MinNormCert:
     """Wolfe's algorithm for the min-norm point of conv(points), exactly.
 
-    ``points`` may be CartanVectors or plain coordinate sequences; every
-    coordinate must be rational (``int`` or ``Fraction``), and a float
-    raises ``ValueError``.  The point, its coefficients and the optimality
-    gap are exact.
+    Every coordinate must be rational: a float CartanVector raises
+    ``ValueError``.  The point is exact.
     """
-    raw = [tuple(p.coords) if isinstance(p, CartanVector) else tuple(p) for p in points]
-    if not raw:
+    if not points:
         raise ValueError("need at least one point")
-    dims = {len(p) for p in raw}
-    if len(dims) != 1:
+    if len({p.n for p in points}) != 1:
         raise DimensionError("points have mixed dimensions")
-    if not all(exactlin.is_exact(p) for p in raw):
+    if not all(p.is_exact for p in points):
         raise ValueError("min_norm_point requires rational coordinates")
-    pts = [tuple(Fraction(x) for x in p) for p in raw]
+    pts = [p.coords for p in points]
     if not any(map(sum, zip(*pts))):
         # the centroid 0 is the min-norm point, as for the distinct weights
         # of a representation, whose set is invariant under the Weyl group
-        m = len(pts)
-        return MinNormCert(point=CartanVector([0] * len(pts[0])),
-                           coeffs=(Fraction(1, m),) * m, gap=Fraction(0))
+        return MinNormCert(point=CartanVector([0] * len(pts[0])))
 
     def dot(p, q):
         return sum(x * y for x, y in zip(p, q))
@@ -159,20 +146,7 @@ def min_norm_point(points: Sequence) -> MinNormCert:
             lam = [lam[i] for i in keep]
             x = combo(corral, lam)
 
-    coeffs = [Fraction(0)] * len(pts)
-    for i, l in zip(corral, lam):
-        coeffs[i] = coeffs[i] + l
-    gap = min(dot(x, p) for p in pts) - dot(x, x)
-    return MinNormCert(point=CartanVector(x), coeffs=tuple(coeffs), gap=gap)
-
-
-def hull_contains(points: Sequence[CartanVector], target: CartanVector) -> bool:
-    """Exact membership of ``target`` in conv(points); every coordinate must
-    be rational, and all points must have the target's dimension."""
-    if any(p.n != target.n for p in points):
-        raise DimensionError("points and target have different dimensions")
-    shifted = [tuple(a - b for a, b in zip(p.coords, target.coords)) for p in points]
-    return min_norm_point(shifted).point.is_zero()
+    return MinNormCert(point=CartanVector(x))
 
 
 # ---------------------------------------------------------------------------
@@ -566,18 +540,19 @@ def _xi_prefix(active: Sequence[Tuple[int, float]], weights: Sequence[CartanVect
                u: CartanVector, hulls: dict) -> Optional[float]:
     """max over active subsets whose hull contains u of the min log norm, else None.
 
-    ``active`` holds (index into ``weights``, log norm) pairs.  Enlarging
-    a subset can only help hull membership, so the optimum is a prefix of
-    the weights sorted by decreasing log norm; the answer is the log norm
-    of the last weight added when u first enters the hull.  ``hulls``
-    memoises the exact hull tests by the prefix's set of indices.
+    ``active`` holds (index into ``weights``, log norm) pairs of weights on
+    u's face.  Enlarging a subset can only help hull membership, so the
+    optimum is a prefix of the weights sorted by decreasing log norm; the
+    answer is the log norm of the last weight added when u first enters
+    the hull, that is, becomes its min-norm point (step 2 below).  ``hulls``
+    memoises these exact tests by the prefix's set of indices.
     """
     ordered = sorted(active, key=lambda jr: -jr[1])
     key = 0
     for t, (j, r) in enumerate(ordered, 1):
         key |= 1 << j
         if key not in hulls:
-            hulls[key] = hull_contains([weights[i] for i, _ in ordered[:t]], u)
+            hulls[key] = min_norm_point([weights[i] for i, _ in ordered[:t]]).point == u
         if hulls[key]:
             return r
     return None
@@ -627,7 +602,9 @@ _SAFETY_MARGIN = 0.1
 # 2. A convex combination of such an A that equals u pairs with u to
 #    |u|^2, so it puts no mass above F: u enters a prefix hull exactly when
 #    it enters the hull of the prefix's weights on F, the only weights the
-#    prefix statistic runs over.
+#    prefix statistic runs over.  Each x in the hull of weights on F has
+#    <x, u> = |u|^2, so |x| >= |u| with equality only at x = u: u is in
+#    that hull exactly when it is the hull's min-norm point.
 # Block frames are drawn only when more than one weight lies on F.  u is in
 # the hull of the weights on F, so a lone one is the weight u.  For a
 # rotation k commuting with u:

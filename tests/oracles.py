@@ -13,6 +13,7 @@ import numpy as np
 import scipy.optimize as sopt
 
 from instab import act, highest_weight_vector, log_rep_norm
+from instab.exactlin import det, solve
 
 
 def trace_form(a, b):
@@ -22,7 +23,8 @@ def trace_form(a, b):
 
 
 def qp_min_norm(points):
-    """Min-norm point of a polytope by SLSQP over the simplex."""
+    """Min-norm point of a polytope by SLSQP over the simplex, with the
+    analytic gradient 2 P (lam P) of |lam P|^2."""
     pts = np.asarray(points, dtype=float)
     m = len(pts)
     if m == 1:
@@ -32,12 +34,15 @@ def qp_min_norm(points):
         x = lam @ pts
         return float(x @ x)
 
+    def gradient(lam):
+        return 2.0 * (pts @ (lam @ pts))
+
     cons = ({"type": "eq", "fun": lambda lam: float(np.sum(lam) - 1.0)},)
     best = None
     for s in range(4):
         rng = np.random.default_rng(1234 + s)
         lam0 = rng.dirichlet(np.ones(m))
-        res = sopt.minimize(objective, lam0, method="SLSQP",
+        res = sopt.minimize(objective, lam0, method="SLSQP", jac=gradient,
                             bounds=[(0.0, 1.0)] * m, constraints=cons,
                             options={"maxiter": 400, "ftol": 1e-16})
         if best is None or res.fun < best.fun:
@@ -73,6 +78,56 @@ def enumerated_min_norm(points):
             if best_val is None or val < best_val:
                 best_val, best_x = val, x
     return best_x
+
+
+def exact_min_norm(points):
+    """The ``Fraction`` twin of ``enumerated_min_norm`` over exact
+    elimination: the min-norm point of the hull of rational CartanVectors,
+    as a coordinate tuple, and convex coefficients over ``points`` that
+    reproduce it.  The points are traceless, so subsets of at most dim
+    of them suffice; an affinely dependent subset has a singular system."""
+    pts = [p.coords for p in points]
+    m, dim = len(pts), len(pts[0])
+    best = None
+    for size in range(1, min(m, dim) + 1):
+        for subset in combinations(range(m), size):
+            sub = [pts[i] for i in subset]
+            a = [[sum(x * y for x, y in zip(p, q)) for q in sub] + [1] for p in sub]
+            a.append([1] * size + [0])
+            try:
+                lam = solve(a, [0] * size + [1])[:size]
+            except ZeroDivisionError:
+                continue
+            if min(lam) < 0:
+                continue
+            x = tuple(sum(l * p[c] for l, p in zip(lam, sub)) for c in range(dim))
+            val = sum(c * c for c in x)
+            if best is None or val < best[0]:
+                coeffs = [Fraction(0)] * m
+                for i, l in zip(subset, lam):
+                    coeffs[i] = l
+                best = (val, x, tuple(coeffs))
+    return best[1], best[2]
+
+
+# (spec, n) pairs whose null cone is det T = 0, T the n x n tensor of v
+# (the determinant, or the Pfaffian squared, generates the invariants),
+# or everything for std
+DET_NULL_CONE = {("std", 3), ("wedge(2,std)", 4), ("sym(2,std)", 3), ("sym(2,std)", 4)}
+
+
+def det_invariant(rep, v):
+    """det T for the exact tensor T of a rational ``v`` in R^n (x) R^n, from
+    the ``Fraction`` coefficients of ``rep.scatter``; 0 for std, where
+    every vector is unstable."""
+    if len(rep.dual) == 1:
+        return Fraction(0)
+    n = rep.n
+    rows, cols, _, coefs = rep.scatter
+    t = [Fraction(0)] * n * n
+    for w, i, c in zip(rows.tolist(), cols.tolist(), coefs[True][0]):
+        t[w] = c * Fraction(v[i])
+    return det([t[r * n:(r + 1) * n] for r in range(n)])
 
 
 def sym_monomial_embedding(mono, n):

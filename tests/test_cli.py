@@ -204,6 +204,15 @@ def test_removed_options_are_rejected(runner, tmp_path, args):
     assert "No such option" in res.output
 
 
+def test_certify_out_that_cannot_be_written(runner, tmp_path):
+    out = str(tmp_path / "missing" / "c.json")
+    res = runner.invoke(main, ["certify", "--n", "2", "--spec", "std", "--vector", "1,0",
+                               "--out", out])
+    assert res.exit_code == 1
+    assert f"error: cannot write {out}" in res.output
+    assert isinstance(res.exception, SystemExit)
+
+
 def test_certify_float_form_with_nothing_truncated(runner, tmp_path):
     res = runner.invoke(main, ["certify", "--n", "2", "--spec", "sym(3,std)",
                                "--vector", "1.0,0.5,0.0,0.0",
@@ -426,6 +435,14 @@ def test_busemann_check_zero_direction(runner):
     res = runner.invoke(main, ["busemann-check", "--n", "3", "--direction",
                                "0,0,0"])
     assert res.exit_code == 1
+
+
+@pytest.mark.parametrize("direction", ["1,-1", "1,0,0,-1"])
+def test_busemann_check_direction_of_the_wrong_length(runner, direction):
+    res = runner.invoke(main, ["busemann-check", "--n", "3", "--direction", direction])
+    assert res.exit_code == 1
+    assert "error: direction has" in res.output
+    assert isinstance(res.exception, SystemExit)
 
 
 def test_busemann_check_at_the_least_tmax(runner):

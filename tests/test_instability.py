@@ -104,11 +104,11 @@ def test_flat_data_lower_bound_constant():
     rep = std(3)
     v = [1.0, 2.0, 0.5]
     fd = flat_shrink_data(rep, v)
-    mnp = min_norm_point(fd.active)
-    assert mnp.point == fd.u
+    point, coeffs = oracles.exact_min_norm(fd.active)
+    assert point == fd.u.coords
     weights, _, sums, e = weight_components(rep, v)
     r = dict(zip(weights, (_log_norm(s, int(e[0])) for s in sums[0].tolist())))
-    const = sum(float(c) * r[w] for c, w in zip(mnp.coeffs, fd.active))
+    const = sum(float(c) * r[w] for c, w in zip(coeffs, fd.active))
     rng = np.random.default_rng(0)
     u = np.asarray(fd.u.as_floats())
     for _ in range(1000):
@@ -319,6 +319,20 @@ def test_is_unstable_rejects_non_finite_entries(v):
     assert not isinstance(err.value, ZeroVectorError)
 
 
+def _det_oracle_counts(entries, kinds):
+    """Check each nonzero entry of a ``oracles.DET_NULL_CONE`` pair against
+    the exact null cone: it is likely stable exactly when det T != 0.
+    Returns the number checked and how many of them are stable."""
+    checked = stable = 0
+    for (spec, n, v), kind in zip(entries, kinds):
+        if (spec, n) not in oracles.DET_NULL_CONE or not any(v):
+            continue
+        outside = oracles.det_invariant(build_rep(parse_rep_spec(spec), n), v) != 0
+        assert (kind == LIKELY_STABLE) == outside, (spec, n, v)
+        checked, stable = checked + 1, stable + outside
+    return checked, stable
+
+
 def test_ladder_verdicts_are_pinned():
     # the inputs and verdict counts ROADMAP reports on
     entries = ladder()
@@ -329,6 +343,7 @@ def test_ladder_verdicts_are_pinned():
              for spec, n, v in entries]
     assert {k: kinds.count(k) for k in set(kinds)} == {
         TORUS_CERTIFIED: 159, NUMERIC_UNSTABLE: 59, LIKELY_STABLE: 138, "zero": 44}
+    assert _det_oracle_counts(entries, kinds) == (200, 43)
 
 
 def test_rotated_ladder_verdicts_are_pinned():
@@ -341,6 +356,7 @@ def test_rotated_ladder_verdicts_are_pinned():
     kinds = [verdict.kind for verdict in verdicts]
     assert {k: kinds.count(k) for k in set(kinds)} == {
         TORUS_CERTIFIED: 22, NUMERIC_UNSTABLE: 196, LIKELY_STABLE: 138}
+    assert _det_oracle_counts(entries, kinds) == (200, 43)
     answers = "\n".join(f"{verdict.kind} " + ("" if verdict.flat is None else
                                               ",".join(map(str, verdict.flat.u.coords)))
                         for verdict in verdicts)
@@ -617,7 +633,7 @@ def _weight_margin_sq(rep):
         rest = [w for w in weights if w != d]
         for size in range(rep.n):
             for subset in itertools.combinations(rest, size):
-                u = min_norm_point([d, *subset]).point
+                u = min_norm_point([CartanVector(w) for w in (d, *subset)]).point
                 norm_sq = sum(c * c for c in u.coords)
                 if norm_sq and (best is None or norm_sq < best):
                     best = norm_sq

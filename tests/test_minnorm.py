@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from instab import CartanVector, build_rep, hull_contains, min_norm_point, parse_rep_spec
+from instab import CartanVector, build_rep, min_norm_point, parse_rep_spec
 from instab import instability
 from instab.errors import DimensionError
 
@@ -14,15 +14,11 @@ import oracles
 def test_single_point():
     cert = min_norm_point([CartanVector([1, -1])])
     assert cert.point.coords == (F(1), F(-1))
-    assert cert.coeffs == (F(1),)
-    assert cert.gap == 0
 
 
 def test_symmetric_pair_contains_origin():
     cert = min_norm_point([CartanVector([1, -1]), CartanVector([-1, 1])])
     assert cert.point.coords == (F(0), F(0))
-    assert sum(cert.coeffs) == 1
-    assert cert.gap == 0
 
 
 def test_two_point_segment():
@@ -57,6 +53,20 @@ def test_exact_mode_rejects_floats():
         min_norm_point([CartanVector([1.0, -1.0])])
 
 
+def _assert_optimal(pts, u):
+    # Wolfe's optimality condition, exactly: no point lies below u's face
+    uu = oracles.trace_form(u, u)
+    assert all(oracles.trace_form(u, p) >= uu for p in pts)
+
+
+def _assert_oracle_point(pts, u):
+    # u is the exact enumerated point, whose convex coefficients rebuild it
+    point, coeffs = oracles.exact_min_norm(pts)
+    assert u.coords == point
+    assert all(c >= 0 for c in coeffs) and sum(coeffs) == 1
+    assert tuple(sum(c * p.coords[i] for c, p in zip(coeffs, pts)) for i in range(u.n)) == point
+
+
 def _random_rational_polytope(rng, dim, count):
     pts = []
     for _ in range(count):
@@ -82,15 +92,7 @@ def test_wolfe_matches_qp_oracle(seed):
         u_qp = oracles.qp_min_norm([p.as_floats() for p in pts])
         assert float(np.linalg.norm(u)) == pytest.approx(
             float(np.linalg.norm(u_qp)), abs=2e-5)
-        # exact optimality and reconstruction
-        uu = sum(c * c for c in cert.point.coords)
-        for p in pts:
-            assert sum(a * b for a, b in zip(cert.point.coords, p.coords)) >= uu
-        rebuilt = [sum(c * p.coords[i] for c, p in zip(cert.coeffs, pts))
-                   for i in range(dim)]
-        assert tuple(rebuilt) == cert.point.coords
-        assert all(c >= 0 for c in cert.coeffs)
-        assert sum(cert.coeffs) == 1
+        _assert_optimal(pts, cert.point)
 
 
 @st.composite
@@ -110,23 +112,58 @@ def small_polytope(draw):
 @given(small_polytope())
 def test_wolfe_invariants_property(pts):
     cert = min_norm_point(pts)
-    uu = sum(c * c for c in cert.point.coords)
-    assert cert.gap >= 0
-    for p in pts:
-        assert sum(a * b for a, b in zip(cert.point.coords, p.coords)) >= uu
-    rebuilt = [sum(c * p.coords[i] for c, p in zip(cert.coeffs, pts))
-               for i in range(pts[0].n)]
-    assert tuple(rebuilt) == cert.point.coords
+    _assert_optimal(pts, cert.point)
+    _assert_oracle_point(pts, cert.point)
 
 
-def test_hull_contains():
-    pts = [CartanVector([1, -1]), CartanVector([-1, 1])]
-    assert hull_contains(pts, CartanVector([0, 0]))
-    assert hull_contains(pts, CartanVector([F(1, 2), F(-1, 2)]))
-    assert not hull_contains(pts, CartanVector([2, -2]))
-    assert not hull_contains([CartanVector([1, -1])], CartanVector([0, 0]))
-    with pytest.raises(DimensionError):
-        hull_contains([CartanVector([1, -1])], CartanVector([1, -1, 0]))
+def _rational_traceless(rng, n):
+    coords = [F(int(a), int(b)) for a, b in zip(rng.integers(-6, 7, n), rng.integers(1, 4, n))]
+    return CartanVector([c - sum(coords) / n for c in coords])
+
+
+def _perp(x, *others):
+    """x minus its components along the pairwise orthogonal ``others``."""
+    for o in others:
+        x = x.add(o.scale(-oracles.trace_form(x, o) / o.norm_sq()))
+    return x
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_face_rule_matches_the_oracle(seed):
+    # for weights on u's face, u is in their hull exactly when it is their
+    # min-norm point: u inside, outside, at a vertex and on an edge, each
+    # known by construction
+    rng = np.random.default_rng(seed)
+    for n in (3, 4, 5):
+        u = _rational_traceless(rng, n)
+        if u.is_zero():
+            continue
+        d = _perp(_rational_traceless(rng, n), u)  # a direction within the face
+        if d.is_zero():
+            continue
+
+        def on_face(*others):
+            return _perp(_rational_traceless(rng, n), u, *others)
+
+        ws = [on_face() for _ in range(int(rng.integers(1, 4)))]
+        inside = ws + [w.scale(-1) for w in ws[:1]]
+        # each w of ``outside`` pairs with d to 1, so d separates u from them
+        outside = [w.add(d.scale((1 - oracles.trace_form(w, d)) / d.norm_sq()))
+                   for w in ws]
+        vertex = [u.scale(0)] + ws
+        edge_w = on_face(d)
+        edge = [edge_w, edge_w.scale(-F(1, 3))] + outside
+        cases = [(inside, True), (outside, False), (vertex, True)]
+        if not edge_w.is_zero():
+            cases.append((edge, True))
+        for shifts, expected in cases:
+            pts = [u.add(w) for w in shifts]
+            assert all(oracles.trace_form(p, u) == u.norm_sq() for p in pts)
+            assert (min_norm_point(pts).point == u) == expected
+            point, coeffs = oracles.exact_min_norm(pts)
+            assert (point == u.coords) == expected
+            xi = instability._xi_prefix([(i, 0.0) for i in range(len(pts))], pts, u, {})
+            assert (xi is not None) == expected
 
 
 def test_scaling_preserves_direction():
@@ -139,10 +176,7 @@ def test_scaling_preserves_direction():
 
 def _assert_zero_with_certificate(pts, cert):
     assert cert.point.is_zero()
-    assert all(c >= 0 for c in cert.coeffs) and sum(cert.coeffs) == 1
-    assert all(sum(c * p.coords[i] for c, p in zip(cert.coeffs, pts)) == 0
-               for i in range(pts[0].n))
-    assert cert.gap == 0
+    _assert_oracle_point(pts, cert.point)
 
 
 @pytest.mark.parametrize("text, n", [("std", 3), ("sym(2,std)", 3), ("std*dual(std)", 2),
