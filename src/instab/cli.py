@@ -18,8 +18,10 @@ is not ok, 6 = stable input; verify 0 = all checks pass, 1 = margin/slope
 failures, 5 = malformed certificate; parse and dimension errors,
 non-finite vector entries and a certify --out that cannot be written exit
 1, and usage errors (an option out of its range, such as a negative or
-non-finite --box or --tol, or a verify --box whose samples overflow;
-certify exits 1 there, as on a parse error) exit 2.
+non-finite --box or --tol, a verify --box whose samples overflow, or a
+busemann-check --tmax whose deviation is not finite; certify exits 1 on a
+--box that overflows, as on a parse error) exit 2.  Every printed line is
+strict JSON: a report value that is not finite is written as null.
 """
 
 from __future__ import annotations
@@ -78,7 +80,10 @@ def _finite_nonnegative(ctx, param, value: float) -> float:
 
 
 def _emit(payload: dict):
-    click.echo(json.dumps(payload, sort_keys=True))
+    """Print one line of strict JSON: a float that is not finite, which
+    JSON cannot hold, is written as null."""
+    click.echo(json.dumps({k: None if isinstance(v, float) and not math.isfinite(v) else v
+                           for k, v in payload.items()}, sort_keys=True, allow_nan=False))
 
 
 def _build(n: int, spec_text: str):
@@ -269,7 +274,11 @@ def cmd_busemann_check(n, direction, points, tmax, seed, box):
         g = cartan_box_sample(rng, n, box)
         via_limit = busemann_limit(ray, project(g), grid).value
         via_formula = busemann_formula(a, g)
-        worst = max(worst, abs(via_limit - via_formula))
+        deviation = abs(via_limit - via_formula)
+        if not math.isfinite(deviation):
+            raise click.BadParameter(f"the deviation at t = {tmax} is not finite",
+                                     param_hint="'--tmax'")
+        worst = max(worst, deviation)
     _emit({"n": n, "points": points, "t_max": tmax, "max_deviation": worst})
 
 

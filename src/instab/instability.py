@@ -762,12 +762,10 @@ def verify_dominance(cert: DominanceCert, rep: Optional[Representation] = None,
     frame = cert.frame if cert.frame is not None else np.eye(cert.n)
     alphas = np.asarray([float(a) for a in cert.alphas])
 
-    def sides(gs, checked=True):
-        # log||rho(g)v|| and sum_j alpha_j log||rho_j(g) w_j|| with
-        # w_j = rho_j(frame^T) v_j, for every g of the stack
-        w = act(rep, gs, vec) if checked else _apply(rep, gs, vec)
-        return (log_rep_norm(rep, w, e),
-                log_flag_norms(gs @ frame.T, cert.order.perm)[:, :-1] @ alphas)
+    def right(gs):
+        # sum_j alpha_j log||rho_j(g) w_j|| with w_j = rho_j(frame^T) v_j,
+        # for every g of the stack
+        return log_flag_norms(gs @ frame.T, cert.order.perm)[:, :-1] @ alphas
 
     # slope agreement along the shrink ray (group parameterization).  Every
     # weight of the certified flat has level <u/|u|, weight> >= rate, so a
@@ -785,10 +783,8 @@ def verify_dominance(cert: DominanceCert, rep: Optional[Representation] = None,
                              for w in active_weights(rep, at_frame, 0.0))
     t2 = 11.5 / max(spread, 0.3) if spread > 1e-9 else 40.0
     t1 = 0.5 * t2
-    lhs, rhs = sides(np.stack([np.diag(np.exp(-t * uhat)) @ frame for t in (t1, t2)]))
-    lhs_slope = (lhs[1] - lhs[0]) / (t2 - t1)
-    rhs_slope = (rhs[1] - rhs[0]) / (t2 - t1)
-    slope_diff = abs(lhs_slope - rhs_slope)
+    ray = np.stack([np.diag(np.exp(-t * uhat)) @ frame for t in (t1, t2)])
+    ray_lhs = log_rep_norm(rep, act(rep, ray, vec), e)
 
     width = _sample_words(cert.n)
     size = _chunk(rep)
@@ -801,11 +797,18 @@ def verify_dominance(cert: DominanceCert, rep: Optional[Representation] = None,
                 gs = _box_samples(rng.random((stop - start, width)), cert.n, box)
             if not np.isfinite(gs).all():
                 raise ValueError(f"box {box} draws group elements that are not finite")
-            lhs, rhs = sides(gs, checked=False)
+            w = _apply(rep, gs, vec)
         else:
-            lhs, rhs = sides(np.stack([np.asarray(sampler(i), dtype=float)
-                                       for i in range(start, stop)]))
-        margins[start:stop] = lhs - cert.c - rhs
+            gs = np.stack([np.asarray(sampler(i), dtype=float) for i in range(start, stop)])
+            w = act(rep, gs, vec)
+        if start == 0:  # the ray's right side rides on the first chunk's kernel call
+            ray_rhs, rhs = np.split(right(np.concatenate([ray, gs])), [2])
+        else:
+            rhs = right(gs)
+        margins[start:stop] = log_rep_norm(rep, w, e) - cert.c - rhs
+    lhs_slope = (ray_lhs[1] - ray_lhs[0]) / (t2 - t1)
+    rhs_slope = (ray_rhs[1] - ray_rhs[0]) / (t2 - t1)
+    slope_diff = abs(lhs_slope - rhs_slope)
     failures = int(np.sum(~(margins >= -tol)))  # NaN margins fail too
 
     return VerifyReport(samples=samples, failures=failures,

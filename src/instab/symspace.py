@@ -21,6 +21,7 @@ matrix exponential would overflow.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -68,6 +69,45 @@ def spd_power(p: np.ndarray, s: float) -> np.ndarray:
     return (q * w**s) @ q.T
 
 
+def _reflect(rows: np.ndarray, v: np.ndarray, tau: np.ndarray) -> None:
+    """rows <- (I - tau v v^T) rows in place, for (k, m, S) rows and a
+    (k, S) v: sum_i v_i rows_i is added up in index order, so that each
+    matrix of the stack gets the bits it gets alone."""
+    dot = sum(v[1:, None] * rows[1:], v[0] * rows[0])
+    rows -= v[:, None] * (tau * dot)
+
+
+def _householder(m: np.ndarray):
+    """Householder QR of each matrix of a (..., n, n) stack, one numpy
+    operation over the whole stack per step and a Python loop over the
+    n - 1 columns.  For small n, LAPACK's cost per call dominates a stack
+    of hundreds of matrices; this kernel pays it per column instead.
+
+    Returns the reflectors (v_j, tau_j), j = 0..n-2, with
+    m = H_0 ... H_{n-2} R and H_j = I - tau_j v_j v_j^T on coordinates j..,
+    and diag(R), with the S = prod(...) matrices on the last axis: v_j is
+    (n - j, S), tau_j is (S,) and diag(R) is (n, S).  As in LAPACK, v_j
+    starts with 1, tau_j lies in [1, 2] and r_jj has the sign opposite to
+    the column it reflects, so nothing overflows before the entries do; a
+    column that is already 0 gets tau_j = 0 and r_jj = 0.
+    """
+    n = m.shape[-1]
+    a = np.moveaxis(np.asarray(m, dtype=float).reshape(-1, n, n), 0, -1).copy()
+    reflectors = []
+    for j in range(n - 1):
+        x = a[j:, j]
+        norm = functools.reduce(np.hypot, x)  # no square under- or overflows
+        beta = np.copysign(norm, x[0])
+        zero = norm == 0  # then x = 0, v = e_0 and tau = 0
+        v = x / (x[0] + beta + zero)
+        v[0] = 1.0
+        tau = (norm + np.abs(x[0])) / (norm + zero)
+        _reflect(a[j:, j + 1:], v, tau)
+        np.negative(beta, out=a[j, j])
+        reflectors.append((v, tau))
+    return reflectors, np.diagonal(a).T
+
+
 def haar_so(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed element of SO(n)."""
     return haar_from_normal(rng.standard_normal((n, n)))
@@ -76,11 +116,20 @@ def haar_so(n: int, rng: np.random.Generator) -> np.ndarray:
 def haar_from_normal(z: np.ndarray) -> np.ndarray:
     """The Haar element of SO(n) made from a standard normal n x n matrix,
     or from every matrix of a stack: the Q of its QR with the signs of
-    diag(R), and the first column negated where det Q < 0."""
-    q, r = np.linalg.qr(z)
-    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
-    q[..., 0] *= np.where(np.linalg.det(q) < 0, -1.0, 1.0)[..., None]
-    return q
+    diag(R), and the first column negated where det Q < 0 (Mezzadri 2007).
+
+    Q is formed from the reflectors of ``_householder``.  Each of the
+    n - 1 reflectors has det -1, so det Q = (-1)^(n-1) prod_j sign(r_jj).
+    """
+    n = z.shape[-1]
+    reflectors, d = _householder(z)
+    sign = np.sign(d)
+    sign[0] *= np.where((-1) ** (n - 1) * np.prod(sign, axis=0) < 0, -1.0, 1.0)
+    q = np.zeros((n, n, sign.shape[1]))
+    q[range(n), range(n)] = sign
+    for j in reversed(range(n - 1)):
+        _reflect(q[j:, j:], *reflectors[j])
+    return np.moveaxis(q, -1, 0).reshape(z.shape)
 
 
 def block_orthogonal(blocks: Sequence[Sequence[int]], n: int,
@@ -280,10 +329,12 @@ def log_flag_norms(m, perm: Sequence[int]) -> np.ndarray:
     of m applied to the highest weight vector of the simple system
     ``perm``.  The wedge of the first j columns of m[:, perm] has the norm
     |r_11 ... r_jj| of its QR factor, so one factorization gives every
-    degree without building any wedge representation.
+    degree without building any wedge representation.  The factor is the
+    diag(R) of ``_householder``; Q is never formed.
     """
-    r = np.linalg.qr(np.asarray(m, dtype=float)[..., list(perm)], mode="r")
-    return np.cumsum(np.log(np.abs(np.diagonal(r, axis1=-2, axis2=-1))), axis=-1)
+    m = np.asarray(m, dtype=float)[..., list(perm)]
+    logs = np.log(np.abs(_householder(m)[1].T))
+    return np.cumsum(logs, axis=-1).reshape(m.shape[:-1])
 
 
 def busemann_formula(a: CartanVector, g) -> float:

@@ -116,18 +116,40 @@ def exact_min_norm(points):
 DET_NULL_CONE = {("std", 3), ("wedge(2,std)", 4), ("sym(2,std)", 3), ("sym(2,std)", 4)}
 
 
+def _exact_tensor(rep, v):
+    """The flat tensor T in (R^n)^(x)k of a rational ``v``, in ``Fraction``s,
+    from the exact coefficients of ``rep.scatter``."""
+    rows, cols, _, coefs = rep.scatter
+    t = [Fraction(0)] * rep.n ** len(rep.dual)
+    for w, i, c in zip(rows.tolist(), cols.tolist(), coefs[True][0]):
+        t[w] = c * Fraction(v[i])
+    return t
+
+
 def det_invariant(rep, v):
-    """det T for the exact tensor T of a rational ``v`` in R^n (x) R^n, from
-    the ``Fraction`` coefficients of ``rep.scatter``; 0 for std, where
-    every vector is unstable."""
+    """det T for the exact tensor T of a rational ``v`` in R^n (x) R^n; 0
+    for std, where every vector is unstable."""
     if len(rep.dual) == 1:
         return Fraction(0)
     n = rep.n
-    rows, cols, _, coefs = rep.scatter
-    t = [Fraction(0)] * n * n
-    for w, i, c in zip(rows.tolist(), cols.tolist(), coefs[True][0]):
-        t[w] = c * Fraction(v[i])
+    t = _exact_tensor(rep, v)
     return det([t[r * n:(r + 1) * n] for r in range(n)])
+
+
+def cubic_discriminant(rep, v):
+    """b^2 c^2 - 4 a c^3 - 4 b^3 d - 27 a^2 d^2 + 18 a b c d for a rational
+    ``v`` in sym(3,std), n=2: the discriminant of the binary cubic
+    T(x, x, x) = a x^3 + b x^2 y + c x y^2 + d y^3 of its exact tensor T,
+    with a = T_000, b = 3 T_001, c = 3 T_011 and d = T_111.  It vanishes
+    exactly on the cubics with a repeated root, the null cone."""
+    t = _exact_tensor(rep, v)
+    a, b, c, d = t[0], 3 * t[1], 3 * t[3], t[7]
+    return b * b * c * c - 4 * a * c ** 3 - 4 * b ** 3 * d - 27 * a * a * d * d + 18 * a * b * c * d
+
+
+# the (spec, n) pairs whose null cone one invariant cuts out, with it
+NULL_CONE_INVARIANTS = {**{pair: det_invariant for pair in DET_NULL_CONE},
+                        ("sym(3,std)", 2): cubic_discriminant}
 
 
 def sym_monomial_embedding(mono, n):

@@ -306,6 +306,24 @@ def test_verify_zero_samples(runner, tmp_path):
     assert res.exit_code == 0
 
 
+def strict_json(line: str) -> dict:
+    """``line`` read as strict JSON: NaN, Infinity and -Infinity are no values."""
+    def refuse(token):
+        raise AssertionError(f"{token} is not JSON: {line}")
+    return json.loads(line, parse_constant=refuse)
+
+
+def test_verify_zero_samples_prints_strict_json(runner, tmp_path):
+    # no margin to report: the minimum of none and the mean of none are null
+    out = str(tmp_path / "cert.json")
+    assert runner.invoke(main, certify_args(out)).exit_code == 0
+    res = runner.invoke(main, ["verify", out, "--samples", "0"])
+    assert res.exit_code == 0
+    report = strict_json(res.output.strip().splitlines()[-1])
+    assert report["margin_min"] is None and report["margin_mean"] is None
+    assert report["ok"] is True and report["failures"] == 0
+
+
 def test_verify_malformed_file(runner, tmp_path):
     out = tmp_path / "cert.json"
     out.write_text("{broken")
@@ -443,6 +461,23 @@ def test_busemann_check_direction_of_the_wrong_length(runner, direction):
     assert res.exit_code == 1
     assert "error: direction has" in res.output
     assert isinstance(res.exception, SystemExit)
+
+
+@pytest.mark.parametrize("tmax", ["1e308", "inf"])
+def test_busemann_check_with_a_deviation_that_is_not_finite(runner, tmax):
+    res = runner.invoke(main, ["busemann-check", "--n", "2", "--direction", "1,-1",
+                               "--points", "1", "--tmax", tmax])
+    assert res.exit_code == 2, res.output
+    assert "Invalid value for '--tmax'" in res.output
+    assert "is not finite" in res.output
+    assert "max_deviation" not in res.output
+
+
+def test_busemann_check_prints_strict_json(runner):
+    res = runner.invoke(main, ["busemann-check", "--n", "2", "--direction", "1,-1",
+                               "--points", "2", "--tmax", "1e6"])
+    assert res.exit_code == 0, res.output
+    assert strict_json(res.output.strip().splitlines()[-1])["max_deviation"] <= 1e-2
 
 
 def test_busemann_check_at_the_least_tmax(runner):

@@ -319,15 +319,17 @@ def test_is_unstable_rejects_non_finite_entries(v):
     assert not isinstance(err.value, ZeroVectorError)
 
 
-def _det_oracle_counts(entries, kinds):
-    """Check each nonzero entry of a ``oracles.DET_NULL_CONE`` pair against
-    the exact null cone: it is likely stable exactly when det T != 0.
-    Returns the number checked and how many of them are stable."""
+def _oracle_counts(entries, kinds, pairs):
+    """Check each nonzero entry of a pair in ``pairs`` against the exact
+    null cone: it is likely stable exactly when the pair's invariant in
+    ``oracles.NULL_CONE_INVARIANTS`` is not 0.  Returns the number checked
+    and how many of them are stable."""
     checked = stable = 0
     for (spec, n, v), kind in zip(entries, kinds):
-        if (spec, n) not in oracles.DET_NULL_CONE or not any(v):
+        if (spec, n) not in pairs or not any(v):
             continue
-        outside = oracles.det_invariant(build_rep(parse_rep_spec(spec), n), v) != 0
+        invariant = oracles.NULL_CONE_INVARIANTS[spec, n]
+        outside = invariant(build_rep(parse_rep_spec(spec), n), v) != 0
         assert (kind == LIKELY_STABLE) == outside, (spec, n, v)
         checked, stable = checked + 1, stable + outside
     return checked, stable
@@ -343,7 +345,8 @@ def test_ladder_verdicts_are_pinned():
              for spec, n, v in entries]
     assert {k: kinds.count(k) for k in set(kinds)} == {
         TORUS_CERTIFIED: 159, NUMERIC_UNSTABLE: 59, LIKELY_STABLE: 138, "zero": 44}
-    assert _det_oracle_counts(entries, kinds) == (200, 43)
+    assert _oracle_counts(entries, kinds, oracles.DET_NULL_CONE) == (200, 43)
+    assert _oracle_counts(entries, kinds, {("sym(3,std)", 2)}) == (44, 18)
 
 
 def test_rotated_ladder_verdicts_are_pinned():
@@ -356,7 +359,8 @@ def test_rotated_ladder_verdicts_are_pinned():
     kinds = [verdict.kind for verdict in verdicts]
     assert {k: kinds.count(k) for k in set(kinds)} == {
         TORUS_CERTIFIED: 22, NUMERIC_UNSTABLE: 196, LIKELY_STABLE: 138}
-    assert _det_oracle_counts(entries, kinds) == (200, 43)
+    assert _oracle_counts(entries, kinds, oracles.DET_NULL_CONE) == (200, 43)
+    assert _oracle_counts(entries, kinds, {("sym(3,std)", 2)}) == (44, 18)
     answers = "\n".join(f"{verdict.kind} " + ("" if verdict.flat is None else
                                               ",".join(map(str, verdict.flat.u.coords)))
                         for verdict in verdicts)
@@ -1352,31 +1356,31 @@ def test_value_of_the_wrong_json_type_rejected(path, bad):
 # sha256 of dumps_cert(dominance_certificate(..., CertifyOptions(samples=200)))
 CERTIFICATE_BYTES = [
     ("std", 2, [F(1), F(0)],
-     "3ce29b8d87a5fed983cbb48b3fb5a0a9c66aee71393f4528b64531201172dcc9"),
+     "d9972b292c43fa42e6c8ee5bcf586404619edd504e61b92f542ff60e88059024"),
     ("wedge(2,std)", 3, [F(1), F(0), F(0)],
-     "9c01beca7a827032864a0f1f6b0cdcfe4140b1a41dbdad4e2e7dc3107d23e425"),
+     "91f79bb857e6e383e63be41f71f63316df7d6c73f16e71827d5d351248ec7d6f"),
     ("std*dual(std)", 2, [F(0), F(1), F(0), F(0)],
-     "4f33e3f010f09c32de13bc7b56620cdf8e13bb1b975b8a4cc580434ae45a506c"),
+     "44d4fb75fbc1e6abaf67a2089ac9a6f6b7c0375441f228932a0cc8c3fe94a785"),
     ("sym(2,std)", 2, [F(1), F(0), F(0)],
-     "83ccaa7a1fc6fd50b56d9ef23500f56d1abffed947a2ecb9011c49de42abf15c"),
+     "f0184c26c0932b279eb918fe493ce56f5944e05fd1cfe42e96720d266d7f5078"),
     ("std", 3, [F(1), F(0), F(0)],
-     "d5695c57a96aa2801cc7fa2d6ef5c197dde7768dd7d2bed955b65b9029fd413c"),
+     "485c4e7e88d52da067619ddcfad326e027d43a52ea3eed3ef334d908c8b8f5d2"),
     ("wedge(2,std)", 3, [F(2), F(0), F(0)],
-     "2e17ef15dbc7203b8cc8b15ce8e3db1d260ec35d25a496b63bf66a4c888b4595"),
+     "aefc9ce98fe2a8be4c173559cf58356d22fc6361e83fa6795e96662885e0ad51"),
     ("std*wedge(2,std)", 3, [F(1)] + [F(0)] * 8,
-     "5b46d44e9afc54d2adf71002542a1501a289340dce434c7f29cf33a47b0ee83c"),
+     "35fe2c928526cd3edd3f218c7c2145757589cb614e57f3b1f49a5478dd1930ed"),
     ("sym(3,std)", 2, [F(1), F(1), F(0), F(0)],
-     "94b3b2a9c9920013b863cbdfdbbf214b083ed3db9e19bf7002fe2bb5e8e55517"),
+     "c28e0f7725851cfa28be503b9c82e9e70a277cc510df1252e5506a46a9fa2bfa"),
     ("std", 2, [1.0, 1.0],
-     "3ae62088452e2e1246aac40e642f42bfe94698d888d63862d84922e6ffaf71ff"),
+     "fd29a1cd93fad5f92adc6604637be03808056859e61869642cd3973bbaf2b586"),
     ("wedge(2,std)", 3, [0.3, 0.5, -0.2],
-     "a943f2b1e166b225d1fa46a0595b5d9e085e5385baa0b19aa0b58595bb23b5d7"),
+     "09ad9f9eb65483e97246391e9cca15af794b2f649c9effd577f4edfc48a19dc7"),
     ("sym(2,std)", 3, [0, 1, 0, 0, 0, 0],
-     "7ad4960332df2247183fff59713cce2d61a929d663f6614d49f24c6c61264df3"),
+     "ec802118ecf091bd68c4335a5c0bd3b1a4be6d7ebab79d36260e0058f9d5b54e"),
     ("std", 3, [F(1, 10**400), 0, 0],
-     "cf086d326b8b3a2d10395f9d461cd2079e8009ee530a9d3cadf8e9e30306f113"),
+     "2b03869432090f076d2c43bed4573df8e901965f6f69d47ae6684def459f42b3"),
     ("sym(3,std)", 2, [1.0, 0.5, 0, 0],
-     "d6c9359bbe53a214f43eee7899e15f721629811e10f362f4dd9c31310c8de232"),
+     "73548f75d9bb174cec549b913079f1af0f9f6f579d721d92f058f03ce2bcfcc4"),
 ]
 
 

@@ -8,7 +8,7 @@ from instab import (CartanVector, GeodesicRay, SimpleSystem, ZeroVectorError,
                     distance, exp_sym, geodesic, haar_so, log_flag_norms,
                     midpoint, project, ray_from_cartan)
 from instab.cartan import dominant_order
-from instab.symspace import block_orthogonal
+from instab.symspace import block_orthogonal, haar_from_normal
 
 import oracles
 
@@ -140,6 +140,74 @@ def test_log_flag_norms_of_diagonal_elements():
     m = np.diag(np.exp(d))
     np.testing.assert_allclose(log_flag_norms(m, (1, 3, 0, 2)),
                                np.cumsum(d[[1, 3, 0, 2]]), atol=1e-12)
+
+
+def _haar_by_lapack(z):
+    # the Q of each LAPACK QR with the signs of diag(R), and the first
+    # column negated where det Q < 0
+    q, r = np.linalg.qr(z)
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    q[..., 0] *= np.where(np.linalg.det(q) < 0, -1.0, 1.0)[..., None]
+    return q
+
+
+def _log_flag_norms_by_lapack(m, perm):
+    r = np.linalg.qr(np.asarray(m)[..., list(perm)], mode="r")
+    return np.cumsum(np.log(np.abs(np.diagonal(r, axis1=-2, axis2=-1))), axis=-1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_haar_from_normal_is_special_orthogonal_and_matches_lapack(n):
+    z = np.random.default_rng(40 + n).standard_normal((4096, n, n))
+    q = haar_from_normal(z)
+    assert q.shape == z.shape
+    assert np.max(np.abs(q @ q.swapaxes(1, 2) - np.eye(n))) <= 1e-14
+    assert np.max(np.abs(np.linalg.det(q) - 1.0)) <= 1e-12
+    assert np.max(np.abs(q - _haar_by_lapack(z))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_log_flag_norms_match_lapack_on_box_samples(n):
+    rng = np.random.default_rng(50 + n)
+    gs = np.stack([cartan_box_sample(rng, n, 5.0) for _ in range(2000)])
+    ms = gs @ haar_so(n, rng).T
+    perm = tuple(int(i) for i in rng.permutation(n))
+    np.testing.assert_allclose(log_flag_norms(ms, perm),
+                               _log_flag_norms_by_lapack(ms, perm), rtol=0, atol=1e-11)
+    # one matrix, unstacked, as busemann_formula passes it
+    got = log_flag_norms(ms[0], perm)
+    assert got.shape == (n,)
+    np.testing.assert_allclose(got, _log_flag_norms_by_lapack(ms[0], perm), rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("scale", [1e-250, 1e250])
+def test_log_flag_norms_at_extreme_scales(scale):
+    # the wedge of the first j columns scales by scale^j, whether or not
+    # the squares of the entries leave the float range
+    rng = np.random.default_rng(7)
+    ms = np.stack([cartan_box_sample(rng, 4, 5.0) for _ in range(50)])
+    expect = log_flag_norms(ms, range(4)) + math.log(scale) * np.arange(1, 5)
+    np.testing.assert_allclose(log_flag_norms(scale * ms, range(4)), expect,
+                               rtol=1e-14, atol=1e-9)
+
+
+@pytest.mark.parametrize("m", [np.zeros((3, 3)), np.diag([2.0, 0.0, 1.0]),
+                               np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 0.0]])])
+def test_log_flag_norms_of_a_singular_matrix_reach_minus_infinity(m):
+    with np.errstate(divide="ignore"):
+        got = log_flag_norms(m, (0, 1, 2))
+    assert not np.isnan(got).any()
+    assert got[-1] == -math.inf
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_kernel_rows_are_the_matrices_run_alone(n):
+    z = np.random.default_rng(60 + n).standard_normal((64, n, n))
+    q = haar_from_normal(z)
+    norms = log_flag_norms(z, range(n))
+    for i in range(len(z)):
+        assert q[i].tobytes() == haar_from_normal(z[i]).tobytes()
+        assert norms[i].tobytes() == log_flag_norms(z[i], range(n)).tobytes()
 
 
 # ---------------------------------------------------------------------------
