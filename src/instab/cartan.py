@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import frexp, ldexp, sqrt
 from typing import Sequence, Tuple, Union
 
 from .errors import DimensionError, ZeroVectorError
@@ -85,7 +85,15 @@ class CartanVector:
         return sum(c * c for c in self.coords)
 
     def norm(self) -> float:
-        return sqrt(float(self.norm_sq()))
+        if self.is_exact:
+            return sqrt(float(self.norm_sq()))
+        # scaled by the power of two 2^e just above max|c|, which is exact
+        # (s is a Fraction, so a rational coordinate is still squared
+        # exactly), so no square overflows, and the bits are kept wherever
+        # the unscaled squares stay in range
+        e = frexp(max(abs(float(c)) for c in self.coords))[1]
+        s = Fraction(2) ** -e
+        return ldexp(sqrt(sum((c * s) * (c * s) for c in self.coords)), e)
 
     def unit(self) -> "CartanVector":
         nrm = self.norm()

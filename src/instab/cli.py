@@ -271,9 +271,14 @@ def cmd_busemann_check(n, direction, points, tmax, seed, box):
     grid = (1.0, 5.0, 20.0, 100.0, tmax) if tmax > 100 else (1.0, 5.0, 20.0, tmax)
     worst = 0.0
     for _ in range(points):
-        g = cartan_box_sample(rng, n, box)
-        via_limit = busemann_limit(ray, project(g), grid).value
-        via_formula = busemann_formula(a, g)
+        try:  # a box too large fails here, and a tmax too large below
+            with np.errstate(over="ignore", invalid="ignore"):
+                g = cartan_box_sample(rng, n, box)
+                via_limit = busemann_limit(ray, project(g), grid).value
+                via_formula = busemann_formula(a, g)
+        except ValueError as exc:
+            raise click.BadParameter(f"box {box} draws a point beyond the float range: {exc}",
+                                     param_hint="'--box'") from exc
         deviation = abs(via_limit - via_formula)
         if not math.isfinite(deviation):
             raise click.BadParameter(f"the deviation at t = {tmax} is not finite",

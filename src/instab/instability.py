@@ -692,31 +692,42 @@ def dominance_certificate(rep: Representation, v,
 
 def _sample_words(n: int) -> int:
     """W, the uniforms one verification sample takes: n for the Cartan part
-    and 2n^2 for the normals of k1 and k2, rounded up to whole Philox4x64
-    counter steps of 4 words, so that sample i starts at counter i W / 4."""
-    return -(-(n + 2 * n * n) // 4) * 4
+    and 2 ceil(n^2 / 2) for the normals of k, rounded up to whole
+    Philox4x64 counter steps of 4 words, so that sample i starts at
+    counter i W / 4."""
+    pairs = -(-n * n // 2)
+    return -(-(n + 2 * pairs) // 4) * 4
+
+
+def _box_cartan(x: np.ndarray, n: int, box: float) -> np.ndarray:
+    """The traceless a = box (2x - 1) of the first n words of each row."""
+    a = box * (2.0 * x[:, :n] - 1.0)
+    return a - a.mean(axis=1, keepdims=True)
 
 
 def _box_samples(x: np.ndarray, n: int, box: float) -> np.ndarray:
-    """The stack of g = k1 exp(diag(a)) k2 made from an (S, W) block of
-    uniforms in [0, 1), one row per sample.  a = box (2x - 1) on the first
-    n words, made traceless.  The next 2n^2 words give n^2 pairs (x1, x2)
-    and the normals r cos(2 pi x2), r sin(2 pi x2) with r = sqrt(-2 log u1),
-    u1 = 1 - x1 in (0, 1] (Box-Muller); ``haar_from_normal`` makes k1 and
-    k2 from them in one stacked QR."""
-    m = n * n
-    a = box * (2.0 * x[:, :n] - 1.0)
-    a -= a.mean(axis=1, keepdims=True)
-    r = np.sqrt(-2.0 * np.log(1.0 - x[:, n:n + m]))
-    theta = 2.0 * np.pi * x[:, n + m:n + 2 * m]
-    z = np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=1)
-    k = haar_from_normal(z.reshape(-1, 2, n, n))
-    return (k[:, 0] * np.exp(a)[:, None, :]) @ k[:, 1]
+    """The stack of g = exp(diag(a)) k made from an (S, W) block of
+    uniforms in [0, 1), one row per sample: a is ``_box_cartan`` of the
+    first n words.  The next 2 ceil(n^2 / 2) words give pairs (x1, x2) and
+    the normals r cos(2 pi x2), r sin(2 pi x2) with r = sqrt(-2 log u1),
+    u1 = 1 - x1 in (0, 1] (Box-Muller); ``haar_from_normal`` makes k from
+    the first n^2 of them.  Both sides of the certificate inequality are
+    invariant under g -> k' g for k' in SO(n), so a left Haar factor would
+    change no margin, and none is drawn."""
+    pairs = -(-n * n // 2)
+    r = np.sqrt(-2.0 * np.log(1.0 - x[:, n:n + pairs]))
+    theta = 2.0 * np.pi * x[:, n + pairs:n + 2 * pairs]
+    sines = n * n - pairs  # the last pair's sine is dropped when n is odd
+    z = np.concatenate([r * np.cos(theta), r[:, :sines] * np.sin(theta[:, :sines])], axis=1)
+    k = haar_from_normal(z.reshape(-1, n, n))
+    return np.exp(_box_cartan(x, n, box))[:, :, None] * k
 
 
 def cartan_box_sample(rng: np.random.Generator, n: int, box: float) -> np.ndarray:
-    """g = k1 exp(diag(a)) k2, Haar k's, a uniform in the traceless box:
-    the verification map ``_box_samples`` of W uniforms drawn from ``rng``."""
+    """g = exp(diag(a)) k, k Haar, a uniform in the traceless box: the
+    verification map ``_box_samples`` of W uniforms drawn from ``rng``.
+    Its point pi(g) = g^T g has the law of pi(k' g) for an independent
+    Haar k', since k' cancels there."""
     return _box_samples(rng.random((1, _sample_words(n))), n, box)[0]
 
 
@@ -733,9 +744,12 @@ def verify_dominance(cert: DominanceCert, rep: Optional[Representation] = None,
     the W = ``_sample_words(n)`` uniforms of the Philox4x64 stream keyed by
     ``seed`` from counter i W / 4 on, so each can be replayed alone.  A
     chunk of ``_chunk(rep)`` samples (thousands on a small representation)
-    is one draw from one generator, evaluated as one stack.  These samples
-    are unimodular by construction, so they are only tested to be finite,
-    which a ``box`` too large fails.  ``sampler(i)``, when given, returns
+    is one draw from one generator, evaluated as one stack; the first
+    chunk's stack also carries the two ray elements.  These samples are
+    unimodular by construction, so they are only tested to be finite,
+    which a ``box`` too large fails; on a representation with dual modes
+    each acts with its exact inverse k^T exp(-diag(a)), which must be
+    finite too.  ``sampler(i)``, when given, returns
     sample i instead; its samples, and the frame and ray elements of the
     certificate (checked before any sample), must have determinant 1; a
     frame that fails raises CertificateError.  samples == 0 yields an
@@ -784,7 +798,7 @@ def verify_dominance(cert: DominanceCert, rep: Optional[Representation] = None,
     t2 = 11.5 / max(spread, 0.3) if spread > 1e-9 else 40.0
     t1 = 0.5 * t2
     ray = np.stack([np.diag(np.exp(-t * uhat)) @ frame for t in (t1, t2)])
-    ray_lhs = log_rep_norm(rep, act(rep, ray, vec), e)
+    ray_w = act(rep, ray, vec)  # checked to be unimodular before any sample
 
     width = _sample_words(cert.n)
     size = _chunk(rep)
@@ -793,19 +807,25 @@ def verify_dominance(cert: DominanceCert, rep: Optional[Representation] = None,
         stop = min(start + size, samples)
         if sampler is None:
             rng = np.random.Generator(np.random.Philox(key=seed, counter=start * width // 4))
+            x = rng.random((stop - start, width))
+            g_inv = None
             with np.errstate(over="ignore", invalid="ignore"):  # a box too large
-                gs = _box_samples(rng.random((stop - start, width)), cert.n, box)
-            if not np.isfinite(gs).all():
+                gs = _box_samples(x, cert.n, box)
+                if any(rep.dual):  # g^-1 = k^T exp(-diag a), with k = exp(-diag a) g
+                    d = np.exp(-_box_cartan(x, cert.n, box))[:, None, :]
+                    g_inv = gs.swapaxes(1, 2) * d * d
+            if not all(np.isfinite(m).all() for m in (gs, g_inv) if m is not None):
                 raise ValueError(f"box {box} draws group elements that are not finite")
-            w = _apply(rep, gs, vec)
+            w = _apply(rep, gs, vec, g_inv)
         else:
             gs = np.stack([np.asarray(sampler(i), dtype=float) for i in range(start, stop)])
             w = act(rep, gs, vec)
-        if start == 0:  # the ray's right side rides on the first chunk's kernel call
-            ray_rhs, rhs = np.split(right(np.concatenate([ray, gs])), [2])
-        else:
-            rhs = right(gs)
-        margins[start:stop] = log_rep_norm(rep, w, e) - cert.c - rhs
+        if start == 0:  # the ray's two sides ride on the first chunk's calls
+            gs, w = np.concatenate([ray, gs]), np.concatenate([ray_w, w])
+        lhs, rhs = log_rep_norm(rep, w, e), right(gs)
+        if start == 0:
+            (ray_lhs, lhs), (ray_rhs, rhs) = np.split(lhs, [2]), np.split(rhs, [2])
+        margins[start:stop] = lhs - cert.c - rhs
     lhs_slope = (ray_lhs[1] - ray_lhs[0]) / (t2 - t1)
     rhs_slope = (ray_rhs[1] - ray_rhs[0]) / (t2 - t1)
     slope_diff = abs(lhs_slope - rhs_slope)

@@ -360,6 +360,8 @@ def busemann_formula(a: CartanVector, g) -> float:
     g = check_group_element(g)
     if g.shape[0] != a.n:
         raise DimensionError("group element size does not match direction")
+    if not a.is_exact:  # the ray does not see the scale, and <a, a> stays in range
+        a = a.unit()
     neg = a.scale(-1)
     order = dominant_order(neg)
     coeffs = np.asarray([float(c) for c in chi_decompose(neg, order)])

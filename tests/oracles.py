@@ -147,9 +147,30 @@ def cubic_discriminant(rep, v):
     return b * b * c * c - 4 * a * c ** 3 - 4 * b ** 3 * d - 27 * a * a * d * d + 18 * a * b * c * d
 
 
-# the (spec, n) pairs whose null cone one invariant cuts out, with it
+def endomorphism_invariants(rep, v):
+    """tr(A)^2 + tr(A^2)^2 + det(A)^2 for a rational ``v`` in
+    std*wedge(2,std), n=3, with A_ij = sum_kl eps_jkl T_ikl the
+    contraction of the two wedge modes of its exact tensor T with the
+    Levi-Civita symbol.  For g in SL(3), eps(g, g, .) = eps(., ., g^-1), so
+    g acts on A by conjugation, A -> g A g^-1.  The null cone is where A is
+    nilpotent: where tr A, tr A^2 and det A all vanish, so exactly where
+    this sum of their squares is 0."""
+    t = _exact_tensor(rep, v)
+    a = [[Fraction(0)] * 3 for _ in range(3)]
+    for i in range(3):
+        for j, k, l in permutations(range(3)):
+            a[i][j] += _perm_sign((j, k, l)) * t[9 * i + 3 * k + l]
+    a2 = [[sum(a[i][m] * a[m][j] for m in range(3)) for j in range(3)] for i in range(3)]
+    tr, tr2 = sum(a[i][i] for i in range(3)), sum(a2[i][i] for i in range(3))
+    return tr * tr + tr2 * tr2 + det(a) ** 2
+
+
+# the (spec, n) pairs whose null cone one invariant cuts out, with it; a
+# pair with several invariants gets one function, nonzero exactly outside
+# the null cone
 NULL_CONE_INVARIANTS = {**{pair: det_invariant for pair in DET_NULL_CONE},
-                        ("sym(3,std)", 2): cubic_discriminant}
+                        ("sym(3,std)", 2): cubic_discriminant,
+                        ("std*wedge(2,std)", 3): endomorphism_invariants}
 
 
 def sym_monomial_embedding(mono, n):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -164,3 +165,17 @@ def test_cocharacter_norm_sq_is_nonnegative_integer(exps):
     ns = tau.norm_sq()
     assert isinstance(ns, int) and ns >= 0
     assert abs(trace_form(CartanVector(tau.exps), CartanVector(tau.exps)) - ns) == 0
+
+
+def test_unit_of_a_float_direction_whose_squares_overflow():
+    u = CartanVector([1e308, -1e308]).unit()
+    assert u.coords == pytest.approx((2 ** -0.5, -2 ** -0.5), rel=1e-15)
+    assert CartanVector([1e308, -1e308]).norm() == pytest.approx(2 ** 0.5 * 1e308, rel=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.just(0.0) | st.floats(min_value=1e-50, max_value=1e50)
+                | st.floats(min_value=-1e50, max_value=-1e-50), min_size=1, max_size=4))
+def test_float_norm_keeps_its_bits_where_no_square_leaves_the_range(xs):
+    v = CartanVector(xs + [-sum(xs)])
+    assert v.norm() == math.sqrt(sum(c * c for c in v.coords))

@@ -480,6 +480,24 @@ def test_busemann_check_prints_strict_json(runner):
     assert strict_json(res.output.strip().splitlines()[-1])["max_deviation"] <= 1e-2
 
 
+@pytest.mark.parametrize("box", ["100", "1000"])
+def test_busemann_check_with_a_box_beyond_the_float_range(runner, box):
+    # pi(g) of such a box has a condition number past 1/eps, or overflows
+    res = runner.invoke(main, ["busemann-check", "--n", "3", "--direction", "1,0,-1",
+                               "--points", "3", "--box", box])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Invalid value for '--box'" in res.output
+    assert "max_deviation" not in res.output
+
+
+def test_busemann_check_with_a_direction_whose_squares_overflow(runner):
+    res = runner.invoke(main, ["busemann-check", "--n", "2", "--direction", "1e308,-1e308",
+                               "--points", "2"])
+    assert res.exit_code == 0, res.output
+    assert strict_json(res.output.strip().splitlines()[-1])["max_deviation"] <= 1e-2
+
+
 def test_busemann_check_at_the_least_tmax(runner):
     res = runner.invoke(main, ["busemann-check", "--n", "2", "--direction", "1,-1",
                                "--points", "1", "--tmax", "100"])

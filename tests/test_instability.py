@@ -347,6 +347,7 @@ def test_ladder_verdicts_are_pinned():
         TORUS_CERTIFIED: 159, NUMERIC_UNSTABLE: 59, LIKELY_STABLE: 138, "zero": 44}
     assert _oracle_counts(entries, kinds, oracles.DET_NULL_CONE) == (200, 43)
     assert _oracle_counts(entries, kinds, {("sym(3,std)", 2)}) == (44, 18)
+    assert _oracle_counts(entries, kinds, {("std*wedge(2,std)", 3)}) == (56, 43)
 
 
 def test_rotated_ladder_verdicts_are_pinned():
@@ -361,6 +362,7 @@ def test_rotated_ladder_verdicts_are_pinned():
         TORUS_CERTIFIED: 22, NUMERIC_UNSTABLE: 196, LIKELY_STABLE: 138}
     assert _oracle_counts(entries, kinds, oracles.DET_NULL_CONE) == (200, 43)
     assert _oracle_counts(entries, kinds, {("sym(3,std)", 2)}) == (44, 18)
+    assert _oracle_counts(entries, kinds, {("std*wedge(2,std)", 3)}) == (56, 43)
     answers = "\n".join(f"{verdict.kind} " + ("" if verdict.flat is None else
                                               ",".join(map(str, verdict.flat.u.coords)))
                         for verdict in verdicts)
@@ -1080,18 +1082,28 @@ def test_chunk_rows_are_the_samples_drawn_alone(monkeypatch, least_chunks):
     assert np.array_equal(chunks[1][3], _replay_sample(n, seed, size + 3))
 
 
+def test_sample_words_hold_the_cartan_part_and_one_haar_k():
+    # n + 2 ceil(n^2 / 2), rounded up to a multiple of 4
+    assert [instability._sample_words(n) for n in range(2, 7)] == [8, 16, 20, 32, 44]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_box_samples_are_traceless_with_haar_k(n):
     size = 4096
     x = np.random.Generator(np.random.Philox(key=2)).random((size, instability._sample_words(n)))
     gs = instability._box_samples(x, n, 5.0)
     assert np.all(np.isfinite(gs))
-    # the singular values of g = k1 exp(diag a) k2 are exp(a)
+    # the singular values of g = exp(diag a) k are exp(a)
     a = np.log(np.linalg.svd(gs, compute_uv=False))
     assert np.allclose(a.sum(axis=1), 0.0, atol=1e-9)  # tr a = 0
     assert np.all(np.abs(a) <= 2 * 5.0 * (1 - 1 / n) + 1e-9)
-    # box 0 leaves k = k1 k2, a product of independent Haar elements and so
-    # Haar itself: entries of mean 0 and E[k_ij^2] = 1/n, each within 5 sigma
+    # g g^T = exp(diag 2a), with a read from the first n words in row order
+    a = 5.0 * (2 * x[:, :n] - 1)
+    d = np.exp(-(a - a.mean(axis=1, keepdims=True)))
+    gram = d[:, :, None] * (gs @ np.swapaxes(gs, 1, 2)) * d[:, None, :]
+    assert np.allclose(gram, np.eye(n), rtol=0, atol=1e-9)
+    # box 0 leaves the Haar k alone: entries of mean 0 and E[k_ij^2] = 1/n,
+    # each within 5 sigma
     ks = instability._box_samples(x, n, 0.0)
     assert np.allclose(ks @ np.swapaxes(ks, 1, 2), np.eye(n), atol=1e-12)
     assert np.allclose(np.linalg.det(ks), 1.0)
@@ -1099,6 +1111,44 @@ def test_box_samples_are_traceless_with_haar_k(n):
     assert np.all(np.abs(entries.mean(axis=0)) < 5 * math.sqrt(1 / n / size))
     sq = entries ** 2
     assert np.all(np.abs(sq.mean(axis=0) - 1 / n) < 5 * sq.std(axis=0) / math.sqrt(size))
+
+
+# an exact certificate, one with a float frame, two on a representation
+# with a dual mode (margins constant on n=2, varying with g on the regular
+# nilpotent of n=3), and a tensor product of two modes
+REGULAR_NILPOTENT = ("std*dual(std)", 3, [0, 1, 0, 0, 0, 1, 0, 0, 0])
+INVARIANCE_CASES = [("sym(3,std)", 2, [1, 1, 0, 0]), ("std", 2, [1.0, 1.0]),
+                    ("std*dual(std)", 2, [0, 1, 0, 0]), REGULAR_NILPOTENT,
+                    ("std*wedge(2,std)", 3, [1] + [0] * 8)]
+
+
+@pytest.mark.parametrize("spec, n, v", INVARIANCE_CASES)
+def test_margins_are_invariant_under_left_rotations(spec, n, v):
+    # both sides of the certificate inequality are invariant under g -> k g,
+    # which is why verification samples no left Haar factor
+    rep = build_rep(parse_rep_spec(spec), n)
+    cert = dominance_certificate(rep, v, fast_opts(samples=0))
+    assert (cert.frame is not None) == (spec == "std")
+    rng = np.random.default_rng(3)
+    for i in range(30):
+        g = _replay_sample(n, 6, i)
+        k = haar_so(n, rng)
+        plain, rotated = (verify_dominance(cert, rep, v, samples=1, sampler=lambda _i, h=h: h)
+                          .margin_min for h in (g, k @ g))
+        assert abs(plain - rotated) <= 1e-11
+
+
+def test_dual_mode_samples_replay_alone_with_their_exact_inverse():
+    # verification's own samples act on a dual mode through k^T exp(-diag a);
+    # a sampler's go through the checked float inverse, and agree
+    spec, n, v = REGULAR_NILPOTENT
+    rep = build_rep(parse_rep_spec(spec), n)
+    cert = dominance_certificate(rep, v, fast_opts(samples=0))
+    report = verify_dominance(cert, rep, v, samples=40, seed=4)
+    alone = [_replay_margin(cert, rep, v, 4, i) for i in range(40)]
+    assert np.std(alone) > 0.1
+    assert abs(min(alone) - report.margin_min) <= 1e-12
+    assert abs(float(np.mean(alone)) - report.margin_mean) <= 1e-12
 
 
 def _count_philox(monkeypatch):
@@ -1358,29 +1408,29 @@ CERTIFICATE_BYTES = [
     ("std", 2, [F(1), F(0)],
      "d9972b292c43fa42e6c8ee5bcf586404619edd504e61b92f542ff60e88059024"),
     ("wedge(2,std)", 3, [F(1), F(0), F(0)],
-     "91f79bb857e6e383e63be41f71f63316df7d6c73f16e71827d5d351248ec7d6f"),
+     "30a42443bea16072b15017d6c6e756081970b3ffcba945aa4be2adfaad880ebb"),
     ("std*dual(std)", 2, [F(0), F(1), F(0), F(0)],
-     "44d4fb75fbc1e6abaf67a2089ac9a6f6b7c0375441f228932a0cc8c3fe94a785"),
+     "15c20efcdd24da768555f8d22f562728b2b3f9cda0c14a78a1a1857ee8f1a4e4"),
     ("sym(2,std)", 2, [F(1), F(0), F(0)],
      "f0184c26c0932b279eb918fe493ce56f5944e05fd1cfe42e96720d266d7f5078"),
     ("std", 3, [F(1), F(0), F(0)],
-     "485c4e7e88d52da067619ddcfad326e027d43a52ea3eed3ef334d908c8b8f5d2"),
+     "4a16063230d5d617d96119f4c4130a557b36000bbf32db0d74059ced45a395ee"),
     ("wedge(2,std)", 3, [F(2), F(0), F(0)],
-     "aefc9ce98fe2a8be4c173559cf58356d22fc6361e83fa6795e96662885e0ad51"),
+     "fa656d66b6acb2f863db2e4e4945117a8bd4c0227b96f047b9fdcab58c9184c3"),
     ("std*wedge(2,std)", 3, [F(1)] + [F(0)] * 8,
-     "35fe2c928526cd3edd3f218c7c2145757589cb614e57f3b1f49a5478dd1930ed"),
+     "8a62dfd819f558e69ee6051b3598761580f834110f68518a52f259d91fdf76a3"),
     ("sym(3,std)", 2, [F(1), F(1), F(0), F(0)],
-     "c28e0f7725851cfa28be503b9c82e9e70a277cc510df1252e5506a46a9fa2bfa"),
+     "7b5df6f53d92808c21dfcfe57923e93117382028f15406fe27d5ce8223caee0c"),
     ("std", 2, [1.0, 1.0],
-     "fd29a1cd93fad5f92adc6604637be03808056859e61869642cd3973bbaf2b586"),
+     "d270e8aa7d3cc233ef7b2c6d7ab3fe09f72b47a8a7809c965e9724a06cd5cdca"),
     ("wedge(2,std)", 3, [0.3, 0.5, -0.2],
-     "09ad9f9eb65483e97246391e9cca15af794b2f649c9effd577f4edfc48a19dc7"),
+     "95acae6b819529b75d8b1507d375e6df04a68a881ed6237cc1a1ec3e8a1e24ca"),
     ("sym(2,std)", 3, [0, 1, 0, 0, 0, 0],
-     "ec802118ecf091bd68c4335a5c0bd3b1a4be6d7ebab79d36260e0058f9d5b54e"),
+     "09719d950afba22e89dac945ec42592c46d5e082e20abb03fe91e4ad83d95fa8"),
     ("std", 3, [F(1, 10**400), 0, 0],
-     "2b03869432090f076d2c43bed4573df8e901965f6f69d47ae6684def459f42b3"),
+     "2a05dcd9c0b9e8403d3cef77370da21b87438332821cbbf023a4a83b6c6cfd6f"),
     ("sym(3,std)", 2, [1.0, 0.5, 0, 0],
-     "73548f75d9bb174cec549b913079f1af0f9f6f579d721d92f058f03ce2bcfcc4"),
+     "9e018756fdf5b7e458f190ff6129929ff8175aefca3efe04463027a1a5facb13"),
 ]
 
 
