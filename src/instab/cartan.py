@@ -77,29 +77,36 @@ class CartanVector:
         return exactlin.is_exact(self.coords)
 
     def is_zero(self) -> bool:
-        if self.is_exact:
-            return all(c == 0 for c in self.coords)
-        return all(abs(float(c)) < 1e-15 for c in self.coords)
+        return all(c == 0 for c in self.coords)
 
     def norm_sq(self) -> Scalar:
         return sum(c * c for c in self.coords)
 
+    def _scaled_floats(self) -> Tuple[Tuple[float, ...], int]:
+        """``(x, e)`` with x = coords / 2^e as floats and 2^e the power of
+        two just above max|c|.  ``ldexp`` scales exactly, and the largest
+        square of x lies in [1/4, 1): no square overflows, and their sum is
+        not 0, even for subnormal coordinates."""
+        e = frexp(max(abs(float(c)) for c in self.coords))[1]
+        return tuple(ldexp(float(c), -e) for c in self.coords), e
+
     def norm(self) -> float:
         if self.is_exact:
             return sqrt(float(self.norm_sq()))
-        # scaled by the power of two 2^e just above max|c|, which is exact
-        # (s is a Fraction, so a rational coordinate is still squared
-        # exactly), so no square overflows, and the bits are kept wherever
-        # the unscaled squares stay in range
-        e = frexp(max(abs(float(c)) for c in self.coords))[1]
-        s = Fraction(2) ** -e
-        return ldexp(sqrt(sum((c * s) * (c * s) for c in self.coords)), e)
+        # the bits are kept wherever the unscaled squares stay in range
+        x, e = self._scaled_floats()
+        return ldexp(sqrt(sum(c * c for c in x)), e)
 
     def unit(self) -> "CartanVector":
-        nrm = self.norm()
+        if self.is_exact:
+            nrm = self.norm()
+            coords = [float(c) for c in self.coords]
+        else:
+            coords, _ = self._scaled_floats()
+            nrm = sqrt(sum(c * c for c in coords))
         if nrm == 0:
             raise ZeroVectorError("cannot normalize the zero direction")
-        return CartanVector(tuple(float(c) / nrm for c in self.coords))
+        return CartanVector(tuple(c / nrm for c in coords))
 
     def scale(self, s: Scalar) -> "CartanVector":
         return CartanVector(tuple(c * s for c in self.coords))

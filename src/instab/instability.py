@@ -42,9 +42,9 @@ from . import exactlin
 from .cartan import CartanVector, Cocharacter, SimpleSystem, dominant_order
 from .errors import (CertificateError, DimensionError, StableVectorError,
                      TorusStableError, ZeroVectorError)
-from .reps import (_EPS, RepSpec, Representation, _apply, _log_norm, act, active_weights,
-                   build_rep, log_rep_norm, moment_map, parse_rep_spec, scaled_floats,
-                   weight_components, weight_part)
+from .reps import (_DET_TOL, _EPS, RepSpec, Representation, _apply, _log_norm, act,
+                   active_weights, build_rep, log_rep_norm, moment_map, parse_rep_spec,
+                   scaled_floats, weight_components, weight_part)
 from .symspace import block_orthogonal, exp_sym, haar_from_normal, log_flag_norms
 
 CERT_SCHEMA = "instab-cert/1"
@@ -307,7 +307,6 @@ def fastest_shrinking_geodesic(rep: Representation, v,
     stable_mu, rule = _stable_bound(rep)
     vec = scaled_floats(rep, v)[0]
     n = rep.n
-    levels = np.asarray([w.as_floats() for w in rep.weights])
     log_v = log_rep_norm(rep, vec)
     g, f = np.eye(n), log_v
     flats, frames = [flat], 1
@@ -315,7 +314,7 @@ def fastest_shrinking_geodesic(rep: Representation, v,
     for _ in range(_MAX_STEPS):
         mu = moment_map(rep, act(rep, g, vec))
         mu_norm = float(np.linalg.norm(mu))
-        log_cond = float(np.max(levels @ np.log(np.linalg.svd(g, compute_uv=False))))
+        log_cond = float(np.max(rep.weights_f @ np.log(np.linalg.svd(g, compute_uv=False))))
         accurate = log_cond + log_v - f <= _MAX_LOG_COND
         if accurate:
             upper = min(upper, mu_norm)
@@ -483,8 +482,11 @@ class DominanceCert:
     ``u`` is the exact min-norm point of the certifying flat, and ``frame``
     the orthogonal change of basis (None for the identity): w_j =
     rho_j(frame^T) v_j for the highest weight vectors v_j of ``order``.
-    What u fixes, and the mode that the vector and frame fix, are
-    properties, so a certificate cannot contradict itself.
+    With h = g frame^T the bound is frame-free, log||rho(h)w|| >=
+    sum alpha_j log||rho_j(h)v_j|| + c for w = rho(frame)v, and that is
+    the form ``verify_dominance`` checks.  What u fixes, and the mode that
+    the vector and frame fix, are properties, so a certificate cannot
+    contradict itself.
     """
 
     n: int
@@ -737,25 +739,29 @@ def verify_dominance(cert: DominanceCert, rep: Optional[Representation] = None,
                      box: float = 5.0) -> VerifyReport:
     """Check the certificate inequality on sampled group elements.
 
-    margin(g) = log||rho(g)v|| - sum_j alpha_j log||rho_j(g)w_j|| - c must
-    be >= -tol; additionally, along the certified shrink ray both sides
-    must decay at the same linear rate (slope difference <= 1e-3), which is
-    what catches inflated coefficients.  Sample i is ``_box_samples`` of
-    the W = ``_sample_words(n)`` uniforms of the Philox4x64 stream keyed by
+    For the orthogonal frame, h = g frame^T makes the inequality
+    frame-free for the one vector w = rho(frame)v: margin(h) =
+    log||rho(h)w|| - sum_j alpha_j log||rho_j(h)v_j|| - c, v_j the highest
+    weight vectors of ``order``, must be >= -tol.  Along the certified ray
+    h_t = exp(-t diag(uhat)) the right side is exactly -t rate, and the
+    left side, read in the weight basis, must decay at that rate too
+    (slope difference <= 1e-3), which is what catches inflated
+    coefficients.  Sample i is h = ``_box_samples`` of the W =
+    ``_sample_words(n)`` uniforms of the Philox4x64 stream keyed by
     ``seed`` from counter i W / 4 on, so each can be replayed alone.  A
     chunk of ``_chunk(rep)`` samples (thousands on a small representation)
-    is one draw from one generator, evaluated as one stack; the first
-    chunk's stack also carries the two ray elements.  These samples are
-    unimodular by construction, so they are only tested to be finite,
+    is one draw from one generator, evaluated as one stack.  These samples
+    are unimodular by construction, so they are only tested to be finite,
     which a ``box`` too large fails; on a representation with dual modes
     each acts with its exact inverse k^T exp(-diag(a)), which must be
-    finite too.  ``sampler(i)``, when given, returns
-    sample i instead; its samples, and the frame and ray elements of the
-    certificate (checked before any sample), must have determinant 1; a
-    frame that fails raises CertificateError.  samples == 0 yields an
-    empty, valid report.  A seed outside [0, ``SEED_MAX``], a negative
-    sample count, and a box or tolerance that is negative or not finite
-    raise ValueError, and so does a box whose samples overflow.
+    finite too.  ``sampler(i)``, when given, returns sample i instead: an
+    h of determinant 1 in the same coordinates, so a replayed sample goes
+    back in unchanged and the margin at a g is the margin at h = g frame^T.
+    The frame must be orthogonal with determinant 1, else CertificateError,
+    and acts once.  samples == 0 yields an empty, valid report.  A seed
+    outside [0, ``SEED_MAX``], a negative sample count, and a box or
+    tolerance that is negative or not finite raise ValueError, and so does
+    a box whose samples overflow.
     """
     _check_sampling(samples, box, tol)
     if rep is None:
@@ -772,33 +778,32 @@ def verify_dominance(cert: DominanceCert, rep: Optional[Representation] = None,
         return VerifyReport(samples=0, failures=0, margin_min=math.inf,
                             margin_mean=math.nan, ray_slope_diff=0.0,
                             ray_checked=False, box=box, tol=tol, seed=seed)
-    vec, e = scaled_floats(rep, v)  # v = vec * 2^e, also beyond the float range
-    frame = cert.frame if cert.frame is not None else np.eye(cert.n)
+    w, e = scaled_floats(rep, v)  # v = w * 2^e, also beyond the float range
+    if cert.frame is not None:
+        if not np.all(np.abs(cert.frame @ cert.frame.T - np.eye(cert.n)) <= _DET_TOL):
+            raise CertificateError("frame is not orthogonal")
+        try:
+            w = act(rep, cert.frame, w)
+        except ValueError as exc:
+            raise CertificateError(f"frame: {exc}") from exc
     alphas = np.asarray([float(a) for a in cert.alphas])
 
-    def right(gs):
-        # sum_j alpha_j log||rho_j(g) w_j|| with w_j = rho_j(frame^T) v_j,
-        # for every g of the stack
-        return log_flag_norms(gs @ frame.T, cert.order.perm)[:, :-1] @ alphas
-
-    # slope agreement along the shrink ray (group parameterization).  Every
-    # weight of the certified flat has level <u/|u|, weight> >= rate, so a
-    # nonzero component of rho(frame)v below the rate was truncated at the
-    # threshold cert.eps; it re-emerges along the ray like
-    # e^{(rate - level) t} against an e^{-rate t} signal, so the window is
-    # capped by the worst such spread.  On an exact certificate nothing was
-    # truncated, and the spread is 0 up to rounding.
-    uhat = np.asarray(cert.direction)
-    try:
-        at_frame = vec if cert.frame is None else act(rep, frame, vec)
-    except ValueError as exc:
-        raise CertificateError(f"frame: {exc}") from exc
-    spread = cert.rate - min(sum(float(c) * d for c, d in zip(w.coords, uhat))
-                             for w in active_weights(rep, at_frame, 0.0))
+    # slope agreement along the shrink ray: rho(h_t) scales the component
+    # of w of weight lambda by e^{-t <lambda, uhat>} and the right side is
+    # -t rate, so the margin there is f(t) - c, with f(t) the log norm of w
+    # with each component scaled by e^{-t L}, L = <lambda, uhat> - rate.
+    # Every weight of the certified flat has L >= 0, so a nonzero component
+    # with L < 0 was truncated at the threshold cert.eps; it re-emerges
+    # along the ray like e^{-L t} against the e^{-rate t} signal, so the
+    # window is capped by the worst such spread.  On an exact certificate
+    # nothing was truncated, and the spread is 0 up to rounding.  A zero
+    # component gets L = 0, since its e^{-t L} could overflow to inf * 0.
+    levels = np.where(w != 0, rep.weights_f @ np.asarray(cert.direction) - cert.rate, 0.0)
+    spread = -levels.min()
     t2 = 11.5 / max(spread, 0.3) if spread > 1e-9 else 40.0
     t1 = 0.5 * t2
-    ray = np.stack([np.diag(np.exp(-t * uhat)) @ frame for t in (t1, t2)])
-    ray_w = act(rep, ray, vec)  # checked to be unimodular before any sample
+    f = log_rep_norm(rep, w * np.exp(-np.outer((t1, t2), levels)), e)
+    slope_diff = abs(f[1] - f[0]) / (t2 - t1)
 
     width = _sample_words(cert.n)
     size = _chunk(rep)
@@ -808,27 +813,20 @@ def verify_dominance(cert: DominanceCert, rep: Optional[Representation] = None,
         if sampler is None:
             rng = np.random.Generator(np.random.Philox(key=seed, counter=start * width // 4))
             x = rng.random((stop - start, width))
-            g_inv = None
+            h_inv = None
             with np.errstate(over="ignore", invalid="ignore"):  # a box too large
-                gs = _box_samples(x, cert.n, box)
-                if any(rep.dual):  # g^-1 = k^T exp(-diag a), with k = exp(-diag a) g
+                hs = _box_samples(x, cert.n, box)
+                if any(rep.dual):  # h^-1 = k^T exp(-diag a), with k = exp(-diag a) h
                     d = np.exp(-_box_cartan(x, cert.n, box))[:, None, :]
-                    g_inv = gs.swapaxes(1, 2) * d * d
-            if not all(np.isfinite(m).all() for m in (gs, g_inv) if m is not None):
+                    h_inv = hs.swapaxes(1, 2) * d * d
+            if not all(np.isfinite(m).all() for m in (hs, h_inv) if m is not None):
                 raise ValueError(f"box {box} draws group elements that are not finite")
-            w = _apply(rep, gs, vec, g_inv)
+            wh = _apply(rep, hs, w, h_inv)
         else:
-            gs = np.stack([np.asarray(sampler(i), dtype=float) for i in range(start, stop)])
-            w = act(rep, gs, vec)
-        if start == 0:  # the ray's two sides ride on the first chunk's calls
-            gs, w = np.concatenate([ray, gs]), np.concatenate([ray_w, w])
-        lhs, rhs = log_rep_norm(rep, w, e), right(gs)
-        if start == 0:
-            (ray_lhs, lhs), (ray_rhs, rhs) = np.split(lhs, [2]), np.split(rhs, [2])
-        margins[start:stop] = lhs - cert.c - rhs
-    lhs_slope = (ray_lhs[1] - ray_lhs[0]) / (t2 - t1)
-    rhs_slope = (ray_rhs[1] - ray_rhs[0]) / (t2 - t1)
-    slope_diff = abs(lhs_slope - rhs_slope)
+            hs = np.stack([np.asarray(sampler(i), dtype=float) for i in range(start, stop)])
+            wh = act(rep, hs, w)
+        margins[start:stop] = (log_rep_norm(rep, wh, e) - cert.c
+                               - log_flag_norms(hs, cert.order.perm)[:, :-1] @ alphas)
     failures = int(np.sum(~(margins >= -tol)))  # NaN margins fail too
 
     return VerifyReport(samples=samples, failures=failures,

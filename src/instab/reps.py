@@ -236,6 +236,11 @@ class Representation:
         return np.asarray([float(g) for g in self.gram])
 
     @cached_property
+    def weights_f(self) -> np.ndarray:
+        """``weights`` as a float (dim, n) array, one row per basis vector."""
+        return np.asarray([w.as_floats() for w in self.weights])
+
+    @cached_property
     def weight_groups(self):
         """Basis indices grouped by weight: ``(weight, indices)`` pairs in
         the order of the weight coordinates."""
@@ -310,6 +315,16 @@ class Representation:
         return min(norms_sq, default=None)
 
 
+def _distinct_orderings(idx: Tuple[int, ...]) -> list:
+    """The distinct orderings of the sorted tuple ``idx``, in lexicographic
+    order: each distinct first entry, ascending, before the orderings of
+    the rest.  Only the multinomial number of them is made, not all k!."""
+    if not idx:
+        return [()]
+    return [(x, *rest) for i, x in enumerate(idx) if i == 0 or idx[i - 1] != x
+            for rest in _distinct_orderings(idx[:i] + idx[i + 1:])]
+
+
 @lru_cache(maxsize=None)
 def build_rep(spec: RepSpec, n: int) -> Representation:
     """The representation of ``spec`` for SL(n), built once per (spec, n)."""
@@ -359,7 +374,7 @@ def build_rep(spec: RepSpec, n: int) -> Representation:
             index = combinations_with_replacement(range(d), spec.k)
 
             def arrangements(idx):  # the distinct words
-                return [(1, w) for w in sorted(set(permutations(idx)))]
+                return [(1, w) for w in _distinct_orderings(idx)]
     else:
         raise TypeError(f"unknown spec node {spec!r}")
     index = tuple(index)

@@ -12,8 +12,10 @@ from itertools import combinations, permutations
 import numpy as np
 import scipy.optimize as sopt
 
-from instab import act, highest_weight_vector, log_rep_norm
+from instab import act, active_weights, highest_weight_vector, log_rep_norm
 from instab.exactlin import det, solve
+from instab.reps import scaled_floats
+from instab.symspace import log_flag_norms
 
 
 def trace_form(a, b):
@@ -302,3 +304,24 @@ def diagonal_flow_slope(rep, v, direction, t0=40.0, dt=1.0):
         return log_rep_norm(rep, act(rep, g, v))
 
     return (val(t0 + dt) - val(t0)) / dt
+
+
+def matrix_ray_slope_diff(cert, rep, v):
+    """The ray check of ``verify_dominance`` on group matrices: the slopes
+    of log||rho(g_t)v|| and of sum_j alpha_j log||rho_j(g_t frame^T)v_j||
+    along g_t = exp(-t diag(uhat)) frame, over t1 = t2 / 2 and t2, and
+    their absolute difference.  t2 is 40, or 11.5 / max(spread, 0.3) when
+    a nonzero component of rho(frame)v lies a spread > 1e-9 below the rate
+    on the ray."""
+    vec, e = scaled_floats(rep, v)
+    frame = cert.frame if cert.frame is not None else np.eye(cert.n)
+    uhat = np.asarray(cert.direction)
+    spread = cert.rate - min(sum(float(c) * d for c, d in zip(w.coords, uhat))
+                             for w in active_weights(rep, act(rep, frame, vec), 0.0))
+    t2 = 11.5 / max(spread, 0.3) if spread > 1e-9 else 40.0
+    t1 = 0.5 * t2
+    ray = np.stack([np.diag(np.exp(-t * uhat)) @ frame for t in (t1, t2)])
+    lhs = log_rep_norm(rep, act(rep, ray, vec), e)
+    alphas = np.asarray([float(a) for a in cert.alphas])
+    rhs = log_flag_norms(ray @ frame.T, cert.order.perm)[:, :-1] @ alphas
+    return abs((lhs[1] - lhs[0]) / (t2 - t1) - (rhs[1] - rhs[0]) / (t2 - t1))

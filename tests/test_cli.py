@@ -498,6 +498,22 @@ def test_busemann_check_with_a_direction_whose_squares_overflow(runner):
     assert strict_json(res.output.strip().splitlines()[-1])["max_deviation"] <= 1e-2
 
 
+@pytest.mark.parametrize("direction", ["1e-16,-1e-16", "1e-300,-1e-300", "5e-324,-5e-324"])
+def test_busemann_check_with_a_small_float_direction(runner, direction):
+    # a direction is zero only when every coordinate is, at any scale
+    res = runner.invoke(main, ["busemann-check", "--n", "2", "--direction", direction,
+                               "--points", "2"])
+    assert res.exit_code == 0, res.output
+    assert strict_json(res.output.strip().splitlines()[-1])["max_deviation"] <= 1e-2
+
+
+@pytest.mark.parametrize("direction", ["0,0", "0.0,-0.0"])
+def test_busemann_check_zero_direction_of_either_kind(runner, direction):
+    res = runner.invoke(main, ["busemann-check", "--n", "2", "--direction", direction])
+    assert res.exit_code == 1
+    assert "error: zero direction" in res.output
+
+
 def test_busemann_check_at_the_least_tmax(runner):
     res = runner.invoke(main, ["busemann-check", "--n", "2", "--direction", "1,-1",
                                "--points", "1", "--tmax", "100"])
@@ -552,6 +568,21 @@ def test_verify_rejects_a_frame_without_det_1(runner, tmp_path):
     res = runner.invoke(main, ["verify", out, "--samples", "50"])
     assert res.exit_code == 5, res.output
     assert "determinant 1" in res.output
+
+
+def test_verify_rejects_a_frame_that_is_not_orthogonal(runner, tmp_path):
+    out = str(tmp_path / "cert.json")
+    assert runner.invoke(main, ["certify", "--n", "3", "--spec", "wedge(2,std)", "--vector",
+                                "0.3,0.5,-0.2", "--out", out, "--samples", "0"]).exit_code == 0
+    data = json.loads(open(out).read())
+    shear = [[1.0, 0.3, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]  # det 1
+    data["frame"] = [[sum(r[k] * shear[k][j] for k in range(3)) for j in range(3)]
+                     for r in data["frame"]]
+    with open(out, "w") as fh:
+        json.dump(data, fh)
+    res = runner.invoke(main, ["verify", out, "--samples", "1000"])
+    assert res.exit_code == 5, res.output
+    assert "frame is not orthogonal" in res.output
 
 
 @pytest.mark.parametrize("command, code", [("verify", 2), ("certify", 1)])

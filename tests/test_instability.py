@@ -900,12 +900,24 @@ def test_corrupted_alphas_fail_verification():
     assert report.ray_slope_diff > 1e-3
 
 
+def rotated_cubic():
+    """x^2 (x + y) on sym(3,std), n=2, rotated by 0.3: certified from a
+    descent flat whose frame is not the identity."""
+    rep = build_rep(parse_rep_spec("sym(3,std)"), 2)
+    k = np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
+    return rep, [float(x) for x in act(rep, k, [1.0, 1.0, 0.0, 0.0])]
+
+
 @pytest.mark.parametrize("text, n, v", [
     ("std", 2, [1.0, 1.0]),                 # rotated frame
     ("std*wedge(2,std)", 3, [1] + [0] * 8),  # two nonzero alphas
     ("std", 4, [0.2, 0.7, -0.4, 0.1]),
+    ("sym(3,std)", 2, rotated_cubic()[1]),   # a descent frame
 ])
 def test_verify_margin_matches_fundamental_representations(text, n, v):
+    # a sampler gives h = g frame^T, and the margin is the one at g; on the
+    # std cases both sides of the inequality see no frame, so only the
+    # descent frame tells h from g
     rep = build_rep(parse_rep_spec(text), n)
     cert = dominance_certificate(rep, v, fast_opts(samples=0))
     frame = cert.frame if cert.frame is not None else np.eye(n)
@@ -915,7 +927,7 @@ def test_verify_margin_matches_fundamental_representations(text, n, v):
         rhs = oracles.fundamental_log_norms(g @ frame.T, cert.order)
         expected = (log_rep_norm(rep, act(rep, g, [float(x) for x in v])) - cert.c
                     - sum(float(a) * r for a, r in zip(cert.alphas, rhs)))
-        report = verify_dominance(cert, rep, v, samples=1, sampler=lambda _r: g)
+        report = verify_dominance(cert, rep, v, samples=1, sampler=lambda _r: g @ frame.T)
         assert report.margin_min == pytest.approx(expected, abs=1e-9)
 
 
@@ -965,18 +977,17 @@ def _record_unimodular_checks(monkeypatch):
     return shapes
 
 
-def test_verify_checks_the_ray_but_not_its_own_samples(monkeypatch):
+def test_verify_checks_a_samplers_elements_but_not_its_own(monkeypatch):
     rep = build_rep(parse_rep_spec("std*wedge(2,std)"), 3)
     cert = dominance_certificate(rep, [1] + [0] * 8, fast_opts(samples=0))
     assert cert.frame is None
     shapes = _record_unimodular_checks(monkeypatch)
     assert verify_dominance(cert, rep, samples=300).ok
-    assert shapes == [(2, 3, 3)]  # the two ray elements, one stack
-    shapes.clear()
+    assert shapes == []  # the ray is read in the weight basis
     rng = np.random.default_rng(1)
     gs = [cartan_box_sample(rng, 3, 5.0) for _ in range(300)]
     assert verify_dominance(cert, rep, samples=300, sampler=gs.__getitem__).ok
-    assert shapes == [(2, 3, 3), (300, 3, 3)]  # and every element a sampler gives
+    assert shapes == [(300, 3, 3)]  # every element a sampler gives, one stack
 
 
 def test_verify_checks_the_frame_of_a_certificate(monkeypatch):
@@ -985,11 +996,22 @@ def test_verify_checks_the_frame_of_a_certificate(monkeypatch):
     assert cert.mode == "float" and cert.frame is not None
     shapes = _record_unimodular_checks(monkeypatch)
     assert verify_dominance(cert, rep, samples=300).ok
-    assert shapes == [(2, 2), (2, 2, 2)]  # the frame, then the ray elements
+    assert shapes == [(2, 2)]  # the frame, which acts once
     data = cert_to_dict(cert)
     data["frame"][0] = [-x for x in data["frame"][0]]  # det -1
     with pytest.raises(ValueError, match="determinant 1"):
         verify_dominance(cert_from_dict(data), samples=300)
+
+
+def test_verify_rejects_a_frame_that_is_not_orthogonal():
+    cert = dominance_certificate(wedge2(3), [0.3, 0.5, -0.2], fast_opts(samples=0))
+    shear = np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    cert = replace(cert, frame=cert.frame @ shear)
+    assert np.linalg.det(cert.frame) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(CertificateError, match="frame is not orthogonal"):
+        verify_dominance(cert, samples=1000)
+    with pytest.raises(CertificateError, match="frame is not orthogonal"):
+        verify_dominance(loads_cert(dumps_cert(cert)), samples=1000)
 
 
 def test_verify_rejects_sampled_elements_without_det_1():
@@ -1017,9 +1039,7 @@ def test_ray_window_covers_what_a_descent_flat_truncates():
     # leaves float residues of components below the rate; they drop out of
     # the active set at cert.eps but re-emerge along the ray, so they must
     # cap the window
-    rep = build_rep(parse_rep_spec("sym(3,std)"), 2)
-    k = np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
-    v = [float(x) for x in act(rep, k, [1.0, 1.0, 0.0, 0.0])]
+    rep, v = rotated_cubic()
     res = fastest_shrinking_geodesic(rep, v)
     assert not res.identity
     assert len(res.flat.active) < np.count_nonzero(act(rep, res.flat.frame, v))
@@ -1201,13 +1221,14 @@ def test_verify_acts_on_stacks_not_per_sample(monkeypatch, least_chunks):
     def counted(*args, **kwargs):
         calls.append(1)
         return apply(*args, **kwargs)
-    # verification calls _apply itself on its own samples, and act on the ray
+    # verification calls _apply itself on its own samples; the identity
+    # frame does not act, and the ray is read in the weight basis
     monkeypatch.setattr(reps, "_apply", counted)
     monkeypatch.setattr(instability, "_apply", counted)
     report = verify_dominance(cert, rep, samples=2000)
     assert report.ok
     assert instability._chunk(rep) >= 64  # a chunk of a few samples is the loop again
-    assert 0 < len(calls) <= math.ceil(2000 / instability._chunk(rep)) + 2
+    assert len(calls) == math.ceil(2000 / instability._chunk(rep))
 
 
 def test_verify_zero_samples_is_valid():
@@ -1406,31 +1427,31 @@ def test_value_of_the_wrong_json_type_rejected(path, bad):
 # sha256 of dumps_cert(dominance_certificate(..., CertifyOptions(samples=200)))
 CERTIFICATE_BYTES = [
     ("std", 2, [F(1), F(0)],
-     "d9972b292c43fa42e6c8ee5bcf586404619edd504e61b92f542ff60e88059024"),
+     "59386321efe78593f7c44e9432607fa4cb67a63b08488aafcee79720d30a7e3b"),
     ("wedge(2,std)", 3, [F(1), F(0), F(0)],
      "30a42443bea16072b15017d6c6e756081970b3ffcba945aa4be2adfaad880ebb"),
     ("std*dual(std)", 2, [F(0), F(1), F(0), F(0)],
-     "15c20efcdd24da768555f8d22f562728b2b3f9cda0c14a78a1a1857ee8f1a4e4"),
+     "2b93c40087b1d3656533246115b1e572bd5198f03dd2e3af6f3f2dea97723b86"),
     ("sym(2,std)", 2, [F(1), F(0), F(0)],
-     "f0184c26c0932b279eb918fe493ce56f5944e05fd1cfe42e96720d266d7f5078"),
+     "22e45ff9f4f9ce994297901fd783c68e72a6f64c323fbcd8216c018f8545fce7"),
     ("std", 3, [F(1), F(0), F(0)],
      "4a16063230d5d617d96119f4c4130a557b36000bbf32db0d74059ced45a395ee"),
     ("wedge(2,std)", 3, [F(2), F(0), F(0)],
-     "fa656d66b6acb2f863db2e4e4945117a8bd4c0227b96f047b9fdcab58c9184c3"),
+     "b4d6f9e5f6656178219d29d6de14fe5af99e45672b707cebe84edf46dadecca5"),
     ("std*wedge(2,std)", 3, [F(1)] + [F(0)] * 8,
-     "8a62dfd819f558e69ee6051b3598761580f834110f68518a52f259d91fdf76a3"),
+     "abd8055f2bb0cd3d8cb0afa0b07828cf3f89cc44b967fcef1166678b98b0466c"),
     ("sym(3,std)", 2, [F(1), F(1), F(0), F(0)],
-     "7b5df6f53d92808c21dfcfe57923e93117382028f15406fe27d5ce8223caee0c"),
+     "73ae92f3987f967e504f40dc80731cd95d54d1308be49496c1f4bee04923a4a9"),
     ("std", 2, [1.0, 1.0],
-     "d270e8aa7d3cc233ef7b2c6d7ab3fe09f72b47a8a7809c965e9724a06cd5cdca"),
+     "72ba8674e0eb5f546789c246b5820691742725011540a26a2b29f00477e03c7f"),
     ("wedge(2,std)", 3, [0.3, 0.5, -0.2],
-     "95acae6b819529b75d8b1507d375e6df04a68a881ed6237cc1a1ec3e8a1e24ca"),
+     "d0e5e5ac84a26fdc71e2fe0a5aeedc36d80bf7de2aab459a1af91d9dc1d6ed9b"),
     ("sym(2,std)", 3, [0, 1, 0, 0, 0, 0],
      "09719d950afba22e89dac945ec42592c46d5e082e20abb03fe91e4ad83d95fa8"),
     ("std", 3, [F(1, 10**400), 0, 0],
-     "2a05dcd9c0b9e8403d3cef77370da21b87438332821cbbf023a4a83b6c6cfd6f"),
+     "1a5a21bed25f4020f5541cc9bde9dc351c654cc16746dd8ff3346d3b24ef6924"),
     ("sym(3,std)", 2, [1.0, 0.5, 0, 0],
-     "9e018756fdf5b7e458f190ff6129929ff8175aefca3efe04463027a1a5facb13"),
+     "a561149947b974a9efd36e78fee2821f7a7926c217f3db7d1f60581ff221a7f6"),
 ]
 
 
@@ -1442,6 +1463,38 @@ def test_certificate_bytes_are_pinned(spec, n, v, digest):
                                             CertifyOptions(samples=200)))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert dumps_cert(loads_cert(text)) == text
+
+
+# the ladder vectors whose rotated certificates (samples=200) fail the ray
+# check, on ray_slope_diff alone (ROADMAP, the rotated ladder)
+ROTATED_RAY_FAILURES = [("sym(3,std)", 2, [0, 0, -1, -3]),
+                        ("std*wedge(2,std)", 3, [2, 3, 0, 0, 0, 0, 0, 1, 0])]
+
+
+@lru_cache(maxsize=None)
+def _rotated_inputs() -> dict:
+    """Each nonzero ladder vector, as a tuple, mapped to its rotated input."""
+    nonzero = [tuple(v) for _, _, v in ladder() if any(v)]
+    return {v: r for v, (_, _, r) in zip(nonzero, rotated_ladder())}
+
+
+RAY_CASES = ([(spec, n, v, False) for spec, n, v, _ in CERTIFICATE_BYTES]
+             + [(spec, n, v, True) for spec, n, v in ROTATED_RAY_FAILURES]
+             + [("sym(13,std)", 2, [1] + [0] * 13, False)])  # x^13
+
+
+@pytest.mark.parametrize("spec, n, v, rotated", RAY_CASES,
+                         ids=[f"{s} n={n} {i}" for i, (s, n, _, _) in enumerate(RAY_CASES)])
+def test_ray_check_matches_the_matrix_route(spec, n, v, rotated):
+    # the closed form in the weight basis against the ray acting as
+    # matrices; on x^13, e^{-t L} of a zero component would overflow
+    rep = build_rep(parse_rep_spec(spec), n)
+    if rotated:
+        v = _rotated_inputs()[tuple(v)]
+    cert = dominance_certificate(rep, v, CertifyOptions(samples=50))
+    expected = oracles.matrix_ray_slope_diff(cert, rep, v)
+    assert abs(cert.verification.ray_slope_diff - expected) <= 1e-12
+    assert rotated or cert.verification.ok  # the rotated ones fail, as ROADMAP records
 
 
 def test_exact_vector_kept_exact_in_file():

@@ -1,5 +1,7 @@
 import math
+import time
 from fractions import Fraction as F
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -112,6 +114,24 @@ def test_sym_gram_matches_tensor_embedding():
         for mono, g in zip(monos, rep.gram):
             vec = oracles.sym_monomial_embedding(mono, n)
             assert float(g) == pytest.approx(float(vec @ vec), abs=0)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_sym_words_are_the_distinct_permutations(k):
+    # the reference enumerates all k! orderings of each monomial
+    for n in (2, 3):
+        rep = build_rep(Sym(k, Standard()), n)
+        for idx, words in zip(rep.index, rep.words):
+            expected = [(sum(i * n ** (k - 1 - m) for m, i in enumerate(p)), 1)
+                        for p in sorted(set(permutations(idx)))]
+            assert list(words) == expected
+
+
+def test_a_high_symmetric_power_builds_without_enumerating_k_factorial():
+    start = time.perf_counter()
+    rep = build_rep.__wrapped__(Sym(13, Standard()), 2)  # not the cached one
+    assert time.perf_counter() - start < 1.0
+    assert rep.dim == 14 and sum(len(w) for w in rep.words) == 2 ** 13
 
 
 def test_sym2_gram_n2():
