@@ -63,8 +63,7 @@ class CartanVector:
             if total != 0:
                 raise ValueError(f"coordinates must sum to 0, got {total}")
         else:
-            scale = max(1.0, max(abs(float(c)) for c in coords))
-            if abs(float(total)) > _FLOAT_SUM_TOL * scale:
+            if abs(float(total)) > _FLOAT_SUM_TOL * max(abs(float(c)) for c in coords):
                 raise ValueError(f"coordinates must sum to 0, got {float(total)}")
         object.__setattr__(self, "coords", coords)
 

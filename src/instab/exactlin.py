@@ -1,15 +1,17 @@
 """Small dense linear algebra over the exact rationals.
 
-``solve``, ``det`` and ``inv`` are thin calls to one Gauss-Jordan
-elimination, ``_eliminate``.  Entries must be ``int`` or ``Fraction``; a
-float raises ``ValueError``.  Matrices here are tiny (corral Gram systems,
-group elements), so clarity beats asymptotics.
+``solve``, ``det`` and ``inv`` are thin calls to one fraction-free
+Gauss-Jordan elimination, ``_eliminate`` (Bareiss, Math. Comp. 22, 1968):
+each row is scaled to integers once, and from then on every entry is an
+integer minor, so no step normalises a ``Fraction``.  Entries must be
+``int`` or ``Fraction``; a float raises ``ValueError``.  Matrices here are
+tiny (corral Gram systems, group elements), so clarity beats asymptotics.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import List, Sequence
 
 
@@ -18,35 +20,41 @@ def is_exact(values) -> bool:
 
 
 def _eliminate(a: Sequence[Sequence], b: Sequence[Sequence]):
-    """Reduce ``[a | b]`` by Gauss-Jordan elimination over the rationals,
+    """Reduce ``[a | b]`` by fraction-free Gauss-Jordan elimination,
     pivoting on the first nonzero entry of each column.  ``b`` holds one
     row of right-hand sides per row of ``a``, possibly empty.  Returns
     ``(det a, a^-1 b)``, or ``(0, None)`` when ``a`` is singular.
+
+    Each row is first scaled to integers by the lcm of its denominators.
+    After the step on column k every entry is a (k+1)-minor, so each
+    ``// prev`` is exact, and the left block ends as (last pivot) * I.
     """
     n = len(a)
     if len(b) != n or any(len(row) != n for row in a):
         raise ValueError("elimination expects a square matrix and one right-hand row per row")
     if not all(is_exact(row) for row in (*a, *b)):
         raise ValueError("exact elimination needs int or Fraction entries")
-    m = [[Fraction(x) for x in (*row, *rhs)] for row, rhs in zip(a, b)]
-    d = Fraction(1)
+    m, scale = [], 1
+    for row, rhs in zip(a, b):
+        s = lcm(*(x.denominator for x in (*row, *rhs)))
+        m.append([x.numerator * (s // x.denominator) for x in (*row, *rhs)])
+        scale *= s
+    sign, prev = 1, 1
     for col in range(n):
         piv = next((r for r in range(col, n) if m[r][col] != 0), None)
         if piv is None:
             return Fraction(0), None
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
-            d = -d
-        pivot = m[col][col]
-        d *= pivot
-        # column ``col`` is never read again: reduce only the entries right of it
-        row = [x / pivot for x in m[col][col + 1:]]
-        m[col][col + 1:] = row
+            sign = -sign
+        # column ``col`` is never read again: update only the entries right of it
+        p, row = m[col][col], m[col][col + 1:]
         for r in range(n):
-            f = m[r][col]
-            if r != col and f != 0:
-                m[r][col + 1:] = [x - f * y for x, y in zip(m[r][col + 1:], row)]
-    return d, [row[n:] for row in m]
+            if r != col:
+                f = m[r][col]
+                m[r][col + 1:] = [(p * x - f * y) // prev for x, y in zip(m[r][col + 1:], row)]
+        prev = p
+    return Fraction(sign * prev, scale), [[Fraction(x, prev) for x in row[n:]] for row in m]
 
 
 def solve(a: Sequence[Sequence], b: Sequence) -> List[Fraction]:
@@ -78,11 +86,7 @@ def primitive_integer_vector(values: Sequence[Fraction]) -> List[int]:
     fracs = [Fraction(v) for v in values]
     if all(f == 0 for f in fracs):
         raise ValueError("cannot normalize the zero vector")
-    denom_lcm = 1
-    for f in fracs:
-        denom_lcm = denom_lcm * f.denominator // gcd(denom_lcm, f.denominator)
-    ints = [int(f * denom_lcm) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    denom_lcm = lcm(*(f.denominator for f in fracs))
+    ints = [f.numerator * (denom_lcm // f.denominator) for f in fracs]
+    g = gcd(*ints)
     return [x // g for x in ints]

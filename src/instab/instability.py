@@ -79,22 +79,21 @@ class MinNormCert:
     point: CartanVector
 
 
-def _affine_min(points):
-    """Min-norm point of the affine hull of ``points`` (barycentric)."""
-    m = len(points)
-    gram = [[sum(x * y for x, y in zip(p, q)) for q in points] for p in points]
-    a = [[gram[i][j] for j in range(m)] + [1] for i in range(m)]
+def _affine_min(gram, corral):
+    """Min-norm point of the affine hull of the points ``corral`` indexes,
+    as barycentric weights, from their Gram matrix ``gram``."""
+    m = len(corral)
+    a = [[gram[i][j] for j in corral] + [1] for i in corral]
     a.append([1] * m + [0])
-    rhs = [0] * m + [1]
-    sol = exactlin.solve(a, rhs)
-    return sol[:m]
+    return exactlin.solve(a, [0] * m + [1])[:m]
 
 
 def min_norm_point(points: Sequence[CartanVector]) -> MinNormCert:
     """Wolfe's algorithm for the min-norm point of conv(points), exactly.
 
     Every coordinate must be rational: a float CartanVector raises
-    ``ValueError``.  The point is exact.
+    ``ValueError``.  The point is exact.  Wolfe reads only barycentric
+    weights and the Gram matrix of the points scaled to integers.
     """
     if not points:
         raise ValueError("need at least one point")
@@ -103,39 +102,31 @@ def min_norm_point(points: Sequence[CartanVector]) -> MinNormCert:
     if not all(p.is_exact for p in points):
         raise ValueError("min_norm_point requires rational coordinates")
     pts = [p.coords for p in points]
-    if not any(map(sum, zip(*pts))):
+    scale = math.lcm(*(c.denominator for p in pts for c in p))
+    ints = [[c.numerator * (scale // c.denominator) for c in p] for p in pts]
+    if not any(map(sum, zip(*ints))):
         # the centroid 0 is the min-norm point, as for the distinct weights
         # of a representation, whose set is invariant under the Weyl group
         return MinNormCert(point=CartanVector([0] * len(pts[0])))
+    gram = [[sum(x * y for x, y in zip(p, q)) for q in ints] for p in ints]
 
-    def dot(p, q):
-        return sum(x * y for x, y in zip(p, q))
-
-    def combo(idx, lam):
-        return tuple(sum(l * pts[i][c] for i, l in zip(idx, lam))
-                     for c in range(len(pts[0])))
-
-    start = min(range(len(pts)), key=lambda i: dot(pts[i], pts[i]))
-    corral = [start]
-    lam = [Fraction(1)]
-    x = pts[start]
-    limit = 16 * len(pts) + 64
-
-    for _ in range(limit):
-        xx = dot(x, x)
-        j = min(range(len(pts)), key=lambda i: dot(x, pts[i]))
-        if dot(x, pts[j]) >= xx:
+    # x = sum_i w_i p_{c_i} / q for integers w_i, formed once at the end
+    corral, w, q = [min(range(len(pts)), key=lambda i: gram[i][i])], [1], 1
+    for _ in range(16 * len(pts) + 64):
+        # xp[j] = q <x, p_j> and sum_i w_i xp[c_i] = q^2 |x|^2, times scale^2
+        xp = [sum(a * gram[c][j] for c, a in zip(corral, w)) for j in range(len(pts))]
+        j = min(range(len(pts)), key=xp.__getitem__)
+        if xp[j] * q >= sum(a * xp[c] for c, a in zip(corral, w)):
             break
         # the corral stays affinely independent: <x, p_j> < |x|^2 = <x, p> for every p in it
         corral.append(j)
-        lam.append(Fraction(0))
+        lam = [Fraction(a, q) for a in w] + [Fraction(0)]
         # minor cycle: move toward the affine minimizer, dropping points
         # whose barycentric weight would go negative
         while True:
-            mu = _affine_min([pts[i] for i in corral])
+            mu = _affine_min(gram, corral)
             if all(m > 0 for m in mu):
-                lam = list(mu)
-                x = combo(corral, lam)
+                lam = mu
                 break
             # the step keeps every weight >= 0 and their sum at 1, so the
             # weights it drops are exactly 0
@@ -144,8 +135,11 @@ def min_norm_point(points: Sequence[CartanVector]) -> MinNormCert:
             keep = [i for i, l in enumerate(lam) if l > 0]
             corral = [corral[i] for i in keep]
             lam = [lam[i] for i in keep]
-            x = combo(corral, lam)
+        q = math.lcm(*(l.denominator for l in lam))
+        w = [l.numerator * (q // l.denominator) for l in lam]
 
+    x = [Fraction(sum(a * ints[c][k] for c, a in zip(corral, w)), q * scale)
+         for k in range(len(pts[0]))]
     return MinNormCert(point=CartanVector(x))
 
 

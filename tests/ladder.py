@@ -7,18 +7,35 @@ kept with probability 0.35 (0 otherwise), all drawn from one
 
 The rotated ladder acts on each nonzero entry, exactly, with a rational
 rotation, so that the identity flat of its input is rarely optimal.
+
+The paper ladder holds larger representations (dimension 15 to 35).  Run
+from a checkout, ``python tests/ladder.py`` prints one JSON line of its
+verdict counts and certify times per pair.
 """
 
+import json
+import statistics
+import sys
 from fractions import Fraction
+from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
-from instab import act, build_rep, parse_rep_spec
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from instab import (CertifyOptions, act, build_rep, dominance_certificate, is_unstable,
+                    parse_rep_spec)
 from instab.exactlin import inv
+from instab.instability import LIKELY_STABLE
 
 PAIRS = [("std", 3), ("wedge(2,std)", 4), ("sym(2,std)", 3), ("sym(3,std)", 2),
          ("std*wedge(2,std)", 3), ("sym(2,std)", 4), ("std*std", 3)]
 SIZE = 400
+PAPER_PAIRS = [("sym(3,std)", 4), ("wedge(3,std)", 6), ("sym(2,std)", 5),
+               ("sym(4,std)", 4), ("wedge(3,std)", 7), ("sym(3,std)", 5)]
+PAPER_SIZE = 12
 
 
 def ladder():
@@ -61,3 +78,48 @@ def rotated_ladder():
              for i in range(n)]
         out.append((spec, n, list(act(build_rep(parse_rep_spec(spec), n), q, v))))
     return out
+
+
+def paper_ladder():
+    """The (spec, n, vector) entries of the paper ladder, each vector a list
+    of ints: ``PAPER_SIZE`` per pair of ``PAPER_PAIRS``, in that order.
+
+    Each vector is ``integers(-3, 4, dim)`` with every coordinate kept where
+    ``random(dim) < 0.2`` (0 otherwise), all drawn from one
+    ``default_rng(7)``.
+    """
+    rng = np.random.default_rng(7)
+    out = []
+    for spec, n in PAPER_PAIRS:
+        dim = build_rep(parse_rep_spec(spec), n).dim
+        for _ in range(PAPER_SIZE):
+            x = rng.integers(-3, 4, dim)
+            keep = rng.random(dim) < 0.2
+            out.append((spec, n, [int(a) if k else 0 for a, k in zip(x, keep)]))
+    return out
+
+
+def paper_report():
+    """Per pair of the paper ladder: the verdict counts of its inputs (all
+    nonzero), and the total, median and max seconds of
+    ``dominance_certificate`` (``samples=0``) over its unstable ones."""
+    pairs = {}
+    for spec, n, v in paper_ladder():
+        entry = pairs.setdefault(f"{spec} n={n}", {"kinds": {}, "certify_s": []})
+        rep = build_rep(parse_rep_spec(spec), n)
+        kind = is_unstable(rep, v).kind
+        entry["kinds"][kind] = entry["kinds"].get(kind, 0) + 1
+        if kind != LIKELY_STABLE:
+            start = perf_counter()
+            dominance_certificate(rep, v, CertifyOptions(samples=0))
+            entry["certify_s"].append(perf_counter() - start)
+    for entry in pairs.values():
+        times = entry.pop("certify_s")
+        entry["certify_s"] = {"total": round(sum(times), 3),
+                              "median": round(statistics.median(times), 3),
+                              "max": round(max(times), 3)}
+    return pairs
+
+
+if __name__ == "__main__":
+    print(json.dumps(paper_report()))

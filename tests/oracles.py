@@ -1,8 +1,9 @@
 """Independent reference computations used to freeze expected test values.
 
 Everything here deliberately avoids the library's own code paths: quadratic
-programming via scipy, explicit tensor-power embeddings for norms and
-actions, and exact power-of-two scaling for valuations.
+programming via scipy, Gauss-Jordan elimination over ``Fraction``s,
+explicit tensor-power embeddings for norms and actions, and exact
+power-of-two scaling for valuations.
 """
 
 import math
@@ -13,9 +14,46 @@ import numpy as np
 import scipy.optimize as sopt
 
 from instab import act, active_weights, highest_weight_vector, log_rep_norm
-from instab.exactlin import det, solve
 from instab.reps import scaled_floats
 from instab.symspace import log_flag_norms
+
+
+def fraction_eliminate(a, b):
+    """Gauss-Jordan elimination of ``[a | b]`` over ``Fraction``s, pivoting
+    on the first nonzero entry of each column: ``(det a, a^-1 b)``, or
+    ``(0, None)`` when ``a`` is singular."""
+    n = len(a)
+    m = [[Fraction(x) for x in (*row, *rhs)] for row, rhs in zip(a, b)]
+    d = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0), None
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            d = -d
+        pivot = m[col][col]
+        d *= pivot
+        m[col] = [x / pivot for x in m[col]]
+        for r in range(n):
+            f = m[r][col]
+            if r != col and f != 0:
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return d, [row[n:] for row in m]
+
+
+def det(a):
+    """Exact determinant by ``fraction_eliminate``."""
+    return fraction_eliminate(a, [[] for _ in a])[0]
+
+
+def solve(a, b):
+    """Exact solution of ``a x = b`` by ``fraction_eliminate``; raises
+    ``ZeroDivisionError`` if ``a`` is singular."""
+    _, x = fraction_eliminate(a, [[y] for y in b])
+    if x is None:
+        raise ZeroDivisionError("singular matrix")
+    return [row[0] for row in x]
 
 
 def trace_form(a, b):

@@ -507,6 +507,23 @@ def test_busemann_check_with_a_small_float_direction(runner, direction):
     assert strict_json(res.output.strip().splitlines()[-1])["max_deviation"] <= 1e-2
 
 
+def test_busemann_check_direction_that_sums_to_0_up_to_rounding(runner):
+    # 0.1 + 0.2 - 0.3 is 5.6e-17 in floats, far within 1e-12 of 0.3
+    res = runner.invoke(main, ["busemann-check", "--n", "3", "--direction", "0.1,0.2,-0.3",
+                               "--points", "2"])
+    assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("direction, total", [("1e-16,-5e-17", "5e-17"),
+                                              ("1e-13,-5e-14", "5e-14")])
+def test_busemann_check_small_direction_that_is_not_traceless(runner, direction, total):
+    # the sum is tested relative to the largest coordinate, so the error
+    # names the sum of the direction given, not of its unit vector
+    res = runner.invoke(main, ["busemann-check", "--n", "2", "--direction", direction])
+    assert res.exit_code == 1
+    assert f"error: coordinates must sum to 0, got {total}\n" in res.output
+
+
 @pytest.mark.parametrize("direction", ["0,0", "0.0,-0.0"])
 def test_busemann_check_zero_direction_of_either_kind(runner, direction):
     res = runner.invoke(main, ["busemann-check", "--n", "2", "--direction", direction])

@@ -1,12 +1,16 @@
 """Exact elimination: solve, det and inv checked against each other on seeded
-random rational matrices, some of deficient rank."""
+random rational matrices, some of deficient rank, and against the
+``Fraction`` Gauss-Jordan reference of ``oracles``."""
 
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from instab import exactlin
+
+import oracles
 
 
 def _matmul(a, b):
@@ -67,3 +71,39 @@ def test_elimination_properties(seed):
 def test_float_entry_raises(fn, args):
     with pytest.raises(ValueError):
         fn(*args)
+
+
+@st.composite
+def exact_system(draw):
+    """A square exact matrix with n <= 6 and two right-hand sides: integer
+    or rational entries up to 10^30, possibly of deficient rank (a product
+    through rank columns), possibly with a zero leading column block so
+    that elimination swaps rows."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    bound = draw(st.sampled_from([3, 10**6, 10**30]))
+    num = st.integers(min_value=-bound, max_value=bound)
+    entry = draw(st.sampled_from([num, st.builds(F, num, st.integers(1, bound))]))
+
+    def matrix(rows, cols):
+        return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+    rank = draw(st.integers(min_value=1, max_value=n))
+    a = matrix(n, n) if rank == n else _matmul(matrix(n, rank), matrix(rank, n))
+    for r in range(draw(st.integers(min_value=0, max_value=n - 1))):
+        a[r][0] = 0
+    return a, matrix(n, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_system())
+def test_elimination_matches_the_fraction_reference(system):
+    a, b = system
+    d, x = oracles.fraction_eliminate(a, b)
+    assert exactlin.det(a) == d
+    if x is None:
+        for fn, args in ((exactlin.solve, (a, [row[0] for row in b])), (exactlin.inv, (a,))):
+            with pytest.raises(ZeroDivisionError):
+                fn(*args)
+        return
+    assert exactlin.solve(a, [row[1] for row in b]) == [row[1] for row in x]
+    assert exactlin.inv(a) == oracles.fraction_eliminate(a, _identity(len(a)))[1]

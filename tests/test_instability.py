@@ -30,7 +30,7 @@ from instab.reps import _log_norm, scaled_floats
 from instab.symspace import block_orthogonal, exp_sym, haar_so
 
 import oracles
-from ladder import ladder, rotated_ladder
+from ladder import ladder, paper_ladder, rotated_ladder
 from test_acceptance import END_TO_END
 
 
@@ -387,6 +387,27 @@ def test_ladder_certificates_are_pinned():
     assert count == 436
     assert digest.hexdigest() == \
         "f36ac063ba3dda52b3eed9e78959f3ce40bd95c4c675270297f9a48a763c5255"
+
+
+def test_paper_ladder_prefix_is_pinned():
+    # the first three pairs of the paper ladder, 36 inputs of dimension 15
+    # and 20: verdict counts, and one sha256 over the dumps_cert bytes
+    # (samples=0) of the certificate of every unstable input, in order
+    entries = paper_ladder()[:36]
+    assert [(spec, n) for spec, n, _ in entries[::12]] == [
+        ("sym(3,std)", 4), ("wedge(3,std)", 6), ("sym(2,std)", 5)]
+    assert all(any(v) for _, _, v in entries)
+    digest, kinds = hashlib.sha256(), []
+    for spec, n, v in entries:
+        rep = build_rep(parse_rep_spec(spec), n)
+        kinds.append(is_unstable(rep, v).kind)
+        if kinds[-1] != LIKELY_STABLE:
+            digest.update(dumps_cert(dominance_certificate(rep, v, CertifyOptions(samples=0)))
+                          .encode())
+    assert {k: kinds.count(k) for k in set(kinds)} == {
+        TORUS_CERTIFIED: 25, NUMERIC_UNSTABLE: 8, LIKELY_STABLE: 3}
+    assert digest.hexdigest() == \
+        "d4af12250238ea409aa03159cce7ec99838c75404814a6ee1eaae9d827b5e253"
 
 
 def test_is_unstable_at_extreme_scales():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -67,11 +68,11 @@ def _assert_oracle_point(pts, u):
     assert tuple(sum(c * p.coords[i] for c, p in zip(coeffs, pts)) for i in range(u.n)) == point
 
 
-def _random_rational_polytope(rng, dim, count):
+def _random_rational_polytope(rng, dim, count, num=8, den=4):
     pts = []
     for _ in range(count):
-        nums = rng.integers(-8, 9, size=dim)
-        dens = rng.integers(1, 5, size=dim)
+        nums = rng.integers(-num, num + 1, size=dim)
+        dens = rng.integers(1, den + 1, size=dim)
         coords = [F(int(a), int(b)) for a, b in zip(nums, dens)]
         shift = sum(coords) / dim
         pts.append(CartanVector([c - shift for c in coords]))
@@ -93,6 +94,56 @@ def test_wolfe_matches_qp_oracle(seed):
         assert float(np.linalg.norm(u)) == pytest.approx(
             float(np.linalg.norm(u_qp)), abs=2e-5)
         _assert_optimal(pts, cert.point)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_wolfe_with_large_denominators_matches_the_exact_oracle(seed):
+    # numerators up to 10^12 over denominators up to 10^6: the lcm scaling
+    # the points to integers is huge, and the Gram matrix holds big integers
+    rng = np.random.default_rng(seed)
+    for _ in range(8):
+        dim = int(rng.integers(2, 5))
+        pts = _random_rational_polytope(rng, dim, int(rng.integers(1, 7)), 10**12, 10**6)
+        assert math.lcm(*(c.denominator for p in pts for c in p.coords)) > 10**6
+        cert = min_norm_point(pts)
+        _assert_optimal(pts, cert.point)
+        _assert_oracle_point(pts, cert.point)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_wolfe_with_repeated_points_matches_the_exact_oracle(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(15):
+        dim = int(rng.integers(2, 5))
+        pts = _random_rational_polytope(rng, dim, int(rng.integers(1, 5)))
+        pts += [pts[int(i)] for i in rng.integers(0, len(pts), size=int(rng.integers(1, 4)))]
+        cert = min_norm_point(pts)
+        _assert_optimal(pts, cert.point)
+        _assert_oracle_point(pts, cert.point)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_wolfe_on_linearly_dependent_affinely_independent_points(seed):
+    # dim points in the (dim-1)-dimensional traceless space: their Gram
+    # matrix is singular, but the bordered affine system is not.  With the
+    # last point -(sum c_i p_i) for c_i > 0, 0 is in the hull and u = 0
+    # comes out of that system; with c_i < 0 it usually is not
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        dim = int(rng.integers(3, 6))
+        pts = _random_rational_polytope(rng, dim, dim - 1)
+        for sign in (1, -1):
+            c = [sign * F(int(a), int(b)) for a, b in zip(rng.integers(1, 6, dim - 1),
+                                                       rng.integers(1, 4, dim - 1))]
+            if sum(c) == 1:  # the centroid would be 0 and skip the loop
+                continue
+            last = CartanVector([-sum(ci * p.coords[k] for ci, p in zip(c, pts))
+                                 for k in range(dim)])
+            cert = min_norm_point(pts + [last])
+            _assert_optimal(pts + [last], cert.point)
+            _assert_oracle_point(pts + [last], cert.point)
+            if sign == 1:
+                assert cert.point.is_zero()
 
 
 @st.composite
@@ -184,7 +235,7 @@ def _assert_zero_with_certificate(pts, cert):
 def test_distinct_weights_of_a_representation_have_min_norm_point_zero(monkeypatch, text, n):
     # a Weyl-invariant set sums to 0, so no Wolfe step is taken
     steps = []
-    monkeypatch.setattr(instability, "_affine_min", lambda pts: steps.append(pts))
+    monkeypatch.setattr(instability, "_affine_min", lambda *args: steps.append(args))
     pts = sorted({w for w in build_rep(parse_rep_spec(text), n).weights},
                  key=lambda w: w.coords)
     _assert_zero_with_certificate(pts, min_norm_point(pts))
