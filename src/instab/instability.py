@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields, is_dataclass, replace
 from fractions import Fraction
 from functools import cache, cached_property
@@ -44,7 +45,7 @@ from .errors import (CertificateError, DimensionError, StableVectorError,
                      TorusStableError, ZeroVectorError)
 from .reps import (_DET_TOL, _EPS, RepSpec, Representation, _apply, _log_norm, act,
                    active_weights, build_rep, log_rep_norm, moment_map, parse_rep_spec,
-                   scaled_floats, weight_components, weight_part)
+                   scaled_floats, weight_components)
 from .symspace import block_orthogonal, exp_sym, haar_from_normal, log_flag_norms
 
 CERT_SCHEMA = "instab-cert/1"
@@ -101,6 +102,8 @@ def min_norm_point(points: Sequence[CartanVector]) -> MinNormCert:
         raise DimensionError("points have mixed dimensions")
     if not all(p.is_exact for p in points):
         raise ValueError("min_norm_point requires rational coordinates")
+    if len(points) == 1:
+        return MinNormCert(point=points[0])
     pts = [p.coords for p in points]
     scale = math.lcm(*(c.denominator for p in pts for c in p))
     ints = [[c.numerator * (scale // c.denominator) for c in p] for p in pts]
@@ -286,6 +289,7 @@ def fastest_shrinking_geodesic(rep: Representation, v,
     not bounded below.
     """
     flat = flat_shrink_data(rep, v, None, eps)
+    vec = scaled_floats(rep, v)[0]
     # Along the identity flat's own ray, rho(exp(-s u))v / ||.|| tends to
     # v_F, the part of v whose weights are active and pair with u to
     # ||u||^2.  The rate is at most ||mu(rho(g)v)|| for every g, and mu is
@@ -293,13 +297,19 @@ def fastest_shrinking_geodesic(rep: Representation, v,
     # above, while the flat's own ||u|| bounds it from below: a balanced
     # face, ||mu(v_F)|| = ||u||, proves the flat optimal (Ness 1984).
     if not flat.bounded_below:
-        face = {w for (w, _), level in zip(rep.weight_groups, rep.levels(flat.u)) if not level}
-        face = face.intersection(flat.active)
-        if np.linalg.norm(moment_map(rep, weight_part(rep, v, face))) <= flat.rate + _GAP:
+        active, on_face = set(flat.active), np.zeros(rep.dim, dtype=bool)
+        for (w, idx), level in zip(rep.weight_groups, rep.levels(flat.u).tolist()):
+            on_face[idx] = not level and w in active
+        v_face = np.where(on_face, vec, 0.0)
+        # up to a power of two, which moment_map scales away, v_F's entries in
+        # the float copy of v are v_F's own float copy, unless weights above
+        # the face are so much larger that v_F leaves the normal range
+        if np.abs(v_face).max() < 2.0 ** 53 * sys.float_info.min:
+            v_face = [x if f else 0 for x, f in zip(v, on_face.tolist())]
+        if np.linalg.norm(moment_map(rep, v_face)) <= flat.rate + _GAP:
             return ShrinkGeodesicResult(upper=flat.rate, flat=flat, identity=True,
                                         frames_tried=1)
     stable_mu, rule = _stable_bound(rep)
-    vec = scaled_floats(rep, v)[0]
     n = rep.n
     log_v = log_rep_norm(rep, vec)
     g, f = np.eye(n), log_v
@@ -613,51 +623,48 @@ _SAFETY_MARGIN = 0.1
 #    up to rounding.
 
 
-def _estimate_constant(rep: Representation, v, frame: np.ndarray, u: CartanVector,
-                       seed: int) -> Tuple[float, XiInfo]:
+def _estimate_constant(rep: Representation, w: np.ndarray, e: int, u: CartanVector,
+                       levels: np.ndarray, seed: int) -> Tuple[float, XiInfo]:
     """Lower-bound constant via frames of flats through the shrink geodesic.
 
-    Takes the identity and, when u has a repeated coordinate and more than
-    one weight lies on u's face, ``_XI_FRAMES`` random rotations within the
+    ``w`` * 2^e is rho(frame)v for the certifying flat, up to rounding, so
+    a rational v beyond the float range gets its constant too; ``levels``
+    are ``rep.levels(u)``.  The identity frame's
+    statistic is read from w's own weight components.  When u has a
+    repeated coordinate and more than one weight lies on u's face, the
+    estimator also draws ``_XI_FRAMES`` random rotations within the
     blocks of equal coordinates (the frames commuting with the shrink
     direction; Haar frames would never match, and where u is alone on its
     face every such frame repeats the identity's value, see the comments
-    above), drawn as one stack.  Each chunk of ``_chunk(rep)`` frames,
-    rotations by construction and so not checked again, is acted on in one
-    call and split into weight components in one array pass.  Keeps the
-    frames whose active weights have min-norm point u: none lies below u's
-    face, and u is in the hull of those on it.  Takes
-    the minimum over them of the prefix-hull statistic of their active face
-    weights, whose log norms alone are computed, by the scalar
-    ``_log_norm``, so xi keeps its bits.
-    ``_SAFETY_MARGIN`` is subtracted at the end.  Components are split at
-    ``_EPS``, the threshold of every flat of the search, so the identity
-    frame always passes the filter.  The frames act on the float
-    copy of ``scaled_floats``, whose exponent enters the log norms, so a
-    rational v beyond the float range gets its constant too.
+    above), as one stack.  These rotations are not checked again; each
+    chunk of ``_chunk(rep)`` of them acts on w in one call and is split
+    into weight components in one array pass.  Keeps the frames whose
+    active weights have min-norm point u: none lies below u's face, and u
+    is in the hull of those on it.  Takes the minimum over them of the
+    prefix-hull statistic of their active face weights, whose log norms
+    alone are computed, by the scalar ``_log_norm``, so xi keeps its
+    bits.  ``_SAFETY_MARGIN`` is subtracted at the end.  Components are
+    split at ``_EPS``, the threshold of every flat of the search.
     """
-    n = rep.n
-    vec, e = scaled_floats(rep, v)  # v = vec * 2^e, also beyond the float range
-    w = act(rep, frame, vec)
-    levels = rep.levels(u)
+    stacks = [w[None]]  # a stack of one, read without checking w again
     blocks = _coordinate_blocks(u)
-    frames = np.eye(n)[None]
-    if len(blocks) < n and np.count_nonzero(levels == 0) > 1:
+    if len(blocks) < rep.n and np.count_nonzero(levels == 0) > 1:
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0x7C)))
-        frames = np.concatenate([frames, block_orthogonal(blocks, n, rng, _XI_FRAMES)])
+        frames = block_orthogonal(blocks, rep.n, rng, _XI_FRAMES)
+        size = _chunk(rep)
+        stacks += [_apply(rep, frames[start:start + size], w)
+                   for start in range(0, len(frames), size)]
     hulls: dict = {}
     xis = []  # each frame's statistic, None where it is not kept
-    size = _chunk(rep)
-    for start in range(0, len(frames), size):
-        weights, active, sums, exps = weight_components(
-            rep, _apply(rep, frames[start:start + size], w), _EPS, e)
+    for stack in stacks:
+        weights, active, sums, exps = weight_components(rep, stack, _EPS, e)
         below, face = (active & (levels < 0)).any(axis=1), active & (levels == 0)
         xis += [None if low else _xi_prefix(
             [(j, _log_norm(row[j], k)) for j in np.flatnonzero(on).tolist()], weights, u, hulls)
             for low, on, row, k in zip(below, face, sums.tolist(), exps.tolist())]
     kept = [xi for xi in xis if xi is not None]
     xi_min = min(kept, default=math.inf)
-    info = XiInfo(frames=len(frames), excluded=len(xis) - len(kept), value=float(xi_min),
+    info = XiInfo(frames=len(xis), excluded=len(xis) - len(kept), value=float(xi_min),
                   margin=_SAFETY_MARGIN)
     return float(xi_min) - _SAFETY_MARGIN, info
 
@@ -673,7 +680,9 @@ def dominance_certificate(rep: Representation, v,
     vec_exact = exactlin.is_exact(list(v))
     fsg = fastest_shrinking_geodesic(rep, v)
     flat = fsg.flat
-    c, xi_info = _estimate_constant(rep, v, flat.frame, flat.u, opts.seed)
+    vec, e = scaled_floats(rep, v)  # v = vec * 2^e, also beyond the float range
+    c, xi_info = _estimate_constant(rep, act(rep, flat.frame, vec), e, flat.u,
+                                    rep.levels(flat.u), opts.seed)
     vector = tuple(Fraction(x) for x in v) if vec_exact \
         else tuple(float(x) for x in v)
     cert = DominanceCert(

@@ -656,14 +656,6 @@ def weight_components(rep: Representation, v, eps: float = _EPS, exp2: int = 0):
     return tuple(w for w, _ in groups), active, sums, np.reshape(e, -1)
 
 
-def weight_part(rep: Representation, v, weights) -> list:
-    """``v`` with 0 on the basis vectors whose weight is not in ``weights``."""
-    keep = np.zeros(rep.dim, dtype=bool)
-    for w, idx in rep.weight_groups:
-        keep[idx] = w in weights
-    return [x if k else 0 for x, k in zip(v, keep)]
-
-
 def moment_map(rep: Representation, w) -> np.ndarray:
     """The traceless symmetric mu(w) with <mu(w), X> = d/dt log||rho(exp(tX))w||
     at t = 0 for every traceless symmetric X.

@@ -410,6 +410,38 @@ def test_paper_ladder_prefix_is_pinned():
         "d4af12250238ea409aa03159cce7ec99838c75404814a6ee1eaae9d827b5e253"
 
 
+# representations whose tensor coefficients are not all +-1 (the dual of a
+# symmetric power divides by the squared tensor norm: 1/2, 1/3), where the
+# float action of the identity rounds c * x and divides by c again
+COEFFICIENT_SPECS = [("dual(sym(2,std))", 3), ("sym(2,dual(std))", 3), ("dual(sym(3,std))", 2)]
+
+
+def test_coefficient_certificates_are_pinned():
+    # one sha256 over the dumps_cert bytes (samples=50) of the certificates
+    # of ten sparse integer vectors per pair, each exact and divided by 7
+    # as floats; stable inputs are skipped
+    digest, modes, frames = hashlib.sha256(), [], []
+    for spec, n in COEFFICIENT_SPECS:
+        rep = build_rep(parse_rep_spec(spec), n)
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            x = rng.integers(-3, 4, size=rep.dim) * (rng.random(rep.dim) < 0.4)
+            if not x.any():
+                continue
+            for v in ([int(a) for a in x], [a / 7 for a in x.tolist()]):
+                try:
+                    cert = dominance_certificate(rep, v, CertifyOptions(samples=50))
+                except StableVectorError:
+                    continue
+                digest.update(dumps_cert(cert).encode())
+                modes.append(cert.mode)
+                frames.append(cert.xi.frames)
+    assert (modes.count("exact"), modes.count("float")) == (20, 24)
+    assert (frames.count(1), frames.count(1001)) == (16, 28)
+    assert digest.hexdigest() == \
+        "c8d08e56393b2924a4d5aa67d73ce5b740b65ede6d0711cf5071b7c9da24bdd0"
+
+
 def test_is_unstable_at_extreme_scales():
     base = is_unstable(std(3), [1.0, 0.0, 0.0])
     # rationals beyond the float range are scaled exactly before rounding
@@ -606,6 +638,21 @@ def test_the_exact_identity_flat_takes_no_float_norm(monkeypatch):
     assert calls == ["_weighted_squares"]
 
 
+@pytest.mark.parametrize("big", [2 ** 900, 2 ** 1060, 2 ** 1100, 10 ** 400],
+                         ids=["2^900", "2^1060", "2^1100", "10^400"])
+def test_a_face_far_below_the_largest_entry_is_settled_exactly(big):
+    # x^3 lies above the face of u = the weight of x^2 y, so v_F is the
+    # x^2 y term alone, and beside x^3 * big its float copy is subnormal or
+    # 0: the face test rounds v_F by itself instead
+    rep = build_rep(parse_rep_spec("sym(3,std)"), 3)
+    v = [big, 1] + [0] * 8
+    u = rep.weights[1]
+    assert oracles.trace_form(rep.weights[0], u) > u.norm_sq()
+    verdict = is_unstable(rep, v)
+    assert (verdict.kind, verdict.frames_tried) == (TORUS_CERTIFIED, 1)
+    assert verdict.flat.u == u
+
+
 def _face_moment_norm(rep, v):
     """||mu(v_F)|| for the identity flat, v_F found from rep.weights alone."""
     fd = flat_shrink_data(rep, v)
@@ -647,6 +694,21 @@ def test_certify_runs_one_search(monkeypatch):
         classifies = _count_calls(monkeypatch, instability, "is_unstable")
         dominance_certificate(rep, v, CertifyOptions(samples=0))
         assert (len(searches), len(classifies)) == (1, 0)
+        monkeypatch.undo()
+
+
+def test_a_certificate_acts_once_and_its_identity_frame_not_again(monkeypatch):
+    # each acceptance input is settled at its identity flat by the face
+    # test, so the constant estimator's one act maps v to the flat's frame;
+    # the identity frame is read from that vector, and only drawn block
+    # frames go through _apply
+    for text, n, v in END_TO_END:
+        acts = _count_calls(monkeypatch, instability, "act")
+        applies = _count_calls(monkeypatch, instability, "_apply")
+        rep = build_rep(parse_rep_spec(text), n)
+        cert = dominance_certificate(rep, v, CertifyOptions(samples=0))
+        chunks = -(-(cert.xi.frames - 1) // instability._chunk(rep))
+        assert (len(acts), len(applies)) == (1, chunks), text
         monkeypatch.undo()
 
 
@@ -750,6 +812,25 @@ def test_block_frames_lower_the_constant(monkeypatch):
     assert cert.u.coords == (F(1, 3), F(1, 3), F(-2, 3))
     assert (identity.xi.frames, cert.xi.frames, cert.xi.excluded) == (1, 1001, 0)
     assert cert.xi.value < identity.xi.value - 0.5
+
+
+def test_block_frames_lower_the_paper_ladder_constant():
+    # sym(3,std) n=4, the first paper-ladder input: the identity frame's
+    # statistic, read from its weight components as the estimator reads
+    # it, lies far above the least over the 1,000 block frames
+    spec, n, v = paper_ladder()[0]
+    rep = build_rep(parse_rep_spec(spec), n)
+    cert = dominance_certificate(rep, v, CertifyOptions(samples=0))
+    assert (cert.xi.frames, cert.frame) == (1001, None)
+    vec, e = scaled_floats(rep, v)
+    weights, active, sums, exps = weight_components(rep, vec, instability._EPS, e)
+    levels = rep.levels(cert.u)
+    assert not (active[0] & (levels < 0)).any()
+    face = np.flatnonzero(active[0] & (levels == 0)).tolist()
+    identity = instability._xi_prefix([(j, _log_norm(sums[0, j], int(exps[0]))) for j in face],
+                                      weights, cert.u, {})
+    assert cert.xi.value < identity - 1
+    assert cert.c == cert.xi.value - cert.xi.margin
 
 
 W2W2S = "wedge(2,std)*wedge(2,std)*std"

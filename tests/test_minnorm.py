@@ -17,6 +17,31 @@ def test_single_point():
     assert cert.point.coords == (F(1), F(-1))
 
 
+@st.composite
+def one_point(draw):
+    n = draw(st.integers(min_value=2, max_value=6))
+    coords = draw(st.lists(st.builds(F, st.integers(-10 ** 30, 10 ** 30),
+                                     st.integers(1, 10 ** 30)),
+                           min_size=n - 1, max_size=n - 1))
+    return coords + [-sum(coords)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_point())
+def test_one_point_is_its_own_min_norm_point(coords):
+    # a one-weight flat or prefix needs no Wolfe run, yet a single point
+    # still passes the input checks first
+    for point in (CartanVector(coords), CartanVector([0] * len(coords))):
+        assert min_norm_point([point]).point == point
+        _assert_oracle_point([point], point)
+    with pytest.raises(ValueError):
+        min_norm_point([CartanVector([float(c) for c in coords])])
+    with pytest.raises(DimensionError):
+        min_norm_point([CartanVector(coords), CartanVector([1, -1] + [0] * len(coords))])
+    with pytest.raises(ValueError):
+        min_norm_point([])
+
+
 def test_symmetric_pair_contains_origin():
     cert = min_norm_point([CartanVector([1, -1]), CartanVector([-1, 1])])
     assert cert.point.coords == (F(0), F(0))
