@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import frexp, ldexp, sqrt
+from functools import cached_property
+from math import frexp, lcm, ldexp, sqrt
 from typing import Sequence, Tuple, Union
 
 from .errors import DimensionError, ZeroVectorError
@@ -89,17 +90,24 @@ class CartanVector:
         e = frexp(max(abs(float(c)) for c in self.coords))[1]
         return tuple(ldexp(float(c), -e) for c in self.coords), e
 
+    @cached_property
+    def ints(self) -> Tuple[Tuple[int, ...], int]:
+        """``(U, D)``: exact coordinates U / D, D > 0 their least common denominator."""
+        d = lcm(*(c.denominator for c in self.coords))
+        return tuple(c.numerator * (d // c.denominator) for c in self.coords), d
+
     def norm(self) -> float:
-        if self.is_exact:
-            return sqrt(float(self.norm_sq()))
+        if self.is_exact:  # int / int rounds once, as float(Fraction) does
+            num, d = self.ints
+            return sqrt(sum(x * x for x in num) / (d * d))
         # the bits are kept wherever the unscaled squares stay in range
         x, e = self._scaled_floats()
         return ldexp(sqrt(sum(c * c for c in x)), e)
 
     def unit(self) -> "CartanVector":
         if self.is_exact:
-            nrm = self.norm()
-            coords = [float(c) for c in self.coords]
+            nrm, (num, d) = self.norm(), self.ints
+            coords = [x / d for x in num]
         else:
             coords, _ = self._scaled_floats()
             nrm = sqrt(sum(c * c for c in coords))
@@ -120,10 +128,11 @@ class CartanVector:
 
     def pair_int(self, tau: "Cocharacter") -> int:
         """Pairing of a weight with an integer cocharacter: an exact integer."""
-        val = Fraction(sum(c * e for c, e in zip(self.coords, tau.exps)))
-        if val.denominator != 1:
-            raise ArithmeticError(f"non-integral pairing {val}")
-        return int(val)
+        num, d = self.ints
+        val = sum(x * e for x, e in zip(num, tau.exps))
+        if val % d:
+            raise ArithmeticError(f"non-integral pairing {Fraction(val, d)}")
+        return val // d
 
 
 @dataclass(frozen=True)
@@ -224,5 +233,5 @@ def dominant_order(a: CartanVector) -> SimpleSystem:
     Ties keep ascending original index (stable sort), so the result is
     deterministic and certificates are reproducible.
     """
-    idx = sorted(range(a.n), key=lambda i: a.coords[i], reverse=True)
-    return SimpleSystem(tuple(idx))
+    key = a.ints[0] if a.is_exact else a.coords
+    return SimpleSystem(tuple(sorted(range(a.n), key=key.__getitem__, reverse=True)))

@@ -16,12 +16,13 @@ Exit codes: classify 0 = certified unstable, 3 = numerically unstable,
 4 = zero vector, 6 = likely stable; certify 1 = the embedded verification
 is not ok, 6 = stable input; verify 0 = all checks pass, 1 = margin/slope
 failures, 5 = malformed certificate; parse and dimension errors,
-non-finite vector entries and a certify --out that cannot be written exit
-1, and usage errors (an option out of its range, such as a negative or
-non-finite --box or --tol, a verify --box whose samples overflow, or a
-busemann-check --tmax whose deviation is not finite; certify exits 1 on a
---box that overflows, as on a parse error) exit 2.  Every printed line is
-strict JSON: a report value that is not finite is written as null.
+non-finite vector entries, a certify --out that cannot be written and a
+certificate whose constant c is not finite exit 1, and usage errors (an
+option out of its range, such as a negative or non-finite --box or --tol,
+a verify --box whose samples overflow, or a busemann-check --tmax whose
+deviation is not finite; certify exits 1 on a --box that overflows, as on
+a parse error) exit 2.  Every printed line is strict JSON: a report value
+that is not finite is written as null.
 """
 
 from __future__ import annotations
@@ -181,6 +182,7 @@ def cmd_certify(n, spec_text, vector, vector_file, out, seed, samples, box, tol)
         v = _parse_vector(vector, vector_file)
         opts = CertifyOptions(seed=seed, samples=samples, box=box, tol=tol)
         cert = dominance_certificate(rep, v, opts)
+        text = dumps_cert(cert)
     except ZeroVectorError:
         click.echo("error: zero vector", err=True)
         sys.exit(4)
@@ -190,7 +192,6 @@ def cmd_certify(n, spec_text, vector, vector_file, out, seed, samples, box, tol)
     except (ParseError, DimensionError, InstabError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-    text = dumps_cert(cert)
     try:
         with open(out, "w") as fh:
             fh.write(text)

@@ -11,12 +11,14 @@ tiny (corral Gram systems, group elements), so clarity beats asymptotics.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import List, Sequence
 
 
 def is_exact(values) -> bool:
-    return all(isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in values)
+    """Each entry is an int or a Fraction and no bool; the exact type is tested first."""
+    return all(type(v) in (int, Fraction) or isinstance(v, (int, Fraction))
+               and not isinstance(v, bool) for v in values)
 
 
 def _eliminate(a: Sequence[Sequence], b: Sequence[Sequence]):
@@ -79,14 +81,3 @@ def inv(a: Sequence[Sequence]) -> List[List[Fraction]]:
         raise ZeroDivisionError("singular matrix")
     return x
 
-
-def primitive_integer_vector(values: Sequence[Fraction]) -> List[int]:
-    """Scale a rational vector by the smallest positive rational making all
-    entries integers with overall gcd 1.  Direction is preserved."""
-    fracs = [Fraction(v) for v in values]
-    if all(f == 0 for f in fracs):
-        raise ValueError("cannot normalize the zero vector")
-    denom_lcm = lcm(*(f.denominator for f in fracs))
-    ints = [f.numerator * (denom_lcm // f.denominator) for f in fracs]
-    g = gcd(*ints)
-    return [x // g for x in ints]

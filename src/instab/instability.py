@@ -104,21 +104,21 @@ def min_norm_point(points: Sequence[CartanVector]) -> MinNormCert:
         raise ValueError("min_norm_point requires rational coordinates")
     if len(points) == 1:
         return MinNormCert(point=points[0])
-    pts = [p.coords for p in points]
-    scale = math.lcm(*(c.denominator for p in pts for c in p))
-    ints = [[c.numerator * (scale // c.denominator) for c in p] for p in pts]
+    # each point's cached integer form, brought to one denominator
+    scale = math.lcm(*(p.ints[1] for p in points))
+    ints = [[x * (scale // p.ints[1]) for x in p.ints[0]] for p in points]
     if not any(map(sum, zip(*ints))):
         # the centroid 0 is the min-norm point, as for the distinct weights
         # of a representation, whose set is invariant under the Weyl group
-        return MinNormCert(point=CartanVector([0] * len(pts[0])))
+        return MinNormCert(point=CartanVector([0] * points[0].n))
     gram = [[sum(x * y for x, y in zip(p, q)) for q in ints] for p in ints]
 
     # x = sum_i w_i p_{c_i} / q for integers w_i, formed once at the end
-    corral, w, q = [min(range(len(pts)), key=lambda i: gram[i][i])], [1], 1
-    for _ in range(16 * len(pts) + 64):
+    corral, w, q = [min(range(len(ints)), key=lambda i: gram[i][i])], [1], 1
+    for _ in range(16 * len(ints) + 64):
         # xp[j] = q <x, p_j> and sum_i w_i xp[c_i] = q^2 |x|^2, times scale^2
-        xp = [sum(a * gram[c][j] for c, a in zip(corral, w)) for j in range(len(pts))]
-        j = min(range(len(pts)), key=xp.__getitem__)
+        xp = [sum(a * gram[c][j] for c, a in zip(corral, w)) for j in range(len(ints))]
+        j = min(range(len(ints)), key=xp.__getitem__)
         if xp[j] * q >= sum(a * xp[c] for c, a in zip(corral, w)):
             break
         # the corral stays affinely independent: <x, p_j> < |x|^2 = <x, p> for every p in it
@@ -142,7 +142,7 @@ def min_norm_point(points: Sequence[CartanVector]) -> MinNormCert:
         w = [l.numerator * (q // l.denominator) for l in lam]
 
     x = [Fraction(sum(a * ints[c][k] for c, a in zip(corral, w)), q * scale)
-         for k in range(len(pts[0]))]
+         for k in range(points[0].n)]
     return MinNormCert(point=CartanVector(x))
 
 
@@ -211,13 +211,19 @@ class ShrinkGeodesicResult:
     well-conditioned g.  ``identity``: ``flat`` is the identity flat of v
     itself (exact for rational v), not one the descent took on a float
     copy.  ``frames_tried`` counts the identity and the descent's
-    snapped frames.
+    snapped frames.  The search's own work is handed on: ``floats`` is
+    ``scaled_floats(v)``; where the identity flat is not bounded below,
+    ``levels`` is ``rep.levels`` of its u and ``face`` marks its active
+    weights on u's face, in ``weight_groups`` order (else both are None).
     """
 
     upper: float
     flat: FlatShrinkData
     identity: bool
     frames_tried: int
+    floats: Tuple[np.ndarray, int]
+    levels: Optional[np.ndarray]
+    face: Optional[np.ndarray]
 
     @property
     def rate(self) -> float:
@@ -289,7 +295,8 @@ def fastest_shrinking_geodesic(rep: Representation, v,
     not bounded below.
     """
     flat = flat_shrink_data(rep, v, None, eps)
-    vec = scaled_floats(rep, v)[0]
+    vec, e = scaled_floats(rep, v)
+    levels = face = None
     # Along the identity flat's own ray, rho(exp(-s u))v / ||.|| tends to
     # v_F, the part of v whose weights are active and pair with u to
     # ||u||^2.  The rate is at most ||mu(rho(g)v)|| for every g, and mu is
@@ -298,8 +305,10 @@ def fastest_shrinking_geodesic(rep: Representation, v,
     # face, ||mu(v_F)|| = ||u||, proves the flat optimal (Ness 1984).
     if not flat.bounded_below:
         active, on_face = set(flat.active), np.zeros(rep.dim, dtype=bool)
-        for (w, idx), level in zip(rep.weight_groups, rep.levels(flat.u).tolist()):
-            on_face[idx] = not level and w in active
+        levels = rep.levels(flat.u)
+        face = np.zeros(len(levels), dtype=bool)
+        for j, ((w, idx), level) in enumerate(zip(rep.weight_groups, levels.tolist())):
+            on_face[idx] = face[j] = not level and w in active
         v_face = np.where(on_face, vec, 0.0)
         # up to a power of two, which moment_map scales away, v_F's entries in
         # the float copy of v are v_F's own float copy, unless weights above
@@ -308,7 +317,8 @@ def fastest_shrinking_geodesic(rep: Representation, v,
             v_face = [x if f else 0 for x, f in zip(v, on_face.tolist())]
         if np.linalg.norm(moment_map(rep, v_face)) <= flat.rate + _GAP:
             return ShrinkGeodesicResult(upper=flat.rate, flat=flat, identity=True,
-                                        frames_tried=1)
+                                        frames_tried=1, floats=(vec, e), levels=levels,
+                                        face=face)
     stable_mu, rule = _stable_bound(rep)
     n = rep.n
     log_v = log_rep_norm(rep, vec)
@@ -347,7 +357,7 @@ def fastest_shrinking_geodesic(rep: Representation, v,
         raise StableVectorError(f"no shrinking flat in {_MAX_STEPS} moment-map steps")
     best = max(found, key=lambda fd: fd.rate)
     return ShrinkGeodesicResult(upper=upper, flat=best, identity=best is flat,
-                                frames_tried=frames)
+                                frames_tried=frames, floats=(vec, e), levels=levels, face=face)
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +381,13 @@ class KempfData:
 
 
 def _kempf(u: CartanVector) -> KempfData:
-    """tau primitive integral along the min-norm point u != 0 of some
-    weights, and m = <u, tau> > 0: their least pairing with tau, as each
-    pairs with u to at least ||u||^2, with equality on the face of u."""
-    tau = Cocharacter(exactlin.primitive_integer_vector(u.coords))
+    """tau = U / gcd(U) primitive integral along the min-norm point u = U / D
+    != 0 of some weights, and m = <u, tau> = gcd(U) ||tau||^2 / D > 0: their
+    least pairing with tau, as each pairs with u to at least ||u||^2, with
+    equality on the face of u, so ``pair_int`` raises where m is no integer."""
+    num = u.ints[0]
+    g = math.gcd(*num)
+    tau = Cocharacter([x // g for x in num])
     m = u.pair_int(tau)
     return KempfData(tau=tau, m=m, norm_sq=tau.norm_sq(), ratio=m / tau.norm())
 
@@ -513,10 +526,10 @@ class DominanceCert:
 
     @cached_property
     def alphas(self) -> Tuple[Fraction, ...]:
-        """The steps of u along ``order``, exact and nonnegative; index j is
-        the fundamental degree j+1."""
-        c, perm = self.u.coords, self.order.perm
-        return tuple(c[perm[j]] - c[perm[j + 1]] for j in range(self.u.n - 1))
+        """The steps of u = U / D along ``order``, exact and nonnegative;
+        index j is the fundamental degree j+1."""
+        (num, d), perm = self.u.ints, self.order.perm
+        return tuple(Fraction(num[perm[j]] - num[perm[j + 1]], d) for j in range(self.u.n - 1))
 
     @cached_property
     def rate(self) -> float:
@@ -534,7 +547,7 @@ class DominanceCert:
     @property
     def hw(self) -> Tuple[int, ...]:
         """The degrees of the positive alphas."""
-        return tuple(j + 1 for j, a in enumerate(self.alphas) if a > 0)
+        return tuple(j + 1 for j, a in enumerate(self.alphas) if a.numerator > 0)
 
     @cached_property
     def mode(self) -> str:
@@ -566,7 +579,7 @@ def _xi_prefix(active: Sequence[Tuple[int, float]], weights: Sequence[CartanVect
 
 def _coordinate_blocks(u: CartanVector):
     """Indices grouped by equal coordinates of the exact ``u``, in dominant order."""
-    return [tuple(b) for _, b in groupby(dominant_order(u).perm, key=lambda i: u.coords[i])]
+    return [tuple(b) for _, b in groupby(dominant_order(u).perm, key=u.ints[0].__getitem__)]
 
 
 # Verification and the constant estimator act on chunks of group elements,
@@ -618,33 +631,37 @@ _SAFETY_MARGIN = 0.1
 # 4. rho(k) commutes with the projection onto the level-|u|^2 space, which
 #    is the weight space of u, and preserves the norm, so the statistic is
 #    log||w_u|| for every such k.
-# 5. The identity frame is always kept (components are split at the flat's
-#    threshold), so it alone gives the minimum; other frames only repeat it
-#    up to rounding.
+# 5. The identity frame is always kept (it is the flat, with the flat's own
+#    active weights, exact for a rational vector), so it alone gives the
+#    minimum; other frames only repeat it up to rounding.
 
 
 def _estimate_constant(rep: Representation, w: np.ndarray, e: int, u: CartanVector,
-                       levels: np.ndarray, seed: int) -> Tuple[float, XiInfo]:
+                       levels: np.ndarray, flat_face: Optional[np.ndarray],
+                       seed: int) -> Tuple[float, XiInfo]:
     """Lower-bound constant via frames of flats through the shrink geodesic.
 
     ``w`` * 2^e is rho(frame)v for the certifying flat, up to rounding, so
     a rational v beyond the float range gets its constant too; ``levels``
-    are ``rep.levels(u)``.  The identity frame's
-    statistic is read from w's own weight components.  When u has a
-    repeated coordinate and more than one weight lies on u's face, the
-    estimator also draws ``_XI_FRAMES`` random rotations within the
-    blocks of equal coordinates (the frames commuting with the shrink
-    direction; Haar frames would never match, and where u is alone on its
-    face every such frame repeats the identity's value, see the comments
-    above), as one stack.  These rotations are not checked again; each
-    chunk of ``_chunk(rep)`` of them acts on w in one call and is split
-    into weight components in one array pass.  Keeps the frames whose
-    active weights have min-norm point u: none lies below u's face, and u
-    is in the hull of those on it.  Takes the minimum over them of the
-    prefix-hull statistic of their active face weights, whose log norms
-    alone are computed, by the scalar ``_log_norm``, so xi keeps its
-    bits.  ``_SAFETY_MARGIN`` is subtracted at the end.  Components are
-    split at ``_EPS``, the threshold of every flat of the search.
+    are ``rep.levels(u)``.  The identity frame is the flat itself: its
+    statistic is read from w's own weight components, over the flat's
+    active weights on u's face.  ``flat_face`` marks them where the search
+    holds them (the identity flat's, exact for a rational v even where a
+    component lies far below the largest); else w, the vector the flat was
+    read from, gives them at ``_EPS``.  When u has a repeated coordinate
+    and more than one weight lies on u's face, the estimator also draws
+    ``_XI_FRAMES`` random rotations within the blocks of equal coordinates
+    (the frames commuting with the shrink direction; Haar frames would
+    never match, and where u is alone on its face every such frame repeats
+    the identity's value, see the comments above), as one stack.  These
+    rotations are not checked again; each chunk of ``_chunk(rep)`` of them
+    acts on w in one call and is split into weight components at ``_EPS``,
+    the threshold of every flat of the search, in one array pass.  Keeps
+    the frames whose active weights have min-norm point u: none lies below
+    u's face, and u is in the hull of those on it.  Takes the minimum over
+    them of the prefix-hull statistic of their active face weights, whose
+    log norms alone are computed, by the scalar ``_log_norm``, so xi keeps
+    its bits.  ``_SAFETY_MARGIN`` is subtracted at the end.
     """
     stacks = [w[None]]  # a stack of one, read without checking w again
     blocks = _coordinate_blocks(u)
@@ -658,6 +675,8 @@ def _estimate_constant(rep: Representation, w: np.ndarray, e: int, u: CartanVect
     xis = []  # each frame's statistic, None where it is not kept
     for stack in stacks:
         weights, active, sums, exps = weight_components(rep, stack, _EPS, e)
+        if flat_face is not None and not xis:  # the identity frame; none lies below
+            active[0] = flat_face
         below, face = (active & (levels < 0)).any(axis=1), active & (levels == 0)
         xis += [None if low else _xi_prefix(
             [(j, _log_norm(row[j], k)) for j in np.flatnonzero(on).tolist()], weights, u, hulls)
@@ -680,9 +699,10 @@ def dominance_certificate(rep: Representation, v,
     vec_exact = exactlin.is_exact(list(v))
     fsg = fastest_shrinking_geodesic(rep, v)
     flat = fsg.flat
-    vec, e = scaled_floats(rep, v)  # v = vec * 2^e, also beyond the float range
-    c, xi_info = _estimate_constant(rep, act(rep, flat.frame, vec), e, flat.u,
-                                    rep.levels(flat.u), opts.seed)
+    vec, e = fsg.floats  # v = vec * 2^e, also beyond the float range
+    levels, face = (fsg.levels, fsg.face) if fsg.identity else (rep.levels(flat.u), None)
+    c, xi_info = _estimate_constant(rep, act(rep, flat.frame, vec), e, flat.u, levels, face,
+                                    opts.seed)
     vector = tuple(Fraction(x) for x in v) if vec_exact \
         else tuple(float(x) for x in v)
     cert = DominanceCert(
@@ -870,18 +890,26 @@ _DERIVED = {"rate": float, "direction": Tuple[float, ...], "kempf": KempfData,
             "hw": Tuple[int, ...]}
 
 
+@cache
+def _writer(kind):
+    """The function that writes a value of exact type ``kind`` as JSON, for
+    ``_to_json``: found once per type, a subclass such as bool by its base."""
+    if issubclass(kind, (int, float, str, type(None))):
+        return lambda x: x
+    if issubclass(kind, Fraction):
+        return lambda x: {"num": x.numerator, "den": x.denominator}
+    if issubclass(kind, (tuple, list)):
+        return lambda x: [_to_json(y) for y in x]
+    for form, (_, _, write) in _JSON_FORMS.items():
+        if issubclass(kind, form):
+            return lambda x: _to_json(write(x))
+    names = [f.name for f in fields(kind)]
+    return lambda x: {name: _to_json(getattr(x, name)) for name in names}
+
+
 def _to_json(x):
     """The JSON value of ``x``; ``_reader`` of its type reads it back."""
-    if x is None or isinstance(x, (int, float, str)):
-        return x
-    if isinstance(x, Fraction):
-        return {"num": x.numerator, "den": x.denominator}
-    if isinstance(x, (tuple, list)):
-        return [_to_json(y) for y in x]
-    for kind, (_, _, write) in _JSON_FORMS.items():
-        if isinstance(x, kind):
-            return _to_json(write(x))
-    return {f.name: _to_json(getattr(x, f.name)) for f in fields(x)}
+    return _writer(type(x))(x)
 
 
 def cert_to_dict(cert: DominanceCert) -> dict:
@@ -973,6 +1001,9 @@ def cert_from_dict(data: dict) -> DominanceCert:
 
 
 def dumps_cert(cert: DominanceCert) -> str:
+    """The canonical JSON text of ``cert``; CertificateError on a c that is not finite."""
+    if not math.isfinite(cert.c):
+        raise CertificateError(f"c = {cert.c} is not finite; no certificate is written")
     return json.dumps(cert_to_dict(cert), sort_keys=True,
                       separators=(",", ":")) + "\n"
 

@@ -271,11 +271,10 @@ class Representation:
     def levels(self, u: CartanVector) -> np.ndarray:
         """For each weight lambda of ``weight_groups``, the sign of
         <lambda, u> - |u|^2: -1 below the face {lambda : <lambda, u> = |u|^2}
-        of the exact u, 0 on it and 1 above.  With u = du / d, du integral,
-        that is the sign of <n lambda, du> d - n <du, du>: exact integer
+        of the exact u, 0 on it and 1 above.  With u = U / D (``u.ints``),
+        that is the sign of <n lambda, U> D - n <U, U>: exact integer
         arithmetic."""
-        d = math.lcm(*(Fraction(c).denominator for c in u.coords))
-        du = np.array([int(c * d) for c in u.coords], dtype=object)
+        du, d = np.array(u.ints[0], dtype=object), u.ints[1]
         return np.sign(self.weight_ints.dot(du) * d - self.n * du.dot(du)).astype(int)
 
     @cached_property

@@ -10,7 +10,7 @@ rotation, so that the identity flat of its input is rarely optimal.
 
 The paper ladder holds larger representations (dimension 15 to 35).  Run
 from a checkout, ``python tests/ladder.py`` prints one JSON line of its
-verdict counts and certify times per pair.
+verdict counts, certify times and certificate codec times per pair.
 """
 
 import json
@@ -25,8 +25,8 @@ import numpy as np
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from instab import (CertifyOptions, act, build_rep, dominance_certificate, is_unstable,
-                    parse_rep_spec)
+from instab import (CertifyOptions, act, build_rep, dominance_certificate, dumps_cert,
+                    is_unstable, loads_cert, parse_rep_spec)
 from instab.exactlin import inv
 from instab.instability import LIKELY_STABLE
 
@@ -99,25 +99,38 @@ def paper_ladder():
     return out
 
 
+def _seconds(fn, *args):
+    """``(fn(*args), the seconds it took)``."""
+    start = perf_counter()
+    out = fn(*args)
+    return out, perf_counter() - start
+
+
 def paper_report():
     """Per pair of the paper ladder: the verdict counts of its inputs (all
-    nonzero), and the total, median and max seconds of
-    ``dominance_certificate`` (``samples=0``) over its unstable ones."""
+    nonzero); the total, median and max seconds of ``dominance_certificate``
+    (``samples=0``) over its unstable ones; and the median seconds of
+    ``dumps_cert`` and of ``loads_cert`` on those certificates."""
     pairs = {}
     for spec, n, v in paper_ladder():
-        entry = pairs.setdefault(f"{spec} n={n}", {"kinds": {}, "certify_s": []})
+        entry = pairs.setdefault(f"{spec} n={n}", {"kinds": {}, "certify_s": [],
+                                                   "dumps_cert_s": [], "loads_cert_s": []})
         rep = build_rep(parse_rep_spec(spec), n)
         kind = is_unstable(rep, v).kind
         entry["kinds"][kind] = entry["kinds"].get(kind, 0) + 1
         if kind != LIKELY_STABLE:
-            start = perf_counter()
-            dominance_certificate(rep, v, CertifyOptions(samples=0))
-            entry["certify_s"].append(perf_counter() - start)
+            cert, seconds = _seconds(dominance_certificate, rep, v, CertifyOptions(samples=0))
+            entry["certify_s"].append(seconds)
+            text, seconds = _seconds(dumps_cert, cert)
+            entry["dumps_cert_s"].append(seconds)
+            entry["loads_cert_s"].append(_seconds(loads_cert, text)[1])
     for entry in pairs.values():
         times = entry.pop("certify_s")
         entry["certify_s"] = {"total": round(sum(times), 3),
                               "median": round(statistics.median(times), 3),
                               "max": round(max(times), 3)}
+        for name in ("dumps_cert_s", "loads_cert_s"):
+            entry[name] = {"median": round(statistics.median(entry[name]), 6)}
     return pairs
 
 

@@ -150,6 +150,31 @@ def exact_min_norm(points):
     return best[1], best[2]
 
 
+def fraction_certificate_values(u, rep):
+    """The values a certificate derives from the exact u, by ``Fraction``
+    arithmetic on its coordinates: rate, direction, kempf (tau, m,
+    ||tau||^2, ratio, or the ArithmeticError it raises), order, alphas and
+    hw, and ``rep``'s levels of u, in ``weight_groups`` order."""
+    c = u.coords
+    norm_sq = sum(x * x for x in c)
+    rate = math.sqrt(float(norm_sq))
+    direction = tuple(float(x) / rate for x in c)
+    order = tuple(sorted(range(len(c)), key=lambda i: c[i], reverse=True))
+    alphas = tuple(c[order[j]] - c[order[j + 1]] for j in range(len(c) - 1))
+    hw = tuple(j + 1 for j, a in enumerate(alphas) if a > 0)
+    scale = math.lcm(*(Fraction(x).denominator for x in c))
+    ints = [int(x * scale) for x in c]
+    tau = [x // math.gcd(*ints) for x in ints]
+    m = sum(x * t for x, t in zip(c, tau))
+    tau_sq = sum(t * t for t in tau)
+    kempf = (ArithmeticError(f"non-integral pairing {m}") if Fraction(m).denominator != 1
+             else (tuple(tau), int(m), tau_sq, int(m) / math.sqrt(tau_sq)))
+    levels = [(pair > norm_sq) - (pair < norm_sq)
+              for pair in (sum(a * b for a, b in zip(w.coords, c)) for w, _ in rep.weight_groups)]
+    return {"rate": rate, "direction": direction, "kempf": kempf, "order": order,
+            "alphas": alphas, "hw": hw, "levels": levels}
+
+
 # (spec, n) pairs whose null cone is det T = 0, T the n x n tensor of v
 # (the determinant, or the Pfaffian squared, generates the invariants),
 # or everything for std

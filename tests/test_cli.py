@@ -633,3 +633,15 @@ def test_classify_deterministic_output(runner):
     out1 = runner.invoke(main, args).output
     out2 = runner.invoke(main, args).output
     assert out1 == out2
+
+
+def test_certify_exits_1_on_a_constant_that_is_not_finite(runner, tmp_path):
+    # the x^2 y component of 2^1100 x^3 + x^2 y rounds to 0 beside x^3, so
+    # c is -inf: the certificate is not written, and the exit is 1
+    out = tmp_path / "cert.json"
+    res = runner.invoke(main, ["certify", "--n", "3", "--spec", "sym(3,std)", "--vector",
+                               ",".join(map(str, [2 ** 1100, 1] + [0] * 8)),
+                               "--out", str(out), "--samples", "0"])
+    assert res.exit_code == 1, res.output
+    assert "c = -inf is not finite" in res.output
+    assert not out.exists()

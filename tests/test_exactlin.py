@@ -107,3 +107,22 @@ def test_elimination_matches_the_fraction_reference(system):
         return
     assert exactlin.solve(a, [row[1] for row in b]) == [row[1] for row in x]
     assert exactlin.inv(a) == oracles.fraction_eliminate(a, _identity(len(a)))[1]
+
+
+class _Count(int):
+    """An int subclass, exact like int."""
+
+
+@pytest.mark.parametrize("value, exact", [
+    (3, True), (F(-2, 7), True), (_Count(4), True), (True, False), (False, False),
+    (np.int64(3), False), (2.5, False), (np.float64(1.0), False), ("1", False)],
+    ids=["int", "Fraction", "int subclass", "True", "False", "np.int64", "float",
+         "np.float64", "str"])
+def test_is_exact_tells_each_type_as_isinstance_does(value, exact):
+    # the exact-type test comes first; a subclass falls back to isinstance,
+    # and a bool, though an int, is no exact coordinate
+    reference = isinstance(value, (int, F)) and not isinstance(value, bool)
+    assert reference == exact
+    assert exactlin.is_exact([value]) == exact
+    assert exactlin.is_exact([F(1, 3), value, 2]) == exact
+    assert exactlin.is_exact([]) is True

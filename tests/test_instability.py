@@ -10,7 +10,7 @@ from typing import get_type_hints
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from instab import (CertifyOptions, NonFiniteError, StableVectorError,
                     TorusStableError, ZeroVectorError, act, active_weights, build_rep,
@@ -272,6 +272,50 @@ def test_torus_kempf_brute_force_maximality(text, n, v):
                for exps in oracles.primitive_cocharacters(n, 5))
     assert res.ratio >= best - 1e-12
     assert oracles.valuation_m(rep, v, res.tau.exps) == res.m
+
+
+@st.composite
+def exact_traceless(draw):
+    """A nonzero exact traceless u, n = 2..7: either rationals with
+    numerators and denominators up to 10^30, or a vector of (1/n)Z^n, as
+    weights and many min-norm points are.  The first n - 1 coordinates come
+    from a pool of at most three values, so ties are frequent."""
+    n = draw(st.integers(2, 7))
+    if draw(st.booleans()):
+        value = st.builds(F, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30))
+    else:
+        value = st.builds(F, st.integers(-4 * n, 4 * n), st.just(n))
+    pool = draw(st.lists(value, min_size=1, max_size=3))
+    head = draw(st.lists(st.sampled_from(pool), min_size=n - 1, max_size=n - 1))
+    coords = head + [-sum(head)]
+    assume(any(coords))
+    return CartanVector(coords)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_traceless())
+def test_integer_form_of_u_matches_the_fraction_reference(u):
+    # every value a certificate derives from u, and the levels of u, read
+    # the integer form (U, D) of u; the Fraction formulas give the same bits
+    # and the same tie order
+    want = oracles.fraction_certificate_values(u, build_rep(parse_rep_spec("sym(2,std)"), u.n))
+    cert = DominanceCert(n=u.n, spec=parse_rep_spec("std"), vector=(F(1),) + (F(0),) * (u.n - 1),
+                         frame=None, u=u, c=0.0, xi=XiInfo(frames=1, excluded=0, value=0.1,
+                                                          margin=0.1),
+                         verification=None, seed=0, eps=1e-10)
+    assert cert.rate.hex() == want["rate"].hex()
+    assert [x.hex() for x in cert.direction] == [x.hex() for x in want["direction"]]
+    assert cert.order.perm == want["order"]
+    assert cert.alphas == want["alphas"] and all(type(a) is F for a in cert.alphas)
+    assert cert.hw == want["hw"]
+    assert build_rep(parse_rep_spec("sym(2,std)"), u.n).levels(u).tolist() == want["levels"]
+    if isinstance(want["kempf"], ArithmeticError):
+        with pytest.raises(ArithmeticError, match=re.escape(str(want["kempf"]))):
+            cert.kempf
+    else:
+        k = cert.kempf
+        assert (k.tau.exps, k.m, k.norm_sq) == want["kempf"][:3]
+        assert k.ratio.hex() == want["kempf"][3].hex()
 
 
 def test_fsg_rate_matches_torus_ratio():
@@ -653,6 +697,36 @@ def test_a_face_far_below_the_largest_entry_is_settled_exactly(big):
     assert verdict.flat.u == u
 
 
+@pytest.mark.parametrize("k", [10 ** 11, 10 ** 20], ids=["1e11", "1e20"])
+def test_an_exact_face_far_below_the_largest_entry_keeps_its_constant(k):
+    # v = k x^3 + x^2 y: u is the weight of x^2 y, alone on its face, so c
+    # is log||x^2 y|| - 0.1 for every k.  The x^2 y component lies more
+    # than 1/eps below the largest, yet the identity frame reads the exact
+    # support, so the constant is the one of k = 10^3 and stays finite
+    rep = build_rep(parse_rep_spec("sym(3,std)"), 3)
+    opts = CertifyOptions(samples=20)
+    near = dominance_certificate(rep, [10 ** 3, 1] + [0] * 8, opts)
+    cert = dominance_certificate(rep, [k, 1] + [0] * 8, opts)
+    assert cert.mode == "exact" and cert.u == rep.weights[1]
+    assert cert.c == near.c == pytest.approx(0.44930614433405, abs=1e-13)
+    assert (cert.xi.frames, cert.xi.excluded) == (1, 0)
+    assert cert.verification.failures == 0
+    assert loads_cert(dumps_cert(cert)) == cert
+
+
+def test_a_constant_that_is_not_finite_is_never_written():
+    # beyond the float range the x^2 y component of v = 2^1100 x^3 + x^2 y
+    # rounds to 0 beside x^3, so its log norm, and with it c, is -inf:
+    # dumps_cert refuses it rather than write -Infinity
+    rep = build_rep(parse_rep_spec("sym(3,std)"), 3)
+    cert = dominance_certificate(rep, [2 ** 1100, 1] + [0] * 8, CertifyOptions(samples=0))
+    assert cert.c == -math.inf
+    with pytest.raises(CertificateError, match="c = -inf is not finite"):
+        dumps_cert(cert)
+    with pytest.raises(CertificateError, match="c = nan is not finite"):
+        dumps_cert(replace(cert, c=math.nan))
+
+
 def _face_moment_norm(rep, v):
     """||mu(v_F)|| for the identity flat, v_F found from rep.weights alone."""
     fd = flat_shrink_data(rep, v)
@@ -701,15 +775,36 @@ def test_a_certificate_acts_once_and_its_identity_frame_not_again(monkeypatch):
     # each acceptance input is settled at its identity flat by the face
     # test, so the constant estimator's one act maps v to the flat's frame;
     # the identity frame is read from that vector, and only drawn block
-    # frames go through _apply
+    # frames go through _apply.  The search's float copy of v and its
+    # levels of the identity flat are handed on, not computed again
+    from instab.reps import Representation
     for text, n, v in END_TO_END:
         acts = _count_calls(monkeypatch, instability, "act")
         applies = _count_calls(monkeypatch, instability, "_apply")
+        roundings = _count_calls(monkeypatch, instability, "scaled_floats")
+        levels = _count_calls(monkeypatch, Representation, "levels")
         rep = build_rep(parse_rep_spec(text), n)
         cert = dominance_certificate(rep, v, CertifyOptions(samples=0))
         chunks = -(-(cert.xi.frames - 1) // instability._chunk(rep))
         assert (len(acts), len(applies)) == (1, chunks), text
+        assert (len(roundings), len(levels)) == (1, 1), text
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("v", [[1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [F(1), F(1), F(0)]],
+                         ids=["identity bounded below", "float identity face",
+                              "exact identity face"])
+def test_a_descent_certificate_rounds_v_once_and_takes_its_flat_levels_once(monkeypatch, v):
+    # at a descent flat the certificate reads that flat's own levels once;
+    # the identity flat's levels were read by the search's face test, where
+    # that flat is not bounded below, and are not read again
+    from instab.reps import Representation
+    roundings = _count_calls(monkeypatch, instability, "scaled_floats")
+    levels = _count_calls(monkeypatch, Representation, "levels")
+    cert = dominance_certificate(std(3), v, CertifyOptions(samples=0))
+    assert cert.frame is not None
+    identity_face = not flat_shrink_data(std(3), v).bounded_below
+    assert (len(roundings), len(levels)) == (1, 1 + identity_face)
 
 
 def _weight_margin_sq(rep):
