@@ -298,7 +298,8 @@ def test_integer_form_of_u_matches_the_fraction_reference(u):
     # every value a certificate derives from u, and the levels of u, read
     # the integer form (U, D) of u; the Fraction formulas give the same bits
     # and the same tie order
-    want = oracles.fraction_certificate_values(u, build_rep(parse_rep_spec("sym(2,std)"), u.n))
+    rep = build_rep(parse_rep_spec("sym(2,std)"), u.n)
+    want = oracles.fraction_certificate_values(u, rep)
     cert = DominanceCert(n=u.n, spec=parse_rep_spec("std"), vector=(F(1),) + (F(0),) * (u.n - 1),
                          frame=None, u=u, c=0.0, xi=XiInfo(frames=1, excluded=0, value=0.1,
                                                           margin=0.1),
@@ -308,7 +309,7 @@ def test_integer_form_of_u_matches_the_fraction_reference(u):
     assert cert.order.perm == want["order"]
     assert cert.alphas == want["alphas"] and all(type(a) is F for a in cert.alphas)
     assert cert.hw == want["hw"]
-    assert build_rep(parse_rep_spec("sym(2,std)"), u.n).levels(u).tolist() == want["levels"]
+    assert rep.levels(u).tolist() == want["levels"]
     if isinstance(want["kempf"], ArithmeticError):
         with pytest.raises(ArithmeticError, match=re.escape(str(want["kempf"]))):
             cert.kempf
