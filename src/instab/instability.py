@@ -93,8 +93,8 @@ def min_norm_point(points: Sequence[CartanVector]) -> MinNormCert:
     """Wolfe's algorithm for the min-norm point of conv(points), exactly.
 
     Every coordinate must be rational: a float CartanVector raises
-    ``ValueError``.  The point is exact.  Wolfe reads only barycentric
-    weights and the Gram matrix of the points scaled to integers.
+    ``ValueError``.  The points are brought to integers over one
+    denominator, and ``_wolfe`` finds the exact point.
     """
     if not points:
         raise ValueError("need at least one point")
@@ -102,23 +102,25 @@ def min_norm_point(points: Sequence[CartanVector]) -> MinNormCert:
         raise DimensionError("points have mixed dimensions")
     if not all(p.is_exact for p in points):
         raise ValueError("min_norm_point requires rational coordinates")
-    if len(points) == 1:
-        return MinNormCert(point=points[0])
     # each point's cached integer form, brought to one denominator
     scale = math.lcm(*(p.ints[1] for p in points))
-    ints = [[x * (scale // p.ints[1]) for x in p.ints[0]] for p in points]
-    if not any(map(sum, zip(*ints))):
+    ints = np.array([[x * (scale // p.ints[1]) for x in p.ints[0]] for p in points], dtype=object)
+    return MinNormCert(point=_wolfe(ints, ints.dot(ints.T).tolist(), range(len(points)), scale))
+
+
+def _wolfe(ints: np.ndarray, gram: list, rows: Sequence[int], scale: int) -> CartanVector:
+    """Wolfe's exact min-norm point of the hull of ints[r] / scale, r in ``rows``,
+    from integer points (rows of an object array) and their Gram matrix."""
+    if not any(ints[list(rows)].sum(axis=0)):
         # the centroid 0 is the min-norm point, as for the distinct weights
         # of a representation, whose set is invariant under the Weyl group
-        return MinNormCert(point=CartanVector([0] * points[0].n))
-    gram = [[sum(x * y for x, y in zip(p, q)) for q in ints] for p in ints]
-
+        return CartanVector([0] * ints.shape[1])
     # x = sum_i w_i p_{c_i} / q for integers w_i, formed once at the end
-    corral, w, q = [min(range(len(ints)), key=lambda i: gram[i][i])], [1], 1
-    for _ in range(16 * len(ints) + 64):
+    corral, w, q = [min(rows, key=lambda i: gram[i][i])], [1], 1
+    for _ in range(16 * len(rows) + 64):
         # xp[j] = q <x, p_j> and sum_i w_i xp[c_i] = q^2 |x|^2, times scale^2
-        xp = [sum(a * gram[c][j] for c, a in zip(corral, w)) for j in range(len(ints))]
-        j = min(range(len(ints)), key=xp.__getitem__)
+        xp = {j: sum(a * gram[c][j] for c, a in zip(corral, w)) for j in rows}
+        j = min(rows, key=xp.__getitem__)
         if xp[j] * q >= sum(a * xp[c] for c, a in zip(corral, w)):
             break
         # the corral stays affinely independent: <x, p_j> < |x|^2 = <x, p> for every p in it
@@ -141,9 +143,15 @@ def min_norm_point(points: Sequence[CartanVector]) -> MinNormCert:
         q = math.lcm(*(l.denominator for l in lam))
         w = [l.numerator * (q // l.denominator) for l in lam]
 
-    x = [Fraction(sum(a * ints[c][k] for c, a in zip(corral, w)), q * scale)
-         for k in range(points[0].n)]
-    return MinNormCert(point=CartanVector(x))
+    return CartanVector([Fraction(c, q * scale) for c in np.array(w, dtype=object) @ ints[corral]])
+
+
+def _rows_min_norm(rep: Representation, rows: Sequence[int]) -> CartanVector:
+    """The min-norm point of the weights on ``rows`` of ``rep.weight_groups``:
+    ``_wolfe`` on the cached integer weights; a single weight is its own."""
+    if len(rows) == 1:
+        return rep.weight_groups[rows[0]][0]
+    return _wolfe(rep.weight_ints, rep.weight_gram, rows, rep.n)
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +164,13 @@ class FlatShrinkData:
 
     The flat is pi(exp(diag(.)) k) for the orthogonal ``frame`` k.  On it
     the log norm is, up to a bounded error, the max over the active
-    weights of <weight, b>.  ``active`` holds those weights, the support of
-    rho(k)v (``active_weights``: exact for a rational vector at the
-    identity frame), and ``u`` is their exact min-norm point.
+    weights of <weight, b>.  ``active`` holds their ``weight_groups`` rows,
+    the support of rho(k)v (``active_weights``: exact for a rational vector
+    at the identity frame), and ``u`` is their exact min-norm point.
     """
 
     frame: np.ndarray
-    active: Tuple[CartanVector, ...]
+    active: Tuple[int, ...]
     u: CartanVector
 
     @cached_property
@@ -185,16 +193,11 @@ class FlatShrinkData:
 
 def flat_shrink_data(rep: Representation, v, frame: Optional[np.ndarray] = None,
                      eps: float = _EPS) -> FlatShrinkData:
-    if frame is None:
-        frame_arr = np.eye(rep.n)
-        w = v
-    else:
-        frame_arr = np.asarray(frame, dtype=float)
-        w = act(rep, frame_arr, v)
-    active = tuple(active_weights(rep, w, eps))
+    frame_arr = np.eye(rep.n) if frame is None else np.asarray(frame, dtype=float)
+    active = active_weights(rep, v if frame is None else act(rep, frame_arr, v), eps)
     if not active:
         raise ZeroVectorError("vector vanishes after applying the frame")
-    return FlatShrinkData(frame=frame_arr, active=active, u=min_norm_point(active).point)
+    return FlatShrinkData(frame=frame_arr, active=tuple(active), u=_rows_min_norm(rep, active))
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +215,8 @@ class ShrinkGeodesicResult:
     itself (exact for rational v), not one the descent took on a float
     copy.  ``frames_tried`` counts the identity and the descent's
     snapped frames.  The search's own work is handed on: ``floats`` is
-    ``scaled_floats(v)``; where the identity flat is not bounded below,
-    ``levels`` is ``rep.levels`` of its u and ``face`` marks its active
-    weights on u's face, in ``weight_groups`` order (else both are None).
+    ``scaled_floats(v)``, and ``levels`` is ``rep.levels`` of the identity
+    flat's u where that flat is not bounded below (else None).
     """
 
     upper: float
@@ -223,7 +225,6 @@ class ShrinkGeodesicResult:
     frames_tried: int
     floats: Tuple[np.ndarray, int]
     levels: Optional[np.ndarray]
-    face: Optional[np.ndarray]
 
     @property
     def rate(self) -> float:
@@ -296,7 +297,7 @@ def fastest_shrinking_geodesic(rep: Representation, v,
     """
     flat = flat_shrink_data(rep, v, None, eps)
     vec, e = scaled_floats(rep, v)
-    levels = face = None
+    levels = None
     # Along the identity flat's own ray, rho(exp(-s u))v / ||.|| tends to
     # v_F, the part of v whose weights are active and pair with u to
     # ||u||^2.  The rate is at most ||mu(rho(g)v)|| for every g, and mu is
@@ -304,11 +305,9 @@ def fastest_shrinking_geodesic(rep: Representation, v,
     # above, while the flat's own ||u|| bounds it from below: a balanced
     # face, ||mu(v_F)|| = ||u||, proves the flat optimal (Ness 1984).
     if not flat.bounded_below:
-        active, on_face = set(flat.active), np.zeros(rep.dim, dtype=bool)
-        levels = rep.levels(flat.u)
-        face = np.zeros(len(levels), dtype=bool)
-        for j, ((w, idx), level) in enumerate(zip(rep.weight_groups, levels.tolist())):
-            on_face[idx] = face[j] = not level and w in active
+        levels, on_face = rep.levels(flat.u), np.zeros(rep.dim, dtype=bool)
+        for j in flat.active:
+            on_face[rep.weight_groups[j][1]] = levels[j] == 0
         v_face = np.where(on_face, vec, 0.0)
         # up to a power of two, which moment_map scales away, v_F's entries in
         # the float copy of v are v_F's own float copy, unless weights above
@@ -317,8 +316,7 @@ def fastest_shrinking_geodesic(rep: Representation, v,
             v_face = [x if f else 0 for x, f in zip(v, on_face.tolist())]
         if np.linalg.norm(moment_map(rep, v_face)) <= flat.rate + _GAP:
             return ShrinkGeodesicResult(upper=flat.rate, flat=flat, identity=True,
-                                        frames_tried=1, floats=(vec, e), levels=levels,
-                                        face=face)
+                                        frames_tried=1, floats=(vec, e), levels=levels)
     stable_mu, rule = _stable_bound(rep)
     n = rep.n
     log_v = log_rep_norm(rep, vec)
@@ -357,7 +355,7 @@ def fastest_shrinking_geodesic(rep: Representation, v,
         raise StableVectorError(f"no shrinking flat in {_MAX_STEPS} moment-map steps")
     best = max(found, key=lambda fd: fd.rate)
     return ShrinkGeodesicResult(upper=upper, flat=best, identity=best is flat,
-                                frames_tried=frames, floats=(vec, e), levels=levels, face=face)
+                                frames_tried=frames, floats=(vec, e), levels=levels)
 
 
 # ---------------------------------------------------------------------------
@@ -555,23 +553,23 @@ class DominanceCert:
         return "exact" if self.frame is None and exactlin.is_exact(self.vector) else "float"
 
 
-def _xi_prefix(active: Sequence[Tuple[int, float]], weights: Sequence[CartanVector],
-               u: CartanVector, hulls: dict) -> Optional[float]:
+def _xi_prefix(rep: Representation, active: Sequence[Tuple[int, float]], u: CartanVector,
+               hulls: dict) -> Optional[float]:
     """max over active subsets whose hull contains u of the min log norm, else None.
 
-    ``active`` holds (index into ``weights``, log norm) pairs of weights on
-    u's face.  Enlarging a subset can only help hull membership, so the
-    optimum is a prefix of the weights sorted by decreasing log norm; the
-    answer is the log norm of the last weight added when u first enters
+    ``active`` holds (row of ``rep.weight_groups``, log norm) pairs of
+    weights on u's face.  Enlarging a subset can only help hull membership,
+    so the optimum is a prefix of the weights sorted by decreasing log norm;
+    the answer is the log norm of the last weight added when u first enters
     the hull, that is, becomes its min-norm point (step 2 below).  ``hulls``
-    memoises these exact tests by the prefix's set of indices.
+    memoises these exact tests by the prefix's set of rows.
     """
     ordered = sorted(active, key=lambda jr: -jr[1])
     key = 0
     for t, (j, r) in enumerate(ordered, 1):
         key |= 1 << j
         if key not in hulls:
-            hulls[key] = min_norm_point([weights[i] for i, _ in ordered[:t]]).point == u
+            hulls[key] = _rows_min_norm(rep, [i for i, _ in ordered[:t]]) == u
         if hulls[key]:
             return r
     return None
@@ -636,51 +634,55 @@ _SAFETY_MARGIN = 0.1
 #    minimum; other frames only repeat it up to rounding.
 
 
-def _estimate_constant(rep: Representation, w: np.ndarray, e: int, u: CartanVector,
-                       levels: np.ndarray, flat_face: Optional[np.ndarray],
+def _exact_log_norm(rep: Representation, v, j: int) -> float:
+    """log||v_j|| of v's exact component on row j, from its square's integers."""
+    s = sum(rep.gram[i] * Fraction(v[i]) ** 2 for i in rep.weight_groups[j][1].tolist())
+    return (math.log(s.numerator) - math.log(s.denominator)) / 2
+
+
+def _estimate_constant(rep: Representation, v, fsg: ShrinkGeodesicResult,
                        seed: int) -> Tuple[float, XiInfo]:
     """Lower-bound constant via frames of flats through the shrink geodesic.
 
-    ``w`` * 2^e is rho(frame)v for the certifying flat, up to rounding, so
-    a rational v beyond the float range gets its constant too; ``levels``
-    are ``rep.levels(u)``.  The identity frame is the flat itself: its
-    statistic is read from w's own weight components, over the flat's
-    active weights on u's face.  ``flat_face`` marks them where the search
-    holds them (the identity flat's, exact for a rational v even where a
-    component lies far below the largest); else w, the vector the flat was
-    read from, gives them at ``_EPS``.  When u has a repeated coordinate
-    and more than one weight lies on u's face, the estimator also draws
-    ``_XI_FRAMES`` random rotations within the blocks of equal coordinates
-    (the frames commuting with the shrink direction; Haar frames would
-    never match, and where u is alone on its face every such frame repeats
-    the identity's value, see the comments above), as one stack.  These
-    rotations are not checked again; each chunk of ``_chunk(rep)`` of them
-    acts on w in one call and is split into weight components at ``_EPS``,
-    the threshold of every flat of the search, in one array pass.  Keeps
-    the frames whose active weights have min-norm point u: none lies below
-    u's face, and u is in the hull of those on it.  Takes the minimum over
-    them of the prefix-hull statistic of their active face weights, whose
-    log norms alone are computed, by the scalar ``_log_norm``, so xi keeps
-    its bits.  ``_SAFETY_MARGIN`` is subtracted at the end.
+    The search's float copy (vec, e) of v acts once: w * 2^e = rho(frame)v
+    for the certifying flat, up to rounding, so a rational v beyond the
+    float range gets its constant too.  The identity frame is the flat
+    itself: its statistic reads w's weight components over ``flat.active``
+    on u's face (one whose float sum is 0 reads the exact v).  When u has
+    a repeated coordinate and more than one weight lies on u's face, the
+    estimator also draws ``_XI_FRAMES`` random rotations within the blocks
+    of equal coordinates (the frames commuting with the shrink direction;
+    see the comments above), not checked again; each chunk of
+    ``_chunk(rep)`` of them acts on w in one call and is split into weight
+    components at ``_EPS``, the threshold of every flat of the search.
+    Keeps the frames whose active weights have min-norm point u: none lies
+    below u's face, and u is in the hull of those on it.  Takes the minimum
+    over them of the prefix-hull statistic of their active face weights,
+    whose log norms alone are computed, by the scalar ``_log_norm``, so xi
+    keeps its bits.  ``_SAFETY_MARGIN`` is subtracted at the end.
     """
-    stacks = [w[None]]  # a stack of one, read without checking w again
+    flat, u, (vec, e) = fsg.flat, fsg.flat.u, fsg.floats
+    levels = fsg.levels if fsg.identity else rep.levels(u)
+    w = act(rep, flat.frame, vec)
+    hulls: dict = {}
+    # the identity frame, a stack of one read without checking w again
+    _, sums, exps = weight_components(rep, w[None], _EPS, e)
+    row, k = sums[0].tolist(), int(exps[0])
+    face = [(j, _log_norm(row[j], k) if row[j] else _exact_log_norm(rep, v, j))
+            for j in flat.active if levels[j] == 0]
+    xis = [_xi_prefix(rep, face, u, hulls)]  # each frame's statistic, None where not kept
     blocks = _coordinate_blocks(u)
     if len(blocks) < rep.n and np.count_nonzero(levels == 0) > 1:
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0x7C)))
         frames = block_orthogonal(blocks, rep.n, rng, _XI_FRAMES)
         size = _chunk(rep)
-        stacks += [_apply(rep, frames[start:start + size], w)
-                   for start in range(0, len(frames), size)]
-    hulls: dict = {}
-    xis = []  # each frame's statistic, None where it is not kept
-    for stack in stacks:
-        weights, active, sums, exps = weight_components(rep, stack, _EPS, e)
-        if flat_face is not None and not xis:  # the identity frame; none lies below
-            active[0] = flat_face
-        below, face = (active & (levels < 0)).any(axis=1), active & (levels == 0)
-        xis += [None if low else _xi_prefix(
-            [(j, _log_norm(row[j], k)) for j in np.flatnonzero(on).tolist()], weights, u, hulls)
-            for low, on, row, k in zip(below, face, sums.tolist(), exps.tolist())]
+        for start in range(0, len(frames), size):
+            active, sums, exps = weight_components(
+                rep, _apply(rep, frames[start:start + size], w), _EPS, e)
+            below, on_face = (active & (levels < 0)).any(axis=1), active & (levels == 0)
+            xis += [None if low else _xi_prefix(
+                rep, [(j, _log_norm(row[j], k)) for j in np.flatnonzero(on).tolist()], u, hulls)
+                for low, on, row, k in zip(below, on_face, sums.tolist(), exps.tolist())]
     kept = [xi for xi in xis if xi is not None]
     xi_min = min(kept, default=math.inf)
     info = XiInfo(frames=len(xis), excluded=len(xis) - len(kept), value=float(xi_min),
@@ -698,16 +700,12 @@ def dominance_certificate(rep: Representation, v,
     """
     vec_exact = exactlin.is_exact(list(v))
     fsg = fastest_shrinking_geodesic(rep, v)
-    flat = fsg.flat
-    vec, e = fsg.floats  # v = vec * 2^e, also beyond the float range
-    levels, face = (fsg.levels, fsg.face) if fsg.identity else (rep.levels(flat.u), None)
-    c, xi_info = _estimate_constant(rep, act(rep, flat.frame, vec), e, flat.u, levels, face,
-                                    opts.seed)
+    c, xi_info = _estimate_constant(rep, v, fsg, opts.seed)
     vector = tuple(Fraction(x) for x in v) if vec_exact \
         else tuple(float(x) for x in v)
     cert = DominanceCert(
-        n=rep.n, spec=rep.spec, vector=vector, frame=None if fsg.identity else flat.frame,
-        u=flat.u, c=c, xi=xi_info, verification=None, seed=opts.seed, eps=_EPS)
+        n=rep.n, spec=rep.spec, vector=vector, frame=None if fsg.identity else fsg.flat.frame,
+        u=fsg.flat.u, c=c, xi=xi_info, verification=None, seed=opts.seed, eps=_EPS)
     if opts.samples > 0:
         report = verify_dominance(cert, rep, v, opts.samples,
                                   tol=opts.tol, seed=opts.seed, box=opts.box)

@@ -242,8 +242,8 @@ class Representation:
 
     @cached_property
     def weight_groups(self):
-        """Basis indices grouped by weight: ``(weight, indices)`` pairs in
-        the order of the weight coordinates."""
+        """Basis indices grouped by weight: ``(weight, indices)`` pairs in the
+        order of the weight coordinates; the exact layer names a weight by its row."""
         groups: dict = {}
         for i, w in enumerate(self.weights):
             groups.setdefault(w, []).append(i)
@@ -267,6 +267,11 @@ class Representation:
         (every weight lies in (1/n)Z^n)."""
         return np.array([[int(c * self.n) for c in w.coords] for w, _ in self.weight_groups],
                         dtype=object)
+
+    @cached_property
+    def weight_gram(self) -> list:
+        """The integer Gram matrix of ``weight_ints``, as lists."""
+        return self.weight_ints.dot(self.weight_ints.T).tolist()
 
     def levels(self, u: CartanVector) -> np.ndarray:
         """For each weight lambda of ``weight_groups``, the sign of
@@ -295,12 +300,11 @@ class Representation:
         n - 1 others.  No Wolfe run is needed.  G is taken as the integer
         Gram matrix n^2 G of ``weight_ints``, which y / n^2 solves.
         """
-        ints = self.weight_ints
+        ints, gram = self.weight_ints, self.weight_gram
         dominant = [i for i, w in enumerate(ints.tolist()) if w == sorted(w, reverse=True)]
         count = len(dominant) * sum(math.comb(len(ints) - 1, k) for k in range(self.n))
         if count > _MARGIN_SETS:
             return None
-        gram = ints.dot(ints.T).tolist()
         norms_sq = []
         for d in dominant:
             others = [i for i in range(len(ints)) if i != d]
@@ -633,11 +637,11 @@ def weight_components(rep: Representation, v, eps: float = _EPS, exp2: int = 0):
     """Split ``v * 2^exp2``, or each row of a 2-D float ndarray (S, dim),
     into weight components; a vector is a stack of one.
 
-    Returns ``(weights, active, sums, e)``: the G weights of the basis,
-    sorted by weight coordinates; the (S, G) mask of the components above
-    ``eps * ||v||``; their float sums of weighted squares; and the S
-    exponents of the rows, so that ``_log_norm(sums[i, j], e[i])`` is the
-    log norm of an active entry.  A rational ``v`` is rounded once, by
+    Returns ``(active, sums, e)``: the (S, G) mask of the components
+    above ``eps * ||v||``, column j for row j of ``weight_groups``; their
+    float sums of weighted squares; and the S exponents of the rows, so
+    that ``_log_norm(sums[i, j], e[i])`` is the log norm of an active
+    entry.  A rational ``v`` is rounded once, by
     ``scaled_floats`` (its exact support is ``active_weights``); ``exp2``
     lets a caller pass those floats for a vector beyond the float range.
     """
@@ -646,13 +650,12 @@ def weight_components(rep: Representation, v, eps: float = _EPS, exp2: int = 0):
     total = q.sum(axis=1)
     if not total.all():
         raise ZeroVectorError("zero vector has no weight components")
-    groups = rep.weight_groups
-    sums = np.empty((len(q), len(groups)))
+    sums = np.empty((len(q), len(rep.weight_groups)))
     for cols, idx in rep.weight_blocks:
         # take gives C-ordered groups, each summed like a vector of its own
         sums[:, cols] = q.take(idx, axis=1).sum(axis=2)
     active = np.sqrt(sums) > eps * np.sqrt(total)[:, None]
-    return tuple(w for w, _ in groups), active, sums, np.reshape(e, -1)
+    return active, sums, np.reshape(e, -1)
 
 
 def moment_map(rep: Representation, w) -> np.ndarray:
@@ -682,17 +685,16 @@ def moment_map(rep: Representation, w) -> np.ndarray:
 
 
 def active_weights(rep: Representation, v, eps: float = _EPS) -> list:
-    """The weights of the support of ``v``, in ``weight_groups`` order:
+    """The rows of ``weight_groups`` in the support of ``v``, ascending:
     exactly those of its nonzero coordinates for a rational ``v``, and for
     floats those whose component is above ``eps * ||v||``."""
     vec, exact = _vector_in(rep, v)
     if not exact:
-        weights, active, _, _ = weight_components(rep, vec, eps)
-        return [w for w, a in zip(weights, active[0].tolist()) if a]
+        return np.flatnonzero(weight_components(rep, vec, eps)[0][0]).tolist()
     nonzero = np.array([x != 0 for x in vec])
     if not nonzero.any():
         raise ZeroVectorError("zero vector has no weight components")
-    return [w for w, idx in rep.weight_groups if nonzero[idx].any()]
+    return [j for j, (_, idx) in enumerate(rep.weight_groups) if nonzero[idx].any()]
 
 
 def highest_weight_vector(n: int, j: int, order: SimpleSystem | None = None):
@@ -726,4 +728,4 @@ def m_value(rep: Representation, v, tau: Cocharacter) -> int:
         raise DimensionError("cocharacter dimension mismatch")
     if all(e == 0 for e in tau.exps):
         raise ZeroVectorError("zero cocharacter")
-    return min(w.pair_int(tau) for w in active_weights(rep, v))
+    return min(rep.weight_groups[j][0].pair_int(tau) for j in active_weights(rep, v))

@@ -10,7 +10,8 @@ rotation, so that the identity flat of its input is rarely optimal.
 
 The paper ladder holds larger representations (dimension 15 to 35).  Run
 from a checkout, ``python tests/ladder.py`` prints one JSON line of its
-verdict counts, certify times and certificate codec times per pair.
+verdict counts, certify times, exact Wolfe runs during certify and
+certificate codec times per pair.
 """
 
 import json
@@ -26,7 +27,7 @@ if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from instab import (CertifyOptions, act, build_rep, dominance_certificate, dumps_cert,
-                    is_unstable, loads_cert, parse_rep_spec)
+                    instability, is_unstable, loads_cert, parse_rep_spec)
 from instab.exactlin import inv
 from instab.instability import LIKELY_STABLE
 
@@ -106,20 +107,42 @@ def _seconds(fn, *args):
     return out, perf_counter() - start
 
 
+def _counted_wolfe(runs: list):
+    """Replace ``instability._rows_min_norm``, through which the search and
+    the constant estimator enter exact Wolfe, by a wrapper that appends to
+    ``runs`` on each call; return the original."""
+    wolfe = instability._rows_min_norm
+
+    def counted(*args):
+        runs.append(1)
+        return wolfe(*args)
+
+    instability._rows_min_norm = counted
+    return wolfe
+
+
 def paper_report():
     """Per pair of the paper ladder: the verdict counts of its inputs (all
     nonzero); the total, median and max seconds of ``dominance_certificate``
-    (``samples=0``) over its unstable ones; and the median seconds of
-    ``dumps_cert`` and of ``loads_cert`` on those certificates."""
+    (``samples=0``) over its unstable ones, and the exact Wolfe runs those
+    certificates made; and the median seconds of ``dumps_cert`` and of
+    ``loads_cert`` on those certificates."""
     pairs = {}
     for spec, n, v in paper_ladder():
         entry = pairs.setdefault(f"{spec} n={n}", {"kinds": {}, "certify_s": [],
+                                                   "wolfe_runs": 0,
                                                    "dumps_cert_s": [], "loads_cert_s": []})
         rep = build_rep(parse_rep_spec(spec), n)
         kind = is_unstable(rep, v).kind
         entry["kinds"][kind] = entry["kinds"].get(kind, 0) + 1
         if kind != LIKELY_STABLE:
-            cert, seconds = _seconds(dominance_certificate, rep, v, CertifyOptions(samples=0))
+            runs = []
+            wolfe = _counted_wolfe(runs)
+            try:
+                cert, seconds = _seconds(dominance_certificate, rep, v, CertifyOptions(samples=0))
+            finally:
+                instability._rows_min_norm = wolfe
+            entry["wolfe_runs"] += len(runs)
             entry["certify_s"].append(seconds)
             text, seconds = _seconds(dumps_cert, cert)
             entry["dumps_cert_s"].append(seconds)

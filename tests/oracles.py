@@ -379,8 +379,8 @@ def matrix_ray_slope_diff(cert, rep, v):
     vec, e = scaled_floats(rep, v)
     frame = cert.frame if cert.frame is not None else np.eye(cert.n)
     uhat = np.asarray(cert.direction)
-    spread = cert.rate - min(sum(float(c) * d for c, d in zip(w.coords, uhat))
-                             for w in active_weights(rep, act(rep, frame, vec), 0.0))
+    weights = [rep.weight_groups[j][0] for j in active_weights(rep, act(rep, frame, vec), 0.0)]
+    spread = cert.rate - min(sum(float(c) * d for c, d in zip(w.coords, uhat)) for w in weights)
     t2 = 11.5 / max(spread, 0.3) if spread > 1e-9 else 40.0
     t1 = 0.5 * t2
     ray = np.stack([np.diag(np.exp(-t * uhat)) @ frame for t in (t1, t2)])

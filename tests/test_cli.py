@@ -635,13 +635,33 @@ def test_classify_deterministic_output(runner):
     assert out1 == out2
 
 
-def test_certify_exits_1_on_a_constant_that_is_not_finite(runner, tmp_path):
-    # the x^2 y component of 2^1100 x^3 + x^2 y rounds to 0 beside x^3, so
-    # c is -inf: the certificate is not written, and the exit is 1
+def _certify_cubic(runner, out, big):
+    """``certify --samples 0`` of big x^3 + x^2 y in sym(3,std) n=3, to ``out``."""
+    return runner.invoke(main, ["certify", "--n", "3", "--spec", "sym(3,std)", "--vector",
+                                ",".join(map(str, [big, 1] + [0] * 8)),
+                                "--out", str(out), "--samples", "0"])
+
+
+def test_certify_exits_1_on_a_constant_that_is_not_finite(runner, tmp_path, monkeypatch):
+    # an estimator whose constant is -inf: the certificate is not written,
+    # and the exit is 1
+    from instab import instability
+    estimate = instability._estimate_constant
+    monkeypatch.setattr(instability, "_estimate_constant",
+                        lambda *args: (-math.inf, estimate(*args)[1]))
     out = tmp_path / "cert.json"
-    res = runner.invoke(main, ["certify", "--n", "3", "--spec", "sym(3,std)", "--vector",
-                               ",".join(map(str, [2 ** 1100, 1] + [0] * 8)),
-                               "--out", str(out), "--samples", "0"])
+    res = _certify_cubic(runner, out, 10 ** 3)
     assert res.exit_code == 1, res.output
     assert "c = -inf is not finite" in res.output
     assert not out.exists()
+
+
+def test_certify_writes_a_face_that_rounds_to_0(runner, tmp_path):
+    # the x^2 y component of 2^1100 x^3 + x^2 y rounds to 0 beside x^3; its
+    # log norm is read from the exact component, so c is the one of 10^3 x^3 + x^2 y
+    near, out = tmp_path / "near.json", tmp_path / "cert.json"
+    assert _certify_cubic(runner, near, 10 ** 3).exit_code == 0
+    res = _certify_cubic(runner, out, 2 ** 1100)
+    assert res.exit_code == 0, res.output
+    c = loads_cert(out.read_text()).c
+    assert math.isfinite(c) and c == pytest.approx(loads_cert(near.read_text()).c, abs=1e-12)

@@ -104,11 +104,11 @@ def test_flat_data_lower_bound_constant():
     rep = std(3)
     v = [1.0, 2.0, 0.5]
     fd = flat_shrink_data(rep, v)
-    point, coeffs = oracles.exact_min_norm(fd.active)
+    point, coeffs = oracles.exact_min_norm([rep.weight_groups[j][0] for j in fd.active])
     assert point == fd.u.coords
-    weights, _, sums, e = weight_components(rep, v)
-    r = dict(zip(weights, (_log_norm(s, int(e[0])) for s in sums[0].tolist())))
-    const = sum(float(c) * r[w] for c, w in zip(coeffs, fd.active))
+    _, sums, e = weight_components(rep, v)
+    r = [_log_norm(s, int(e[0])) for s in sums[0].tolist()]
+    const = sum(float(c) * r[j] for c, j in zip(coeffs, fd.active))
     rng = np.random.default_rng(0)
     u = np.asarray(fd.u.as_floats())
     for _ in range(1000):
@@ -667,7 +667,7 @@ def test_a_rational_support_is_exact_at_any_scale():
     rep = std(3)
     v = [F(1), F(1, 2 ** 1100), F(0)]
     assert scaled_floats(rep, v)[0].tolist() == [0.5, 0.0, 0.0]
-    assert set(active_weights(rep, v)) == set(rep.weights[:2])
+    assert {rep.weight_groups[j][0] for j in active_weights(rep, v)} == set(rep.weights[:2])
     assert flat_shrink_data(rep, v).u == CartanVector((F(1, 6), F(1, 6), F(-1, 3)))
 
 
@@ -717,13 +717,17 @@ def test_an_exact_face_far_below_the_largest_entry_keeps_its_constant(k):
 
 def test_a_constant_that_is_not_finite_is_never_written():
     # beyond the float range the x^2 y component of v = 2^1100 x^3 + x^2 y
-    # rounds to 0 beside x^3, so its log norm, and with it c, is -inf:
-    # dumps_cert refuses it rather than write -Infinity
+    # rounds to 0 beside x^3, so the identity frame reads its log norm from
+    # the exact component, and c is the one of k = 10^3 (u is alone on its
+    # face).  dumps_cert refuses a c that is not finite rather than write
+    # -Infinity or NaN
     rep = build_rep(parse_rep_spec("sym(3,std)"), 3)
     cert = dominance_certificate(rep, [2 ** 1100, 1] + [0] * 8, CertifyOptions(samples=0))
-    assert cert.c == -math.inf
+    assert math.isfinite(cert.c)
+    assert cert.c == pytest.approx(0.4493061443340548, abs=1e-12)
+    assert loads_cert(dumps_cert(cert)) == cert
     with pytest.raises(CertificateError, match="c = -inf is not finite"):
-        dumps_cert(cert)
+        dumps_cert(replace(cert, c=-math.inf))
     with pytest.raises(CertificateError, match="c = nan is not finite"):
         dumps_cert(replace(cert, c=math.nan))
 
@@ -731,7 +735,8 @@ def test_a_constant_that_is_not_finite_is_never_written():
 def _face_moment_norm(rep, v):
     """||mu(v_F)|| for the identity flat, v_F found from rep.weights alone."""
     fd = flat_shrink_data(rep, v)
-    face = {w for w in fd.active if oracles.trace_form(w, fd.u) == fd.u.norm_sq()}
+    face = {w for w in (rep.weight_groups[j][0] for j in fd.active)
+            if oracles.trace_form(w, fd.u) == fd.u.norm_sq()}
     v_face = [float(x) if w in face else 0.0 for x, w in zip(v, rep.weights)]
     return fd, float(np.linalg.norm(moment_map(rep, v_face)))
 
@@ -919,12 +924,12 @@ def test_block_frames_lower_the_paper_ladder_constant():
     cert = dominance_certificate(rep, v, CertifyOptions(samples=0))
     assert (cert.xi.frames, cert.frame) == (1001, None)
     vec, e = scaled_floats(rep, v)
-    weights, active, sums, exps = weight_components(rep, vec, instability._EPS, e)
+    active, sums, exps = weight_components(rep, vec, instability._EPS, e)
     levels = rep.levels(cert.u)
     assert not (active[0] & (levels < 0)).any()
     face = np.flatnonzero(active[0] & (levels == 0)).tolist()
-    identity = instability._xi_prefix([(j, _log_norm(sums[0, j], int(exps[0]))) for j in face],
-                                      weights, cert.u, {})
+    identity = instability._xi_prefix(rep, [(j, _log_norm(sums[0, j], int(exps[0])))
+                                            for j in face], cert.u, {})
     assert cert.xi.value < identity - 1
     assert cert.c == cert.xi.value - cert.xi.margin
 
@@ -988,7 +993,8 @@ def test_block_frames_repeat_the_identity_statistic(text, n, v):
     vec, e = scaled_floats(rep, v)
     frames = np.concatenate([np.eye(n)[None],
                              block_orthogonal(blocks, n, np.random.default_rng(3), 200)])
-    weights, active, sums, exps = weight_components(
+    weights = [w for w, _ in rep.weight_groups]
+    active, sums, exps = weight_components(
         rep, act(rep, frames, act(rep, flat.frame, vec)), instability._EPS, e)
     j = weights.index(u)
     points: dict = {}
@@ -1037,12 +1043,12 @@ def test_keep_rule_matches_the_min_norm_point(text, n):
             logs = rng.standard_normal(len(weights)).tolist()
             face = [(j, logs[j]) for j in np.flatnonzero(mask & (levels == 0)).tolist()]
             low = (mask & (levels < 0)).any()
-            xi = None if low else instability._xi_prefix(face, weights, u, {})
+            xi = None if low else instability._xi_prefix(rep, face, u, {})
             active = [(j, logs[j]) for j in np.flatnonzero(mask).tolist()]
             kept = min_norm_point([weights[j] for j, _ in active]).point == u
             assert (xi is not None) == kept
             if kept:
-                assert xi == instability._xi_prefix(active, weights, u, {})
+                assert xi == instability._xi_prefix(rep, active, u, {})
             outcomes.add(kept)
     assert outcomes == {True, False}
 
@@ -1244,6 +1250,27 @@ def test_ray_window_covers_what_a_descent_flat_truncates():
     cert = dominance_certificate(rep, v, CertifyOptions(samples=300))
     assert cert.mode == "float" and cert.eps == 1e-10
     assert cert.verification.ok
+
+
+def test_classify_and_certify_hash_no_weight(monkeypatch):
+    # the exact layer names a weight by its row of rep.weight_groups: once
+    # the representations and their cached properties are warm, classify
+    # and certify of the acceptance inputs and of a descent flat hash no
+    # CartanVector
+    inputs = [(build_rep(parse_rep_spec(text), n), v) for text, n, v in END_TO_END]
+    inputs.append(rotated_cubic())
+
+    def run():
+        for rep, v in inputs:
+            assert is_unstable(rep, v).kind != LIKELY_STABLE
+            dumps_cert(dominance_certificate(rep, v, CertifyOptions(samples=0)))
+
+    run()
+    hashes = _count_calls(monkeypatch, CartanVector, "__hash__")
+    assert not fastest_shrinking_geodesic(*inputs[-1]).identity
+    run()
+    assert hashes == []
+    assert hash(CartanVector([1, -1])) is not None and hashes == ["__hash__"]
 
 
 def _replay_sample(n, seed, i, box=5.0):

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -204,6 +205,16 @@ def _perp(x, *others):
     return x
 
 
+def _as_rows(points):
+    """A stand-in for a Representation whose weight rows are ``points``,
+    with what ``_xi_prefix`` reads: the points, the points as integers over
+    one denominator (``n`` for a Representation), and their Gram matrix."""
+    scale = math.lcm(*(p.ints[1] for p in points))
+    ints = np.array([[x * (scale // p.ints[1]) for x in p.ints[0]] for p in points], dtype=object)
+    return SimpleNamespace(weight_groups=[(p, ()) for p in points], weight_ints=ints,
+                           weight_gram=ints.dot(ints.T).tolist(), n=scale)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_face_rule_matches_the_oracle(seed):
     # for weights on u's face, u is in their hull exactly when it is their
@@ -238,7 +249,7 @@ def test_face_rule_matches_the_oracle(seed):
             assert (min_norm_point(pts).point == u) == expected
             point, coeffs = oracles.exact_min_norm(pts)
             assert (point == u.coords) == expected
-            xi = instability._xi_prefix([(i, 0.0) for i in range(len(pts))], pts, u, {})
+            xi = instability._xi_prefix(_as_rows(pts), [(i, 0.0) for i in range(len(pts))], u, {})
             assert (xi is not None) == expected
 
 
@@ -281,3 +292,47 @@ def test_centroid_zero_matches_the_wolfe_loop(seed):
         repeat = max(pts, key=lambda p: p.norm_sq())  # 0 only if every point is
         if not repeat.is_zero():
             assert min_norm_point(pts + [repeat]).point == cert.point
+
+
+# (spec, n, v): the rows of these representations, and the face of the u
+# that the search finds for v, the slowest wedge(3,std) n=7 certificate of
+# the paper ladder (18 rows on its face); v is None where u is the min-norm
+# point of three random rows
+ROW_CASES = [("sym(2,std)", 3, None), ("std*dual(std)", 3, None), ("sym(4,std)", 4, None),
+             ("wedge(3,std)", 7, 8)]
+
+
+@pytest.mark.parametrize("text, n, which", ROW_CASES)
+def test_rows_give_the_min_norm_point_of_their_weights(text, n, which):
+    # Wolfe on rows of the cached integer weights and their Gram matrix finds
+    # the point min_norm_point finds from the weights, and the oracle's: on
+    # random rows, single and repeated rows, rows on u's face, and sets
+    # whose centroid is 0
+    from ladder import paper_ladder
+    rep = build_rep(parse_rep_spec(text), n)
+    weights = [w for w, _ in rep.weight_groups]
+    rng = np.random.default_rng(23)
+    if which is None:
+        u = min_norm_point([weights[j] for j in rng.choice(len(weights), 3, replace=False)]).point
+    else:
+        v = [x for x in paper_ladder() if x[:2] == (text, n)][which][2]
+        u = instability.fastest_shrinking_geodesic(rep, v).flat.u
+    face = np.flatnonzero(rep.levels(u) == 0).tolist()
+    sets = [[int(j)] for j in rng.choice(len(weights), 3, replace=False)]
+    sets += [rng.choice(len(weights), min(k, len(weights)), replace=False).tolist()
+             for k in (2, 3, 5, 7)]
+    sets += [s + s[:1] for s in sets[3:5]] + [sets[0] * 2]
+    sets += [rng.choice(face, min(k, len(face)), replace=False).tolist() for k in (2, 4, 6, 8)]
+    sets += [face, list(range(len(weights)))]
+    sets += [[i, weights.index(w.scale(-1))] for i, w in enumerate(weights)
+             if w.scale(-1) in weights][:3]
+    zero_centroid = 0
+    for rows in sets:
+        point = instability._rows_min_norm(rep, rows)
+        assert point == instability._wolfe(rep.weight_ints, rep.weight_gram, rows, rep.n)
+        points = [weights[j] for j in rows]
+        assert point == min_norm_point(points).point
+        if len(rows) <= 8:
+            assert point.coords == oracles.exact_min_norm(points)[0]
+        zero_centroid += not any(sum(p.coords[k] for p in points) for k in range(n))
+    assert zero_centroid >= 1 + (text == "std*dual(std)")
