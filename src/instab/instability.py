@@ -43,8 +43,8 @@ from . import exactlin
 from .cartan import CartanVector, Cocharacter, SimpleSystem, dominant_order
 from .errors import (CertificateError, DimensionError, StableVectorError,
                      TorusStableError, ZeroVectorError)
-from .reps import (_DET_TOL, _EPS, RepSpec, Representation, _apply, _log_norm, act,
-                   active_weights, build_rep, log_rep_norm, moment_map, parse_rep_spec,
+from .reps import (_DET_TOL, _EPS, RepSpec, Representation, _apply, _log_norm, _vector_in,
+                   act, active_weights, build_rep, log_rep_norm, moment_map, parse_rep_spec,
                    scaled_floats, weight_components)
 from .symspace import block_orthogonal, exp_sym, haar_from_normal, log_flag_norms
 
@@ -81,20 +81,18 @@ class MinNormCert:
 
 
 def _affine_min(gram, corral):
-    """Min-norm point of the affine hull of the points ``corral`` indexes,
-    as barycentric weights, from their Gram matrix ``gram``."""
+    """The min-norm point of the affine hull of ``corral``, as integer weights y / d, d > 0."""
     m = len(corral)
-    a = [[gram[i][j] for j in corral] + [1] for i in corral]
-    a.append([1] * m + [0])
-    return exactlin.solve(a, [0] * m + [1])[:m]
+    a = [[gram[i][j] for j in corral] + [1] for i in corral] + [[1] * m + [0]]
+    x, d = exactlin.solve(a, [0] * m + [1])
+    return x[:m], d
 
 
 def min_norm_point(points: Sequence[CartanVector]) -> MinNormCert:
     """Wolfe's algorithm for the min-norm point of conv(points), exactly.
 
-    Every coordinate must be rational: a float CartanVector raises
-    ``ValueError``.  The points are brought to integers over one
-    denominator, and ``_wolfe`` finds the exact point.
+    A float coordinate raises ``ValueError``.  ``_wolfe`` runs on the points
+    brought to integers over one denominator.
     """
     if not points:
         raise ValueError("need at least one point")
@@ -125,23 +123,20 @@ def _wolfe(ints: np.ndarray, gram: list, rows: Sequence[int], scale: int) -> Car
             break
         # the corral stays affinely independent: <x, p_j> < |x|^2 = <x, p> for every p in it
         corral.append(j)
-        lam = [Fraction(a, q) for a in w] + [Fraction(0)]
-        # minor cycle: move toward the affine minimizer, dropping points
-        # whose barycentric weight would go negative
+        w.append(0)
+        # minor cycle: step from w / q toward the affine minimizer y / d while every
+        # weight stays >= 0; the least theta = w_k d / (w_k d - y_k q) gives the weights
+        # (w_k y - y_k w) / (w_k d - y_k q), and the points whose weight is 0 drop
         while True:
-            mu = _affine_min(gram, corral)
-            if all(m > 0 for m in mu):
-                lam = mu
+            y, d = _affine_min(gram, corral)
+            if all(c > 0 for c in y):
+                w, q = y, d
                 break
-            # the step keeps every weight >= 0 and their sum at 1, so the
-            # weights it drops are exactly 0
-            theta = min(l / (l - m) for l, m in zip(lam, mu) if m <= 0)
-            lam = [(1 - theta) * l + theta * m for l, m in zip(lam, mu)]
-            keep = [i for i, l in enumerate(lam) if l > 0]
-            corral = [corral[i] for i in keep]
-            lam = [lam[i] for i in keep]
-        q = math.lcm(*(l.denominator for l in lam))
-        w = [l.numerator * (q // l.denominator) for l in lam]
+            k = min((i for i, c in enumerate(y) if c <= 0),
+                    key=lambda i: Fraction(w[i] * d, w[i] * d - y[i] * q))
+            w, q = [w[k] * c - y[k] * a for a, c in zip(w, y)], w[k] * d - y[k] * q
+            corral = [c for c, a in zip(corral, w) if a > 0]
+            w = [a for a in w if a > 0]
 
     return CartanVector([Fraction(c, q * scale) for c in np.array(w, dtype=object) @ ints[corral]])
 
@@ -191,13 +186,24 @@ class FlatShrinkData:
         return -(self.frame.T @ np.diag(self.u.unit().as_floats()) @ self.frame)
 
 
+def _frame_in(frame, n: int) -> np.ndarray:
+    """``frame`` as floats, checked where it enters: n x n, else DimensionError, and
+    orthogonal within ``_DET_TOL`` with det > 0, so det 1, else ValueError."""
+    k = np.asarray(frame, dtype=float)
+    if k.shape != (n, n):
+        raise DimensionError(f"frame must be {n}x{n}, got {k.shape}")
+    if not np.all(np.abs(k @ k.T - np.eye(n)) <= _DET_TOL) or np.linalg.det(k) <= 0:
+        raise ValueError("frame is not orthogonal with determinant 1")
+    return k
+
+
 def flat_shrink_data(rep: Representation, v, frame: Optional[np.ndarray] = None,
                      eps: float = _EPS) -> FlatShrinkData:
-    frame_arr = np.eye(rep.n) if frame is None else np.asarray(frame, dtype=float)
-    active = active_weights(rep, v if frame is None else act(rep, frame_arr, v), eps)
-    if not active:
-        raise ZeroVectorError("vector vanishes after applying the frame")
-    return FlatShrinkData(frame=frame_arr, active=tuple(active), u=_rows_min_norm(rep, active))
+    """The flat of ``v`` through ``frame`` (the identity when None), checked by ``_frame_in``."""
+    k = np.eye(rep.n) if frame is None else _frame_in(frame, rep.n)
+    w = v if frame is None else _apply(rep, k, np.asarray(_vector_in(rep, v)[0], dtype=float))
+    active = tuple(active_weights(rep, w, eps))
+    return FlatShrinkData(frame=k, active=active, u=_rows_min_norm(rep, active))
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +330,7 @@ def fastest_shrinking_geodesic(rep: Representation, v,
     flats, frames = [flat], 1
     upper, eta = math.inf, 1.0
     for _ in range(_MAX_STEPS):
-        mu = moment_map(rep, act(rep, g, vec))
+        mu = moment_map(rep, _apply(rep, g, vec))
         mu_norm = float(np.linalg.norm(mu))
         log_cond = float(np.max(rep.weights_f @ np.log(np.linalg.svd(g, compute_uv=False))))
         accurate = log_cond + log_v - f <= _MAX_LOG_COND
@@ -344,7 +350,7 @@ def fastest_shrinking_geodesic(rep: Representation, v,
             break
         while True:
             h = exp_sym(-eta * mu) @ g
-            fh = log_rep_norm(rep, act(rep, h, vec))
+            fh = log_rep_norm(rep, _apply(rep, h, vec))
             if fh <= f - 0.5 * eta * mu_norm ** 2 or eta < 1e-12:
                 break
             eta *= 0.5
@@ -698,13 +704,12 @@ def dominance_certificate(rep: Representation, v,
     exact rational data.  Raises StableVectorError when the search finds
     no shrinking flat.
     """
-    vec_exact = exactlin.is_exact(list(v))
     fsg = fastest_shrinking_geodesic(rep, v)
     c, xi_info = _estimate_constant(rep, v, fsg, opts.seed)
-    vector = tuple(Fraction(x) for x in v) if vec_exact \
-        else tuple(float(x) for x in v)
+    vec, exact = _vector_in(rep, v)
     cert = DominanceCert(
-        n=rep.n, spec=rep.spec, vector=vector, frame=None if fsg.identity else fsg.flat.frame,
+        n=rep.n, spec=rep.spec, vector=tuple(vec if exact else vec.tolist()),
+        frame=None if fsg.identity else fsg.flat.frame,
         u=fsg.flat.u, c=c, xi=xi_info, verification=None, seed=opts.seed, eps=_EPS)
     if opts.samples > 0:
         report = verify_dominance(cert, rep, v, opts.samples,
@@ -801,12 +806,10 @@ def verify_dominance(cert: DominanceCert, rep: Optional[Representation] = None,
                             ray_checked=False, box=box, tol=tol, seed=seed)
     w, e = scaled_floats(rep, v)  # v = w * 2^e, also beyond the float range
     if cert.frame is not None:
-        if not np.all(np.abs(cert.frame @ cert.frame.T - np.eye(cert.n)) <= _DET_TOL):
-            raise CertificateError("frame is not orthogonal")
         try:
-            w = act(rep, cert.frame, w)
+            w = _apply(rep, _frame_in(cert.frame, rep.n), w)
         except ValueError as exc:
-            raise CertificateError(f"frame: {exc}") from exc
+            raise CertificateError(str(exc)) from exc
     alphas = np.asarray([float(a) for a in cert.alphas])
 
     # slope agreement along the shrink ray: rho(h_t) scales the component

@@ -298,7 +298,7 @@ class Representation:
         under the coordinate permutations (the Weyl group), which keep
         norms, so T can be taken to hold one dominant weight and at most
         n - 1 others.  No Wolfe run is needed.  G is taken as the integer
-        Gram matrix n^2 G of ``weight_ints``, which y / n^2 solves.
+        Gram matrix n^2 G of ``weight_ints``, whose solution y / q gives q / (n^2 sum(y)).
         """
         ints, gram = self.weight_ints, self.weight_gram
         dominant = [i for i, w in enumerate(ints.tolist()) if w == sorted(w, reverse=True)]
@@ -310,11 +310,11 @@ class Representation:
             others = [i for i in range(len(ints)) if i != d]
             for t in ((d, *rest) for size in range(self.n) for rest in combinations(others, size)):
                 try:
-                    y = exactlin.solve([[gram[i][j] for j in t] for i in t], [1] * len(t))
+                    y, q = exactlin.solve([[gram[i][j] for j in t] for i in t], [1] * len(t))
                 except ZeroDivisionError:  # T is linearly dependent; a subset gives its u
                     continue
                 if all(c > 0 for c in y):
-                    norms_sq.append(1 / (self.n ** 2 * sum(y)))
+                    norms_sq.append(Fraction(q, self.n ** 2 * sum(y)))
         return min(norms_sq, default=None)
 
 

@@ -10,8 +10,8 @@ rotation, so that the identity flat of its input is rarely optimal.
 
 The paper ladder holds larger representations (dimension 15 to 35).  Run
 from a checkout, ``python tests/ladder.py`` prints one JSON line of its
-verdict counts, certify times, exact Wolfe runs during certify and
-certificate codec times per pair.
+verdict counts, classify and certify times, exact Wolfe runs during certify
+and certificate codec times per pair.
 """
 
 import json
@@ -123,17 +123,20 @@ def _counted_wolfe(runs: list):
 
 def paper_report():
     """Per pair of the paper ladder: the verdict counts of its inputs (all
-    nonzero); the total, median and max seconds of ``dominance_certificate``
-    (``samples=0``) over its unstable ones, and the exact Wolfe runs those
-    certificates made; and the median seconds of ``dumps_cert`` and of
-    ``loads_cert`` on those certificates."""
+    nonzero); the total, median and max seconds of ``is_unstable`` over its
+    inputs and of ``dominance_certificate`` (``samples=0``) over its
+    unstable ones, and the exact Wolfe runs those certificates made; and
+    the median seconds of ``dumps_cert`` and of ``loads_cert`` on those
+    certificates."""
     pairs = {}
     for spec, n, v in paper_ladder():
-        entry = pairs.setdefault(f"{spec} n={n}", {"kinds": {}, "certify_s": [],
-                                                   "wolfe_runs": 0,
+        entry = pairs.setdefault(f"{spec} n={n}", {"kinds": {}, "classify_s": [],
+                                                   "certify_s": [], "wolfe_runs": 0,
                                                    "dumps_cert_s": [], "loads_cert_s": []})
         rep = build_rep(parse_rep_spec(spec), n)
-        kind = is_unstable(rep, v).kind
+        verdict, seconds = _seconds(is_unstable, rep, v)
+        kind = verdict.kind
+        entry["classify_s"].append(seconds)
         entry["kinds"][kind] = entry["kinds"].get(kind, 0) + 1
         if kind != LIKELY_STABLE:
             runs = []
@@ -148,10 +151,11 @@ def paper_report():
             entry["dumps_cert_s"].append(seconds)
             entry["loads_cert_s"].append(_seconds(loads_cert, text)[1])
     for entry in pairs.values():
-        times = entry.pop("certify_s")
-        entry["certify_s"] = {"total": round(sum(times), 3),
-                              "median": round(statistics.median(times), 3),
-                              "max": round(max(times), 3)}
+        for name in ("classify_s", "certify_s"):
+            times = entry.pop(name)
+            entry[name] = {"total": round(sum(times), 3),
+                           "median": round(statistics.median(times), 3),
+                           "max": round(max(times), 3)}
         for name in ("dumps_cert_s", "loads_cert_s"):
             entry[name] = {"median": round(statistics.median(entry[name]), 6)}
     return pairs

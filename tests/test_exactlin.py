@@ -1,7 +1,9 @@
-"""Exact elimination: solve, det and inv checked against each other on seeded
-random rational matrices, some of deficient rank, and against the
-``Fraction`` Gauss-Jordan reference of ``oracles``."""
+"""Exact elimination: ``solve`` on integer systems, ``det`` and ``inv`` on
+rational ones, checked against each other on seeded random matrices, some of
+deficient rank, and against the ``Fraction`` Gauss-Jordan reference of
+``oracles``."""
 
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -33,6 +35,26 @@ def _random_matrix(rng, n, rank):
                                                         _random(rng, rank, n))
 
 
+def _integer_system(a, rhs):
+    """``a x = rhs`` with each row scaled to integers by the lcm of its
+    denominators, which leaves x as it is."""
+    a_int, rhs_int = [], []
+    for row, y in zip(a, rhs):
+        s = math.lcm(*(F(x).denominator for x in (*row, y)))
+        a_int.append([int(x * s) for x in row])
+        rhs_int.append(int(y * s))
+    return a_int, rhs_int
+
+
+def _solved(a, b):
+    """``solve(a, b)`` as Fractions, after checking that its (x, d) are in
+    lowest terms with d > 0."""
+    x, d = exactlin.solve(a, b)
+    assert all(type(y) is int for y in (*x, d))
+    assert d > 0 and math.gcd(d, *x) == 1
+    return [F(y, d) for y in x]
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_elimination_properties(seed):
     rng = np.random.default_rng(seed)
@@ -42,6 +64,7 @@ def test_elimination_properties(seed):
         rank = int(rng.integers(1, n + 1))
         a = _random_matrix(rng, n, rank)
         b = _random_matrix(rng, n, n)
+        a_int, rhs_int = _integer_system(a, [row[0] for row in b])
         d = exactlin.det(a)
         assert float(d) == pytest.approx(np.linalg.det(np.array(a, dtype=float)),
                                          rel=1e-9, abs=1e-9)
@@ -53,12 +76,11 @@ def test_elimination_properties(seed):
             with pytest.raises(ZeroDivisionError):
                 exactlin.inv(a)
             with pytest.raises(ZeroDivisionError):
-                exactlin.solve(a, [row[0] for row in b])
+                exactlin.solve(a_int, rhs_int)
             continue
         a_inv = exactlin.inv(a)
         assert _matmul(a, a_inv) == _identity(n)
-        rhs = [row[0] for row in b]
-        assert exactlin.solve(a, rhs) == [row[0] for row in _matmul(a_inv, b)]
+        assert _solved(a_int, rhs_int) == [row[0] for row in _matmul(a_inv, b)]
     assert 0 < singular < 40
 
 
@@ -100,13 +122,59 @@ def test_elimination_matches_the_fraction_reference(system):
     a, b = system
     d, x = oracles.fraction_eliminate(a, b)
     assert exactlin.det(a) == d
+    a_int, rhs_int = _integer_system(a, [row[1] for row in b])
     if x is None:
-        for fn, args in ((exactlin.solve, (a, [row[0] for row in b])), (exactlin.inv, (a,))):
+        for fn, args in ((exactlin.solve, (a_int, rhs_int)), (exactlin.inv, (a,))):
             with pytest.raises(ZeroDivisionError):
                 fn(*args)
         return
-    assert exactlin.solve(a, [row[1] for row in b]) == [row[1] for row in x]
+    assert _solved(a_int, rhs_int) == [row[1] for row in x]
     assert exactlin.inv(a) == oracles.fraction_eliminate(a, _identity(len(a)))[1]
+
+
+@st.composite
+def integer_system(draw):
+    """A square integer system with n <= 8 and entries up to 10^30,
+    possibly of deficient rank (a product through rank columns)."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    bound = draw(st.sampled_from([3, 10**6, 10**30]))
+    entry = st.integers(min_value=-bound, max_value=bound)
+
+    def matrix(rows, cols):
+        return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+    rank = draw(st.integers(min_value=1, max_value=n))
+    a = matrix(n, n) if rank == n else _matmul(matrix(n, rank), matrix(rank, n))
+    return a, [draw(entry) for _ in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_system())
+def test_integer_solve_matches_the_fraction_reference(system):
+    # integers in lowest terms over d > 0; a singular system raises in both
+    a, rhs = system
+    try:
+        expected = oracles.solve(a, rhs)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            exactlin.solve(a, rhs)
+        return
+    assert _solved(a, rhs) == expected
+
+
+@pytest.mark.parametrize("value", [True, np.int64(1), 1.0, F(1, 2), F(2)],
+                         ids=["True", "np.int64", "float", "Fraction", "integral Fraction"])
+@pytest.mark.parametrize("where", ["matrix", "rhs"])
+def test_solve_takes_int_entries_only(value, where):
+    # the exact type is tested: neither a bool, a numpy integer nor a
+    # rational is scaled or converted
+    a, rhs = [[2, 1], [1, 3]], [1, 2]
+    if where == "matrix":
+        a[1][0] = value
+    else:
+        rhs[1] = value
+    with pytest.raises(ValueError, match="integer system"):
+        exactlin.solve(a, rhs)
 
 
 class _Count(int):

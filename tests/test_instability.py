@@ -22,7 +22,7 @@ from instab import (CertifyOptions, NonFiniteError, StableVectorError,
                     weight_components)
 from instab import instability
 from instab.cartan import CartanVector
-from instab.errors import CertificateError
+from instab.errors import CertificateError, DimensionError
 from instab.instability import (LIKELY_STABLE, NUMERIC_UNSTABLE,
                                 TORUS_CERTIFIED, DominanceCert, KempfData,
                                 VerifyReport, XiInfo)
@@ -121,6 +121,19 @@ def test_flat_data_lower_bound_constant():
 def test_flat_data_zero_vector():
     with pytest.raises(ZeroVectorError):
         flat_shrink_data(std(2), [0.0, 0.0])
+
+
+@pytest.mark.parametrize("frame, message", [
+    (np.diag([2.0, 0.5, 1.0]), "frame is not orthogonal"),
+    (np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), "frame is not orthogonal"),
+    (np.diag([-1.0, 1.0, 1.0]), "determinant 1"),
+    (np.eye(2), "frame must be 3x3")], ids=["diagonal", "shear", "det -1", "2x2"])
+def test_flat_data_checks_its_frame(frame, message):
+    # a frame enters here: a det-1 diagonal or shear is no rotation, and its
+    # direction would be neither unit nor traceless
+    error = DimensionError if frame.shape != (3, 3) else ValueError
+    with pytest.raises(error, match=message):
+        flat_shrink_data(std(3), [1.0, 0.0, 0.0], frame)
 
 
 # ---------------------------------------------------------------------------
@@ -859,6 +872,30 @@ def test_capped_weight_margin_falls_back_without_enumerating(monkeypatch):
     assert solves == []
 
 
+def test_wolfe_and_the_weight_margin_solve_in_integers_end_to_end(monkeypatch):
+    # exactlin's rational front end (the type test and row scaling of det and
+    # inv) raises; classify and certify of the acceptance inputs and of the
+    # first paper-ladder pair, and gamma(rho) of sym(2,std) n=4, solve their
+    # integer systems without it
+    from instab import exactlin
+
+    def front_end(*args):
+        raise AssertionError("the rational front end was reached")
+    monkeypatch.setattr(exactlin, "_integer_rows", front_end)
+    solves = _count_calls(monkeypatch, exactlin, "solve")
+    pairs = paper_ladder()[:12]
+    assert {(text, n) for text, n, _ in pairs} == {("sym(3,std)", 4)}
+    for text, n, v in [*END_TO_END, *pairs]:
+        rep = build_rep(parse_rep_spec(text), n)
+        if is_unstable(rep, v).kind != LIKELY_STABLE:
+            dominance_certificate(rep, v, CertifyOptions(samples=0))
+    margin = replace(build_rep(parse_rep_spec("sym(2,std)"), 4))  # nothing cached yet
+    assert margin.weight_margin_sq is not None
+    assert len(solves) > 0
+    with pytest.raises(AssertionError, match="front end"):
+        exactlin.det([[1, 0], [0, 1]])
+
+
 # ---------------------------------------------------------------------------
 # Dominance certificates
 
@@ -1194,13 +1231,24 @@ def test_verify_checks_a_samplers_elements_but_not_its_own(monkeypatch):
     assert shapes == [(300, 3, 3)]  # every element a sampler gives, one stack
 
 
+def test_the_descent_rechecks_no_group_element_it_built(monkeypatch):
+    # the descent's g and h are unimodular by construction and its frames
+    # pass the frame check, so no unimodular check runs
+    shapes = _record_unimodular_checks(monkeypatch)
+    assert is_unstable(std(3), [1.0, 1.0, 0.0]).kind == NUMERIC_UNSTABLE
+    assert shapes == []
+
+
 def test_verify_checks_the_frame_of_a_certificate(monkeypatch):
     rep = std(2)
     cert = dominance_certificate(rep, [1.0, 1.0], fast_opts(samples=0))
     assert cert.mode == "float" and cert.frame is not None
     shapes = _record_unimodular_checks(monkeypatch)
+    frames = _count_calls(monkeypatch, instability, "_frame_in")
     assert verify_dominance(cert, rep, samples=300).ok
-    assert shapes == [(2, 2)]  # the frame, which acts once
+    # the frame is checked once where it enters, orthogonal with a positive
+    # determinant, and acts without a second, unimodular check
+    assert (len(frames), shapes) == (1, [])
     data = cert_to_dict(cert)
     data["frame"][0] = [-x for x in data["frame"][0]]  # det -1
     with pytest.raises(ValueError, match="determinant 1"):

@@ -137,6 +137,29 @@ def test_wolfe_with_large_denominators_matches_the_exact_oracle(seed):
 
 
 @pytest.mark.parametrize("seed", range(3))
+def test_wolfe_drop_steps_match_the_exact_oracle(monkeypatch, seed):
+    # sets whose minor cycle drops points, which it does after each affine
+    # minimizer with a weight <= 0: the integer step (w_k y - y_k w) /
+    # (w_k d - y_k q) ends at the oracle's point
+    minimizers = []
+    affine_min = instability._affine_min
+
+    def recorded(*args):
+        minimizers.append(affine_min(*args))
+        return minimizers[-1]
+    monkeypatch.setattr(instability, "_affine_min", recorded)
+    rng = np.random.default_rng(seed)
+    dropped = 0
+    for _ in range(25):
+        pts = _random_rational_polytope(rng, int(rng.integers(2, 6)), int(rng.integers(3, 10)))
+        minimizers.clear()
+        _assert_oracle_point(pts, min_norm_point(pts).point)
+        assert all(d > 0 and sum(y) == d for y, d in minimizers)
+        dropped += any(min(y) <= 0 for y, _ in minimizers)
+    assert dropped >= 3
+
+
+@pytest.mark.parametrize("seed", range(3))
 def test_wolfe_with_repeated_points_matches_the_exact_oracle(seed):
     rng = np.random.default_rng(seed)
     for _ in range(15):
