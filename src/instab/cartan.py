@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import frexp, lcm, ldexp, sqrt
+from operator import index
 from typing import Sequence, Tuple, Union
 
 from .errors import DimensionError, ZeroVectorError
@@ -139,13 +140,14 @@ class CartanVector:
 class Cocharacter:
     """An integer one-parameter subgroup of the diagonal torus.
 
-    ``exps`` are the diagonal exponents; they sum to 0.
+    ``exps`` are the diagonal exponents, integers (a float or ``Fraction``
+    raises ``TypeError``); they sum to 0.
     """
 
     exps: Tuple[int, ...]
 
     def __init__(self, exps: Sequence[int]):
-        exps = tuple(int(e) for e in exps)
+        exps = tuple(index(e) for e in exps)
         if sum(exps) != 0:
             raise ValueError("cocharacter exponents must sum to 0")
         object.__setattr__(self, "exps", exps)
@@ -167,13 +169,14 @@ class SimpleSystem:
 
     The induced simple roots are ``e[perm[i]] - e[perm[i+1]]`` for
     i = 0..n-2, and the closed positive chamber is the set of directions
-    whose coordinates are non-increasing along ``perm``.
+    whose coordinates are non-increasing along ``perm``.  Its entries are
+    integers, as in ``Cocharacter``.
     """
 
     perm: Tuple[int, ...]
 
     def __init__(self, perm: Sequence[int]):
-        perm = tuple(int(p) for p in perm)
+        perm = tuple(index(p) for p in perm)
         if sorted(perm) != list(range(len(perm))):
             raise ValueError(f"not a permutation of 0..{len(perm) - 1}: {perm}")
         object.__setattr__(self, "perm", perm)

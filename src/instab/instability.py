@@ -33,7 +33,7 @@ import math
 import sys
 from dataclasses import dataclass, fields, is_dataclass, replace
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, cmp_to_key
 from itertools import groupby
 from typing import Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints
 
@@ -103,16 +103,17 @@ def min_norm_point(points: Sequence[CartanVector]) -> MinNormCert:
     # each point's cached integer form, brought to one denominator
     scale = math.lcm(*(p.ints[1] for p in points))
     ints = np.array([[x * (scale // p.ints[1]) for x in p.ints[0]] for p in points], dtype=object)
-    return MinNormCert(point=_wolfe(ints, ints.dot(ints.T).tolist(), range(len(points)), scale))
+    num, d = _wolfe(ints, ints.dot(ints.T).tolist(), range(len(points)), scale)
+    return MinNormCert(point=CartanVector([Fraction(x, d) for x in num]))
 
 
-def _wolfe(ints: np.ndarray, gram: list, rows: Sequence[int], scale: int) -> CartanVector:
-    """Wolfe's exact min-norm point of the hull of ints[r] / scale, r in ``rows``,
-    from integer points (rows of an object array) and their Gram matrix."""
+def _wolfe(ints: np.ndarray, gram: list, rows: Sequence[int], scale: int):
+    """Wolfe's exact min-norm point U / D of the hull of ints[r] / scale, r in ``rows``,
+    from integer points (rows of an object array) and their Gram matrix, as (U, D), D > 0."""
     if not any(ints[list(rows)].sum(axis=0)):
         # the centroid 0 is the min-norm point, as for the distinct weights
         # of a representation, whose set is invariant under the Weyl group
-        return CartanVector([0] * ints.shape[1])
+        return (0,) * ints.shape[1], 1
     # x = sum_i w_i p_{c_i} / q for integers w_i, formed once at the end
     corral, w, q = [min(rows, key=lambda i: gram[i][i])], [1], 1
     for _ in range(16 * len(rows) + 64):
@@ -124,28 +125,28 @@ def _wolfe(ints: np.ndarray, gram: list, rows: Sequence[int], scale: int) -> Car
         # the corral stays affinely independent: <x, p_j> < |x|^2 = <x, p> for every p in it
         corral.append(j)
         w.append(0)
-        # minor cycle: step from w / q toward the affine minimizer y / d while every
-        # weight stays >= 0; the least theta = w_k d / (w_k d - y_k q) gives the weights
-        # (w_k y - y_k w) / (w_k d - y_k q), and the points whose weight is 0 drop
+        # minor cycle: step from w / q toward the affine minimizer y / d while every weight
+        # stays >= 0; the least theta = w_k d / (w_k d - y_k q), at the first argmin of y_k / w_k
+        # (w_k > 0 >= y_k), gives the weights (w_k y - y_k w) / (w_k d - y_k q); zeros drop
         while True:
             y, d = _affine_min(gram, corral)
             if all(c > 0 for c in y):
                 w, q = y, d
                 break
             k = min((i for i, c in enumerate(y) if c <= 0),
-                    key=lambda i: Fraction(w[i] * d, w[i] * d - y[i] * q))
+                    key=cmp_to_key(lambda a, b: y[a] * w[b] - y[b] * w[a]))
             w, q = [w[k] * c - y[k] * a for a, c in zip(w, y)], w[k] * d - y[k] * q
             corral = [c for c, a in zip(corral, w) if a > 0]
             w = [a for a in w if a > 0]
 
-    return CartanVector([Fraction(c, q * scale) for c in np.array(w, dtype=object) @ ints[corral]])
+    return tuple(np.array(w, dtype=object) @ ints[corral]), q * scale
 
 
-def _rows_min_norm(rep: Representation, rows: Sequence[int]) -> CartanVector:
-    """The min-norm point of the weights on ``rows`` of ``rep.weight_groups``:
-    ``_wolfe`` on the cached integer weights; a single weight is its own."""
+def _rows_min_norm(rep: Representation, rows: Sequence[int]):
+    """``_wolfe``'s integers for the weights on ``rows`` of ``rep.weight_groups``,
+    from the cached integer weights; a single weight is its own point."""
     if len(rows) == 1:
-        return rep.weight_groups[rows[0]][0]
+        return tuple(rep.weight_ints[rows[0]]), rep.n
     return _wolfe(rep.weight_ints, rep.weight_gram, rows, rep.n)
 
 
@@ -161,7 +162,7 @@ class FlatShrinkData:
     the log norm is, up to a bounded error, the max over the active
     weights of <weight, b>.  ``active`` holds their ``weight_groups`` rows,
     the support of rho(k)v (``active_weights``: exact for a rational vector
-    at the identity frame), and ``u`` is their exact min-norm point.
+    at the identity frame), and ``u`` is their exact min-norm point (a lone weight's own).
     """
 
     frame: np.ndarray
@@ -199,11 +200,16 @@ def _frame_in(frame, n: int) -> np.ndarray:
 
 def flat_shrink_data(rep: Representation, v, frame: Optional[np.ndarray] = None,
                      eps: float = _EPS) -> FlatShrinkData:
-    """The flat of ``v`` through ``frame`` (the identity when None), checked by ``_frame_in``."""
+    """The flat of ``v`` through ``frame`` (the identity when None), checked by
+    ``_frame_in``; a rational ``v`` is rounded there by ``scaled_floats``."""
     k = np.eye(rep.n) if frame is None else _frame_in(frame, rep.n)
-    w = v if frame is None else _apply(rep, k, np.asarray(_vector_in(rep, v)[0], dtype=float))
-    active = tuple(active_weights(rep, w, eps))
-    return FlatShrinkData(frame=k, active=active, u=_rows_min_norm(rep, active))
+    if frame is not None:
+        vec, exact = _vector_in(rep, v)
+        v = _apply(rep, k, scaled_floats(rep, vec)[0] if exact else vec)
+    active = tuple(active_weights(rep, v, eps))
+    num, d = _rows_min_norm(rep, active)
+    return FlatShrinkData(frame=k, active=active, u=CartanVector([Fraction(x, d) for x in num])
+                          if len(active) > 1 else rep.weight_groups[active[0]][0])
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +333,7 @@ def fastest_shrinking_geodesic(rep: Representation, v,
     n = rep.n
     log_v = log_rep_norm(rep, vec)
     g, f = np.eye(n), log_v
-    flats, frames = [flat], 1
-    upper, eta = math.inf, 1.0
+    flats, upper, eta = [flat], math.inf, 1.0
     for _ in range(_MAX_STEPS):
         mu = moment_map(rep, _apply(rep, g, vec))
         mu_norm = float(np.linalg.norm(mu))
@@ -341,7 +346,6 @@ def fastest_shrinking_geodesic(rep: Representation, v,
                 f"||mu|| = {upper:.3e} is below every positive rate (below {rule})")
         k = _flag_frame(g, mu)
         flats.append(flat_shrink_data(rep, vec, k, eps))
-        frames += 1
         # eps can drop a component of the float rho(k)v that is not 0, and a
         # flat so misread can claim a ||u|| above upper, which no rate reaches
         found = [fd for fd in flats if not fd.bounded_below and fd.rate <= upper + _GAP]
@@ -361,7 +365,7 @@ def fastest_shrinking_geodesic(rep: Representation, v,
         raise StableVectorError(f"no shrinking flat in {_MAX_STEPS} moment-map steps")
     best = max(found, key=lambda fd: fd.rate)
     return ShrinkGeodesicResult(upper=upper, flat=best, identity=best is flat,
-                                frames_tried=frames, floats=(vec, e), levels=levels)
+                                frames_tried=len(flats), floats=(vec, e), levels=levels)
 
 
 # ---------------------------------------------------------------------------
@@ -567,15 +571,16 @@ def _xi_prefix(rep: Representation, active: Sequence[Tuple[int, float]], u: Cart
     weights on u's face.  Enlarging a subset can only help hull membership,
     so the optimum is a prefix of the weights sorted by decreasing log norm;
     the answer is the log norm of the last weight added when u first enters
-    the hull, that is, becomes its min-norm point (step 2 below).  ``hulls``
-    memoises these exact tests by the prefix's set of rows.
+    the hull, that is, becomes its min-norm point U / D (step 2 below).  ``hulls``
+    memoises these exact integer tests by the prefix's set of rows.
     """
     ordered = sorted(active, key=lambda jr: -jr[1])
-    key = 0
+    key, (du, dd) = 0, u.ints
     for t, (j, r) in enumerate(ordered, 1):
         key |= 1 << j
         if key not in hulls:
-            hulls[key] = _rows_min_norm(rep, [i for i, _ in ordered[:t]]) == u
+            num, d = _rows_min_norm(rep, [i for i, _ in ordered[:t]])
+            hulls[key] = all(x * dd == y * d for x, y in zip(num, du))
         if hulls[key]:
             return r
     return None

@@ -10,10 +10,12 @@ rotation, so that the identity flat of its input is rarely optimal.
 
 The paper ladder holds larger representations (dimension 15 to 35).  Run
 from a checkout, ``python tests/ladder.py`` prints one JSON line of its
-verdict counts, classify and certify times, exact Wolfe runs during certify
-and certificate codec times per pair.
+verdict counts, classify and certify times, exact Wolfe runs during certify,
+certificate codec times and one sha256 of the certificate bytes per pair:
+run at two commits, equal digests show that no certificate byte changed.
 """
 
+import hashlib
 import json
 import statistics
 import sys
@@ -127,12 +129,14 @@ def paper_report():
     inputs and of ``dominance_certificate`` (``samples=0``) over its
     unstable ones, and the exact Wolfe runs those certificates made; and
     the median seconds of ``dumps_cert`` and of ``loads_cert`` on those
-    certificates."""
+    certificates, and the sha256 of their ``dumps_cert`` texts, encoded as
+    UTF-8 and joined in ladder order."""
     pairs = {}
     for spec, n, v in paper_ladder():
         entry = pairs.setdefault(f"{spec} n={n}", {"kinds": {}, "classify_s": [],
                                                    "certify_s": [], "wolfe_runs": 0,
-                                                   "dumps_cert_s": [], "loads_cert_s": []})
+                                                   "dumps_cert_s": [], "loads_cert_s": [],
+                                                   "sha256": hashlib.sha256()})
         rep = build_rep(parse_rep_spec(spec), n)
         verdict, seconds = _seconds(is_unstable, rep, v)
         kind = verdict.kind
@@ -149,6 +153,7 @@ def paper_report():
             entry["certify_s"].append(seconds)
             text, seconds = _seconds(dumps_cert, cert)
             entry["dumps_cert_s"].append(seconds)
+            entry["sha256"].update(text.encode())
             entry["loads_cert_s"].append(_seconds(loads_cert, text)[1])
     for entry in pairs.values():
         for name in ("classify_s", "certify_s"):
@@ -158,6 +163,7 @@ def paper_report():
                            "max": round(max(times), 3)}
         for name in ("dumps_cert_s", "loads_cert_s"):
             entry[name] = {"median": round(statistics.median(entry[name]), 6)}
+        entry["sha256"] = entry["sha256"].hexdigest()
     return pairs
 
 

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -145,6 +146,20 @@ def test_dominant_order_stable_ties():
 def test_simple_system_validation():
     with pytest.raises(ValueError):
         SimpleSystem((0, 0, 1))
+
+
+@pytest.mark.parametrize("make, entries", [
+    (Cocharacter, [1.5, -1.5]), (Cocharacter, [F(1, 2), F(-1, 2)]), (SimpleSystem, [0.9, 1.2])])
+def test_entries_that_are_not_integers_are_rejected(make, entries):
+    # int() would truncate these to (1, -1), (0, 0) and (0, 1)
+    with pytest.raises(TypeError):
+        make(entries)
+
+
+def test_numpy_integer_entries_become_ints():
+    tau, order = Cocharacter(np.array([2, -1, -1])), SimpleSystem(np.array([2, 0, 1]))
+    assert (tau.exps, order.perm) == ((2, -1, -1), (2, 0, 1))
+    assert all(type(x) is int for x in tau.exps + order.perm)
 
 
 def test_cocharacter_invariants():

@@ -136,6 +136,22 @@ def test_flat_data_checks_its_frame(frame, message):
         flat_shrink_data(std(3), [1.0, 0.0, 0.0], frame)
 
 
+@pytest.mark.parametrize("v", [[F(10 ** 400), 0, 0], [F(1, 10 ** 400), 0, 0]],
+                         ids=["above the float range", "below the float range"])
+def test_flat_data_at_a_frame_rounds_an_exact_v_at_its_own_scale(v):
+    # a flat does not depend on the scale of v, so a rational v whose plain
+    # float copy would overflow or vanish gets the flat of (1, 0, 0)
+    rep = std(3)
+    first = (F(2, 3), F(-1, 3), F(-1, 3))
+    assert flat_shrink_data(rep, v).u.coords == first
+    assert dominance_certificate(rep, v, CertifyOptions(samples=0)).u.coords == first
+    assert flat_shrink_data(rep, v, np.eye(3)).u.coords == first
+    rotation = np.array([[0.6, -0.8, 0.0], [0.8, 0.6, 0.0], [0.0, 0.0, 1.0]])
+    flat = flat_shrink_data(rep, v, rotation)
+    assert flat.active == flat_shrink_data(rep, [1.0, 0.0, 0.0], rotation).active
+    assert flat.u.coords == (F(1, 6), F(1, 6), F(-1, 3))
+
+
 # ---------------------------------------------------------------------------
 # Fastest shrinking geodesic
 
@@ -824,6 +840,36 @@ def test_a_descent_certificate_rounds_v_once_and_takes_its_flat_levels_once(monk
     assert cert.frame is not None
     identity_face = not flat_shrink_data(std(3), v).bounded_below
     assert (len(roundings), len(levels)) == (1, 1 + identity_face)
+
+
+def test_the_constant_estimator_answers_its_hull_tests_in_integers(monkeypatch):
+    # the 1,001 frames of the form xy test prefix hulls on u's face: Wolfe's
+    # integer answer is compared with u's, so no CartanVector is made, and
+    # Wolfe makes no Fraction
+    rep = build_rep(parse_rep_spec("sym(2,std)"), 3)
+    v = [0, 1, 0, 0, 0, 0]
+    fsg = fastest_shrinking_geodesic(rep, v)
+    made = _count_calls(monkeypatch, CartanVector, "__init__")
+    fractions, inside = [], []
+    new, wolfe = F.__new__, instability._wolfe
+
+    def counted_new(cls, *args, **kwargs):
+        fractions.extend(inside)
+        return new(cls, *args, **kwargs)
+
+    def inside_wolfe(*args):
+        inside.append("_wolfe")
+        try:
+            return wolfe(*args)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(F, "__new__", counted_new)
+    monkeypatch.setattr(instability, "_wolfe", inside_wolfe)
+    runs = _count_calls(monkeypatch, instability, "_wolfe")
+    _, info = instability._estimate_constant(rep, v, fsg, 0)
+    assert (info.frames, info.excluded) == (1001, 0)
+    assert len(runs) > 0
+    assert (made, fractions) == ([], [])
 
 
 def _weight_margin_sq(rep):

@@ -327,10 +327,10 @@ ROW_CASES = [("sym(2,std)", 3, None), ("std*dual(std)", 3, None), ("sym(4,std)",
 
 @pytest.mark.parametrize("text, n, which", ROW_CASES)
 def test_rows_give_the_min_norm_point_of_their_weights(text, n, which):
-    # Wolfe on rows of the cached integer weights and their Gram matrix finds
-    # the point min_norm_point finds from the weights, and the oracle's: on
-    # random rows, single and repeated rows, rows on u's face, and sets
-    # whose centroid is 0
+    # Wolfe on rows of the cached integer weights and their Gram matrix finds,
+    # as integers U / D with D > 0, the point min_norm_point finds from the
+    # weights, and the oracle's: on random rows, single and repeated rows,
+    # rows on u's face, and sets whose centroid is 0
     from ladder import paper_ladder
     rep = build_rep(parse_rep_spec(text), n)
     weights = [w for w, _ in rep.weight_groups]
@@ -351,11 +351,14 @@ def test_rows_give_the_min_norm_point_of_their_weights(text, n, which):
              if w.scale(-1) in weights][:3]
     zero_centroid = 0
     for rows in sets:
-        point = instability._rows_min_norm(rep, rows)
-        assert point == instability._wolfe(rep.weight_ints, rep.weight_gram, rows, rep.n)
+        (num, d), (wolfe, q) = (instability._rows_min_norm(rep, rows),
+                                instability._wolfe(rep.weight_ints, rep.weight_gram, rows, rep.n))
+        assert d > 0 and q > 0
+        point = tuple(F(x, d) for x in num)
+        assert point == tuple(F(x, q) for x in wolfe)
         points = [weights[j] for j in rows]
-        assert point == min_norm_point(points).point
+        assert point == min_norm_point(points).point.coords
         if len(rows) <= 8:
-            assert point.coords == oracles.exact_min_norm(points)[0]
+            assert point == oracles.exact_min_norm(points)[0]
         zero_centroid += not any(sum(p.coords[k] for p in points) for k in range(n))
     assert zero_centroid >= 1 + (text == "std*dual(std)")
