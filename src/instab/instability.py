@@ -144,9 +144,9 @@ def _wolfe(ints: np.ndarray, gram: list, rows: Sequence[int], scale: int):
 
 def _rows_min_norm(rep: Representation, rows: Sequence[int]):
     """``_wolfe``'s integers for the weights on ``rows`` of ``rep.weight_groups``,
-    from the cached integer weights; a single weight is its own point."""
+    from the cached integer weights; a single weight gives its own ``ints``."""
     if len(rows) == 1:
-        return tuple(rep.weight_ints[rows[0]]), rep.n
+        return rep.weight_groups[rows[0]][0].ints
     return _wolfe(rep.weight_ints, rep.weight_gram, rows, rep.n)
 
 
