@@ -36,8 +36,8 @@ import click
 import numpy as np
 
 from .cartan import CartanVector, fundamental_weights
-from .errors import (CertificateError, DimensionError, InstabError,
-                     ParseError, StableVectorError, ZeroVectorError)
+from .errors import (CertificateError, DimensionError, InstabError, StableVectorError,
+                     ZeroVectorError)
 from .instability import (CertifyOptions, LIKELY_STABLE, NUMERIC_UNSTABLE,
                           SEED_MAX, TORUS_CERTIFIED, _frac_from_json, cartan_box_sample,
                           dominance_certificate, dumps_cert, is_unstable,
@@ -105,7 +105,7 @@ def cmd_rep_info(n: int, spec_text: str, as_json: bool):
     """Print dimension, weights and gram data of a representation."""
     try:
         rep = _build(n, spec_text)
-    except (ParseError, DimensionError, InstabError) as exc:
+    except InstabError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     weights = [[str(c) for c in w.coords] for w in rep.weights]
@@ -149,7 +149,7 @@ def cmd_classify(n, spec_text, vector, vector_file):
     except ZeroVectorError:
         _emit({"verdict": "zero_vector"})
         sys.exit(4)
-    except (ParseError, DimensionError, InstabError, ValueError) as exc:
+    except (InstabError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     payload = {
@@ -189,7 +189,7 @@ def cmd_certify(n, spec_text, vector, vector_file, out, seed, samples, box, tol)
     except StableVectorError as exc:
         click.echo(f"stable input: {exc}", err=True)
         sys.exit(_EXIT_STABLE)
-    except (ParseError, DimensionError, InstabError, ValueError) as exc:
+    except (InstabError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     try:

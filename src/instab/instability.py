@@ -198,15 +198,14 @@ def _frame_in(frame, n: int) -> np.ndarray:
     return k
 
 
-def flat_shrink_data(rep: Representation, v, frame: Optional[np.ndarray] = None,
-                     eps: float = _EPS) -> FlatShrinkData:
+def flat_shrink_data(rep: Representation, v, frame: Optional[np.ndarray] = None) -> FlatShrinkData:
     """The flat of ``v`` through ``frame`` (the identity when None), checked by
     ``_frame_in``; a rational ``v`` is rounded there by ``scaled_floats``."""
     k = np.eye(rep.n) if frame is None else _frame_in(frame, rep.n)
     if frame is not None:
         vec, exact = _vector_in(rep, v)
         v = _apply(rep, k, scaled_floats(rep, vec)[0] if exact else vec)
-    active = tuple(active_weights(rep, v, eps))
+    active = tuple(active_weights(rep, v))
     num, d = _rows_min_norm(rep, active)
     return FlatShrinkData(frame=k, active=active, u=CartanVector([Fraction(x, d) for x in num])
                           if len(active) > 1 else rep.weight_groups[active[0]][0])
@@ -290,8 +289,7 @@ def _flag_frame(g: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return k
 
 
-def fastest_shrinking_geodesic(rep: Representation, v,
-                               eps: float = _EPS) -> ShrinkGeodesicResult:
+def fastest_shrinking_geodesic(rep: Representation, v) -> ShrinkGeodesicResult:
     """The identity flat when its balanced face proves it optimal, else
     the fastest flat of a moment-map descent of log||rho(g)v|| from g = I.
 
@@ -299,7 +297,7 @@ def fastest_shrinking_geodesic(rep: Representation, v,
     log norm (eta starts at 1 and only ever halves: longer steps zigzag
     across the optimum), and keeps g upper triangular by QR (the norm is
     SO(n)-invariant).  At every step the flag of -mu is snapped to a frame
-    and its exact flat data taken at the one threshold ``eps``.  The
+    and its exact flat data taken at the one threshold ``_EPS``.  The
     search stops once the fastest flat's ||u|| is within 1e-6 of the least
     well-conditioned ||mu||, or once g is too ill-conditioned for ||mu|| to
     bound anything, and returns that flat.  Raises StableVectorError when
@@ -307,7 +305,7 @@ def fastest_shrinking_geodesic(rep: Representation, v,
     ``_stable_bound``), or when the step cap passes without a flat that is
     not bounded below.
     """
-    flat = flat_shrink_data(rep, v, None, eps)
+    flat = flat_shrink_data(rep, v)
     vec, e = scaled_floats(rep, v)
     levels = None
     # Along the identity flat's own ray, rho(exp(-s u))v / ||.|| tends to
@@ -345,8 +343,8 @@ def fastest_shrinking_geodesic(rep: Representation, v,
             raise StableVectorError(
                 f"||mu|| = {upper:.3e} is below every positive rate (below {rule})")
         k = _flag_frame(g, mu)
-        flats.append(flat_shrink_data(rep, vec, k, eps))
-        # eps can drop a component of the float rho(k)v that is not 0, and a
+        flats.append(flat_shrink_data(rep, vec, k))
+        # _EPS can drop a component of the float rho(k)v that is not 0, and a
         # flat so misread can claim a ||u|| above upper, which no rate reaches
         found = [fd for fd in flats if not fd.bounded_below and fd.rate <= upper + _GAP]
         # done when the fastest flat meets upper, or upper can improve no more
@@ -436,10 +434,12 @@ def is_unstable(rep: Representation, v, budget: int = 64, seed: int = 0,
     Torus-certified (exactly, over the rationals) when the winning flat is
     the identity flat of v itself, numerically unstable for any other flat,
     and likely stable (``frames_tried`` 0) on StableVectorError.  ``budget``,
-    ``seed`` and ``adapted`` have no effect; existing callers pass them.
+    ``seed`` and ``adapted`` have no effect; ``eps`` must be the fixed ``_EPS``.
     """
+    if eps != _EPS:
+        raise ValueError(f"eps = {eps!r}: the weight threshold is fixed at {_EPS!r}")
     try:
-        fsg = fastest_shrinking_geodesic(rep, v, eps=eps)
+        fsg = fastest_shrinking_geodesic(rep, v)
     except StableVectorError:
         return Verdict(kind=LIKELY_STABLE, flat=None, frames_tried=0)
     kind = TORUS_CERTIFIED if fsg.identity else NUMERIC_UNSTABLE
@@ -510,8 +510,8 @@ class DominanceCert:
     With h = g frame^T the bound is frame-free, log||rho(h)w|| >=
     sum alpha_j log||rho_j(h)v_j|| + c for w = rho(frame)v, and that is
     the form ``verify_dominance`` checks.  What u fixes, and the mode that
-    the vector and frame fix, are properties, so a certificate cannot
-    contradict itself.
+    the vector and frame fix, are properties, and what the schema fixes is
+    a class constant, so a certificate cannot contradict itself.
     """
 
     n: int
@@ -523,9 +523,9 @@ class DominanceCert:
     xi: XiInfo
     verification: Optional[VerifyReport]
     seed: int
-    eps: float
-    form: str = "trace"
-    schema: str = CERT_SCHEMA
+    eps = _EPS
+    form = "trace"
+    schema = CERT_SCHEMA
 
     @cached_property
     def order(self) -> SimpleSystem:
@@ -633,9 +633,10 @@ _SAFETY_MARGIN = 0.1
 #    prefix statistic runs over.  Each x in the hull of weights on F has
 #    <x, u> = |u|^2, so |x| >= |u| with equality only at x = u: u is in
 #    that hull exactly when it is the hull's min-norm point.
-# Block frames are drawn only when more than one weight lies on F.  u is in
-# the hull of the weights on F, so a lone one is the weight u.  For a
-# rotation k commuting with u:
+# u is in the hull of the weights on F, so a lone one is the weight u.
+# Steps 3-5 hold only in that case, where no frame is drawn.  With more
+# weights on F, a rotation mixes their components, which is why block
+# frames are drawn.  For a rotation k commuting with a lone u:
 # 3. By 2, a kept frame's statistic is log||(rho(k)w)_u||.
 # 4. rho(k) commutes with the projection onto the level-|u|^2 space, which
 #    is the weight space of u, and preserves the norm, so the statistic is
@@ -677,7 +678,7 @@ def _estimate_constant(rep: Representation, v, fsg: ShrinkGeodesicResult,
     w = act(rep, flat.frame, vec)
     hulls: dict = {}
     # the identity frame, a stack of one read without checking w again
-    _, sums, exps = weight_components(rep, w[None], _EPS, e)
+    _, sums, exps = weight_components(rep, w[None], e)
     row, k = sums[0].tolist(), int(exps[0])
     face = [(j, _log_norm(row[j], k) if row[j] else _exact_log_norm(rep, v, j))
             for j in flat.active if levels[j] == 0]
@@ -689,7 +690,7 @@ def _estimate_constant(rep: Representation, v, fsg: ShrinkGeodesicResult,
         size = _chunk(rep)
         for start in range(0, len(frames), size):
             active, sums, exps = weight_components(
-                rep, _apply(rep, frames[start:start + size], w), _EPS, e)
+                rep, _apply(rep, frames[start:start + size], w), e)
             below, on_face = (active & (levels < 0)).any(axis=1), active & (levels == 0)
             xis += [None if low else _xi_prefix(
                 rep, [(j, _log_norm(row[j], k)) for j in np.flatnonzero(on).tolist()], u, hulls)
@@ -715,7 +716,7 @@ def dominance_certificate(rep: Representation, v,
     cert = DominanceCert(
         n=rep.n, spec=rep.spec, vector=tuple(vec if exact else vec.tolist()),
         frame=None if fsg.identity else fsg.flat.frame,
-        u=fsg.flat.u, c=c, xi=xi_info, verification=None, seed=opts.seed, eps=_EPS)
+        u=fsg.flat.u, c=c, xi=xi_info, verification=None, seed=opts.seed)
     if opts.samples > 0:
         report = verify_dominance(cert, rep, v, opts.samples,
                                   tol=opts.tol, seed=opts.seed, box=opts.box)
@@ -888,12 +889,12 @@ _JSON_FORMS = {
     RepSpec: (str, parse_rep_spec, str),
 }
 
-# the properties a certificate writes beside its fields, with their types:
-# u fixes each of them (mode: the vector and frame), and the loader checks
-# them in this order
-_DERIVED = {"rate": float, "direction": Tuple[float, ...], "kempf": KempfData,
-            "mode": str, "order": SimpleSystem, "alphas": Tuple[Num, ...],
-            "hw": Tuple[int, ...]}
+# the values a certificate writes beside its fields, with their types: the
+# schema fixes eps, form and schema, u each property after them (mode: the
+# vector and frame), and the loader checks them in this order
+_DERIVED = {"eps": float, "form": str, "schema": str, "rate": float,
+            "direction": Tuple[float, ...], "kempf": KempfData, "mode": str,
+            "order": SimpleSystem, "alphas": Tuple[Num, ...], "hw": Tuple[int, ...]}
 
 
 @cache
@@ -919,7 +920,7 @@ def _to_json(x):
 
 
 def cert_to_dict(cert: DominanceCert) -> dict:
-    """The certificate's fields and the properties ``_DERIVED`` names, as JSON values."""
+    """The certificate's fields and the values ``_DERIVED`` names, as JSON values."""
     return {name: _to_json(getattr(cert, name))
             for name in [*(f.name for f in fields(cert)), *_DERIVED]}
 
@@ -969,7 +970,7 @@ def cert_from_dict(data: dict) -> DominanceCert:
     through the type it declares; then check that c and the frame are
     finite, u and the frame fit n, u is rational and nonzero, and every
     seed lies in [0, ``SEED_MAX``].  Last, each written ``_DERIVED`` value
-    must be the property's JSON value.
+    must be the certificate's own, as JSON.
     Sampling checks the rest: c, and that u and the frame fit the vector."""
     try:
         if _checked(dict, data, "certificate")["schema"] != CERT_SCHEMA:
@@ -1001,7 +1002,8 @@ def cert_from_dict(data: dict) -> DominanceCert:
         except ArithmeticError as exc:  # the min-norm point of weights pairs to an integer
             raise CertificateError(f"u is no min-norm point of weights: {exc}") from exc
         if _to_json(value) != derived:
-            source = "the vector and frame determine" if name == "mode" else "u determines"
+            source = ("the schema fixes" if name in ("eps", "form", "schema") else
+                      "the vector and frame determine" if name == "mode" else "u determines")
             raise CertificateError(f"{name} is not the value {source}, {derived!r}")
     return cert
 

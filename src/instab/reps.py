@@ -633,12 +633,12 @@ def log_rep_norm(rep: Representation, v, exp2: int = 0):
     return _log_norm(q.sum(), e)
 
 
-def weight_components(rep: Representation, v, eps: float = _EPS, exp2: int = 0):
+def weight_components(rep: Representation, v, exp2: int = 0):
     """Split ``v * 2^exp2``, or each row of a 2-D float ndarray (S, dim),
     into weight components; a vector is a stack of one.
 
     Returns ``(active, sums, e)``: the (S, G) mask of the components
-    above ``eps * ||v||``, column j for row j of ``weight_groups``; their
+    above ``_EPS * ||v||``, column j for row j of ``weight_groups``; their
     float sums of weighted squares; and the S exponents of the rows, so
     that ``_log_norm(sums[i, j], e[i])`` is the log norm of an active
     entry.  A rational ``v`` is rounded once, by
@@ -654,7 +654,7 @@ def weight_components(rep: Representation, v, eps: float = _EPS, exp2: int = 0):
     for cols, idx in rep.weight_blocks:
         # take gives C-ordered groups, each summed like a vector of its own
         sums[:, cols] = q.take(idx, axis=1).sum(axis=2)
-    active = np.sqrt(sums) > eps * np.sqrt(total)[:, None]
+    active = np.sqrt(sums) > _EPS * np.sqrt(total)[:, None]
     return active, sums, np.reshape(e, -1)
 
 
@@ -684,13 +684,13 @@ def moment_map(rep: Representation, w) -> np.ndarray:
     return mu - np.trace(mu) / n * np.eye(n)
 
 
-def active_weights(rep: Representation, v, eps: float = _EPS) -> list:
+def active_weights(rep: Representation, v) -> list:
     """The rows of ``weight_groups`` in the support of ``v``, ascending:
     exactly those of its nonzero coordinates for a rational ``v``, and for
-    floats those whose component is above ``eps * ||v||``."""
+    floats those whose component is above ``_EPS * ||v||``."""
     vec, exact = _vector_in(rep, v)
     if not exact:
-        return np.flatnonzero(weight_components(rep, vec, eps)[0][0]).tolist()
+        return np.flatnonzero(weight_components(rep, vec)[0][0]).tolist()
     nonzero = np.array([x != 0 for x in vec])
     if not nonzero.any():
         raise ZeroVectorError("zero vector has no weight components")

@@ -13,7 +13,7 @@ from itertools import combinations, permutations
 import numpy as np
 import scipy.optimize as sopt
 
-from instab import act, active_weights, highest_weight_vector, log_rep_norm
+from instab import act, highest_weight_vector, log_rep_norm
 from instab.reps import scaled_floats
 from instab.symspace import log_flag_norms
 
@@ -379,7 +379,8 @@ def matrix_ray_slope_diff(cert, rep, v):
     vec, e = scaled_floats(rep, v)
     frame = cert.frame if cert.frame is not None else np.eye(cert.n)
     uhat = np.asarray(cert.direction)
-    weights = [rep.weight_groups[j][0] for j in active_weights(rep, act(rep, frame, vec), 0.0)]
+    moved = act(rep, frame, vec)
+    weights = [w for w, idx in rep.weight_groups if np.any(moved[idx] != 0)]
     spread = cert.rate - min(sum(float(c) * d for c, d in zip(w.coords, uhat)) for w in weights)
     t2 = 11.5 / max(spread, 0.3) if spread > 1e-9 else 40.0
     t1 = 0.5 * t2

@@ -374,8 +374,12 @@ def test_verify_rejects_a_value_of_the_wrong_json_type(runner, tmp_path, path, v
 @pytest.mark.parametrize("field, value, message", [
     ("hw", [5], "hw is not the value u determines"),
     ("mode", "bogus", "mode is not the value the vector and frame determine"),
-    ("vector", [1.0, 0.0], "mode is not the value the vector and frame determine")],
-    ids=["hw", "mode", "exact-float-vector"])
+    ("vector", [1.0, 0.0], "mode is not the value the vector and frame determine"),
+    ("vector", [{"num": 1, "den": 1}], "vector length does not match representation"),
+    ("form", "killing", "form is not the value the schema fixes"),
+    ("eps", 1e-4, "eps is not the value the schema fixes"),
+    ("eps", math.nan, "eps is not the value the schema fixes")],
+    ids=["hw", "mode", "exact-float-vector", "short-vector", "form", "eps", "eps-nan"])
 def test_verify_rejects_fields_that_disagree(runner, tmp_path, field, value, message):
     out = str(tmp_path / "cert.json")
     assert runner.invoke(main, ["certify", "--n", "2", "--spec", "std",

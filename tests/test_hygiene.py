@@ -110,6 +110,44 @@ def unread_parameters(source: str):
     return sorted(out)
 
 
+def _defaults(fn) -> int:
+    return len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
+
+
+def _decorator_name(d):
+    d = d.func if isinstance(d, ast.Call) else d
+    return d.attr if isinstance(d, ast.Attribute) else getattr(d, "id", None)
+
+
+def settings(source: str):
+    """What a caller of ``source`` can set, as sorted (kind, name, count):
+    "parameters", the parameters with a default of a public function or of
+    a public method of a public class; "fields", the fields with a default
+    of a public dataclass; "options", the ``@click.option``s of a function."""
+    out = []
+    for node in ast.parse(source).body:
+        defs = []
+        if isinstance(node, ast.FunctionDef):
+            defs = [(node, node.name)] if not node.name.startswith("_") else []
+            options = [_decorator_name(d) for d in node.decorator_list].count("option")
+            out += [("options", node.name, options)] if options else []
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            defs = [(m, f"{node.name}.{m.name}") for m in node.body
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+            if "dataclass" in map(_decorator_name, node.decorator_list):
+                fields = sum(isinstance(m, ast.AnnAssign) and m.value is not None
+                             for m in node.body)
+                out += [("fields", node.name, fields)] if fields else []
+        out += [("parameters", name, _defaults(d)) for d, name in defs if _defaults(d)]
+    return sorted(out)
+
+
+# the package's settings: 18 defaulted parameters, 4 defaulted dataclass
+# fields and 26 CLI options.  A change that adds or removes one edits this
+# pin and says so in CHANGES.md.
+SETTINGS = 48
+
+
 # is_unstable keeps these because bench/run.py still passes them
 UNREAD_ALLOWED = {("instability.py", "is_unstable", "budget"),
                   ("instability.py", "is_unstable", "seed"),
@@ -200,6 +238,30 @@ def test_unread_parameter_detector():
     assert unread_parameters(src) == [
         (1, "f", "args"), (1, "f", "b"), (1, "f", "kw"), (3, "g", "d"),
         (5, "<lambda>", "h"), (8, "m", "x")]
+
+
+def test_settings_are_pinned():
+    found = [(path.name, *item) for path in sorted(SRC.glob("*.py"))
+             for item in settings(path.read_text())]
+    kinds = Counter()
+    for _, kind, _, count in found:
+        kinds[kind] += count
+    assert sum(kinds.values()) == SETTINGS, f"{dict(kinds)}: " + ", ".join(
+        f"{name} ({path}) {count} {kind}" for path, kind, name, count in found)
+
+
+def test_settings_detector():
+    src = ("def f(a, b=1, *, c=2, d):\n    pass\n\n"
+           "def _g(a=1):\n    pass\n\n"
+           "@dataclass(frozen=True)\n"
+           "class Opts:\n    x: int\n    y: int = 0\n    z = 1\n\n"
+           "    def m(self, k=0):\n        pass\n\n"
+           "    def _p(self, k=0):\n        pass\n\n"
+           "class _Hidden:\n    def m(self, k=0):\n        pass\n\n"
+           "@main.command('run')\n@click.option('--n')\n@click.option('--m', default=2)\n"
+           "def cmd_run(n, m):\n    pass\n")
+    assert settings(src) == [("fields", "Opts", 1), ("options", "cmd_run", 2),
+                             ("parameters", "Opts.m", 1), ("parameters", "f", 2)]
 
 
 def test_cli_import_leaves_scipy_out():

@@ -70,6 +70,7 @@ def test_flat_data_bounded_below():
     assert fd.bounded_below
     assert fd.rate == 0.0
     assert fd.u.coords == (F(0), F(0))
+    assert fd.direction is None
 
 
 def test_flat_data_wedge_rate():
@@ -332,7 +333,7 @@ def test_integer_form_of_u_matches_the_fraction_reference(u):
     cert = DominanceCert(n=u.n, spec=parse_rep_spec("std"), vector=(F(1),) + (F(0),) * (u.n - 1),
                          frame=None, u=u, c=0.0, xi=XiInfo(frames=1, excluded=0, value=0.1,
                                                           margin=0.1),
-                         verification=None, seed=0, eps=1e-10)
+                         verification=None, seed=0)
     assert cert.rate.hex() == want["rate"].hex()
     assert [x.hex() for x in cert.direction] == [x.hex() for x in want["direction"]]
     assert cert.order.perm == want["order"]
@@ -379,6 +380,18 @@ def test_is_unstable_stable_control():
     rep = build_rep(parse_rep_spec("sym(2,std)"), 2)
     verdict = is_unstable(rep, [0.0, 1.0, 0.0], seed=3)
     assert verdict.kind == LIKELY_STABLE
+
+
+@pytest.mark.parametrize("v", [[1.0, 0.0], [1.0, 1.0], [F(1), F(0)]])
+def test_is_unstable_takes_the_benchmark_threshold_only(v):
+    # the benchmark passes eps=1e-10, the fixed threshold; any other value
+    # would ask for a verdict that is not computed
+    verdicts = [is_unstable(std(2), v, budget=64, seed=0, eps=1e-10, adapted=True),
+                is_unstable(std(2), v)]
+    assert len({(x.kind, x.flat.u, x.frames_tried) for x in verdicts}) == 1
+    for eps in (1e-4, 0.0, math.nan):
+        with pytest.raises(ValueError, match="fixed at 1e-10"):
+            is_unstable(std(2), v, eps=eps)
 
 
 def test_is_unstable_zero_vector():
@@ -1007,7 +1020,7 @@ def test_block_frames_lower_the_paper_ladder_constant():
     cert = dominance_certificate(rep, v, CertifyOptions(samples=0))
     assert (cert.xi.frames, cert.frame) == (1001, None)
     vec, e = scaled_floats(rep, v)
-    active, sums, exps = weight_components(rep, vec, instability._EPS, e)
+    active, sums, exps = weight_components(rep, vec, e)
     levels = rep.levels(cert.u)
     assert not (active[0] & (levels < 0)).any()
     face = np.flatnonzero(active[0] & (levels == 0)).tolist()
@@ -1078,7 +1091,7 @@ def test_block_frames_repeat_the_identity_statistic(text, n, v):
                              block_orthogonal(blocks, n, np.random.default_rng(3), 200)])
     weights = [w for w, _ in rep.weight_groups]
     active, sums, exps = weight_components(
-        rep, act(rep, frames, act(rep, flat.frame, vec)), instability._EPS, e)
+        rep, act(rep, frames, act(rep, flat.frame, vec)), e)
     j = weights.index(u)
     points: dict = {}
     logs = []

@@ -504,14 +504,14 @@ def _log_norm_hexes(rep, split):
             for row, mask, k in zip(sums.tolist(), active, e.tolist())]
 
 
-def _split_rows_one_by_one(rep, rows, eps, exp2):
+def _split_rows_one_by_one(rep, rows, exp2):
     # a vector is a stack of one
-    return [_log_norm_hexes(rep, weight_components(rep, row, eps, exp2))[0] for row in rows]
+    return [_log_norm_hexes(rep, weight_components(rep, row, exp2))[0] for row in rows]
 
 
-def _split_rows_as_a_stack(rep, rows, eps, exp2):
-    split = weight_components(rep, rows, eps, exp2)
-    assert (split[0][:1] == weight_components(rep, rows[0], eps, exp2)[0]).all()
+def _split_rows_as_a_stack(rep, rows, exp2):
+    split = weight_components(rep, rows, exp2)
+    assert (split[0][:1] == weight_components(rep, rows[0], exp2)[0]).all()
     return _log_norm_hexes(rep, split)
 
 
@@ -535,9 +535,9 @@ def test_weight_components_of_a_stack_match_the_rows(text, n):
     rows[3] *= 1e-300
     rows[4][groups[1]] = 0.0
     for exp2 in (0, 3000, -3000):
-        one_by_one = _split_rows_one_by_one(rep, rows, eps, exp2)
+        one_by_one = _split_rows_one_by_one(rep, rows, exp2)
         assert one_by_one == _split_rows_by_loop(rep, rows, eps, exp2)
-        assert _split_rows_as_a_stack(rep, rows, eps, exp2) == one_by_one
+        assert _split_rows_as_a_stack(rep, rows, exp2) == one_by_one
     assert one_by_one[1][-1] == NEG_INF.hex() and one_by_one[1][0] != NEG_INF.hex()
     assert NEG_INF.hex() in one_by_one[4]
 
